@@ -22,37 +22,21 @@ crash fault fired (the run stopped exactly where the plan said).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from contextlib import nullcontext
 
 from ._util.errors import ConfigError, QueryError, StorageError
 from .core.config import (
     COMPRESS_MODES,
     REBALANCE_POLICIES,
     STATS_MODES,
-    default_batch_size,
-    default_checkpoint,
-    default_compress,
-    default_cross_query,
-    default_faults,
-    default_plan,
-    default_rebalance,
-    default_stats,
-    default_workers,
-    set_default_batch_size,
-    set_default_checkpoint,
-    set_default_compress,
-    set_default_cross_query,
-    set_default_faults,
-    set_default_plan,
-    set_default_rebalance,
-    set_default_stats,
-    set_default_workers,
+    SimulationConfig,
 )
 from .experiments import EXPERIMENTS
-from .faults import FaultInjected, parse_fault_plan
+from .faults import FaultInjected, armed, parse_fault_plan
 from .query.planner import PLAN_MODES
-from .query.plans import parse_query_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -152,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(X5): 'union:s1,s2' concatenates per-sensor streams, "
             "'join:s1,s2:on=value' (or on=epoch) equi-joins them; "
             "optional low=/high= bound the scans "
-            f"(default: {default_cross_query()!r})"
+            f"(default: {SimulationConfig.cross_query!r})"
         ),
     )
     run.add_argument(
@@ -163,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "row-batch size for the streaming vectorized execution "
             "layer (batch iterators and streamed aggregates; default: "
-            f"{default_batch_size()}; results are identical at any "
+            f"{SimulationConfig.exec_batch}; results are identical at any "
             "size — only the peak working set changes)"
         ),
     )
@@ -287,6 +271,15 @@ def _run_serve(args, out) -> int:
     if args.rows < 1:
         print(f"--rows must be >= 1, got {args.rows}", file=sys.stderr)
         return 2
+    if not 0 <= args.port <= 65535:
+        print(f"--port must be in [0, 65535], got {args.port}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.lifetime) and args.lifetime >= 0):
+        print(
+            f"--lifetime must be a finite number >= 0, got {args.lifetime}",
+            file=sys.stderr,
+        )
+        return 2
     rng = np.random.default_rng(args.seed)
     catalog = Catalog(plan=args.plan, stats=args.stats)
     table = catalog.create_table("obs", ["value", "sensor"])
@@ -360,9 +353,24 @@ def _run_recover(args, out) -> int:
     return 0
 
 
-def _run_one(experiment_id: str, seed: int | None, out) -> None:
-    runner = EXPERIMENTS[experiment_id]
-    result = runner(seed=seed) if seed is not None else runner()
+#: ``run`` flags that override a field of the run's base
+#: :class:`SimulationConfig`, as (flag, field) pairs.
+_RUN_FLAGS = (
+    ("--plan", "plan"),
+    ("--stats", "stats"),
+    ("--workers", "workers"),
+    ("--rebalance", "rebalance"),
+    ("--query", "cross_query"),
+    ("--batch-size", "exec_batch"),
+    ("--compress", "compress"),
+    ("--checkpoint", "checkpoint"),
+)
+
+
+def _run_one(
+    experiment_id: str, seed: int | None, base: SimulationConfig, out
+) -> None:
+    result = EXPERIMENTS[experiment_id](seed=seed, base=base)
     print(result.render(), file=out)
     print(file=out)
 
@@ -386,83 +394,50 @@ def main(argv=None, out=None) -> int:
     if args.command == "recover":
         return _run_recover(args, out)
 
-    # Validate before mutating any process default: an early error
-    # return must not leak a half-applied configuration.
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if getattr(args, "batch_size", None) is not None and args.batch_size < 1:
-        print(
-            f"--batch-size must be >= 1, got {args.batch_size}",
-            file=sys.stderr,
-        )
-        return 2
-    if getattr(args, "query", None) is not None:
+    # One frozen run configuration, validated flag by flag so a bad
+    # value exits 2 naming the flag before anything runs.
+    base = SimulationConfig()
+    for flag, field in _RUN_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
         try:
-            parse_query_spec(args.query)
-        except QueryError as error:
-            print(f"--query: {error}", file=sys.stderr)
+            base = base.with_(**{field: value})
+        except (ConfigError, QueryError) as error:
+            print(f"{flag}: {error}", file=sys.stderr)
             return 2
-    faults_spec = getattr(args, "faults", None)
+    faults_spec = args.faults
     if faults_spec is None:
         faults_spec = os.environ.get("REPRO_FAULTS") or None
+    fault_plan = None
     if faults_spec is not None:
         try:
-            parse_fault_plan(faults_spec)
+            fault_plan = parse_fault_plan(faults_spec)
         except ConfigError as error:
             print(f"--faults: {error}", file=sys.stderr)
             return 2
-    previous_plan = default_plan()
-    previous_stats = default_stats()
-    previous_workers = default_workers()
-    previous_rebalance = default_rebalance()
-    previous_cross_query = default_cross_query()
-    previous_batch_size = default_batch_size()
-    previous_compress = default_compress()
-    previous_faults = default_faults()
-    previous_checkpoint = default_checkpoint()
-    # Every set_default_* sits INSIDE the try: a setter raising midway
-    # (or any failure in the run itself) must restore all nine process
-    # defaults — a leaked half-applied configuration would silently
-    # reshape every later in-process run.  Restoring the faults default
-    # also re-arms (or disarms) the previous injection plan, so no
-    # crash can leave a plan armed for the next in-process caller.
+    # The fault plan is armed only for this run: armed() restores the
+    # previously armed plan however the run ends.
     try:
-        if getattr(args, "plan", None) is not None:
-            set_default_plan(args.plan)
-        if getattr(args, "stats", None) is not None:
-            set_default_stats(args.stats)
-        if getattr(args, "workers", None) is not None:
-            set_default_workers(args.workers)
-        if getattr(args, "rebalance", None) is not None:
-            set_default_rebalance(args.rebalance)
-        if getattr(args, "query", None) is not None:
-            set_default_cross_query(args.query)
-        if getattr(args, "batch_size", None) is not None:
-            set_default_batch_size(args.batch_size)
-        if getattr(args, "compress", None) is not None:
-            set_default_compress(args.compress)
-        if faults_spec is not None:
-            set_default_faults(faults_spec)
-        if getattr(args, "checkpoint", None) is not None:
-            set_default_checkpoint(args.checkpoint)
-        target = args.experiment.upper()
-        if target == "ALL":
-            for experiment_id in EXPERIMENTS:
-                _run_one(experiment_id, args.seed, out)
+        with armed(fault_plan) if fault_plan is not None else nullcontext():
+            target = args.experiment.upper()
+            if target == "ALL":
+                for experiment_id in EXPERIMENTS:
+                    _run_one(experiment_id, args.seed, base, out)
+                return 0
+            by_upper = {
+                experiment_id.upper(): experiment_id
+                for experiment_id in EXPERIMENTS
+            }
+            if target not in by_upper:
+                print(
+                    f"unknown experiment {args.experiment!r}; "
+                    f"choose from {', '.join(EXPERIMENTS)} or 'all'",
+                    file=sys.stderr,
+                )
+                return 2
+            _run_one(by_upper[target], args.seed, base, out)
             return 0
-        by_upper = {
-            experiment_id.upper(): experiment_id for experiment_id in EXPERIMENTS
-        }
-        if target not in by_upper:
-            print(
-                f"unknown experiment {args.experiment!r}; "
-                f"choose from {', '.join(EXPERIMENTS)} or 'all'",
-                file=sys.stderr,
-            )
-            return 2
-        _run_one(by_upper[target], args.seed, out)
-        return 0
     except QueryError as error:
         # Grammar errors are caught before anything runs; binding
         # errors (e.g. --query naming a table the experiment does not
@@ -470,7 +445,7 @@ def main(argv=None, out=None) -> int:
         # spec — same clean diagnostic, no traceback.  Scoped to runs
         # that supplied --query: an internal QueryError from an
         # unrelated experiment must keep its stack trace.
-        if getattr(args, "query", None) is None:
+        if args.query is None:
             raise
         print(f"query error: {error}", file=sys.stderr)
         return 2
@@ -481,16 +456,6 @@ def main(argv=None, out=None) -> int:
         # "crashed as planned" (3) from bad usage (2) or failure (1).
         print(f"crash fault injected: {fault}", file=sys.stderr)
         return 3
-    finally:
-        set_default_plan(previous_plan)
-        set_default_stats(previous_stats)
-        set_default_workers(previous_workers)
-        set_default_rebalance(previous_rebalance)
-        set_default_cross_query(previous_cross_query)
-        set_default_batch_size(previous_batch_size)
-        set_default_compress(previous_compress)
-        set_default_faults(previous_faults)
-        set_default_checkpoint(previous_checkpoint)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,12 +3,15 @@
 One frozen dataclass captures every knob of the paper's experimental
 setup (§2): the storage budget DBSIZE, the update volatility
 (upd-perc), run length, query batch size and the root seed from which
-all component generators are derived.
+all component generators are derived — plus the engine's execution
+modes.  It is the single run context: the CLI builds one ``base``
+config from its flags and hands it to the experiment runner, which
+derives every config it needs from that ``base``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .._util.rng import DEFAULT_SEED
 from .._util.validation import (
@@ -25,24 +28,6 @@ __all__ = [
     "REBALANCE_POLICIES",
     "STATS_MODES",
     "SimulationConfig",
-    "default_batch_size",
-    "default_checkpoint",
-    "default_compress",
-    "default_cross_query",
-    "default_faults",
-    "default_plan",
-    "default_rebalance",
-    "default_stats",
-    "default_workers",
-    "set_default_batch_size",
-    "set_default_checkpoint",
-    "set_default_compress",
-    "set_default_cross_query",
-    "set_default_faults",
-    "set_default_plan",
-    "set_default_rebalance",
-    "set_default_stats",
-    "set_default_workers",
 ]
 
 #: Shard-rebalancing traffic signals (see
@@ -64,178 +49,12 @@ REBALANCE_POLICIES = ("hits", "rows", "adaptive")
 #: either mode.
 STATS_MODES = ("uniform", "hist")
 
-#: Process-wide default for :attr:`SimulationConfig.plan` — the CLI's
-#: ``--plan`` flag sets it so every experiment picks the mode up without
-#: threading a parameter through each runner.
-_DEFAULT_PLAN = "auto"
-
-#: Process-wide default for :attr:`SimulationConfig.stats` — the CLI's
-#: ``--stats`` flag sets it, like ``--plan``.
-_DEFAULT_STATS = "uniform"
-
-#: Process-wide defaults for the sharded store's fan-out width and
-#: rebalance policy — the CLI's ``--workers`` / ``--rebalance`` flags
-#: set them, and every ``PartitionedAmnesiaDatabase`` built without
-#: explicit values (the experiments, notably X2) picks them up.
-_DEFAULT_WORKERS = 1
-_DEFAULT_REBALANCE = "hits"
-
-#: Process-wide default cross-table query spec (see
-#: :func:`repro.query.plans.parse_query_spec`) — the CLI's ``--query``
-#: flag sets it, and the cross-table experiment (X5) runs it.
-_DEFAULT_CROSS_QUERY = "join:s1,s2:on=value"
-
 #: Compressed-execution modes: ``off`` keeps every cohort raw, ``on``
 #: demotes cold cohorts into best-codec compressed blocks
 #: (:class:`~repro.storage.CompressedCohortStore`) that pruned access
 #: paths evaluate directly.  Execution-only: results are bit-identical
 #: under either mode; only bytes held and work per probed row change.
 COMPRESS_MODES = ("off", "on")
-
-#: Process-wide default for :attr:`SimulationConfig.compress` — the
-#: CLI's ``--compress`` flag sets it, like ``--plan``.
-_DEFAULT_COMPRESS = "off"
-
-#: Process-wide default batch size (rows) for the streaming vectorized
-#: execution layer (:meth:`repro.query.plans.PlanNode.batches` and the
-#: streamed aggregates behind it) — the CLI's ``--batch-size`` flag
-#: sets it.  Purely an execution knob: results are bit-identical at
-#: any batch size; only the peak working set changes.
-_DEFAULT_BATCH_SIZE = 4096
-
-#: Process-wide fault-injection spec (see :mod:`repro.faults`) — the
-#: CLI's ``--faults`` flag (or the ``REPRO_FAULTS`` env var) sets it;
-#: setting it also arms/disarms the process-wide plan.  Empty means
-#: disarmed: every injection point is a no-op.
-_DEFAULT_FAULTS = ""
-
-#: Process-wide per-epoch checkpoint path — the CLI's ``--checkpoint``
-#: flag sets it; a :class:`~repro.core.simulator.AmnesiaSimulator` run
-#: with :attr:`SimulationConfig.checkpoint` set saves its table there
-#: (atomically, with rotation) after the initial load and after every
-#: epoch, so ``repro recover`` always finds a fully-valid snapshot.
-#: Empty disables checkpointing.
-_DEFAULT_CHECKPOINT = ""
-
-
-def default_plan() -> str:
-    """The plan mode new configs default to."""
-    return _DEFAULT_PLAN
-
-
-def set_default_plan(mode: str) -> str:
-    """Set the process-wide default plan mode; returns it."""
-    global _DEFAULT_PLAN
-    _DEFAULT_PLAN = check_in(mode, PLAN_MODES, "plan")
-    return _DEFAULT_PLAN
-
-
-def default_stats() -> str:
-    """The statistics mode new configs and databases default to."""
-    return _DEFAULT_STATS
-
-
-def set_default_stats(mode: str) -> str:
-    """Set the process-wide default statistics mode; returns it."""
-    global _DEFAULT_STATS
-    _DEFAULT_STATS = check_in(mode, STATS_MODES, "stats")
-    return _DEFAULT_STATS
-
-
-def default_workers() -> int:
-    """The shard fan-out width new configs and stores default to."""
-    return _DEFAULT_WORKERS
-
-
-def set_default_workers(workers: int) -> int:
-    """Set the process-wide default fan-out width; returns it."""
-    global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = check_positive_int(workers, "workers")
-    return _DEFAULT_WORKERS
-
-
-def default_cross_query() -> str:
-    """The cross-table query spec new configs default to."""
-    return _DEFAULT_CROSS_QUERY
-
-
-def set_default_cross_query(spec: str) -> str:
-    """Set the process-wide default cross-table query spec; returns it.
-
-    The spec's *grammar* is validated here (kind, tables, options);
-    table names bind only when a catalog executes it.
-    """
-    global _DEFAULT_CROSS_QUERY
-    _DEFAULT_CROSS_QUERY = parse_query_spec(spec).render()
-    return _DEFAULT_CROSS_QUERY
-
-
-def default_batch_size() -> int:
-    """The streaming-execution batch size new configs default to."""
-    return _DEFAULT_BATCH_SIZE
-
-
-def set_default_batch_size(rows: int) -> int:
-    """Set the process-wide default streaming batch size; returns it."""
-    global _DEFAULT_BATCH_SIZE
-    _DEFAULT_BATCH_SIZE = check_positive_int(rows, "batch_size")
-    return _DEFAULT_BATCH_SIZE
-
-
-def default_compress() -> str:
-    """The compressed-execution mode new configs and databases default to."""
-    return _DEFAULT_COMPRESS
-
-
-def set_default_compress(mode: str) -> str:
-    """Set the process-wide default compressed-execution mode; returns it."""
-    global _DEFAULT_COMPRESS
-    _DEFAULT_COMPRESS = check_in(mode, COMPRESS_MODES, "compress")
-    return _DEFAULT_COMPRESS
-
-
-def default_faults() -> str:
-    """The fault-injection spec currently in force ('' = disarmed)."""
-    return _DEFAULT_FAULTS
-
-
-def set_default_faults(spec: str) -> str:
-    """Set (and arm) the process-wide fault-injection spec; returns it.
-
-    The spec is parsed *before* anything changes — a malformed spec
-    raises :class:`~repro._util.errors.ConfigError` and leaves the
-    previous plan armed.  The empty string disarms injection entirely.
-    """
-    from ..faults import arm
-
-    global _DEFAULT_FAULTS
-    arm(spec)
-    _DEFAULT_FAULTS = spec.strip()
-    return _DEFAULT_FAULTS
-
-
-def default_checkpoint() -> str:
-    """The per-epoch checkpoint path new configs default to ('' = off)."""
-    return _DEFAULT_CHECKPOINT
-
-
-def set_default_checkpoint(path: str) -> str:
-    """Set the process-wide default checkpoint path; returns it."""
-    global _DEFAULT_CHECKPOINT
-    _DEFAULT_CHECKPOINT = str(path).strip()
-    return _DEFAULT_CHECKPOINT
-
-
-def default_rebalance() -> str:
-    """The rebalance policy new configs and stores default to."""
-    return _DEFAULT_REBALANCE
-
-
-def set_default_rebalance(policy: str) -> str:
-    """Set the process-wide default rebalance policy; returns it."""
-    global _DEFAULT_REBALANCE
-    _DEFAULT_REBALANCE = check_in(policy, REBALANCE_POLICIES, "rebalance")
-    return _DEFAULT_REBALANCE
 
 
 @dataclass(frozen=True)
@@ -244,7 +63,10 @@ class SimulationConfig:
 
     Defaults reproduce the paper's headline setting:
     ``dbsize=1000, upd-perc=0.20``, 10 update batches, 1000 queries per
-    batch (§2.3, §4.1).
+    batch (§2.3, §4.1).  The execution fields (``plan`` through
+    ``checkpoint``) default to the same literal values the library
+    constructors use; the CLI's ``run`` flags override them in the
+    ``base`` config it passes to the experiment runner.
 
     Attributes
     ----------
@@ -300,15 +122,16 @@ class SimulationConfig:
     cross_query:
         Cross-table query spec (``union:...`` / ``join:...`` — see
         :func:`repro.query.plans.parse_query_spec`) that catalog-backed
-        runners execute each epoch; the CLI's ``--query`` flag sets the
-        process default.  Consumed by the cross-table experiment (X5);
-        single-table runners validate and record it but have only one
-        table to scan.
+        runners execute each epoch (default
+        ``"join:s1,s2:on=value"``; the CLI's ``--query`` flag sets it
+        in ``base``).  Stored in canonical rendered form.  Consumed by
+        the cross-table experiment (X5); single-table runners validate
+        and record it but have only one table to scan.
     exec_batch:
         Batch size (rows) for the streaming vectorized execution layer
         (:meth:`repro.query.plans.PlanNode.batches` and streamed
-        aggregates); the CLI's ``--batch-size`` flag sets the process
-        default.  Distinct from the derived :attr:`batch_size`
+        aggregates); default 4096, and the CLI's ``--batch-size`` flag
+        sets it in ``base``.  Distinct from the derived :attr:`batch_size`
         property, which is the paper's *update* batch (tuples inserted
         per epoch).  Execution-only: results are bit-identical at any
         value; only the peak working set changes.
@@ -319,7 +142,7 @@ class SimulationConfig:
         cold cohorts into best-codec compressed blocks and lets pruned
         access paths evaluate range predicates directly on the encoded
         form; ``"off"`` (default) keeps every cohort raw.  The CLI's
-        ``--compress`` flag sets the process default.  Execution-only:
+        ``--compress`` flag sets it in ``base``.  Execution-only:
         query results are bit-identical under either mode; only the
         bytes held per retained tuple and the work per probed row
         change.
@@ -328,8 +151,8 @@ class SimulationConfig:
         ``.prev`` rotation — after the initial load and after every
         epoch (see :func:`repro.storage.save_table` and
         :func:`repro.storage.recover_store`).  The CLI's
-        ``--checkpoint`` flag sets the process default; the empty
-        string (default) disables checkpointing.  Durability-only:
+        ``--checkpoint`` flag sets it in ``base``; the empty string
+        (default) disables checkpointing.  Durability-only:
         the run's results are identical with or without it.
     """
 
@@ -340,14 +163,14 @@ class SimulationConfig:
     column: str = "a"
     seed: int = DEFAULT_SEED
     histogram_bins: int = 64
-    plan: str = field(default_factory=default_plan)
-    stats: str = field(default_factory=default_stats)
-    workers: int = field(default_factory=default_workers)
-    rebalance: str = field(default_factory=default_rebalance)
-    cross_query: str = field(default_factory=default_cross_query)
-    exec_batch: int = field(default_factory=default_batch_size)
-    compress: str = field(default_factory=default_compress)
-    checkpoint: str = field(default_factory=default_checkpoint)
+    plan: str = "auto"
+    stats: str = "uniform"
+    workers: int = 1
+    rebalance: str = "hits"
+    cross_query: str = "join:s1,s2:on=value"
+    exec_batch: int = 4096
+    compress: str = "off"
+    checkpoint: str = ""
 
     def __post_init__(self) -> None:
         check_positive_int(self.dbsize, "dbsize")
@@ -361,7 +184,11 @@ class SimulationConfig:
         check_in(self.rebalance, REBALANCE_POLICIES, "rebalance")
         check_positive_int(self.exec_batch, "exec_batch")
         check_in(self.compress, COMPRESS_MODES, "compress")
-        parse_query_spec(self.cross_query)  # grammar check; binding is lazy
+        # Grammar check (binding is lazy) and canonical form, set
+        # through object.__setattr__ because the dataclass is frozen.
+        spec = parse_query_spec(self.cross_query).render()
+        object.__setattr__(self, "cross_query", spec)
+        object.__setattr__(self, "checkpoint", str(self.checkpoint).strip())
         if not self.column:
             raise ValueError("column name must be non-empty")
         if self.batch_size < 1:

@@ -43,13 +43,7 @@ from ..stats.table_stats import TableHistogramStats
 from ..storage.cohorts import CohortZoneMap
 from ..storage.compressed import CompressedCohortStore
 from ..storage.table import Table
-from .config import (
-    COMPRESS_MODES,
-    STATS_MODES,
-    default_compress,
-    default_plan,
-    default_stats,
-)
+from .config import COMPRESS_MODES, STATS_MODES
 
 __all__ = ["AmnesiaDatabase"]
 
@@ -81,9 +75,9 @@ class AmnesiaDatabase:
         mode other than ``"scan"`` attaches a cohort zone map so range
         queries can prune cohorts (and, under ``"cost"``, feed the
         cardinality estimates); ``"index"`` plans additionally need
-        an index created via :meth:`create_index`.  ``None`` (default)
-        resolves to :func:`repro.core.config.default_plan`, so the
-        CLI's ``--plan`` flag also reaches facade-backed experiments.
+        an index created via :meth:`create_index`.  Default
+        ``"auto"``; experiments pass their run config's ``plan`` (the
+        CLI's ``--plan`` flag, via ``base``).
     value_bounds:
         Optional ``{column: (low, high)}`` invariants handed to the
         planner — a range shard declares its partition bounds here so
@@ -94,10 +88,10 @@ class AmnesiaDatabase:
         per-column :class:`~repro.stats.TableHistogramStats` so the
         planner's estimates track skewed value distributions;
         ``"uniform"`` keeps the zone map's per-cohort uniformity
-        assumption.  ``None`` (default) resolves to
-        :func:`repro.core.config.default_stats`, so the CLI's
-        ``--stats`` flag reaches facade-backed experiments.  Estimate
-        -only: query results are identical under either source.
+        assumption (default).  Experiments pass their run config's
+        ``stats`` (the CLI's ``--stats`` flag, via ``base``).
+        Estimate-only: query results are identical under either
+        source.
     compress:
         Compressed-execution mode (see
         :data:`repro.core.config.COMPRESS_MODES`): ``"on"`` attaches a
@@ -107,9 +101,8 @@ class AmnesiaDatabase:
         pruned access paths evaluate range predicates directly on the
         encoded form.  Skipped in ``"scan"`` plan mode like the zone
         map: the trust-nothing baseline reads raw columns only.
-        ``None`` (default) resolves to
-        :func:`repro.core.config.default_compress`, so the CLI's
-        ``--compress`` flag reaches facade-backed experiments.
+        Default ``"off"``; experiments pass their run config's
+        ``compress`` (the CLI's ``--compress`` flag, via ``base``).
         Execution-only: query results are bit-identical either way.
     """
 
@@ -121,21 +114,17 @@ class AmnesiaDatabase:
         seed: int = DEFAULT_SEED,
         disposition=None,
         table_name: str = "amnesia_db",
-        plan: str | None = None,
+        plan: str = "auto",
         value_bounds: dict | None = None,
-        stats: str | None = None,
-        compress: str | None = None,
+        stats: str = "uniform",
+        compress: str = "off",
     ):
         if budget < 1:
             raise ConfigError(f"budget must be >= 1, got {budget}")
         self.budget = int(budget)
         self.policy = policy
         self.table = Table(table_name, columns)
-        if plan is None:
-            plan = default_plan()
         self.plan_mode = check_in(plan, PLAN_MODES, "plan")
-        if stats is None:
-            stats = default_stats()
         self.stats_mode = check_in(stats, STATS_MODES, "stats")
         zone_map = (
             CohortZoneMap(self.table) if self.plan_mode != "scan" else None
@@ -148,8 +137,6 @@ class AmnesiaDatabase:
             if self.stats_mode == "hist" and self.plan_mode != "scan"
             else None
         )
-        if compress is None:
-            compress = default_compress()
         self.compress_mode = check_in(compress, COMPRESS_MODES, "compress")
         # Like the zone map, the compressed store is skipped in scan
         # mode: the trust-nothing baseline must read raw columns only,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.config import SimulationConfig
 from ..plotting.tables import render_table
 from .runner import ExperimentResult, default_config, run_once
 
@@ -38,6 +39,7 @@ def run_area_ablation(
     epochs: int = 10,
     queries_per_epoch: int = 200,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     ks=(1, 4, 16, 64),
 ) -> ExperimentResult:
     """A1: sweep the number of concurrent mold areas."""
@@ -46,10 +48,9 @@ def run_area_ablation(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": queries_per_epoch,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     rows = []
     data = {}
@@ -85,6 +86,7 @@ def run_ante_bias_ablation(
     update_fraction: float = 0.20,
     epochs: int = 10,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     biases=(2.0, 4.0, 6.0, 8.0, 12.0),
 ) -> ExperimentResult:
     """A2b: sweep the anterograde recency-bias exponent.
@@ -102,10 +104,9 @@ def run_ante_bias_ablation(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": 0,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     rows = []
     data = {}
@@ -144,6 +145,7 @@ def run_rot_ablation(
     epochs: int = 10,
     queries_per_epoch: int = 500,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     high_water_marks=(0, 1, 2, 4),
     frequency_exponents=(0.0, 1.0, 2.0),
     distribution: str = "zipfian",
@@ -154,10 +156,9 @@ def run_rot_ablation(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": queries_per_epoch,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     rows = []
     data = {}

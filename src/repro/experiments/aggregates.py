@@ -24,6 +24,7 @@ import numpy as np
 
 from .._util.rng import spawn
 from ..amnesia.registry import FIGURE3_POLICIES
+from ..core.config import SimulationConfig
 from ..plotting.linechart import render_linechart
 from ..plotting.tables import render_table
 from ..query.generators import AggregateQueryGenerator
@@ -47,6 +48,7 @@ def run_aggregate_precision(
     epochs: int = 30,
     queries_per_epoch: int = 50,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     distributions=("uniform", "zipfian"),
     policies=FIGURE3_POLICIES,
     predicate_selectivity: float | None = None,
@@ -57,10 +59,9 @@ def run_aggregate_precision(
         "update_fraction": update_fraction,
         "epochs": epochs + 1,
         "queries_per_epoch": queries_per_epoch,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     tuple_panels: dict[str, dict[str, list[float]]] = {}
     value_panels: dict[str, dict[str, list[float]]] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coldstore.cost_model import GLACIER_2016
+from ..core.config import SimulationConfig
 from ..lifecycle.dispositions import (
     ColdStorageDisposition,
     HardDeleteDisposition,
@@ -33,6 +34,7 @@ def run_coldstore_economics(
     update_fraction: float = 0.20,
     epochs: int = 10,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     recover_fraction: float = 0.01,
     horizon_years: float = 1.0,
 ) -> ExperimentResult:
@@ -50,10 +52,9 @@ def run_coldstore_economics(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": 0,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     rows = []
     data = {}

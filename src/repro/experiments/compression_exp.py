@@ -17,6 +17,7 @@ import numpy as np
 
 from .._util.rng import spawn
 from ..compression.codecs import CODEC_NAMES, best_codec, make_codec
+from ..core.config import SimulationConfig
 from ..datagen.distributions import DISTRIBUTION_NAMES, make_distribution
 from ..plotting.tables import render_table
 from .runner import ExperimentResult, default_config, run_once
@@ -30,10 +31,11 @@ def run_compression_budget(
     epochs: int = 10,
     sample_size: int = 65_536,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     distributions=DISTRIBUTION_NAMES,
 ) -> ExperimentResult:
     """Tuple capacity and precision at a fixed byte budget, per codec."""
-    config_seed = default_config().seed if seed is None else seed
+    config_seed = default_config(base, seed=seed).seed
 
     codec_rows = []
     precision_rows = []
@@ -61,6 +63,7 @@ def run_compression_budget(
         for label, capacity in capacities.items():
             capacity = max(capacity, batch_tuples + 1)
             config = default_config(
+                base,
                 dbsize=capacity,
                 update_fraction=batch_tuples / capacity,
                 epochs=epochs,

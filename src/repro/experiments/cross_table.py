@@ -6,16 +6,17 @@ and therefore its own forgetting trajectory), recall becomes a
 *cross-table* planning problem: a join must account for pairs that
 either side has forgotten.  This experiment drives two Zipf-skewed
 sensor streams under different policies, executes the configured
-cross-table query (``SimulationConfig.cross_query``, settable via the
-CLI's ``--query``) after every update batch, and reports how the
-merged RF/MF/precision decays as the two amnesia streams interact.
+cross-table query (``SimulationConfig.cross_query`` of the run's
+``base`` config, which the CLI's ``--query`` sets) after every update
+batch, and reports how the merged RF/MF/precision decays as the two
+amnesia streams interact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._util.rng import DEFAULT_SEED, derive_seed
+from .._util.rng import derive_seed
 from ..amnesia.registry import make_policy
 from ..core.config import SimulationConfig
 from ..core.database import AmnesiaDatabase
@@ -24,7 +25,7 @@ from ..indexes import SortedIndex
 from ..plotting.tables import render_table
 from ..query.plans import StreamedAggregate
 from ..storage.catalog import Catalog
-from .runner import ExperimentResult
+from .runner import ExperimentResult, default_config
 
 __all__ = ["run_cross_table"]
 
@@ -40,12 +41,15 @@ def run_cross_table(
     batch_size: int = 200,
     domain: int = 1000,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
 ) -> ExperimentResult:
     """X5: precision of a union/join across two forgetting sensors."""
-    seed = DEFAULT_SEED if seed is None else seed
-    config = SimulationConfig(seed=seed)
+    config = default_config(base, seed=seed)
+    seed = config.seed
     spec = config.cross_query
-    catalog = Catalog(plan=config.plan, workers=config.workers)
+    catalog = Catalog(
+        plan=config.plan, workers=config.workers, stats=config.stats
+    )
     sensors = {}
     for name, policy_name in SENSOR_POLICIES.items():
         db = AmnesiaDatabase(
@@ -54,6 +58,8 @@ def run_cross_table(
             seed=derive_seed(seed, f"sensor-{name}"),
             table_name=name,
             plan=config.plan,
+            stats=config.stats,
+            compress=config.compress,
         )
         catalog.register(db.table)
         # A sorted index per sensor keeps each leaf's value stream
@@ -102,7 +108,7 @@ def run_cross_table(
         rows,
         title=f"X5: {spec!r} across {list(SENSOR_POLICIES.values())} sensors",
     )
-    explain = catalog.explain_query(spec)
+    explain = catalog.explain_query(spec, batch_size=config.exec_batch)
     return ExperimentResult(
         experiment_id="X5",
         title="Cross-table union/join over forgetting streams",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._util.rng import spawn
+from ..core.config import SimulationConfig
 from ..indexes.brin import BlockRangeIndex
 from ..indexes.sorted_index import SortedIndex
 from ..lifecycle.dispositions import (
@@ -38,6 +39,7 @@ def run_dispositions(
     update_fraction: float = 0.50,
     epochs: int = 8,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     n_probe_queries: int = 50,
 ) -> ExperimentResult:
     """Measure plan recall/cost under stop-indexing, and summary AVG."""
@@ -46,10 +48,9 @@ def run_dispositions(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": 0,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     # -- stop-indexing: scan vs index plans ---------------------------------
     disposition = StopIndexingDisposition()

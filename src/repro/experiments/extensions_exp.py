@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._util.rng import spawn
+from ..core.config import SimulationConfig
 from ..plotting.tables import render_table
 from ..query.generators import AggregateQueryGenerator
 from .runner import ExperimentResult, default_config, run_once
@@ -26,6 +27,7 @@ def run_pair_preservation(
     epochs: int = 20,
     queries_per_epoch: int = 20,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     distributions=("uniform", "normal", "zipfian"),
     policies=("pair", "uniform", "fifo"),
 ) -> ExperimentResult:
@@ -35,10 +37,9 @@ def run_pair_preservation(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": queries_per_epoch,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     rows = []
     data: dict[str, dict[str, float]] = {}
@@ -87,6 +88,7 @@ def run_distribution_alignment(
     update_fraction: float = 0.50,
     epochs: int = 20,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     distributions=("zipfian", "normal"),
     policies=("dist", "stratified", "uniform", "fifo"),
 ) -> ExperimentResult:
@@ -96,10 +98,9 @@ def run_distribution_alignment(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": 0,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     rows = []
     data: dict[str, dict[str, float]] = {}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._util.rng import DEFAULT_SEED
 from ..amnesia.decay import EbbinghausAmnesia
 from ..amnesia.registry import make_policy
 from ..core.config import SimulationConfig
@@ -21,7 +20,7 @@ from ..partitioning.partitioned import PartitionedAmnesiaDatabase
 from ..plotting.tables import render_table
 from ..storage.table import Table
 from ..summaries.histogram_summary import HistogramSummaryStore
-from .runner import ExperimentResult
+from .runner import ExperimentResult, default_config
 
 __all__ = [
     "run_decay_comparison",
@@ -37,10 +36,11 @@ def run_decay_comparison(
     epochs: int = 8,
     queries_per_epoch: int = 300,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
 ) -> ExperimentResult:
     """X1: Ebbinghaus decay vs rot vs uniform on skewed, queried data."""
-    seed = DEFAULT_SEED if seed is None else seed
-    config = SimulationConfig(
+    config = default_config(
+        base,
         dbsize=dbsize,
         update_fraction=update_fraction,
         epochs=epochs,
@@ -77,20 +77,22 @@ def run_adaptive_partitioning(
     batches: int = 10,
     batch_size: int = 400,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
 ) -> ExperimentResult:
     """X2: does traffic-driven budget rebalancing buy hot precision?"""
-    seed = DEFAULT_SEED if seed is None else seed
-    # The config snapshot carries the run knobs — its workers/rebalance
-    # fields default from the process-wide values the CLI's --workers /
-    # --rebalance flags set, and the store is built from the config.
-    config = SimulationConfig(seed=seed)
+    # The run's base config carries the execution knobs (the CLI's
+    # --plan / --stats / --workers / --rebalance / --compress flags),
+    # and the store is built from it.
+    config = default_config(base, seed=seed)
+    seed = config.seed
 
     def run(adaptive: bool):
         store = PartitionedAmnesiaDatabase(
             "a", (0, 500, 1000), total_budget,
             policy_factory=make_policy_factory(), seed=seed,
             plan=config.plan, workers=config.workers,
-            rebalance=config.rebalance,
+            rebalance=config.rebalance, stats=config.stats,
+            compress=config.compress,
         )
         rng = np.random.default_rng(seed)
         hot = None
@@ -137,9 +139,10 @@ def run_referential_integrity(
     n_children: int = 600,
     epochs: int = 5,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
 ) -> ExperimentResult:
     """X3: restrict vs cascade forgetting under a foreign key."""
-    seed = DEFAULT_SEED if seed is None else seed
+    seed = default_config(base, seed=seed).seed
 
     def run(mode: str, quota: int):
         rng = np.random.default_rng(seed)
@@ -188,9 +191,10 @@ def run_histogram_summaries(
     forget_fraction: float = 0.75,
     bins_sweep=(8, 16, 32, 64, 128),
     seed: int | None = None,
+    base: SimulationConfig | None = None,
 ) -> ExperimentResult:
     """X4: MF estimation error vs histogram resolution."""
-    seed = DEFAULT_SEED if seed is None else seed
+    seed = default_config(base, seed=seed).seed
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 10_000, n_rows)
     victims = rng.choice(n_rows, int(n_rows * forget_fraction), replace=False)

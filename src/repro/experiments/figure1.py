@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..amnesia.registry import FIGURE1_POLICIES
+from ..core.config import SimulationConfig
 from ..plotting.heatmap import render_heatmap
 from ..plotting.tables import render_table
 from .runner import ExperimentResult, default_config, sweep_policies
@@ -33,6 +34,7 @@ def run_figure1(
     update_fraction: float = 0.20,
     epochs: int = 10,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     policies=FIGURE1_POLICIES,
 ) -> ExperimentResult:
     """Reproduce Figure 1; returns per-policy cohort activity maps."""
@@ -41,10 +43,9 @@ def run_figure1(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": 0,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     runs = sweep_policies(config, "serial", policies)
     rows: dict[str, np.ndarray] = {}

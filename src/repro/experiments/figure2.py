@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._util.rng import spawn
+from ..core.config import SimulationConfig
 from ..datagen.distributions import DISTRIBUTION_NAMES
 from ..plotting.heatmap import render_heatmap
 from ..plotting.tables import render_table
@@ -60,6 +61,7 @@ def run_figure2(
     epochs: int = 10,
     queries_per_epoch: int = 1000,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     distributions=DISTRIBUTION_NAMES,
     high_water_mark: int = 1,
     frequency_exponent: float = 2.0,
@@ -70,10 +72,9 @@ def run_figure2(
         "update_fraction": update_fraction,
         "epochs": epochs,
         "queries_per_epoch": queries_per_epoch,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     rows: dict[str, np.ndarray] = {}
     for dist_name in distributions:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..amnesia.registry import FIGURE3_POLICIES
+from ..core.config import SimulationConfig
 from ..plotting.linechart import render_linechart
 from ..plotting.tables import render_table
 from .runner import ExperimentResult, default_config, sweep_policies
@@ -41,6 +42,7 @@ def run_figure3(
     queries_per_epoch: int = 1000,
     selectivity: float = 0.01,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     distributions=FIGURE3_DISTRIBUTIONS,
     policies=FIGURE3_POLICIES,
 ) -> ExperimentResult:
@@ -53,10 +55,9 @@ def run_figure3(
         # "after one round" .. "after `epochs` rounds".
         "epochs": epochs + 1,
         "queries_per_epoch": queries_per_epoch,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     panels: dict[str, dict[str, list[float]]] = {}
     charts: list[str] = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .._util.rng import DEFAULT_SEED
 from ..amnesia.registry import make_policy
 from ..core.config import SimulationConfig
 from ..core.simulator import AmnesiaSimulator
@@ -93,7 +92,17 @@ def sweep_policies(
     return out
 
 
-def default_config(**overrides) -> SimulationConfig:
-    """The paper's base configuration with optional overrides."""
-    base = SimulationConfig(seed=DEFAULT_SEED)
+def default_config(
+    base: SimulationConfig | None = None, **overrides
+) -> SimulationConfig:
+    """``base`` (default: the paper's configuration) with overrides.
+
+    Runners receive the CLI's run configuration as ``base`` and derive
+    every config they build from it, so ``--plan``, ``--workers`` and
+    the other execution flags reach each simulator and store.  A
+    ``None`` override keeps ``base``'s value (runners pass their
+    optional ``seed=`` straight through).
+    """
+    base = SimulationConfig() if base is None else base
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     return base.with_(**overrides) if overrides else base

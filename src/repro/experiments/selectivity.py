@@ -11,6 +11,7 @@ verifies that E varies only marginally across two decades of S.
 from __future__ import annotations
 
 from .._util.rng import spawn
+from ..core.config import SimulationConfig
 from ..plotting.tables import render_table
 from ..query.generators import RangeQueryGenerator
 from .runner import ExperimentResult, default_config, run_once
@@ -24,6 +25,7 @@ def run_selectivity(
     epochs: int = 10,
     queries_per_epoch: int = 500,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     selectivities=(0.005, 0.01, 0.05, 0.1, 0.25),
     distribution: str = "uniform",
     policies=("uniform", "area", "rot"),
@@ -34,10 +36,9 @@ def run_selectivity(
         "update_fraction": update_fraction,
         "epochs": epochs + 1,
         "queries_per_epoch": queries_per_epoch,
+        "seed": seed,
     }
-    if seed is not None:
-        overrides["seed"] = seed
-    config = default_config(**overrides)
+    config = default_config(base, **overrides)
 
     results: dict[str, dict[float, float]] = {p: {} for p in policies}
     for policy_name in policies:

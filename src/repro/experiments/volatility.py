@@ -13,6 +13,7 @@ low volatility, for every policy, because the active fraction decays as
 from __future__ import annotations
 
 from ..amnesia.registry import FIGURE3_POLICIES
+from ..core.config import SimulationConfig
 from ..plotting.tables import render_table
 from .runner import ExperimentResult, default_config, sweep_policies
 
@@ -24,6 +25,7 @@ def run_volatility(
     epochs: int = 10,
     queries_per_epoch: int = 500,
     seed: int | None = None,
+    base: SimulationConfig | None = None,
     fractions=(0.10, 0.80),
     distribution: str = "uniform",
     policies=FIGURE3_POLICIES,
@@ -36,10 +38,9 @@ def run_volatility(
             "update_fraction": fraction,
             "epochs": epochs + 1,
             "queries_per_epoch": queries_per_epoch,
+            "seed": seed,
         }
-        if seed is not None:
-            overrides["seed"] = seed
-        config = default_config(**overrides)
+        config = default_config(base, **overrides)
         runs = sweep_policies(config, distribution, policies)
         panels[fraction] = {
             name: report.precision_series()[1:]

@@ -77,17 +77,9 @@ import numpy as np
 from .._util.errors import ConfigError, QueryError
 from .._util.parallel import EpochGate, FanOutPool
 from .._util.rng import DEFAULT_SEED, derive_seed
-from .._util.validation import check_in, checked_int64
+from .._util.validation import check_in, check_positive_int, checked_int64
 from ..amnesia.base import AmnesiaPolicy
-from ..core.config import (
-    COMPRESS_MODES,
-    REBALANCE_POLICIES,
-    STATS_MODES,
-    default_compress,
-    default_rebalance,
-    default_stats,
-    default_workers,
-)
+from ..core.config import COMPRESS_MODES, REBALANCE_POLICIES, STATS_MODES
 from ..core.database import AmnesiaDatabase
 from ..faults import (
     INGEST_APPLIED,
@@ -150,12 +142,12 @@ class Partition:
         policy: AmnesiaPolicy,
         column: str,
         seed: int,
-        plan: str | None = None,
+        plan: str = "auto",
         edge_low: bool = False,
         edge_high: bool = False,
         table_name: str | None = None,
-        stats: str | None = None,
-        compress: str | None = None,
+        stats: str = "uniform",
+        compress: str = "off",
     ):
         if high <= low:
             raise ConfigError(f"partition range [{low}, {high}) is empty")
@@ -313,13 +305,12 @@ class PartitionedAmnesiaDatabase:
         splits/merges also draw fresh policies from it.
     plan:
         Access-path mode for every shard's planner (see
-        :mod:`repro.query.planner`); ``None`` resolves to
-        :func:`repro.core.config.default_plan`.  ``"cost"`` prices
-        paths per shard from its cohort statistics.
+        :mod:`repro.query.planner`); default ``"auto"``.  ``"cost"``
+        prices paths per shard from its cohort statistics.
     stats:
         Statistics source for every shard (see
-        :data:`repro.core.config.STATS_MODES`); ``None`` resolves to
-        :func:`repro.core.config.default_stats`.  Under ``"hist"``
+        :data:`repro.core.config.STATS_MODES`); default
+        ``"uniform"``.  Under ``"hist"``
         each shard carries value histograms for its planner's
         estimates, and ``adaptive`` rebalancing cuts a hot shard at
         its **traffic-weighted value median** instead of the range
@@ -329,23 +320,22 @@ class PartitionedAmnesiaDatabase:
         widths.
     compress:
         Compressed-execution mode for every shard (see
-        :data:`repro.core.config.COMPRESS_MODES`); ``None`` resolves
-        to :func:`repro.core.config.default_compress`.  Under ``"on"``
-        each shard demotes its cold cohorts into best-codec compressed
-        blocks after every insert, and boundary splits/merges carry
-        the mode over (migrated history re-demotes by the same
-        age rule).  Execution-only: results are bit-identical.
+        :data:`repro.core.config.COMPRESS_MODES`); default ``"off"``.
+        Under ``"on"`` each shard demotes its cold cohorts into
+        best-codec compressed blocks after every insert, and boundary
+        splits/merges carry the mode over (migrated history re-demotes
+        by the same age rule).  Execution-only: results are bit-identical.
     workers:
         Fan-out width for reads *and* ingest appliers: how many
-        per-shard pipelines may run concurrently (``None`` resolves to
-        :func:`repro.core.config.default_workers`).  1 executes shards
-        sequentially; any width returns bit-identical results — for
-        ingest too, because each shard drains its queue FIFO.  The
+        per-shard pipelines may run concurrently (default 1, which
+        executes shards sequentially).  Any width returns
+        bit-identical results — for ingest too, because each shard
+        drains its queue FIFO.  The
         attribute is mutable — benchmarks flip it between runs.
     rebalance:
         Default traffic signal for :meth:`rebalance` — one of
-        :data:`repro.core.config.REBALANCE_POLICIES` (``None`` resolves
-        to :func:`repro.core.config.default_rebalance`).
+        :data:`repro.core.config.REBALANCE_POLICIES` (default
+        ``"hits"``).
     split_threshold:
         Skew factor for ``adaptive`` rebalancing: a shard is split when
         its share of row traffic exceeds ``split_threshold / P`` (i.e.
@@ -370,13 +360,13 @@ class PartitionedAmnesiaDatabase:
         total_budget: int,
         policy_factory,
         seed: int = DEFAULT_SEED,
-        plan: str | None = None,
-        workers: int | None = None,
-        rebalance: str | None = None,
+        plan: str = "auto",
+        workers: int = 1,
+        rebalance: str = "hits",
         split_threshold: float = 2.0,
         max_partitions: int | None = None,
-        stats: str | None = None,
-        compress: str | None = None,
+        stats: str = "uniform",
+        compress: str = "off",
     ):
         bounds = [int(b) for b in boundaries]
         if len(bounds) < 2:
@@ -389,18 +379,9 @@ class PartitionedAmnesiaDatabase:
                 f"total_budget {total_budget} cannot cover "
                 f"{n_partitions} partitions"
             )
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if rebalance is None:
-            rebalance = default_rebalance()
+        workers = check_positive_int(workers, "workers")
         check_in(rebalance, REBALANCE_POLICIES, "rebalance")
-        if stats is None:
-            stats = default_stats()
         check_in(stats, STATS_MODES, "stats")
-        if compress is None:
-            compress = default_compress()
         check_in(compress, COMPRESS_MODES, "compress")
         if split_threshold < 1.0:
             raise ConfigError(
@@ -415,7 +396,7 @@ class PartitionedAmnesiaDatabase:
             )
         self.column = column
         self.total_budget = int(total_budget)
-        self.workers = int(workers)
+        self.workers = workers
         self.rebalance_policy = rebalance
         self.stats_mode = stats
         self.compress_mode = compress
@@ -458,8 +439,6 @@ class PartitionedAmnesiaDatabase:
         # concurrent boundary adaptation can never hand them a
         # partition list from one layout and cut points from another.
         self._layout: tuple[list[Partition], list[int]] = (partitions, bounds)
-        # All shards resolve plan=None identically; read the mode back
-        # from the first shard's planner.
         self.plan_mode = partitions[0].db.plan_mode
 
     # -- topology --------------------------------------------------------

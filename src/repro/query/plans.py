@@ -154,14 +154,8 @@ def _empty_rows(width: int) -> np.ndarray:
 # -- streaming plumbing ----------------------------------------------------
 
 
-def _resolve_batch_size(batch_size: int | None) -> int:
-    """``batch_size`` validated, or the process default when ``None``."""
-    if batch_size is None:
-        # Imported lazily: core.config imports this module for the
-        # spec grammar, so a module-level import would be circular.
-        from ..core.config import default_batch_size
-
-        return default_batch_size()
+def _check_batch_size(batch_size: int) -> int:
+    """``batch_size`` validated as a positive row count."""
     batch_size = int(batch_size)
     if batch_size < 1:
         raise QueryError(f"batch size must be >= 1, got {batch_size}")
@@ -399,7 +393,7 @@ class PlanNode(ABC):
         self,
         catalog,
         epoch: int,
-        batch_size: int | None = None,
+        batch_size: int = 4096,
         *,
         pool=None,
         workers: int = 1,
@@ -410,9 +404,9 @@ class PlanNode(ABC):
         Returns an iterator of ``(rows, forgotten)`` pairs — ``rows``
         a ``(n, len(output_columns()))`` int64 matrix, ``forgotten``
         the aligned bool flags — with ``n == batch_size`` for every
-        batch except possibly the last.  ``batch_size=None`` resolves
-        to :func:`repro.core.config.default_batch_size` (the CLI's
-        ``--batch-size``).
+        batch except possibly the last.  ``batch_size`` defaults to 4096
+        rows; experiments pass their run config's ``exec_batch`` (the
+        CLI's ``--batch-size``, via ``base``).
 
         The batch contract:
 
@@ -453,7 +447,7 @@ class PlanNode(ABC):
         ...  TableScanNode("t").batches(cat, epoch=0, batch_size=2)]
         [((2, 2), [False, False]), ((1, 2), [False])]
         """
-        batch_size = _resolve_batch_size(batch_size)
+        batch_size = _check_batch_size(batch_size)
         self.validate(catalog)
         payloads = _fan_out_leaves(
             self, catalog, epoch, pool, workers, record_access, stream=True
@@ -1377,9 +1371,9 @@ class AggregateNode(PlanNode):
         child = self.children[0]
         return child.estimate_cost(catalog) + child.estimate_rows(catalog)
 
-    def execution_strategy(self, catalog, batch_size: int | None = None) -> str:
+    def execution_strategy(self, catalog, batch_size: int = 4096) -> str:
         """The streaming strategy execution will use (explain signal)."""
-        batch = _resolve_batch_size(batch_size)
+        batch = _check_batch_size(batch_size)
         child = self.children[0]
         if isinstance(child, UnionNode):
             return f"pushdown-union(batch={batch})"
@@ -1389,11 +1383,11 @@ class AggregateNode(PlanNode):
             return f"{name}(batch={batch})"
         return f"streamed(batch={batch})"
 
-    def describe(self, catalog=None) -> str:
+    def describe(self, catalog=None, batch_size: int = 4096) -> str:
         est = ""
         if catalog is not None:
             est = (
-                f" — {self.execution_strategy(catalog)}, "
+                f" — {self.execution_strategy(catalog, batch_size)}, "
                 f"cost≈{self.estimate_cost(catalog):.0f}"
             )
         return f"Aggregate(on={self.on!r}){est}"
@@ -1473,14 +1467,14 @@ def _execute_aggregate(
     pool,
     workers: int,
     record_access: bool,
-    batch_size: int | None,
+    batch_size: int,
 ) -> StreamedAggregate:
     """Streamed-aggregate engine: batches in, moments out, no rows kept."""
     # Lazy: plans is imported by core.config, whose grammar hook must
     # not drag the statistics layer into the import cycle.
     from ..stats.moments import ExactMoments
 
-    batch = _resolve_batch_size(batch_size)
+    batch = _check_batch_size(batch_size)
     child = node.children[0]
     strategy = node.execution_strategy(catalog, batch)
     payloads = _fan_out_leaves(
@@ -1540,7 +1534,7 @@ def execute_plan(
     pool=None,
     workers: int = 1,
     record_access: bool = True,
-    batch_size: int | None = None,
+    batch_size: int = 4096,
 ) -> NodeResult | StreamedAggregate:
     """Execute a plan tree against ``catalog``; bit-identical at any width.
 
@@ -1555,7 +1549,7 @@ def execute_plan(
     An :class:`AggregateNode` root switches to the streaming engine:
     the child's batches fold into :class:`StreamedAggregate` moments
     without materializing any intermediate row set, with ``batch_size``
-    bounding the working set (``None`` = the process default).  For
+    bounding the working set (default 4096 rows).  For
     row-returning plans ``batch_size`` is ignored — they materialize.
     """
     node.validate(catalog)
@@ -1598,10 +1592,19 @@ def _render_tree(node: PlanNode, line_of) -> list[str]:
     return lines
 
 
-def explain_plan(node: PlanNode, catalog) -> str:
+def _describe(node: PlanNode, catalog, batch_size: int) -> str:
+    """``node.describe``, naming ``batch_size`` in an aggregate's strategy."""
+    if isinstance(node, AggregateNode):
+        return node.describe(catalog, batch_size)
+    return node.describe(catalog)
+
+
+def explain_plan(node: PlanNode, catalog, batch_size: int = 4096) -> str:
     """EXPLAIN the node tree: one line per node with cost estimates."""
     node.validate(catalog)
-    return "\n".join(_render_tree(node, lambda n, _: n.describe(catalog)))
+    return "\n".join(
+        _render_tree(node, lambda n, _: _describe(n, catalog, batch_size))
+    )
 
 
 def render_executed(node: PlanNode, result: NodeResult, catalog=None) -> str:
@@ -1628,12 +1631,15 @@ def summarize_result(result) -> tuple:
     )
 
 
-def render_summary(node: PlanNode, summary: tuple, catalog=None) -> str:
+def render_summary(
+    node: PlanNode, summary: tuple, catalog=None, batch_size: int = 4096
+) -> str:
     """Render a plan tree against a :func:`summarize_result` skeleton.
 
     Cost estimates come from the catalog's *current* statistics; a
     node whose source has since been dropped renders unbound (no
-    estimates) instead of failing the report.
+    estimates) instead of failing the report.  ``batch_size`` is the
+    one the tree executed with, named in an aggregate's strategy.
     """
     summaries: dict[int, tuple] = {}
 
@@ -1646,7 +1652,7 @@ def render_summary(node: PlanNode, summary: tuple, catalog=None) -> str:
 
     def line(n: PlanNode, _parent) -> str:
         try:
-            described = n.describe(catalog)
+            described = _describe(n, catalog, batch_size)
         except ReproError:
             described = n.describe(None)
         rf, mf, precision, _ = summaries[id(n)]

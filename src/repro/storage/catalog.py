@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from .._util.errors import SchemaError
-from .._util.validation import check_in
+from .._util.validation import check_in, check_positive_int
 from .cohorts import CohortZoneMap
 from .table import Table
 
@@ -71,24 +71,20 @@ class Catalog:
     ----------
     plan:
         Access-path mode for every table's planner (one of
-        :data:`~repro.query.planner.PLAN_MODES`); ``None`` resolves to
-        :func:`repro.core.config.default_plan` lazily, at first
-        planner use, so the CLI's ``--plan`` flag reaches
-        catalog-backed runs too.
+        :data:`~repro.query.planner.PLAN_MODES`); default ``"auto"``.
+        Catalog-backed experiments pass their run config's ``plan``
+        (the CLI's ``--plan`` flag, via ``base``).
     workers:
         Fan-out width for :meth:`execute_batch`: how many per-table
         query streams may run concurrently (tables are independent;
         each table's queries stay sequential and ordered, so access
-        accounting is bit-identical at any width).  ``None`` resolves
-        to :func:`repro.core.config.default_workers` lazily, like
-        ``plan``.
+        accounting is bit-identical at any width).  Default 1.
     stats:
         Cardinality-statistics source for every table's planner (one
         of :data:`repro.core.config.STATS_MODES`): ``"hist"`` attaches
         per-table :class:`~repro.stats.TableHistogramStats` so cost
         estimates — including cross-table join cardinalities — track
-        skewed streams.  ``None`` resolves to
-        :func:`repro.core.config.default_stats` lazily, like ``plan``.
+        skewed streams.  Default ``"uniform"``.
 
     >>> cat = Catalog()
     >>> t = cat.create_table("obs", ["a"])
@@ -97,30 +93,19 @@ class Catalog:
     """
 
     def __init__(
-        self,
-        plan: str | None = None,
-        workers: int | None = None,
-        stats: str | None = None,
+        self, plan: str = "auto", workers: int = 1, stats: str = "uniform"
     ) -> None:
-        if plan is not None:
-            # Imported lazily: the query package imports storage, so a
-            # module-level import here would be circular.
-            from ..query.planner import PLAN_MODES
-
-            check_in(plan, PLAN_MODES, "plan")
-        if stats is not None:
-            from ..core.config import STATS_MODES
-
-            check_in(stats, STATS_MODES, "stats")
-        if workers is not None and workers < 1:
-            raise SchemaError(f"workers must be >= 1, got {workers}")
-        # Imported lazily like the planner bits (storage must not pull
-        # in higher layers at module import time).
+        # Imported lazily: the query package imports storage, so
+        # module-level imports of these higher layers would be circular.
         from .._util.parallel import FanOutPool
+        from ..core.config import STATS_MODES
+        from ..query.planner import PLAN_MODES
 
-        self._plan = plan
-        self._stats = stats
-        self._workers = workers
+        #: The access-path mode and statistics source every table's
+        #: planner is built with.
+        self.plan_mode = check_in(plan, PLAN_MODES, "plan")
+        self.stats_mode = check_in(stats, STATS_MODES, "stats")
+        self.workers = workers
         self._fanout = FanOutPool()
         self._tables: dict[str, Table] = {}
         self._planners: dict[str, "QueryPlanner"] = {}
@@ -156,45 +141,11 @@ class Catalog:
         Mutable (like the sharded store's ``workers``) — benchmarks
         flip it between runs; results are bit-identical at any width.
         """
-        if self._workers is None:
-            from ..core.config import default_workers
-
-            return default_workers()
         return self._workers
 
     @workers.setter
     def workers(self, value: int) -> None:
-        if value is not None and value < 1:
-            raise SchemaError(f"workers must be >= 1, got {value}")
-        self._workers = None if value is None else int(value)
-
-    @property
-    def plan_mode(self) -> str:
-        """The access-path mode the catalog's planners are built with.
-
-        Before any planner exists this previews the process default;
-        :meth:`planner` pins it at first use so every table in the
-        catalog shares one plan story even if the default changes
-        mid-run.
-        """
-        if self._plan is None:
-            from ..core.config import default_plan
-
-            return default_plan()
-        return self._plan
-
-    @property
-    def stats_mode(self) -> str:
-        """The statistics source the catalog's planners are built with.
-
-        Resolves lazily like :attr:`plan_mode`: previews the process
-        default until the first planner pins it.
-        """
-        if self._stats is None:
-            from ..core.config import default_stats
-
-            return default_stats()
-        return self._stats
+        self._workers = check_positive_int(value, "workers")
 
     def create_table(self, name: str, column_names) -> Table:
         """Create and register a new table."""
@@ -347,15 +298,11 @@ class Catalog:
                 planner = self._planners.get(name)
                 if planner is None:
                     table = self.get(name)
-                    if self._plan is None:
-                        self._plan = self.plan_mode  # pin the resolved default
-                    if self._stats is None:
-                        self._stats = self.stats_mode
-                    mode = self._plan
+                    mode = self.plan_mode
                     zone_map = CohortZoneMap(table) if mode != "scan" else None
                     table_stats = (
                         TableHistogramStats(table)
-                        if self._stats == "hist" and mode != "scan"
+                        if self.stats_mode == "hist" and mode != "scan"
                         else None
                     )
                     planner = QueryPlanner(
@@ -475,7 +422,7 @@ class Catalog:
         epoch: int,
         *,
         record_access: bool = True,
-        batch_size: int | None = None,
+        batch_size: int = 4096,
     ):
         """Execute a cross-table plan tree (or compact spec string).
 
@@ -492,8 +439,9 @@ class Catalog:
         AggregateNode` root, or a spec with ``agg=``), a
         :class:`~repro.query.plans.StreamedAggregate` computed by the
         streaming engine without materializing intermediate rows;
-        ``batch_size`` bounds that engine's working set (``None`` = the
-        process default, the CLI's ``--batch-size``).
+        ``batch_size`` bounds that engine's working set (default 4096
+        rows; experiments pass their run config's ``exec_batch``, the
+        CLI's ``--batch-size``).
         """
         from ..query.plans import build_plan, execute_plan, summarize_result
 
@@ -510,15 +458,19 @@ class Catalog:
         summary = summarize_result(result)
         with self._build_lock:
             self._cross_queries += 1
-            self._last_cross = (node, summary)
+            self._last_cross = (node, summary, batch_size)
         return result
 
-    def explain_query(self, plan) -> str:
-        """EXPLAIN a cross-table plan: the node tree with cost estimates."""
+    def explain_query(self, plan, *, batch_size: int = 4096) -> str:
+        """EXPLAIN a cross-table plan: the node tree with cost estimates.
+
+        ``batch_size`` is the one :meth:`query` would run with; an
+        aggregate plan names it in its streaming strategy.
+        """
         from ..query.plans import build_plan, explain_plan
 
         node = build_plan(self, plan) if isinstance(plan, str) else plan
-        return explain_plan(node, self)
+        return explain_plan(node, self, batch_size)
 
     def checkpoint(self, path):
         """Save every table and sharded store (see :func:`repro.storage.save_store`).
@@ -568,10 +520,9 @@ class Catalog:
                 f"cross-table queries executed: {self._cross_queries}; "
                 "last plan:"
             )
-            lines.extend(
-                "  " + line
-                for line in render_summary(*self._last_cross, self).splitlines()
-            )
+            node, summary, batch_size = self._last_cross
+            rendered = render_summary(node, summary, self, batch_size)
+            lines.extend("  " + line for line in rendered.splitlines())
         return "\n".join(lines)
 
     # -- registry protocol ---------------------------------------------------

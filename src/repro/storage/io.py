@@ -280,9 +280,9 @@ def _catalog_payload(catalog) -> tuple[dict, dict]:
     tables = [catalog.get(name) for name in catalog.names()]
     header = {
         "kind": "catalog",
-        "plan": catalog._plan,
-        "stats": catalog._stats,
-        "workers": catalog._workers,
+        "plan": catalog.plan_mode,
+        "stats": catalog.stats_mode,
+        "workers": catalog.workers,
         "tables": [_table_header(t) for t in tables],
         "sharded": {},
     }
@@ -556,10 +556,11 @@ def _load_sharded(header: dict, bundle, prefix: str, policy_factory):
 def _load_catalog(header: dict, bundle, policy_factory):
     from .catalog import Catalog
 
+    # Older format-4 writers stored ``null`` for a mode the catalog had
+    # not resolved yet; those fall back to the constructor's default.
+    modes = ("plan", "workers", "stats")
     catalog = Catalog(
-        plan=header["plan"],
-        workers=header["workers"],
-        stats=header["stats"],
+        **{key: header[key] for key in modes if header[key] is not None}
     )
     for i, table_header in enumerate(header["tables"]):
         table = catalog.create_table(

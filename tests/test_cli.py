@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from repro import SimulationConfig
 from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS
 
@@ -26,6 +27,16 @@ class TestParser:
             build_parser().parse_args([])
 
 
+def _recording_runner(seen: list):
+    """A stand-in experiment that records the ``base`` it receives."""
+
+    def runner(seed=None, base=None):
+        seen.append(base)
+        return _FakeResult()
+
+    return runner
+
+
 class TestMain:
     def test_list_prints_every_experiment(self):
         out = io.StringIO()
@@ -41,7 +52,7 @@ class TestMain:
     def test_run_lowercase_accepted(self, monkeypatch):
         calls = {}
 
-        def fake_runner(seed=None):
+        def fake_runner(seed=None, base=None):
             calls["seed"] = seed
 
             class R:
@@ -57,40 +68,27 @@ class TestMain:
         assert "ok" in out.getvalue()
 
     def test_query_flag_sets_and_restores_default(self, monkeypatch):
-        from repro.core.config import default_cross_query
-
-        seen = {}
-
-        def fake_runner():
-            seen["spec"] = default_cross_query()
-
-            class R:
-                def render(self):
-                    return "ok"
-
-            return R()
-
-        monkeypatch.setitem(EXPERIMENTS, "X5", fake_runner)
-        before = default_cross_query()
+        seen = []
+        monkeypatch.setitem(EXPERIMENTS, "X5", _recording_runner(seen))
         out = io.StringIO()
         assert (
             main(["run", "X5", "--query", "union:s1,s2:low=0,high=9"], out=out)
             == 0
         )
-        assert seen["spec"] == "union:s1,s2:low=0,high=9"
-        assert default_cross_query() == before  # restored after the run
+        assert main(["run", "X5"], out=out) == 0
+        assert [base.cross_query for base in seen] == [
+            "union:s1,s2:low=0,high=9",
+            SimulationConfig().cross_query,  # the next run is unaffected
+        ]
 
-    def test_bad_query_spec_rejected_before_running(self, monkeypatch):
-        from repro.core.config import default_cross_query
-
-        def boom():  # pragma: no cover - must not run
+    def test_bad_query_spec_rejected_before_running(self, monkeypatch, capsys):
+        def boom(**kwargs):  # pragma: no cover - must not run
             raise AssertionError("experiment ran despite a bad --query")
 
         monkeypatch.setitem(EXPERIMENTS, "X5", boom)
-        before = default_cross_query()
         out = io.StringIO()
         assert main(["run", "X5", "--query", "merge:a,b"], out=out) == 2
-        assert default_cross_query() == before
+        assert "--query" in capsys.readouterr().err
 
     def test_query_binding_error_exits_cleanly(self):
         """A --query that parses but names tables the experiment does
@@ -106,8 +104,9 @@ class TestMain:
         ran = []
 
         def make_fake(experiment_id):
-            def fake_runner():
+            def fake_runner(seed=None, base=None):
                 ran.append(experiment_id)
+                assert base == SimulationConfig()
 
                 class R:
                     def render(self):
@@ -124,6 +123,51 @@ class TestMain:
         assert ran == list(EXPERIMENTS)
 
 
+class TestRunBase:
+    """Each ``run`` flag reaches the runner through its ``base`` config."""
+
+    @pytest.mark.parametrize(
+        "flag, arg, field, value",
+        [
+            pytest.param("--plan", "scan", "plan", "scan", id="plan"),
+            pytest.param("--stats", "hist", "stats", "hist", id="stats"),
+            pytest.param("--workers", "4", "workers", 4, id="workers"),
+            pytest.param(
+                "--rebalance", "adaptive", "rebalance", "adaptive",
+                id="rebalance",
+            ),
+            pytest.param(
+                "--query", "union:s1,s2", "cross_query", "union:s1,s2",
+                id="query",
+            ),
+            pytest.param(
+                "--batch-size", "64", "exec_batch", 64, id="batch-size"
+            ),
+            pytest.param("--compress", "on", "compress", "on", id="compress"),
+            pytest.param(
+                "--checkpoint", "/tmp/ck.npz", "checkpoint", "/tmp/ck.npz",
+                id="checkpoint",
+            ),
+        ],
+    )
+    def test_flag_arrives_in_base(self, monkeypatch, flag, arg, field, value):
+        seen = []
+        monkeypatch.setitem(EXPERIMENTS, "F1", _recording_runner(seen))
+        assert main(["run", "F1", flag, arg], out=io.StringIO()) == 0
+        (base,) = seen
+        assert getattr(base, field) == value
+        # Every other field keeps its SimulationConfig default.
+        assert base == SimulationConfig().with_(**{field: value})
+
+    def test_every_runner_accepts_seed_and_base(self):
+        import inspect
+
+        for runner in EXPERIMENTS.values():
+            params = inspect.signature(runner).parameters
+            assert params["seed"].default is None
+            assert params["base"].default is None
+
+
 class TestPlanFlag:
     def test_parser_accepts_plan(self):
         args = build_parser().parse_args(["run", "F1", "--plan", "zonemap"])
@@ -134,13 +178,12 @@ class TestPlanFlag:
             build_parser().parse_args(["run", "F1", "--plan", "turbo"])
 
     def test_plan_flag_scoped_to_invocation(self, monkeypatch):
-        from repro.core.config import default_plan
-
-        monkeypatch.setitem(EXPERIMENTS, "F1", lambda seed=None: _FakeResult())
-        before = default_plan()
+        seen = []
+        monkeypatch.setitem(EXPERIMENTS, "F1", _recording_runner(seen))
         out = io.StringIO()
         assert main(["run", "F1", "--plan", "scan"], out=out) == 0
-        assert default_plan() == before
+        assert main(["run", "F1"], out=out) == 0
+        assert [base.plan for base in seen] == ["scan", "auto"]
 
 
 class TestStatsFlag:
@@ -153,20 +196,12 @@ class TestStatsFlag:
             build_parser().parse_args(["run", "F1", "--stats", "psychic"])
 
     def test_stats_flag_scoped_to_invocation(self, monkeypatch):
-        from repro.core.config import default_stats
-
-        seen = {}
-
-        def fake(seed=None):
-            seen["stats"] = default_stats()
-            return _FakeResult()
-
-        monkeypatch.setitem(EXPERIMENTS, "F1", fake)
-        before = default_stats()
+        seen = []
+        monkeypatch.setitem(EXPERIMENTS, "F1", _recording_runner(seen))
         out = io.StringIO()
         assert main(["run", "F1", "--stats", "hist"], out=out) == 0
-        assert seen["stats"] == "hist"  # the experiment saw the flag
-        assert default_stats() == before  # and the default was restored
+        assert main(["run", "F1"], out=out) == 0
+        assert [base.stats for base in seen] == ["hist", "uniform"]
 
 
 class TestWorkersAndRebalanceFlags:
@@ -181,35 +216,15 @@ class TestWorkersAndRebalanceFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "X2", "--rebalance", "entropy"])
 
-    def test_invalid_workers_fails_cleanly(self):
-        from repro.core.config import default_plan
-
-        before = default_plan()
+    def test_invalid_workers_fails_cleanly(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setitem(EXPERIMENTS, "F1", _recording_runner(seen))
         out = io.StringIO()
         assert main(
             ["run", "F1", "--plan", "cost", "--workers", "0"], out=out
         ) == 2
-        # The early error must not leak a half-applied configuration.
-        assert default_plan() == before
-
-    def test_flags_reach_process_defaults_and_are_restored(self, monkeypatch):
-        from repro.core.config import default_rebalance, default_workers
-
-        seen = {}
-
-        def fake_runner(seed=None):
-            seen["workers"] = default_workers()
-            seen["rebalance"] = default_rebalance()
-            return _FakeResult()
-
-        monkeypatch.setitem(EXPERIMENTS, "F1", fake_runner)
-        before = (default_workers(), default_rebalance())
-        out = io.StringIO()
-        assert main(
-            ["run", "F1", "--workers", "4", "--rebalance", "rows"], out=out
-        ) == 0
-        assert seen == {"workers": 4, "rebalance": "rows"}
-        assert (default_workers(), default_rebalance()) == before
+        assert seen == [], "experiment must not start under a bad flag"
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestBatchSizeFlag:
@@ -217,32 +232,15 @@ class TestBatchSizeFlag:
         args = build_parser().parse_args(["run", "X5", "--batch-size", "512"])
         assert args.batch_size == 512
 
-    def test_invalid_batch_size_fails_cleanly(self):
-        from repro.core.config import default_batch_size, default_plan
-
-        before = (default_plan(), default_batch_size())
+    def test_invalid_batch_size_fails_cleanly(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setitem(EXPERIMENTS, "F1", _recording_runner(seen))
         out = io.StringIO()
         assert main(
             ["run", "F1", "--plan", "cost", "--batch-size", "0"], out=out
         ) == 2
-        # The early error must not leak a half-applied configuration.
-        assert (default_plan(), default_batch_size()) == before
-
-    def test_flag_reaches_process_default_and_is_restored(self, monkeypatch):
-        from repro.core.config import default_batch_size
-
-        seen = {}
-
-        def fake_runner(seed=None):
-            seen["batch"] = default_batch_size()
-            return _FakeResult()
-
-        monkeypatch.setitem(EXPERIMENTS, "F1", fake_runner)
-        before = default_batch_size()
-        out = io.StringIO()
-        assert main(["run", "F1", "--batch-size", "64"], out=out) == 0
-        assert seen == {"batch": 64}
-        assert default_batch_size() == before
+        assert seen == [], "experiment must not start under a bad flag"
+        assert "--batch-size" in capsys.readouterr().err
 
 
 class TestCompressFlag:
@@ -254,59 +252,18 @@ class TestCompressFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "F3", "--compress", "zstd"])
 
-    def test_flag_reaches_process_default_and_is_restored(self, monkeypatch):
-        from repro.core.config import default_compress
-
-        seen = {}
-
-        def fake_runner(seed=None):
-            seen["compress"] = default_compress()
-            return _FakeResult()
-
-        monkeypatch.setitem(EXPERIMENTS, "F1", fake_runner)
-        before = default_compress()
-        out = io.StringIO()
-        assert main(["run", "F1", "--compress", "on"], out=out) == 0
-        assert seen == {"compress": "on"}
-        assert default_compress() == before
-
 
 class TestDefaultsRestoredOnFailure:
-    def _snapshot(self):
-        from repro.core.config import (
-            default_batch_size,
-            default_checkpoint,
-            default_compress,
-            default_cross_query,
-            default_faults,
-            default_plan,
-            default_rebalance,
-            default_stats,
-            default_workers,
-        )
-
-        return (
-            default_plan(),
-            default_stats(),
-            default_workers(),
-            default_rebalance(),
-            default_cross_query(),
-            default_batch_size(),
-            default_compress(),
-            default_faults(),
-            default_checkpoint(),
-        )
-
     def test_raising_run_restores_every_process_default(self, monkeypatch):
-        """A run that explodes mid-experiment must not leak any of the
-        nine process defaults it overrode — otherwise every later
-        in-process run silently inherits this invocation's flags."""
+        """A run that explodes mid-experiment leaks none of its nine
+        flags: the next in-process run gets SimulationConfig()'s
+        values and no armed fault plan."""
+        from repro import faults
 
-        def boom(seed=None):
+        def boom(seed=None, base=None):
             raise RuntimeError("experiment exploded")
 
         monkeypatch.setitem(EXPERIMENTS, "F1", boom)
-        before = self._snapshot()
         with pytest.raises(RuntimeError, match="experiment exploded"):
             main(
                 [
@@ -323,46 +280,39 @@ class TestDefaultsRestoredOnFailure:
                 ],
                 out=io.StringIO(),
             )
-        assert self._snapshot() == before
-        from repro import faults
-
         assert faults.active_plan() is None, "fault plan must be disarmed"
-
-    def test_raising_setter_restores_prior_overrides(self, monkeypatch):
-        """Even a setter raising midway through the override sequence
-        (here: the workers setter, after plan and stats were already
-        applied) leaves all defaults untouched."""
-        from repro.core import config
-
-        def broken_setter(n):
-            raise RuntimeError("setter exploded")
-
-        monkeypatch.setitem(
-            EXPERIMENTS, "F1", lambda seed=None: _FakeResult()
-        )
-        monkeypatch.setattr(
-            "repro.cli.set_default_workers", broken_setter
-        )
-        before = self._snapshot()
-        with pytest.raises(RuntimeError, match="setter exploded"):
-            main(
-                [
-                    "run", "F1",
-                    "--plan", "cost",
-                    "--stats", "hist",
-                    "--workers", "4",
-                    "--batch-size", "128",
-                    "--compress", "on",
-                ],
-                out=io.StringIO(),
-            )
-        assert self._snapshot() == before
-        assert config.default_plan() == before[0]
+        seen = []
+        monkeypatch.setitem(EXPERIMENTS, "F1", _recording_runner(seen))
+        assert main(["run", "F1"], out=io.StringIO()) == 0
+        assert seen == [SimulationConfig()]
+        assert faults.active_plan() is None
 
 
 class _FakeResult:
     def render(self):
         return "ok"
+
+
+class TestServeFlags:
+    """``repro serve`` rejects bad flags before building the catalog."""
+
+    @pytest.mark.parametrize(
+        "flag, arg",
+        [
+            ("--port", "70000"),
+            ("--port", "-1"),
+            ("--lifetime", "-1"),
+            ("--lifetime", "nan"),
+            ("--rows", "0"),
+        ],
+    )
+    def test_bad_flag_exits_2(self, monkeypatch, capsys, flag, arg):
+        def no_catalog(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("catalog built despite a bad flag")
+
+        monkeypatch.setattr("repro.storage.Catalog", no_catalog)
+        assert main(["serve", flag, arg], out=io.StringIO()) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestFaultsAndRecovery:
@@ -385,7 +335,7 @@ class TestFaultsAndRecovery:
     def test_bad_faults_spec_rejected_before_running(self, monkeypatch, capsys):
         ran = []
         monkeypatch.setitem(
-            EXPERIMENTS, "F1", lambda seed=None: ran.append(1) or _FakeResult()
+            EXPERIMENTS, "F1", lambda **kwargs: ran.append(1) or _FakeResult()
         )
         assert (
             main(["run", "F1", "--faults", "nosuchpoint:crash"], out=io.StringIO())
@@ -398,9 +348,8 @@ class TestFaultsAndRecovery:
         self, monkeypatch, capsys
     ):
         from repro import faults
-        from repro.core.config import default_checkpoint, default_faults
 
-        def crashing(seed=None):
+        def crashing(**kwargs):
             faults.fault_point("serve.query")
             return _FakeResult()
 
@@ -413,13 +362,11 @@ class TestFaultsAndRecovery:
         assert code == 3
         assert "crash fault injected" in capsys.readouterr().err
         assert faults.active_plan() is None
-        assert default_faults() == ""
-        assert default_checkpoint() == ""
 
     def test_faults_env_var_is_honored(self, monkeypatch):
         from repro import faults as faults_module
 
-        def crashing(seed=None):
+        def crashing(**kwargs):
             faults_module.fault_point("serve.query")
             return _FakeResult()
 
@@ -430,7 +377,7 @@ class TestFaultsAndRecovery:
 
     def test_bad_faults_env_var_exits_2(self, monkeypatch):
         monkeypatch.setitem(
-            EXPERIMENTS, "F1", lambda seed=None: _FakeResult()
+            EXPERIMENTS, "F1", lambda **kwargs: _FakeResult()
         )
         monkeypatch.setenv("REPRO_FAULTS", "nosuchpoint:crash")
         assert main(["run", "F1"], out=io.StringIO()) == 2

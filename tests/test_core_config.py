@@ -69,9 +69,6 @@ class TestWith:
 
 class TestPlanKnob:
     def test_default_plan_is_auto(self):
-        from repro.core.config import default_plan
-
-        assert default_plan() == "auto"
         assert SimulationConfig().plan == "auto"
 
     def test_plan_validated(self):
@@ -83,28 +80,9 @@ class TestPlanKnob:
             SimulationConfig(plan="turbo")
         assert SimulationConfig(plan="index").plan == "index"
 
-    def test_set_default_plan_round_trip(self):
-        from repro._util.errors import ConfigError
-        from repro.core.config import default_plan, set_default_plan
-
-        import pytest as _pytest
-
-        before = default_plan()
-        try:
-            assert set_default_plan("zonemap") == "zonemap"
-            assert SimulationConfig().plan == "zonemap"
-            with _pytest.raises(ConfigError):
-                set_default_plan("turbo")
-        finally:
-            set_default_plan(before)
-
 
 class TestWorkersAndRebalanceKnobs:
     def test_defaults(self):
-        from repro.core.config import default_rebalance, default_workers
-
-        assert default_workers() == 1
-        assert default_rebalance() == "hits"
         config = SimulationConfig()
         assert config.workers == 1
         assert config.rebalance == "hits"
@@ -116,35 +94,13 @@ class TestWorkersAndRebalanceKnobs:
             SimulationConfig(rebalance="entropy")
         assert SimulationConfig(workers=8, rebalance="adaptive").workers == 8
 
-    def test_set_default_round_trips(self):
-        from repro.core.config import (
-            default_rebalance,
-            default_workers,
-            set_default_rebalance,
-            set_default_workers,
-        )
-
-        before = (default_workers(), default_rebalance())
-        try:
-            assert set_default_workers(4) == 4
-            assert set_default_rebalance("adaptive") == "adaptive"
-            config = SimulationConfig()
-            assert (config.workers, config.rebalance) == (4, "adaptive")
-            with pytest.raises(ConfigError):
-                set_default_workers(0)
-            with pytest.raises(ConfigError):
-                set_default_rebalance("entropy")
-        finally:
-            set_default_workers(before[0])
-            set_default_rebalance(before[1])
-
 
 class TestCrossQueryKnob:
     def test_default_and_config_field(self):
-        from repro.core.config import default_cross_query
-
-        assert default_cross_query() == "join:s1,s2:on=value"
         assert SimulationConfig().cross_query == "join:s1,s2:on=value"
+        # Specs are stored in canonical rendered form.
+        spec = SimulationConfig(cross_query="union:s1,s2:high=200,low=0")
+        assert spec.cross_query == "union:s1,s2:low=0,high=200"
 
     def test_grammar_validated(self):
         from repro._util.errors import QueryError
@@ -156,33 +112,9 @@ class TestCrossQueryKnob:
         bounded = SimulationConfig(cross_query="union:a,b:low=0,high=9")
         assert bounded.cross_query == "union:a,b:low=0,high=9"
 
-    def test_set_default_round_trips(self):
-        from repro._util.errors import QueryError
-        from repro.core.config import (
-            default_cross_query,
-            set_default_cross_query,
-        )
-
-        before = default_cross_query()
-        try:
-            assert (
-                set_default_cross_query("join:x,y:on=epoch")
-                == "join:x,y:on=epoch"
-            )
-            assert SimulationConfig().cross_query == "join:x,y:on=epoch"
-            with pytest.raises(QueryError):
-                set_default_cross_query("merge:x,y")
-            # A failed set leaves the default untouched.
-            assert default_cross_query() == "join:x,y:on=epoch"
-        finally:
-            set_default_cross_query(before)
-
 
 class TestExecBatchKnob:
     def test_default_and_config_field(self):
-        from repro.core.config import default_batch_size
-
-        assert default_batch_size() == 4096
         config = SimulationConfig()
         assert config.exec_batch == 4096
         # Distinct knobs: exec_batch is the streaming batch size, the
@@ -194,47 +126,15 @@ class TestExecBatchKnob:
             SimulationConfig(exec_batch=0)
         assert SimulationConfig(exec_batch=1).exec_batch == 1
 
-    def test_set_default_round_trips(self):
-        from repro.core.config import (
-            default_batch_size,
-            set_default_batch_size,
-        )
-
-        before = default_batch_size()
-        try:
-            assert set_default_batch_size(256) == 256
-            assert SimulationConfig().exec_batch == 256
-            with pytest.raises(ConfigError):
-                set_default_batch_size(0)
-            # A failed set leaves the default untouched.
-            assert default_batch_size() == 256
-        finally:
-            set_default_batch_size(before)
-
 
 class TestCompressKnob:
     def test_default_and_config_field(self):
-        from repro.core.config import COMPRESS_MODES, default_compress
+        from repro.core.config import COMPRESS_MODES
 
         assert COMPRESS_MODES == ("off", "on")
-        assert default_compress() == "off"
         assert SimulationConfig().compress == "off"
 
     def test_validation(self):
         assert SimulationConfig(compress="on").compress == "on"
         with pytest.raises(ConfigError):
             SimulationConfig(compress="zstd")
-
-    def test_set_default_round_trips(self):
-        from repro.core.config import default_compress, set_default_compress
-
-        before = default_compress()
-        try:
-            assert set_default_compress("on") == "on"
-            assert SimulationConfig().compress == "on"
-            with pytest.raises(ConfigError):
-                set_default_compress("lz4")
-            # A failed set leaves the default untouched.
-            assert default_compress() == "on"
-        finally:
-            set_default_compress(before)

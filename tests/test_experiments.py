@@ -36,6 +36,15 @@ class TestRunner:
         config = default_config(dbsize=50, epochs=2)
         assert config.dbsize == 50
 
+    def test_default_config_derives_from_base(self):
+        from repro import SimulationConfig
+
+        base = SimulationConfig(plan="cost", workers=3, seed=11)
+        config = default_config(base, dbsize=50, seed=None)
+        assert (config.plan, config.workers, config.dbsize) == ("cost", 3, 50)
+        assert config.seed == 11  # a None override keeps base's value
+        assert default_config(base) is base
+
     def test_run_once_returns_simulator_and_report(self):
         config = default_config(dbsize=50, epochs=2, queries_per_epoch=5)
         simulator, report = run_once(config, "uniform", "fifo")
@@ -171,16 +180,13 @@ class TestExtensionExperimentsSmall:
         assert result.data["cascade"]["children_cascaded"] > 0
 
     def test_cross_table(self):
-        from repro.core.config import (
-            default_cross_query,
-            set_default_cross_query,
-        )
+        from repro import SimulationConfig
         from repro.experiments import run_cross_table
 
         result = run_cross_table(
             budget=80, batches=3, batch_size=60, seed=1
         )
-        assert result.data["spec"] == default_cross_query()
+        assert result.data["spec"] == SimulationConfig().cross_query
         series = result.data["precision_series"]
         assert len(series) == 3
         assert all(0.0 <= p <= 1.0 for p in series)
@@ -188,19 +194,18 @@ class TestExtensionExperimentsSmall:
         assert series[-1] < series[0]
         assert "plan tree:" in result.render()
 
-        # The experiment follows the process default the CLI sets.
-        previous = default_cross_query()
-        try:
-            set_default_cross_query("union:s1,s2:low=0,high=50")
-            unioned = run_cross_table(
-                budget=80, batches=2, batch_size=60, seed=1
-            )
-            assert unioned.data["spec"] == "union:s1,s2:low=0,high=50"
-            assert all(
-                len(point["inputs"]) == 2 for point in unioned.data["series"]
-            )
-        finally:
-            set_default_cross_query(previous)
+        # The experiment runs the spec of the base config it is given.
+        unioned = run_cross_table(
+            budget=80,
+            batches=2,
+            batch_size=60,
+            seed=1,
+            base=SimulationConfig(cross_query="union:s1,s2:low=0,high=50"),
+        )
+        assert unioned.data["spec"] == "union:s1,s2:low=0,high=50"
+        assert all(
+            len(point["inputs"]) == 2 for point in unioned.data["series"]
+        )
 
     def test_histogram_summaries(self):
         from repro.experiments import run_histogram_summaries

@@ -191,26 +191,6 @@ class TestPlanBehaviour:
 
 
 class TestConfigIntegration:
-    def test_set_default_faults_arms_and_restores(self):
-        from repro.core.config import default_faults, set_default_faults
-
-        assert default_faults() == ""
-        try:
-            set_default_faults("serve.query:crash@9")
-            assert faults.active_spec() == "serve.query:crash@9"
-            assert default_faults() == "serve.query:crash@9"
-        finally:
-            set_default_faults("")
-        assert faults.active_plan() is None
-
-    def test_set_default_faults_rejects_bad_spec_without_arming(self):
-        from repro.core.config import default_faults, set_default_faults
-
-        with pytest.raises(ConfigError):
-            set_default_faults("nosuchpoint:crash")
-        assert default_faults() == ""
-        assert faults.active_plan() is None
-
     def test_fault_plan_requires_point_instances_unique(self):
         with pytest.raises(ConfigError, match="twice"):
             FaultPlan([CrashPoint("serve.query"), CrashPoint("serve.query")])

@@ -382,8 +382,9 @@ class TestParallelFanout:
         return store
 
     def test_workers_validated(self):
-        with pytest.raises(ConfigError):
-            self._build(workers=0)
+        for workers in (0, 2.5, True):
+            with pytest.raises(ConfigError):
+                self._build(workers=workers)
 
     def test_fanout_matches_sequential(self):
         sequential = self._build(workers=1)

@@ -443,10 +443,19 @@ class TestExplainAndReport:
         """The report cache keeps per-node counts, not the result's
         materialized row matrices."""
         catalog.query("join:s1,s2:on=value", epoch=2)
-        node, summary = catalog._last_cross
+        node, summary, batch_size = catalog._last_cross
         assert summary == (
             2, 1, 2 / 3, ((3, 1, 0.75, ()), (4, 0, 1.0, ()))
         )
+        assert batch_size == 4096
+
+    def test_explain_and_report_name_the_batch_size(self, catalog):
+        spec = "union:s1,s2:agg=value"
+        assert "pushdown-union(batch=5)" in catalog.explain_query(
+            spec, batch_size=5
+        )
+        catalog.query(spec, epoch=2, batch_size=3)
+        assert "pushdown-union(batch=3)" in catalog.plan_report()
 
     def test_explain_query_spec(self, catalog):
         tree = catalog.explain_query("union:s1,s2:low=0,high=3")
@@ -589,20 +598,14 @@ class TestStreamingBatches:
         with pytest.raises(QueryError, match="batch size"):
             list(TableScanNode("s1").batches(catalog, 2, 0))
 
-    def test_none_resolves_to_process_default(self, catalog):
-        from repro.core.config import default_batch_size, set_default_batch_size
-
-        before = default_batch_size()
-        try:
-            set_default_batch_size(3)
-            pieces = list(
-                UnionNode(TableScanNode("s1"), TableScanNode("s2")).batches(
-                    catalog, 2, record_access=False
-                )
-            )
-            assert [r.shape[0] for r, _ in pieces] == [3, 3, 2]
-        finally:
-            set_default_batch_size(before)
+    def test_default_and_explicit_batch_size(self, catalog):
+        union = UnionNode(TableScanNode("s1"), TableScanNode("s2"))
+        pieces = list(union.batches(catalog, 2, record_access=False))
+        assert [r.shape[0] for r, _ in pieces] == [8]  # 4096-row default
+        pieces = list(
+            union.batches(catalog, 2, batch_size=3, record_access=False)
+        )
+        assert [r.shape[0] for r, _ in pieces] == [3, 3, 2]
 
 
 class TestStreamedAggregates:

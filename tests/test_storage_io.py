@@ -498,6 +498,59 @@ class TestCatalogRoundTrip:
         catalog.close()
         restored.close()
 
+    @staticmethod
+    def _modes(catalog):
+        return (catalog.plan_mode, catalog.stats_mode, catalog.workers)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"plan": "cost", "stats": "hist", "workers": 2}],
+        ids=["default-before-first-query", "explicit"],
+    )
+    def test_header_carries_concrete_modes(self, tmp_path, kwargs):
+        """A catalog checkpoint records the modes in force at save time
+        (a default-built catalog that never planned included)."""
+        import json
+
+        catalog = Catalog(**kwargs)
+        catalog.create_table("t", ["k"]).insert_batch(0, {"k": [1, 2, 3]})
+        path = catalog.checkpoint(tmp_path / "c.npz")
+        with np.load(path) as bundle:
+            header = json.loads(bytes(bundle["header"].tobytes()).decode())
+        assert (header["plan"], header["stats"], header["workers"]) == (
+            self._modes(catalog)
+        )
+        restored = load_store(path)
+        assert self._modes(restored) == self._modes(catalog)
+        catalog.close()
+        restored.close()
+
+    def test_null_modes_from_older_writers_load_as_defaults(self, tmp_path):
+        """Format-4 files written before modes were always concrete hold
+        ``null`` for an unresolved mode; those load as the literal
+        constructor defaults."""
+        import json
+
+        catalog = Catalog()
+        t = catalog.create_table("t", ["k"])
+        t.insert_batch(0, {"k": [1, 2, 3]})
+        path = catalog.checkpoint(tmp_path / "c.npz")
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        header = json.loads(bytes(arrays.pop("header").tobytes()).decode())
+        header.update(plan=None, stats=None, workers=None)
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                header=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                **arrays,
+            )
+        restored = load_store(path)
+        assert self._modes(restored) == self._modes(Catalog())
+        assert _table_fingerprint(restored.get("t")) == _table_fingerprint(t)
+        catalog.close()
+        restored.close()
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path):

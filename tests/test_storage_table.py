@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro._util.errors import (
+    ConfigError,
     InsufficientVictimsError,
     SchemaError,
     StorageError,
@@ -273,8 +274,13 @@ class TestCatalogPlanning:
             Catalog(plan="warp")
 
     def test_invalid_workers_rejected(self):
-        with pytest.raises(Exception):
-            Catalog(workers=0)
+        catalog = Catalog(workers=2)
+        for workers in (0, 2.5, True, 1.5):
+            with pytest.raises(ConfigError):
+                Catalog(workers=workers)
+            with pytest.raises(ConfigError):
+                catalog.workers = workers  # 1.5 is rejected, not truncated
+        assert catalog.workers == 2
 
     def test_execute_batch_parallel_matches_sequential(self):
         """Batch fan-out across tables: request order, results and
@@ -441,26 +447,6 @@ class TestCatalogPlanning:
             pass  # null context — no lock to hold
         with pytest.raises(SchemaError):
             catalog.source_lock("nope")
-
-    def test_default_plan_pinned_at_first_use(self):
-        """One catalog = one plan story, even if the process default
-        changes mid-run (as the CLI does around each experiment)."""
-        from repro.core.config import default_plan, set_default_plan
-
-        previous = default_plan()
-        catalog = Catalog()
-        t1 = catalog.create_table("t1", ["a"])
-        t1.insert_batch(0, {"a": np.arange(10)})
-        try:
-            set_default_plan("auto")
-            assert catalog.planner("t1").mode == "auto"
-            set_default_plan("scan")
-            t2 = catalog.create_table("t2", ["a"])
-            t2.insert_batch(0, {"a": np.arange(10)})
-            assert catalog.planner("t2").mode == "auto"  # pinned, not 'scan'
-            assert catalog.plan_mode == "auto"
-        finally:
-            set_default_plan(previous)
 
     def test_drop_clears_planner_and_executors(self):
         catalog, _ = self._loaded(plan="auto")
