@@ -96,8 +96,7 @@ MIXED_QUERIES_PER_ROUND = 6
 #: run measures adaptive rebalancing with median vs midpoint splits on
 #: a Zipf-hot stream (cost plan mode, single-threaded, so its floor
 #: gates unconditionally — no CPU-count gate needed); the q-error run
-#: measures estimate accuracy on the same kind of stream; the blocked
-#: join measures the pair-discovery working set.
+#: measures estimate accuracy on the same kind of stream.
 ZIPF_FULL_ROWS = 1_000_000
 ZIPF_QUICK_ROWS = 125_000
 ZIPF_EXPONENT = 1.3
@@ -113,9 +112,6 @@ ZIPF_WARMUP_QUERIES = 30
 #: the rows the covered shards hold — the thing the split policy moves.
 ZIPF_WARMUP_WIDTH = 300
 ZIPF_TIMED_SHIFT = 2
-BLOCKED_JOIN_ROWS = 48_000
-BLOCKED_JOIN_QUICK_ROWS = 12_000
-BLOCKED_JOIN_BLOCK = 2_048
 
 #: Streaming suite: aggregate-over-join on ~1M rows (2 × 500k sides)
 #: sharing a hot key, the working-set stress the streaming engine
@@ -176,7 +172,7 @@ def artifact(quick):
             "sharded": {"shards": SHARDS, "modes": {}, "workers": {}},
             "join": {"modes": {}, "workers": {}},
             "ingest": {"shards": SHARDS, "workers": {}, "mixed": {}},
-            "skewed": {"modes": {}, "qerror": {}, "blocked_join": {}},
+            "skewed": {"modes": {}, "qerror": {}},
             "streaming": {"modes": {}},
             "compressed": {"modes": {}, "retention": {}},
             "serve": {"modes": {}},
@@ -794,61 +790,6 @@ def test_bench_skewed_qerror(quick):
         )
     )
     assert np.mean(errors["hist"]) < np.mean(errors["uniform"])
-
-
-def test_bench_skewed_blocked_join(quick):
-    """Acceptance: blocked-join peak pairs ≤ block size × build rows.
-
-    Two tables sharing a hot key (1% of rows on each side): the full
-    hash join materializes the whole pair set during discovery, the
-    blocked probe caps the working set per block.  Both streams must be
-    bit-identical; the peak pair counts and ops/s land in the artifact.
-    """
-    rows = BLOCKED_JOIN_QUICK_ROWS if quick else BLOCKED_JOIN_ROWS
-    rng = np.random.default_rng(BENCH_SEED + 8)
-    catalog = Catalog(plan="auto", workers=1)
-    for name in ("s1", "s2"):
-        table = catalog.create_table(name, ["a"])
-        values = rng.integers(0, rows * 4, rows)
-        values[rng.random(rows) < 0.01] = 7  # shared hot key
-        table.insert_batch(0, {"a": values})
-        table.forget(np.arange(rows // 10), epoch=1)
-    from repro.query import build_plan
-
-    full_node = build_plan(catalog, "join:s1,s2:on=value")
-    blocked_node = build_plan(
-        catalog, f"join:s1,s2:on=value,block={BLOCKED_JOIN_BLOCK}"
-    )
-    full = catalog.query(full_node, epoch=1)
-    blocked = catalog.query(blocked_node, epoch=1)
-    assert blocked.rows.tolist() == full.rows.tolist()
-    assert blocked.forgotten.tolist() == full.forgotten.tolist()
-    build_rows = min(r.oracle_count for r in full.inputs)
-    assert full_node.peak_pairs == full.oracle_count
-    assert 0 < blocked_node.peak_pairs <= BLOCKED_JOIN_BLOCK * build_rows
-    assert blocked_node.peak_pairs < full_node.peak_pairs
-    full_time = _time_best_of(lambda: catalog.query(full_node, epoch=1))
-    blocked_time = _time_best_of(lambda: catalog.query(blocked_node, epoch=1))
-    _ARTIFACT["skewed"]["blocked_join"] = {
-        "rows": rows,
-        "block": BLOCKED_JOIN_BLOCK,
-        "build_rows": build_rows,
-        "full_peak_pairs": int(full_node.peak_pairs),
-        "blocked_peak_pairs": int(blocked_node.peak_pairs),
-        "peak_shrink": round(
-            full_node.peak_pairs / max(blocked_node.peak_pairs, 1), 2
-        ),
-        "full_seconds": round(full_time, 6),
-        "blocked_seconds": round(blocked_time, 6),
-    }
-    print(
-        f"\nblocked join on 2x{rows} rows: peak pairs "
-        f"{full_node.peak_pairs:,} -> {blocked_node.peak_pairs:,} "
-        f"({full_node.peak_pairs / max(blocked_node.peak_pairs, 1):.1f}x "
-        f"smaller working set); full {full_time * 1e3:.1f}ms vs "
-        f"blocked {blocked_time * 1e3:.1f}ms"
-    )
-    catalog.close()
 
 
 def _build_stream_catalog(rows: int, *, ordered: bool) -> Catalog:

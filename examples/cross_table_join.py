@@ -8,9 +8,9 @@ compose the existing per-table planners:
 
 * ``union:s1,s2`` concatenates the streams, keeping each input's exact
   RF/MF/precision accounting;
-* ``join:s1,s2:on=value`` hash-joins them (build side picked by
-  estimated rows) — a join output row is *forgotten* iff either
-  contributing row was, which no single-table planner can express;
+* ``join:s1,s2:on=value`` hash-joins them (s1 probes s2's sorted
+  keys) — a join output row is *forgotten* iff either contributing
+  row was, which no single-table planner can express;
 * a ``JoinNode`` over a ``ShardedScanNode`` shows a partitioned store
   feeding the same algebra through its per-shard planners;
 * ``join:s1,s2:on=value,agg=value`` runs the streaming engine: the

@@ -311,9 +311,8 @@ class AmnesiaDatabase:
 
         Same validation and planner-routed execution as
         :meth:`aggregate`, but returns per-view
-        :class:`~repro.stats.StreamingMoments` for callers (the
-        partitioned store) that must merge across databases before
-        finalizing.
+        :class:`~repro.stats.ExactMoments` for callers (the partitioned
+        store) that must merge across databases before finalizing.
         """
         query = self._aggregate_query(function, column, low, high)
         return self.executor.execute_moments(query, self._epoch)

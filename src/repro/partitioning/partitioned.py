@@ -22,7 +22,7 @@ each under its shard's lock (planner counters and table access
 accounting stay race-free even when several caller threads query the
 store at once), and the per-shard outputs are merged **in shard
 order**, so counts, windowed aggregates and
-:class:`~repro.stats.StreamingMoments` come out bit-identical to
+:class:`~repro.stats.ExactMoments` come out bit-identical to
 sequential execution regardless of completion order.
 
 Edge partitions absorb out-of-domain values (inserts clamp *routing*,
@@ -33,9 +33,10 @@ rows.
 
 Merging is exact: RF/MF counts add up, and aggregates — including the
 windowed and VAR/STD forms — merge per-shard
-:class:`~repro.stats.StreamingMoments` with Chan's rule before
+:class:`~repro.stats.ExactMoments` (integer Σx and Σx²) before
 finalizing, so AVG/VAR/STD come out as one global computation, not an
-average of averages.
+average of averages, and do not depend on where the shard boundaries
+fall: a rebalance never changes an answer.
 
 Writes scale the same way, through a queue/applier seam with an
 **epoch-snapshot handoff**: :meth:`~PartitionedAmnesiaDatabase.enqueue`
@@ -92,7 +93,7 @@ from ..query.planner import QueryPlan
 from ..query.plans import check_scan_bounds, merge_match_sides
 from ..query.predicates import RangePredicate, TruePredicate
 from ..query.queries import AggregateFunction
-from ..stats.moments import StreamingMoments
+from ..stats.moments import ExactMoments
 from ..stats.table_stats import traffic_weighted_quantiles
 
 __all__ = ["MergedRangeResult", "Partition", "PartitionedAmnesiaDatabase"]
@@ -735,13 +736,13 @@ class PartitionedAmnesiaDatabase:
         Supports every :class:`AggregateFunction` — including VAR/STD —
         and optional ``[low, high)`` windows, matching
         :meth:`repro.core.database.AmnesiaDatabase.aggregate`.  Each
-        shard contributes per-view :class:`~repro.stats.
-        StreamingMoments` (computed through its planner, concurrently
-        when ``workers > 1``); the moments merge **in shard order** via
-        Chan's rule and the function is finalized once over the merged
-        accumulator, so AVG/VAR/STD are the exact global statistics —
-        not averages of shard answers, and independent of which shard
-        finished first.
+        shard contributes per-view :class:`~repro.stats.ExactMoments`
+        (computed through its planner, concurrently when
+        ``workers > 1``); their exact integer sums merge and the
+        function is finalized once over the merged accumulator, so
+        AVG/VAR/STD are the exact global statistics — not averages of
+        shard answers, and independent of the shard layout and of which
+        shard finished first.
         """
         function = AggregateFunction(function)
         if (low is None) != (high is None):
@@ -759,8 +760,8 @@ class PartitionedAmnesiaDatabase:
             outputs = self._fanout.map_ordered(
                 run_shard, self._partitions, self.workers
             )
-        active = StreamingMoments()
-        oracle = StreamingMoments()
+        active = ExactMoments()
+        oracle = ExactMoments()
         for moments in outputs:
             if moments is None:
                 continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._util.errors import QueryError
-from ..stats.moments import ExactMoments, StreamingMoments
+from ..stats.moments import ExactMoments
 from ..storage.table import Table
 from .planner import QueryPlanner
 from .queries import (
@@ -156,29 +156,24 @@ class QueryExecutor:
         )
 
     def execute_moments(
-        self, query: AggregateQuery, epoch: int, *, exact: bool = False
-    ) -> tuple[StreamingMoments, StreamingMoments] | tuple[ExactMoments, ExactMoments]:
+        self, query: AggregateQuery, epoch: int
+    ) -> tuple[ExactMoments, ExactMoments]:
         """Run an aggregate, returning (active, missed) moment bundles.
 
         The mergeable form of :meth:`execute_aggregate`: instead of
         finalized values it returns one
-        :class:`~repro.stats.StreamingMoments` per view side, which a
-        sharded store can merge across shards (Chan's rule) before
-        finalizing — the only way AVG/VAR/STD stay exact under
-        partitioning.  With ``exact=True`` the bundles are
-        :class:`~repro.stats.ExactMoments` instead — integer sufficient
-        statistics whose merges are bit-identical under *any* grouping
-        or order, the currency of the streaming aggregate engine
-        (:class:`~repro.query.plans.AggregateNode`).  Matching goes
-        through the planner and access accounting is identical to the
-        scalar path either way, so policy-visible state cannot tell
-        the paths apart.
+        :class:`~repro.stats.ExactMoments` per view side — integer
+        sufficient statistics whose merges are bit-identical under any
+        grouping or order — which a sharded store merges across shards
+        before finalizing, the only way AVG/VAR/STD stay exact under
+        partitioning.  Matching goes through the planner and access
+        accounting is identical to the scalar path, so policy-visible
+        state cannot tell the paths apart.
         """
         active, missed, column_values = self._aggregate_matches(query, epoch)
-        cls = ExactMoments if exact else StreamingMoments
         return (
-            cls.of(column_values[active]),
-            cls.of(column_values[missed]),
+            ExactMoments.of(column_values[active]),
+            ExactMoments.of(column_values[missed]),
         )
 
     # -- generic dispatch -------------------------------------------------------

@@ -26,13 +26,12 @@ compose the existing per-table planners into multi-table queries:
     accounting in the result's ``inputs``.
 
 :class:`JoinNode`
-    Equi-join on ``value`` or ``epoch``.  The hash build side is the
-    smaller input (priced in rows, like the single-table cost model);
-    output order is canonical — lexicographic by (left row, right row)
-    — so results are bit-identical whichever side builds.  A join
-    output row is *forgotten* iff any contributing input row was: the
-    amnesiac DBMS would only have produced the pairs where both sides
-    are still active.
+    Equi-join on ``value`` or ``epoch``.  The left input probes the
+    right one, whose keys are sorted once, so pairs come out in
+    canonical order — lexicographic by (left row, right row) — by
+    construction.  A join output row is *forgotten* iff any
+    contributing input row was: the amnesiac DBMS would only have
+    produced the pairs where both sides are still active.
 
 Execution is driven by :func:`execute_plan` (the engine behind
 :meth:`repro.storage.Catalog.query`): all leaf scans across the tree
@@ -53,7 +52,7 @@ into :class:`~repro.stats.moments.ExactMoments` so an aggregate over a
 join or union never materializes the joined row set: the peak working
 set is bounded by ``batch_size × build rows`` instead of the full
 output.  Aggregation is pushed below unions (per-input partials merged
-with Chan's rule), and the cost model prices a **sort-merge join**
+exactly), and the cost model prices a **sort-merge join**
 against the hash join — using the per-bin
 :class:`~repro.stats.TableHistogramStats` cardinalities — choosing
 merge when both inputs arrive ordered (sharded scans band by value;
@@ -79,7 +78,6 @@ layer (``--query``), parsed by :func:`parse_query_spec`::
     union:s1,s2:low=0,high=100       -- bounded scans
     join:s1,s2:on=value              -- equi-join on the value column
     join:s1,s2:on=epoch,low=0,high=500
-    join:s1,s2:on=value,block=512    -- blocked probe (bounded memory)
     join:s1,s2:on=value,agg=value    -- streamed aggregate over the join
 
 >>> import numpy as np
@@ -729,27 +727,20 @@ class ShardedScanNode(_ScanNode):
     def scan_payload(self, catalog, epoch: int, record_access: bool):
         """Per-shard chunk handoff for the streaming path.
 
-        Uses the store's :meth:`~repro.partitioning.
-        PartitionedAmnesiaDatabase.scan_chunks` when it offers one —
-        identical matching and accounting to :meth:`scan`, but the
-        per-shard outputs stay unconcatenated (all taken under one
-        read-gate acquisition, so the stream is one epoch snapshot)
-        and :meth:`_stream` re-chunks them to the batch size without
-        ever building the full concatenated matrix.
+        The store's :meth:`~repro.partitioning.
+        PartitionedAmnesiaDatabase.scan_chunks` — identical matching
+        and accounting to :meth:`scan`, but the per-shard outputs stay
+        unconcatenated (all taken under one read-gate acquisition, so
+        the stream is one epoch snapshot) and :meth:`_stream` re-chunks
+        them to the batch size without ever building the full
+        concatenated matrix.
         """
-        store = catalog.sharded(self.source)
-        scan_chunks = getattr(store, "scan_chunks", None)
-        if scan_chunks is None:
-            return self.scan(catalog, epoch, record_access)
-        return scan_chunks(
+        return catalog.sharded(self.source).scan_chunks(
             self.low, self.high, record_access=record_access, epoch=epoch
         )
 
     def _stream(self, ctx: _StreamContext):
         payload = ctx.payloads[id(self)]
-        if isinstance(payload, NodeResult):  # duck-typed store fallback
-            yield from super()._stream(ctx)
-            return
         ctx.counts.setdefault(id(self), [0, 0])
         step = ctx.batch_size
         for values, epochs, flags in payload:
@@ -850,29 +841,48 @@ class UnionNode(PlanNode):
         return f"Union({len(self.children)} inputs){est}"
 
 
+def _sort_build(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted keys, stable sort order) of a join's build-side keys."""
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def _probe(
+    probe_keys: np.ndarray, sorted_keys: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equi-join pairs ``(probe_idx, build_idx)`` in probe-major order.
+
+    ``sorted_keys``/``order`` come from :func:`_sort_build`.  Probe
+    indexes ascend, and within one probe row the build indexes ascend
+    too (the stable sort keeps equal keys in original order), so the
+    pairs arrive in lexicographic (probe row, build row) order with no
+    sort of their own.
+    """
+    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
+    counts = np.searchsorted(sorted_keys, probe_keys, side="right") - lo
+    probe_idx = np.repeat(np.arange(probe_keys.size, dtype=np.int64), counts)
+    within = np.arange(probe_idx.size, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return probe_idx, order[np.repeat(lo, counts) + within]
+
+
 class JoinNode(PlanNode):
     """Hash equi-join of two child streams on ``value`` or ``epoch``.
 
-    The build side is the child with the smaller row count, in the
-    same rows-considered currency the single-table cost model prices
-    in: at execution the *actual* input sizes are known and decide;
-    explain trees show the estimate-based prediction (``build≈...``),
-    which can differ when the estimates misrank the sides.  Output
-    rows concatenate the
-    left and right columns (prefixed ``l.`` / ``r.``) and are emitted
-    in canonical nested-loop order — ascending (left row, right row) —
-    so the result is bit-identical whichever side builds and at any
-    worker count.  An output row is forgotten iff either contributing
-    input row was; RF counts only both-sides-active pairs, exactly
-    what the amnesiac DBMS would return.
+    The left child probes the right child, whose keys are sorted once;
+    output rows concatenate the left and right columns (prefixed
+    ``l.`` / ``r.``) and come out in canonical nested-loop order —
+    ascending (left row, right row) — by construction, so the result
+    is bit-identical at any worker count and batch size.  An output row
+    is forgotten iff either contributing input row was; RF counts only
+    both-sides-active pairs, exactly what the amnesiac DBMS would
+    return.
 
-    ``block_size`` enables the *blocked probe* mode: the probe side
-    streams in fixed-size blocks against the one sorted build side, so
-    the pair-discovery working set is bounded by ``block_size × build
-    rows`` instead of the full cross-match — the difference between a
-    bounded and an unbounded spike on heavily skewed keys.  Purely an
-    execution knob: the pair stream (and everything downstream) stays
-    bit-identical.
+    Memory: the materializing path (:meth:`combine`) holds the full
+    pair set; the streamed path (:meth:`PlanNode.batches`, streamed
+    aggregates) probes in ``batch_size`` batches, so at most
+    ``batch_size × build rows`` pairs exist at once.
     """
 
     def __init__(
@@ -883,7 +893,6 @@ class JoinNode(PlanNode):
         *,
         left_on: str | None = None,
         right_on: str | None = None,
-        block_size: int | None = None,
     ):
         self.left_on = on if left_on is None else left_on
         self.right_on = on if right_on is None else right_on
@@ -894,9 +903,6 @@ class JoinNode(PlanNode):
                     f"{side.output_columns()}; choose one of "
                     f"{JOIN_KEYS} at the leaf level"
                 )
-        if block_size is not None and int(block_size) < 1:
-            raise QueryError(f"join block size must be >= 1, got {block_size}")
-        self.block_size = None if block_size is None else int(block_size)
         self.children = (left, right)
         self.on = on
         self._peak_pairs = 0
@@ -907,15 +913,14 @@ class JoinNode(PlanNode):
     def peak_pairs(self) -> int:
         """Largest pair batch the last execution materialized at once.
 
-        Full (unblocked) mode discovers the entire pair set in one
-        batch, so this equals the oracle output size; blocked mode is
-        bounded by ``block_size × build rows`` however skewed the keys.
+        The materializing path discovers the entire pair set in one
+        batch, so this equals the oracle output size; streamed
+        executions (:meth:`PlanNode.batches`, aggregates) record their
+        per-probe-batch peak — bounded by ``batch_size × build rows``
+        instead of the output size — and sort-merge its slab size.
         Introspection only, written once per execution: concurrent
         ``Catalog.query`` callers sharing one node object see the most
         recently finished execution's value (results are unaffected).
-        Streamed executions (:meth:`PlanNode.batches`, aggregates)
-        record their per-probe-batch peak here too — bounded by
-        ``batch_size × build rows`` instead of the output size.
         """
         return self._peak_pairs
 
@@ -952,84 +957,15 @@ class JoinNode(PlanNode):
             + [f"r.{name}" for name in right.output_columns()]
         )
 
-    def _match_pairs(
-        self, probe_keys: np.ndarray, build_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """(probe_idx, build_idx, peak batch size), probe-major ascending.
-
-        With ``block_size`` set, the probe side streams in fixed-size
-        blocks against the one sorted build side: each block's pairs
-        materialize independently (at most ``block_size × build rows``
-        at once, however skewed the keys) and concatenate in block
-        order — which *is* probe-major order, so the pair stream is
-        bit-identical to the single-batch discovery.
-        """
-        order = np.argsort(build_keys, kind="stable")
-        return self._probe_pairs(probe_keys, build_keys[order], order)
-
-    def _probe_pairs(
-        self,
-        probe_keys: np.ndarray,
-        sorted_keys: np.ndarray,
-        order: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Pair discovery against an already-sorted build side.
-
-        The shared core of :meth:`_match_pairs` and the streaming
-        probe (:meth:`_stream`), which sorts the build side once and
-        probes it batch after batch.  Probe indexes ascend, and within
-        one probe row the build indexes ascend too (the stable sort
-        keeps equal keys in original order), so the pair stream is
-        already in probe-major lexicographic order.
-        """
-        step = probe_keys.size if self.block_size is None else self.block_size
-        probe_chunks: list[np.ndarray] = []
-        build_chunks: list[np.ndarray] = []
-        peak = 0
-        for start in range(0, probe_keys.size, max(step, 1)):
-            block = probe_keys[start : start + step]
-            lo = np.searchsorted(sorted_keys, block, side="left")
-            hi = np.searchsorted(sorted_keys, block, side="right")
-            counts = hi - lo
-            probe_idx = np.repeat(np.arange(block.size, dtype=np.int64), counts)
-            if probe_idx.size == 0:
-                continue
-            within = np.arange(probe_idx.size, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            build_chunks.append(order[np.repeat(lo, counts) + within])
-            probe_chunks.append(probe_idx + start)
-            peak = max(peak, int(probe_idx.size))
-        if not probe_chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), peak
-        return np.concatenate(probe_chunks), np.concatenate(build_chunks), peak
-
     def combine(self, inputs: tuple[NodeResult, ...]) -> NodeResult:
         left, right = inputs
-        lkeys = left.column(self.left_on)
-        rkeys = right.column(self.right_on)
-        # Build on the smaller side; the pair set is symmetric, so the
-        # canonical (left, right) sort below erases the choice from
-        # the result — it is purely a cost decision.
-        if self._build_side(left, right) == "right":
-            li, ri, peak = self._match_pairs(lkeys, rkeys)
-        else:
-            ri, li, peak = self._match_pairs(rkeys, lkeys)
-        self._record_peak(peak, "materialized-hash")
-        order = np.lexsort((ri, li))
-        li, ri = li[order], ri[order]
-        rows = (
-            np.hstack([left.rows[li], right.rows[ri]])
-            if li.size
-            else _empty_rows(len(self.output_columns()))
+        li, ri = _probe(
+            left.column(self.left_on), *_sort_build(right.column(self.right_on))
         )
+        self._record_peak(int(li.size), "materialized-hash")
+        rows = np.hstack([left.rows[li], right.rows[ri]])
         forgotten = left.forgotten[li] | right.forgotten[ri]
         return NodeResult(self.output_columns(), rows, forgotten, inputs)
-
-    @staticmethod
-    def _build_side(left: NodeResult, right: NodeResult) -> str:
-        return "right" if right.oracle_count <= left.oracle_count else "left"
 
     def _key_index(self, side: int) -> int:
         key = self.left_on if side == 0 else self.right_on
@@ -1038,14 +974,13 @@ class JoinNode(PlanNode):
     def _stream(self, ctx: _StreamContext):
         """Canonical-order pair stream with a bounded working set.
 
-        The right child is the build side: drained, its keys sorted
-        once.  The left child probes in ``batch_size`` batches, so at
-        most ``batch_size × build rows`` pairs (further sub-blocked by
-        ``block_size`` when set) ever materialize at once — the full
-        pair set never exists.  Probing with the *left* side keeps the
-        stream in canonical ascending (left row, right row) order with
-        no global sort: probe indexes ascend across batches, and build
-        matches ascend within each probe row (stable build sort).
+        The same left probe as :meth:`combine`, batch by batch: the
+        right child is drained and its keys sorted once, and the left
+        child probes in ``batch_size`` batches, so at most
+        ``batch_size × build rows`` pairs ever materialize at once — the
+        full pair set never exists.  Probe indexes ascend across
+        batches, so the stream stays in canonical (left row, right row)
+        order with no global sort.
         """
         ctx.counts.setdefault(id(self), [0, 0])
         left, right = self.children
@@ -1055,15 +990,12 @@ class JoinNode(PlanNode):
             if rrows.shape[0]
             else np.empty(0, dtype=np.int64)
         )
-        order = np.argsort(rkeys, kind="stable")
-        sorted_keys = rkeys[order]
+        build = _sort_build(rkeys)
         lkey_idx = self._key_index(0)
         peak = 0
         for lrows, lflags in _batched(left._stream(ctx), ctx.batch_size):
-            li, ri, batch_peak = self._probe_pairs(
-                lrows[:, lkey_idx], sorted_keys, order
-            )
-            peak = max(peak, batch_peak)
+            li, ri = _probe(lrows[:, lkey_idx], *build)
+            peak = max(peak, int(li.size))
             if li.size == 0:
                 continue
             rows = np.hstack([lrows[li], rrows[ri]])
@@ -1100,8 +1032,6 @@ class JoinNode(PlanNode):
         rorder = np.argsort(rkeys, kind="stable")
         slk, srk = lkeys[lorder], rkeys[rorder]
         step = ctx.batch_size
-        if self.block_size is not None:
-            step = min(step, self.block_size)
         peak = 0
         i = j = 0
         nl, nr = slk.size, srk.size
@@ -1186,14 +1116,8 @@ class JoinNode(PlanNode):
     def describe(self, catalog=None) -> str:
         est = ""
         if catalog is not None:
-            left, right = self.children
-            build = (
-                "right"
-                if right.estimate_rows(catalog) <= left.estimate_rows(catalog)
-                else "left"
-            )
             est = (
-                f", build≈{build}, strategy≈{self.join_strategy(catalog)}"
+                f", strategy≈{self.join_strategy(catalog)}"
                 f" — ≈{self.estimate_rows(catalog):.0f} rows, "
                 f"cost≈{self.estimate_cost(catalog):.0f}"
             )
@@ -1202,8 +1126,7 @@ class JoinNode(PlanNode):
             if self.left_on == self.right_on == self.on
             else f"on={self.left_on!r}={self.right_on!r}"
         )
-        block = "" if self.block_size is None else f", block={self.block_size}"
-        return f"Join({keys}{block}{est})"
+        return f"Join({keys}{est})"
 
 
 # -- aggregation above the stream ------------------------------------------
@@ -1313,8 +1236,8 @@ class AggregateNode(PlanNode):
     the streaming strategy per child shape:
 
     - union child: aggregation is **pushed below the union** — each
-      input aggregates into its own partial, partials merge with
-      Chan's rule (exact under the integer sufficient statistics);
+      input aggregates into its own partial, and the partials' exact
+      integer sums merge;
     - join child: the cost model's :meth:`JoinNode.join_strategy`
       picks the streamed hash probe or the sort-merge path (safe here
       because moments are batch-order-invariant);
@@ -1493,9 +1416,8 @@ def _execute_aggregate(
 
     if isinstance(child, UnionNode):
         # Aggregation pushdown: each union input folds into its own
-        # partial, partials merge with Chan's rule — exact under the
-        # integer sufficient statistics, so the union's concatenated
-        # stream never exists even transiently.
+        # partial and the partials' exact integer sums merge, so the
+        # union's concatenated stream never exists even transiently.
         ctx.counts.setdefault(id(child), [0, 0])
         for sub in child.children:
             part_active = ExactMoments()
@@ -1681,7 +1603,6 @@ class QuerySpec:
     on: str = "value"
     low: int | None = None
     high: int | None = None
-    block: int | None = None
     agg: str | None = None
 
     def render(self) -> str:
@@ -1692,8 +1613,6 @@ class QuerySpec:
         if self.low is not None:
             options.append(f"low={self.low}")
             options.append(f"high={self.high}")
-        if self.block is not None:
-            options.append(f"block={self.block}")
         if self.agg is not None:
             options.append(f"agg={self.agg}")
         spec = f"{self.kind}:{','.join(self.tables)}"
@@ -1708,19 +1627,15 @@ def parse_query_spec(spec: str) -> QuerySpec:
         spec    := kind ":" table ("," table)+ [":" option ("," option)*]
         kind    := "union" | "join"
         option  := "on=" ("value" | "epoch") | "low=" int | "high=" int
-                 | "block=" int | "agg=" column
+                 | "agg=" column
 
-    ``block=`` (join only) streams the probe side in blocks of that
-    many rows — see :class:`JoinNode`'s blocked probe mode.  ``agg=``
-    (either kind) wraps the plan in an :class:`AggregateNode` over the
-    named column, switching execution to the streaming engine (bare
-    leaf names resolve — ``agg=value`` over a join aggregates
-    ``l.value``).
+    ``agg=`` (either kind) wraps the plan in an :class:`AggregateNode`
+    over the named column, switching execution to the streaming engine
+    (bare leaf names resolve — ``agg=value`` over a join aggregates
+    ``l.value``); the run's batch size bounds its working set.
 
     >>> parse_query_spec("join:s1,s2:on=epoch,low=0,high=50")
-    QuerySpec(kind='join', tables=('s1', 's2'), on='epoch', low=0, high=50, block=None, agg=None)
-    >>> parse_query_spec("join:s1,s2:block=512").block
-    512
+    QuerySpec(kind='join', tables=('s1', 's2'), on='epoch', low=0, high=50, agg=None)
     >>> parse_query_spec("union:s1,s2:agg=value").render()
     'union:s1,s2:agg=value'
     """
@@ -1742,7 +1657,7 @@ def parse_query_spec(spec: str) -> QuerySpec:
                 raise QueryError(f"bad option {item!r} in query spec {spec!r}")
             key, _, value = item.partition("=")
             options[key.strip()] = value.strip()
-    unknown = set(options) - {"on", "low", "high", "block", "agg"}
+    unknown = set(options) - {"on", "low", "high", "agg"}
     if unknown:
         raise QueryError(f"unknown query spec options {sorted(unknown)}")
     agg = options.get("agg")
@@ -1753,18 +1668,6 @@ def parse_query_spec(spec: str) -> QuerySpec:
         raise QueryError(f"join key must be one of {JOIN_KEYS}, got {on!r}")
     if "on" in options and kind != "join":
         raise QueryError("on= only applies to join specs")
-    block = None
-    if "block" in options:
-        if kind != "join":
-            raise QueryError("block= only applies to join specs")
-        try:
-            block = int(options["block"])
-        except ValueError:
-            raise QueryError(
-                f"block must be an integer in query spec {spec!r}"
-            ) from None
-        if block < 1:
-            raise QueryError(f"block must be >= 1, got {block}")
     low = high = None
     if ("low" in options) != ("high" in options):
         raise QueryError("query spec needs both low= and high=, or neither")
@@ -1777,8 +1680,7 @@ def parse_query_spec(spec: str) -> QuerySpec:
             ) from None
         check_scan_bounds(low, high)  # reject reversed ranges up front
     return QuerySpec(
-        kind=kind, tables=tables, on=on, low=low, high=high, block=block,
-        agg=agg,
+        kind=kind, tables=tables, on=on, low=low, high=high, agg=agg
     )
 
 
@@ -1807,12 +1709,7 @@ def build_plan(catalog, spec: QuerySpec | str) -> PlanNode:
     if spec.kind == "union":
         node: PlanNode = UnionNode(*(leaf(name) for name in spec.tables))
     else:
-        node = JoinNode(
-            leaf(spec.tables[0]),
-            leaf(spec.tables[1]),
-            on=spec.on,
-            block_size=spec.block,
-        )
+        node = JoinNode(leaf(spec.tables[0]), leaf(spec.tables[1]), on=spec.on)
         left_key = spec.on
         for name in spec.tables[2:]:
             # Left-deep chain: the previous join buried the leftmost
@@ -1825,7 +1722,6 @@ def build_plan(catalog, spec: QuerySpec | str) -> PlanNode:
                 on=spec.on,
                 left_on=left_key,
                 right_on=spec.on,
-                block_size=spec.block,
             )
     if spec.agg is not None:
         node = AggregateNode(node, on=spec.agg)

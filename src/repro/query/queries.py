@@ -73,9 +73,10 @@ class AggregateFunction(str, Enum):
         """Finalize the operator from a merged moment accumulator.
 
         The distributed twin of :meth:`compute`: a sharded store merges
-        per-shard :class:`~repro.stats.StreamingMoments` (Chan's rule)
-        and finalizes once, which keeps AVG/VAR/STD exact across shards
-        — merging the final per-shard aggregates could not.  Empty
+        per-shard :class:`~repro.stats.ExactMoments` (exact integer
+        sums) and finalizes once, which keeps AVG/VAR/STD exact and
+        layout-independent across shards — merging the final per-shard
+        aggregates could not.  Empty
         accumulators follow :meth:`compute`'s NULL semantics (COUNT
         answers 0, everything else ``None``).
         """

@@ -1,4 +1,4 @@
-"""Statistics substrate: histograms, streaming moments, divergences, Zipf."""
+"""Statistics substrate: histograms, exact moments, divergences, Zipf."""
 
 from .divergence import (
     earth_movers_distance,
@@ -8,7 +8,7 @@ from .divergence import (
     total_variation,
 )
 from .histograms import EquiDepthHistogram, EquiWidthHistogram
-from .moments import ExactMoments, StreamingMoments
+from .moments import ExactMoments
 from .table_stats import (
     STATS_BINS,
     TableHistogramStats,
@@ -27,7 +27,6 @@ __all__ = [
     "EquiWidthHistogram",
     "STATS_BINS",
     "ExactMoments",
-    "StreamingMoments",
     "TableHistogramStats",
     "traffic_weighted_median",
     "traffic_weighted_quantiles",

@@ -1,9 +1,11 @@
-"""Streaming moment accumulators (Welford's algorithm).
+"""Exact, mergeable moment accumulators over integer streams.
 
-Aggregate-precision experiments and forgotten-data summaries both need
-numerically stable running statistics that can be (a) updated in batches
-and (b) merged.  :class:`StreamingMoments` provides count, mean,
-variance, min, max and sum with Chan's parallel merge rule.
+Aggregate-precision experiments, the sharded store's cross-shard
+aggregates and the streaming plan engine all fold values into running
+statistics that are (a) updated in batches and (b) merged.
+:class:`ExactMoments` keeps count, min, max and the exact integer sums
+``Σx`` and ``Σx²``, so every derived statistic is identical however the
+stream was split or merged.
 """
 
 from __future__ import annotations
@@ -12,142 +14,26 @@ import math
 
 import numpy as np
 
-from .._util.errors import ConfigError
+from .._util.errors import ConfigError, QueryError
 
-__all__ = ["ExactMoments", "StreamingMoments"]
+__all__ = ["ExactMoments"]
 
-
-class StreamingMoments:
-    """Running count/mean/M2/min/max over a stream of numbers.
-
-    >>> m = StreamingMoments()
-    >>> m.update(np.array([1.0, 2.0, 3.0]))
-    >>> m.count, m.mean, round(m.variance, 6)
-    (3, 2.0, 0.666667)
-    """
-
-    __slots__ = ("count", "mean", "_m2", "min", "max", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.total = 0.0
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "StreamingMoments":
-        """Accumulator over one value array."""
-        moments = cls()
-        moments.update(values)
-        return moments
-
-    def push(self, value: float) -> None:
-        """Add a single observation."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def update(self, values: np.ndarray) -> None:
-        """Add a batch of observations (merged via Chan's rule)."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        other = StreamingMoments()
-        other.count = int(values.size)
-        other.mean = float(values.mean())
-        other._m2 = float(((values - other.mean) ** 2).sum())
-        other.min = float(values.min())
-        other.max = float(values.max())
-        other.total = float(values.sum())
-        self.merge(other)
-
-    def merge(self, other: "StreamingMoments") -> None:
-        """Fold another accumulator into this one (Chan et al.)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            self.total = other.total
-            return
-        n1, n2 = self.count, other.count
-        delta = other.mean - self.mean
-        combined = n1 + n2
-        self.mean += delta * n2 / combined
-        self._m2 += other._m2 + delta * delta * n1 * n2 / combined
-        self.count = combined
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0 for fewer than 2 observations)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def sample_variance(self) -> float:
-        """Sample (Bessel-corrected) variance."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
-
-    def as_dict(self) -> dict:
-        """Plain-dict snapshot (for reports and summaries)."""
-        if self.count == 0:
-            raise ConfigError("no observations accumulated")
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "min": self.min,
-            "max": self.max,
-            "sum": self.total,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamingMoments(count={self.count}, mean={self.mean:.6g}, "
-            f"std={self.std:.6g})"
-        )
+#: Σx and Σx² fit int64 while ``n · max(|x|)² < 2**63``.
+_INT64_SUM_LIMIT = 2**63
 
 
 class ExactMoments:
     """Batch-order-invariant moments over an integer stream.
 
-    The streaming execution layer (:mod:`repro.query.plans`) folds
-    query output into an accumulator batch by batch, and merges
-    per-input partials when aggregation is pushed below a union.  A
-    plain :class:`StreamingMoments` is numerically stable but its
-    mean/variance depend (in the last float bits) on *where the batch
-    boundaries fall* — which would make a streamed aggregate differ
-    from the materializing baseline it must be provably identical to.
-
-    ``ExactMoments`` wraps a Chan-merged :class:`StreamingMoments`
-    (kept for its count/min/max/total bookkeeping and so partials merge
-    with the same rule everywhere) and additionally carries the *exact*
-    integer sufficient statistics ``Σx`` and ``Σx²`` as Python ints.
-    The reported ``mean`` and ``variance`` derive from those exact sums
-    at read time, so any batching — one batch, a thousand, partials
-    merged in any order — yields bit-identical results.
+    The amnesiac DBMS is judged against a never-forgetting oracle, so an
+    aggregate must not depend on how the work was split: across shards,
+    across streamed batches, or across union inputs folded as partials.
+    ``ExactMoments`` therefore carries the *exact* sufficient statistics
+    ``Σx`` and ``Σx²`` as Python ints (summed in int64 when the batch
+    provably cannot overflow, in arbitrary precision otherwise) and
+    derives ``mean`` and ``variance`` from them at read time: one batch,
+    a thousand, or partials merged in any order all give bit-identical
+    results.
 
     >>> import numpy as np
     >>> whole = ExactMoments.of(np.arange(1000))
@@ -159,12 +45,15 @@ class ExactMoments:
     (1000, 499500, 0, 999)
     """
 
-    __slots__ = ("_float", "_isum", "_isumsq")
+    __slots__ = ("count", "min", "max", "total", "_sumsq")
 
     def __init__(self) -> None:
-        self._float = StreamingMoments()
-        self._isum = 0
-        self._isumsq = 0
+        self.count = 0
+        self.min: int | float = math.inf
+        self.max: int | float = -math.inf
+        #: Exact integer sum of the stream.
+        self.total = 0
+        self._sumsq = 0
 
     @classmethod
     def of(cls, values: np.ndarray) -> "ExactMoments":
@@ -174,47 +63,49 @@ class ExactMoments:
         return moments
 
     def update(self, values: np.ndarray) -> None:
-        """Add a batch of integer observations."""
+        """Add a batch of integer observations.
+
+        Raises :class:`~repro._util.errors.QueryError` on a non-empty
+        batch that is not of an integer dtype; an empty batch of any
+        dtype is a no-op.
+        """
         values = np.asarray(values)
         if values.size == 0:
             return
-        self._float.update(values)
-        # Python-int accumulation: arbitrary precision, so Σx and Σx²
-        # stay exact however large the history grows.
-        self._isum += int(values.sum(dtype=object))
-        self._isumsq += int((values.astype(object) ** 2).sum())
+        if values.dtype.kind not in "iu":
+            raise QueryError(
+                f"exact moments need integer values, got dtype {values.dtype}"
+            )
+        lo, hi = int(values.min()), int(values.max())
+        bound = max(abs(lo), abs(hi))
+        if values.size * bound * bound < _INT64_SUM_LIMIT:
+            values = values.astype(np.int64, copy=False)
+            total = int(values.sum())
+            sumsq = int(np.dot(values, values))
+        else:
+            wide = values.astype(object)
+            total = int(wide.sum())
+            sumsq = int(np.dot(wide, wide))
+        self.count += int(values.size)
+        self.total += total
+        self._sumsq += sumsq
+        self.min = min(self.min, lo)
+        self.max = max(self.max, hi)
 
     def merge(self, other: "ExactMoments") -> None:
-        """Fold another accumulator in (Chan's rule + exact int sums)."""
-        self._float.merge(other._float)
-        self._isum += other._isum
-        self._isumsq += other._isumsq
-
-    @property
-    def count(self) -> int:
-        return self._float.count
-
-    @property
-    def total(self) -> int:
-        """Exact integer sum of the stream."""
-        return self._isum
-
-    @property
-    def min(self) -> int | float:
-        value = self._float.min
-        return value if self.count == 0 else int(value)
-
-    @property
-    def max(self) -> int | float:
-        value = self._float.max
-        return value if self.count == 0 else int(value)
+        """Fold another accumulator in (exact: sums and extrema add up)."""
+        self.count += other.count
+        self.total += other.total
+        self._sumsq += other._sumsq
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
 
     @property
     def mean(self) -> float:
         """Σx / n from the exact sum — identical under any batching."""
         if self.count == 0:
             return 0.0
-        return self._isum / self.count
+        return self.total / self.count
 
     @property
     def variance(self) -> float:
@@ -222,7 +113,7 @@ class ExactMoments:
         n = self.count
         if n < 2:
             return 0.0
-        return (n * self._isumsq - self._isum * self._isum) / (n * n)
+        return (n * self._sumsq - self.total * self.total) / (n * n)
 
     @property
     def std(self) -> float:
@@ -247,10 +138,10 @@ class ExactMoments:
             return NotImplemented
         return (
             self.count == other.count
-            and self._isum == other._isum
-            and self._isumsq == other._isumsq
-            and self._float.min == other._float.min
-            and self._float.max == other._float.max
+            and self.total == other.total
+            and self._sumsq == other._sumsq
+            and self.min == other.min
+            and self.max == other.max
         )
 
     def __repr__(self) -> str:

@@ -4,8 +4,8 @@ The zone map's :meth:`~repro.storage.cohorts.CohortZoneMap.estimate`
 assumes values are uniform within each cohort's ``[min, max]`` — the
 classic System-R assumption, and exactly what Zipf-skewed streams
 break: a cohort spanning the whole domain but holding 60% of its mass
-in a handful of hot values makes uniformity misprice scans, misrank
-join build sides and cut adaptive shard splits at value midpoints that
+in a handful of hot values makes uniformity misprice scans, misjudge
+join output sizes and cut adaptive shard splits at value midpoints that
 leave one side carrying almost all the traffic.
 
 :class:`TableHistogramStats` maintains one pair of
@@ -19,7 +19,7 @@ use (rebuilding is pure — it reads only the table's values and
 activity bitmap — so estimates stay deterministic).
 
 Everything downstream is estimate-only: the planner's ``cost`` mode,
-the cross-table join's build-side prediction and the EXPLAIN trees
+the cross-table join's output estimate and the EXPLAIN trees
 consume these numbers, but every access path still returns
 bit-identical results (the equivalence harness proves it under
 ``--stats hist`` too).

@@ -202,7 +202,13 @@ class Catalog:
         # The full contract the query/explain/report paths rely on —
         # rejected here, next to the registration call, instead of as
         # an AttributeError deep inside a later explain or report.
-        required = ("scan_rows", "estimate_scan", "partition_count", "plan_mode")
+        required = (
+            "scan_rows",
+            "scan_chunks",
+            "estimate_scan",
+            "partition_count",
+            "plan_mode",
+        )
         missing = [attr for attr in required if not hasattr(store, attr)]
         if missing:
             raise SchemaError(

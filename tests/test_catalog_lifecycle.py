@@ -131,7 +131,7 @@ class TestSourceLockErrors:
         catalog = Catalog()
 
         class FakeSharded:
-            scan_rows = estimate_scan = lambda self: None
+            scan_rows = scan_chunks = estimate_scan = lambda self: None
             partition_count = 1
             plan_mode = "auto"
 

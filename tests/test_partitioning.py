@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -130,6 +131,28 @@ class TestQueries:
         all_values = np.concatenate([np.arange(100), np.arange(500, 600)])
         _, oracle = store.aggregate("var")
         assert oracle == pytest.approx(all_values.var())
+
+    @pytest.mark.parametrize("base", (1_000, 10**12))
+    def test_moments_independent_of_shard_layout(self, base):
+        """AVG/VAR/STD are ==-identical under 1, 2 and 4 shard layouts
+        and equal the exact Python-int reference: small values sum in
+        int64, values near 1e12 square past int64 and sum as Python
+        ints.  (Float moments merged per shard drifted with the layout,
+        so a rebalance could change an answer.)"""
+        rng = np.random.default_rng(5)
+        values = base + rng.integers(0, 1_000_000, 5000)
+        ints = [int(v) for v in values]
+        n, total, sumsq = len(ints), sum(ints), sum(v * v for v in ints)
+        variance = (n * sumsq - total * total) / (n * n)
+        expected = {"avg": total / n, "var": variance, "std": math.sqrt(variance)}
+        for shards in (1, 2, 4):
+            boundaries = [base + i * 1_000_000 // shards for i in range(shards + 1)]
+            store = PartitionedAmnesiaDatabase(
+                "a", boundaries, 10 * n, policy_factory=FifoAmnesia, seed=7
+            )
+            store.insert({"a": values})
+            for fn, want in expected.items():
+                assert store.aggregate(fn) == (want, want), (shards, fn)
 
     def test_windowed_aggregates_match_numpy(self, rng):
         """Satellite: low/high windows now reach the partitioned store."""

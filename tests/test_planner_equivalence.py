@@ -749,7 +749,7 @@ CROSS_SPECS = (
     "union:s1,s2,s3",
     "union:s1,s2:low=50,high=300",
     "join:s1,s2:on=value",
-    "join:s1,s2:on=value,block=7",  # blocked probe: execution-only knob
+    "join:s3,s1:on=value",  # the sharded store on the probe side
     "join:s1,s3:on=value,low=0,high=150",
     "join:s2,s3:on=epoch",
 )
@@ -914,10 +914,10 @@ def test_cross_table_fanout_identical_to_sequential(policy_name, plan, workers):
 @pytest.mark.parametrize("plan", ("scan", "cost"))
 @pytest.mark.parametrize("policy_name", ("fifo", "rot"))
 def test_cross_table_hist_stats_identical(policy_name, plan, workers):
-    """Histogram statistics under the cross-table layer — join
-    build-side predictions, output estimates, blocked probes — change
-    nothing observable: every stream, per-input accounting and
-    downstream forgetting equals the uniform-statistics scan baseline."""
+    """Histogram statistics under the cross-table layer — join output
+    estimates and strategy pricing — change nothing observable: every
+    stream, per-input accounting and downstream forgetting equals the
+    uniform-statistics scan baseline."""
     assert _run_cross_table_scenario(
         policy_name, plan, workers=workers, stats="hist"
     ) == _cross_baseline(policy_name)

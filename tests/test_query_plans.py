@@ -51,15 +51,10 @@ class TestSpecParsing:
             "union:s1,s2,s3:low=1,high=9",
             "join:s1,s2:on=epoch",
             "join:a,b:on=value,low=-5,high=5",
-            "join:s1,s2:on=value,block=512",
+            "join:s1,s2:on=value,agg=value",
         ):
             spec = parse_query_spec(raw)
             assert parse_query_spec(spec.render()) == spec
-
-    def test_block_option_reaches_the_join(self, catalog):
-        node = build_plan(catalog, "join:s1,s2:on=value,block=2")
-        assert node.block_size == 2
-        assert "block=2" in node.describe()
 
     @pytest.mark.parametrize(
         "bad",
@@ -74,9 +69,11 @@ class TestSpecParsing:
             "union:s1,s2:color=red",  # unknown option
             "union",                 # no tables section
             "union:s1,s2:a:b",       # too many sections
-            "union:s1,s2:block=4",   # block outside a join
-            "join:s1,s2:block=0",    # block below 1
-            "join:s1,s2:block=x",    # non-integer block
+            # block= is not an option, whatever its value or kind
+            "join:s1,s2:on=value,block=512",
+            "union:s1,s2:block=4",
+            "join:s1,s2:block=0",
+            "join:s1,s2:block=x",
         ],
     )
     def test_bad_specs_rejected(self, bad):
@@ -213,54 +210,12 @@ class TestJoinNode:
         with pytest.raises(QueryError, match="appears twice"):
             catalog.query(JoinNode(scan, scan), epoch=2)
 
-
-class TestBlockedJoin:
-    def _skewed_catalog(self):
-        """Two tables sharing one hot key — the cross-match stress case."""
-        cat = Catalog(plan="auto")
-        rng = np.random.default_rng(23)
-        for name in ("s1", "s2"):
-            table = cat.create_table(name, ["a"])
-            values = rng.integers(0, 50, 120)
-            values[rng.random(120) < 0.3] = 7  # hot key on both sides
-            table.insert_batch(0, {"a": values})
-            table.forget(np.flatnonzero(rng.random(120) < 0.2), epoch=1)
-        return cat
-
-    @pytest.mark.parametrize("block", (1, 3, 17, 1000))
-    def test_blocked_join_bit_identical(self, block):
-        catalog = self._skewed_catalog()
-        full = catalog.query("join:s1,s2:on=value", epoch=1)
-        blocked = catalog.query(f"join:s1,s2:on=value,block={block}", epoch=1)
-        assert blocked.rows.tolist() == full.rows.tolist()
-        assert blocked.forgotten.tolist() == full.forgotten.tolist()
-        assert (blocked.rf, blocked.mf) == (full.rf, full.mf)
-
-    def test_peak_pairs_bounded_by_block_times_build(self):
-        catalog = self._skewed_catalog()
-        full_node = build_plan(catalog, "join:s1,s2:on=value")
-        full = catalog.query(full_node, epoch=1)
-        assert full_node.peak_pairs == full.oracle_count  # one big batch
-        block = 8
-        blocked_node = build_plan(catalog, f"join:s1,s2:on=value,block={block}")
-        catalog.query(blocked_node, epoch=1)
-        build_rows = min(r.oracle_count for r in full.inputs)
-        assert 0 < blocked_node.peak_pairs <= block * build_rows
-        assert blocked_node.peak_pairs < full_node.peak_pairs
-
     def test_empty_probe_side(self, catalog):
-        node = JoinNode(
-            TableScanNode("s1", 90, 99),
-            TableScanNode("s2"),
-            block_size=4,
-        )
+        node = JoinNode(TableScanNode("s1", 90, 99), TableScanNode("s2"))
         result = catalog.query(node, epoch=2)
         assert result.oracle_count == 0
+        assert result.rows.shape == (0, 4)
         assert node.peak_pairs == 0
-
-    def test_invalid_block_size_rejected(self):
-        with pytest.raises(QueryError, match="block size"):
-            JoinNode(TableScanNode("s1"), TableScanNode("s2"), block_size=0)
 
 
 class TestJoinEstimates:
@@ -271,12 +226,6 @@ class TestJoinEstimates:
         # 300 rows, ~80% mass in [0, 8) but spanning [0, 1000).
         values = np.minimum((rng.zipf(1.3, 300) - 1) * 4, 999)
         hot.insert_batch(0, {"a": values})
-        # Smaller table over a narrow domain: per-table uniformity
-        # *overestimates* its window mass while underestimating the hot
-        # table's, so the two statistics sources rank the sides
-        # oppositely.
-        tail = cat.create_table("tail", ["a"])
-        tail.insert_batch(0, {"a": rng.integers(0, 16, 120)})
         return cat
 
     def test_histogram_join_estimate_beats_max_heuristic(self):
@@ -297,20 +246,6 @@ class TestJoinEstimates:
         assert actual > 300  # genuinely many-to-many
         assert uniform_est <= 300  # max-of-inputs cannot see past that
         assert abs(hist_est - actual) < abs(uniform_est - actual)
-
-    def test_build_side_prediction_uses_histograms(self):
-        """EXPLAIN's build≈ prediction flips once histograms reveal the
-        hot window is the *bigger* input — the plan choice uniformity
-        got wrong (execution always decides by actual sizes)."""
-        uniform = self._zipf_catalog("uniform")
-        hist = self._zipf_catalog("hist")
-        spec = "join:hot,tail:on=value,low=0,high=8"
-        assert "build≈left" in uniform.explain_query(spec)
-        assert "build≈right" in hist.explain_query(spec)
-        # The histogram prediction matches what execution actually does.
-        result = hist.query(spec, epoch=0)
-        left, right = result.inputs
-        assert right.oracle_count <= left.oracle_count
 
 
 class TestShardedInputs:
@@ -384,6 +319,14 @@ class TestShardedInputs:
 
         with pytest.raises(SchemaError, match="lacks"):
             catalog.register_sharded("bad", ScanOnly())
+
+        class NoChunks:  # all but the streaming path's chunked scan
+            scan_rows = estimate_scan = lambda self: None
+            partition_count = 1
+            plan_mode = "auto"
+
+        with pytest.raises(SchemaError, match=r"lacks \['scan_chunks'\]"):
+            catalog.register_sharded("bad", NoChunks())
         with pytest.raises(SchemaError):
             catalog.sharded("nope")
         # The shadow works both ways: a table cannot take a sharded

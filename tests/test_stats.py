@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._util.errors import ConfigError, StorageError
+from repro._util.errors import ConfigError, QueryError, StorageError
 from repro.stats import (
     EquiDepthHistogram,
     EquiWidthHistogram,
-    StreamingMoments,
+    ExactMoments,
     TableHistogramStats,
     earth_movers_distance,
     fit_zipf_exponent,
@@ -326,62 +326,76 @@ class TestTableHistogramStats:
         )
 
 
-class TestStreamingMoments:
-    def test_push_matches_numpy(self):
-        values = np.array([1.5, -2.0, 7.0, 3.0])
-        m = StreamingMoments()
-        for v in values:
-            m.push(float(v))
-        assert m.count == 4
-        assert m.mean == pytest.approx(values.mean())
+class TestExactMoments:
+    def test_update_matches_python_ints(self, rng):
+        values = rng.integers(-500, 500, 1000)
+        ints = [int(v) for v in values]
+        n, total = len(ints), sum(ints)
+        m = ExactMoments.of(values)
+        assert (m.count, m.total) == (n, total)
+        assert (m.min, m.max) == (min(ints), max(ints))
+        assert m.mean == total / n
+        sumsq = sum(v * v for v in ints)
+        assert m.variance == (n * sumsq - total * total) / (n * n)
         assert m.variance == pytest.approx(values.var())
-        assert m.min == values.min() and m.max == values.max()
-        assert m.total == pytest.approx(values.sum())
 
-    def test_update_batch_matches_push(self, rng):
-        values = rng.normal(size=1000)
-        a, b = StreamingMoments(), StreamingMoments()
-        a.update(values)
-        for v in values:
-            b.push(float(v))
-        assert a.mean == pytest.approx(b.mean)
-        assert a.variance == pytest.approx(b.variance)
+    def test_batching_is_invisible(self, rng):
+        values = rng.integers(0, 10**6, 1000)
+        batched = ExactMoments()
+        for start in range(0, values.size, 7):
+            batched.update(values[start : start + 7])
+        assert batched == ExactMoments.of(values)
+        assert batched.variance == ExactMoments.of(values).variance
 
     def test_merge_equals_concatenation(self, rng):
-        x, y = rng.normal(size=500), rng.normal(size=300) + 5
-        a = StreamingMoments()
-        a.update(x)
-        b = StreamingMoments()
-        b.update(y)
-        a.merge(b)
-        combined = np.concatenate([x, y])
+        x, y = rng.integers(0, 100, 500), rng.integers(0, 100, 300) + 5
+        a = ExactMoments.of(x)
+        a.merge(ExactMoments.of(y))
+        assert a == ExactMoments.of(np.concatenate([x, y]))
         assert a.count == 800
-        assert a.mean == pytest.approx(combined.mean())
-        assert a.variance == pytest.approx(combined.var())
 
     def test_merge_empty_sides(self):
-        a = StreamingMoments()
-        b = StreamingMoments()
-        b.update(np.array([1.0, 2.0]))
-        a.merge(b)
-        assert a.count == 2
-        a.merge(StreamingMoments())
-        assert a.count == 2
+        a = ExactMoments()
+        a.merge(ExactMoments.of(np.array([1, 2])))
+        assert (a.count, a.min, a.max) == (2, 1, 2)
+        a.merge(ExactMoments())
+        assert (a.count, a.min, a.max) == (2, 1, 2)
 
-    def test_sample_variance(self):
-        m = StreamingMoments()
-        m.update(np.array([1.0, 2.0, 3.0]))
-        assert m.sample_variance == pytest.approx(1.0)
+    def test_int64_and_python_int_sums_agree(self):
+        """Values whose squares overflow int64 sum as Python ints; the
+        result is the same exact statistic the int64 path would give."""
+        big = np.array([3 * 10**9, -(3 * 10**9), 2**62], dtype=np.int64)
+        m = ExactMoments.of(big)
+        ints = [int(v) for v in big]
+        assert m.total == sum(ints)
+        assert m._sumsq == sum(v * v for v in ints)
+        small = ExactMoments.of(big[:2] // 10**9)
+        assert (small.total, small._sumsq) == (0, 18)
+
+    def test_non_integer_input_rejected(self):
+        """0.4 used to truncate silently to a total of 0."""
+        m = ExactMoments()
+        with pytest.raises(QueryError, match="integer"):
+            m.update(np.array([0.4, 0.4]))
+        with pytest.raises(QueryError, match="integer"):
+            ExactMoments.of(np.array([True, False]))
+        assert m == ExactMoments()
+
+    def test_empty_input_of_any_dtype_is_noop(self):
+        m = ExactMoments()
+        for dtype in (np.float64, np.int64, bool, object):
+            m.update(np.empty(0, dtype=dtype))
+        assert m == ExactMoments() and m.count == 0
 
     def test_variance_degenerate(self):
-        m = StreamingMoments()
+        m = ExactMoments()
         assert m.variance == 0.0
-        m.push(5.0)
+        m.update(np.array([5]))
         assert m.variance == 0.0
 
     def test_as_dict_empty_raises(self):
         with pytest.raises(ConfigError):
-            StreamingMoments().as_dict()
+            ExactMoments().as_dict()
 
 
 class TestDivergences:
