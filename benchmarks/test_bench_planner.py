@@ -819,11 +819,12 @@ def test_bench_streaming_aggregate_over_join(quick):
     moments and RF/MF counts.  The memory claims are deterministic and
     gate everywhere, quick included: streamed peak pairs ≤ batch ×
     build rows and ≥10× under the materialized |output|; sort-merge
-    peak ≤ batch outright.  The wall-clock floor — streaming must cost
+    peak ≤ batch outright.  The wall-clock floors — streaming must cost
     at most 2× the materialized single-shot run, i.e. the working-set
-    bound is not bought with an order-of-magnitude slowdown — gates on
-    full-size runs with ≥4 visible cores, per the carry-over
-    convention; the measured ratios land in the artifact regardless.
+    bound is not bought with an order-of-magnitude slowdown, and
+    sort-merge at most 2× streamed-hash — gate on full-size runs with
+    ≥4 visible cores, per the carry-over convention; the measured
+    ratios land in the artifact regardless.
     """
     rows = STREAM_QUICK_ROWS if quick else STREAM_FULL_ROWS
     from repro.query import build_plan
@@ -856,7 +857,7 @@ def test_bench_streaming_aggregate_over_join(quick):
     merge = ordered_catalog.query(merge_node, epoch=1, batch_size=STREAM_BATCH)
     assert merge.strategy == f"sort-merge(batch={STREAM_BATCH})"
     assert (merge.active, merge.missed) == (expected_active, expected_missed)
-    # Key-group slabs cap the merge's working set at the batch size
+    # Fixed-size pair slabs cap the merge's working set at the batch size
     # even though the hot key alone joins far wider than one batch.
     assert 0 < merge_join.peak_pairs <= STREAM_BATCH
 
@@ -884,6 +885,9 @@ def test_bench_streaming_aggregate_over_join(quick):
             "peak_shrink": round(total_pairs / max(streamed_peak, 1), 2),
             "streamed_vs_materialized": round(mat_time / streamed_time, 2),
             "merge_vs_materialized": round(mat_time / merge_time, 2),
+            # A cost ratio (merge seconds per streamed-hash second),
+            # unlike the speed ratios above: below 1 means merge wins.
+            "merge_vs_streamed": round(merge_time / streamed_time, 2),
         }
     )
     print(
@@ -901,6 +905,11 @@ def test_bench_streaming_aggregate_over_join(quick):
         assert ratio >= 0.5, (
             f"streaming cost more than 2x the materialized run on "
             f"{rows} rows with {CPUS} cpus ({ratio:.2f}x)"
+        )
+        merge_cost = merge_time / streamed_time
+        assert merge_cost <= 2.0, (
+            f"sort-merge cost more than 2x streamed-hash on {rows} rows "
+            f"with {CPUS} cpus ({merge_cost:.2f}x)"
         )
 
 

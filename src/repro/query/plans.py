@@ -917,7 +917,8 @@ class JoinNode(PlanNode):
         batch, so this equals the oracle output size; streamed
         executions (:meth:`PlanNode.batches`, aggregates) record their
         per-probe-batch peak — bounded by ``batch_size × build rows``
-        instead of the output size — and sort-merge its slab size.
+        instead of the output size — and sort-merge its full slab size,
+        ``min(batch_size, pairs)``.
         Introspection only, written once per execution: concurrent
         ``Catalog.query`` callers sharing one node object see the most
         recently finished execution's value (results are unaffected).
@@ -1007,59 +1008,65 @@ class JoinNode(PlanNode):
     def _stream_merge(self, ctx: _StreamContext):
         """Sort-merge pair stream: key order, working set ≤ batch size.
 
-        Both children drain, both key columns sort (near-linear on the
-        banded/ordered inputs that make this path eligible), and the
-        merge walks matching key groups, emitting each group's cross
-        product in slabs of at most ``batch_size`` pairs — so even a
-        single scorching-hot key never materializes its full pair
-        block.  Pairs arrive in *key* order, not the canonical
-        (left row, right row) order, which is why only order-
-        insensitive consumers — the streamed aggregates, whose
-        :class:`~repro.stats.moments.ExactMoments` are batch-order-
-        invariant — use it; row-returning paths stay on :meth:`_stream`.
-        RF/MF accounting is a row count, so it is identical either way.
+        Both children drain and both key columns sort stably (near-
+        linear on the banded/ordered inputs that make this path
+        eligible).  One vectorized pass then finds, for every sorted
+        left row, the run of its key among the sorted right rows, and a
+        cumulative sum numbers the key-ordered, left-major pair space.
+        That space is emitted in slabs of exactly ``batch_size`` pairs
+        (the last may be short) that may span key groups, so Python
+        iterations scale with pairs / batch rather than with the number
+        of key groups, and even a single scorching-hot key never
+        materializes its full pair block.
+        Pairs arrive in *key* order (then left row, then right row),
+        not the canonical (left row, right row) order, which is why
+        only order-insensitive consumers — the streamed aggregates,
+        whose :class:`~repro.stats.moments.ExactMoments` are batch-
+        order-invariant — use it; row-returning paths stay on
+        :meth:`_stream`.  RF/MF accounting is a row count, so it is
+        identical either way.
         """
         ctx.counts.setdefault(id(self), [0, 0])
         left, right = self.children
         lrows, lflags = _drain(left._stream(ctx))
         rrows, rflags = _drain(right._stream(ctx))
+        strategy = f"sort-merge(batch={ctx.batch_size})"
         if lrows.shape[0] == 0 or rrows.shape[0] == 0:
-            self._record_peak(0, f"sort-merge(batch={ctx.batch_size})")
+            self._record_peak(0, strategy)
             return
         lkeys = lrows[:, self._key_index(0)]
         rkeys = rrows[:, self._key_index(1)]
         lorder = np.argsort(lkeys, kind="stable")
         rorder = np.argsort(rkeys, kind="stable")
         slk, srk = lkeys[lorder], rkeys[rorder]
+        # Each sorted left row meets the sorted right run [rlo, rlo +
+        # width) of its key (width 0 when the key has no right run).
+        # Numbering pairs left-row-major over the sorted left rows gives
+        # key order, then left row, then right row — both sorts are
+        # stable — and pair n of left row k sits at sorted right
+        # position n + shift[k].
+        rlo = np.searchsorted(srk, slk, side="left")
+        width = np.searchsorted(srk, slk, side="right") - rlo
+        ends = np.cumsum(width)
+        shift = rlo - (ends - width)
+        total = int(ends[-1])
         step = ctx.batch_size
-        peak = 0
-        i = j = 0
-        nl, nr = slk.size, srk.size
-        while i < nl and j < nr:
-            key = slk[i]
-            if key < srk[j]:
-                i = int(np.searchsorted(slk, srk[j], side="left"))
-                continue
-            if key > srk[j]:
-                j = int(np.searchsorted(srk, key, side="left"))
-                continue
-            i2 = int(np.searchsorted(slk, key, side="right"))
-            j2 = int(np.searchsorted(srk, key, side="right"))
-            group_l = lorder[i:i2]
-            group_r = rorder[j:j2]
-            total = group_l.size * group_r.size
-            for start in range(0, total, step):
-                flat = np.arange(
-                    start, min(start + step, total), dtype=np.int64
-                )
-                li = group_l[flat // group_r.size]
-                ri = group_r[flat % group_r.size]
-                peak = max(peak, int(flat.size))
-                flags = lflags[li] | rflags[ri]
-                ctx.tally(self, flags)
-                yield np.hstack([lrows[li], rrows[ri]]), flags
-            i, j = i2, j2
-        self._record_peak(peak, f"sort-merge(batch={ctx.batch_size})")
+        for lo in range(0, total, step):
+            flat = np.arange(lo, min(lo + step, total), dtype=np.int64)
+            k = np.searchsorted(ends, flat, side="right")
+            li = lorder.take(k)
+            ri = rorder.take(flat + shift.take(k))
+            flags = lflags.take(li) | rflags.take(ri)
+            ctx.tally(self, flags)
+            # take/concatenate over fancy indexing/hstack: at small
+            # batch sizes per-call overhead dominates each slab's work.
+            yield (
+                np.concatenate(
+                    (lrows.take(li, axis=0), rrows.take(ri, axis=0)), axis=1
+                ),
+                flags,
+            )
+        self._record_peak(min(step, total), strategy)
 
     def join_strategy(self, catalog) -> str:
         """``"hash"`` or ``"merge"`` — the streamed-aggregate strategy.
@@ -1297,14 +1304,22 @@ class AggregateNode(PlanNode):
     def execution_strategy(self, catalog, batch_size: int = 4096) -> str:
         """The streaming strategy execution will use (explain signal)."""
         batch = _check_batch_size(batch_size)
+        return f"{self._strategy_name(catalog)}(batch={batch})"
+
+    def _strategy_name(self, catalog) -> str:
+        """Streaming strategy for the child's shape, priced once per call.
+
+        Execution calls this exactly once and both labels and branches
+        on the answer, so a pricing flip mid-execution (a concurrent
+        insert or ``create_index``) cannot split label from path.
+        """
         child = self.children[0]
         if isinstance(child, UnionNode):
-            return f"pushdown-union(batch={batch})"
+            return "pushdown-union"
         if isinstance(child, JoinNode):
             how = child.join_strategy(catalog)
-            name = "sort-merge" if how == "merge" else "streamed-hash"
-            return f"{name}(batch={batch})"
-        return f"streamed(batch={batch})"
+            return "sort-merge" if how == "merge" else "streamed-hash"
+        return "streamed"
 
     def describe(self, catalog=None, batch_size: int = 4096) -> str:
         est = ""
@@ -1399,7 +1414,7 @@ def _execute_aggregate(
 
     batch = _check_batch_size(batch_size)
     child = node.children[0]
-    strategy = node.execution_strategy(catalog, batch)
+    name = node._strategy_name(catalog)
     payloads = _fan_out_leaves(
         node, catalog, epoch, pool, workers, record_access, stream=True
     )
@@ -1414,7 +1429,7 @@ def _execute_aggregate(
             into_active.update(values[~flags])
             into_missed.update(values[flags])
 
-    if isinstance(child, UnionNode):
+    if name == "pushdown-union":
         # Aggregation pushdown: each union input folds into its own
         # partial and the partials' exact integer sums merge, so the
         # union's concatenated stream never exists even transiently.
@@ -1431,7 +1446,7 @@ def _execute_aggregate(
             consume(tallied(sub._stream(ctx)), part_active, part_missed)
             active.merge(part_active)
             missed.merge(part_missed)
-    elif isinstance(child, JoinNode) and child.join_strategy(catalog) == "merge":
+    elif name == "sort-merge":
         # Key-order pair stream: safe because moments are batch-order-
         # invariant; row-returning paths never take this branch.
         consume(child._stream_merge(ctx), active, missed)
@@ -1444,7 +1459,7 @@ def _execute_aggregate(
         active=active,
         missed=missed,
         summary=_summarize_stream(node, ctx),
-        strategy=strategy,
+        strategy=f"{name}(batch={batch})",
     )
 
 

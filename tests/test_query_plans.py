@@ -662,6 +662,28 @@ class TestStreamedAggregates:
         assert agg.rf == 1600
         assert node.peak_pairs == 32
 
+    def test_strategy_priced_once_and_label_matches_path(self, catalog):
+        """Execution prices the join strategy once and both labels and
+        branches on that answer: a cost model that flips between calls
+        cannot make the reported strategy disagree with the path run."""
+        agg_node = build_plan(catalog, "join:s1,s2:on=value,agg=value")
+        join = agg_node.children[0]
+        calls = []
+
+        def flipping(_catalog):
+            calls.append(None)
+            return "hash" if len(calls) % 2 else "merge"
+
+        join.join_strategy = flipping
+        for expected in ("streamed-hash", "sort-merge", "streamed-hash"):
+            before = len(calls)
+            agg = catalog.query(
+                agg_node, epoch=2, record_access=False, batch_size=4
+            )
+            assert len(calls) - before == 1
+            assert agg.strategy == f"{expected}(batch=4)"
+            assert join.last_strategy == agg.strategy
+
     def test_agg_column_resolution(self, catalog):
         from repro.query import AggregateNode
 
@@ -689,6 +711,88 @@ class TestStreamedAggregates:
         agg = cat.query("union:e1,e2:agg=value", epoch=0)
         assert (agg.rf, agg.mf, agg.precision) == (0, 0, 1.0)
         assert agg.oracle_count == 0
+
+
+class TestSortMergeEmitter:
+    """``JoinNode._stream_merge`` driven directly, slab by slab."""
+
+    @pytest.fixture
+    def ordered(self):
+        from repro.indexes import SortedIndex
+
+        rng = np.random.default_rng(15)
+        big = 2**62
+        cat = Catalog(plan="auto")
+        sides = {
+            # Many small groups, a hot key (9) on both sides, keys only
+            # one side holds (1000.. left, negatives right) and keys at
+            # the int64 edges the merge must not overflow on.
+            "s1": np.concatenate(
+                [
+                    rng.integers(0, 150, 500),
+                    np.full(40, 9),
+                    np.arange(1000, 1020),
+                    [big - 1, big - 1, -big, big],
+                ]
+            ),
+            "s2": np.concatenate(
+                [
+                    rng.integers(0, 150, 400),
+                    np.full(30, 9),
+                    -np.arange(1, 25),
+                    [big - 1, -big, -big, -big + 1],
+                ]
+            ),
+        }
+        for name, values in sides.items():
+            table = cat.create_table(name, ["a"])
+            rng.shuffle(values)
+            table.insert_batch(0, {"a": values[: values.size // 2]})
+            table.insert_batch(1, {"a": values[values.size // 2 :]})
+            table.forget(rng.choice(values.size, 60, replace=False), epoch=1)
+            cat.create_index(name, "a", SortedIndex)
+        cat.create_table("e", ["a"])
+        cat.create_index("e", "a", SortedIndex)
+        return cat
+
+    @staticmethod
+    def _emit(cat, spec: str, batch: int):
+        from repro.query.plans import _fan_out_leaves, _StreamContext
+
+        node = build_plan(cat, spec)
+        payloads = _fan_out_leaves(node, cat, 2, None, 1, False, stream=True)
+        return node, list(node._stream_merge(_StreamContext(payloads, batch)))
+
+    @pytest.mark.parametrize("batch", [1, 3, 7, 4096])
+    def test_slabs_replay_materialized_join_in_key_order(self, ordered, batch):
+        spec = "join:s1,s2:on=value"
+        assert build_plan(ordered, spec).join_strategy(ordered) == "merge"
+        mat = ordered.query(spec, epoch=2, record_access=False)
+        pairs = mat.oracle_count
+        # Hot key 9 alone joins 1200 pairs; at batch 4096 the whole
+        # join is one short slab.
+        assert 1200 < pairs < 4096 and mat.mf > 0
+        # The materialized join is in (left row, right row) order, so a
+        # stable sort on the key gives (key, left row, right row).
+        order = np.argsort(mat.rows[:, 0], kind="stable")
+        node, pieces = self._emit(ordered, spec, batch)
+        rows = np.concatenate([r for r, _ in pieces])
+        flags = np.concatenate([f for _, f in pieces])
+        np.testing.assert_array_equal(rows, mat.rows[order])
+        np.testing.assert_array_equal(flags, mat.forgotten[order])
+        sizes = [r.shape[0] for r, _ in pieces]
+        assert all(size == batch for size in sizes[:-1])
+        assert 0 < sizes[-1] <= batch
+        assert node.peak_pairs == min(batch, pairs)
+        assert node.last_strategy == f"sort-merge(batch={batch})"
+
+    @pytest.mark.parametrize(
+        "spec", ["join:s1,e:on=value", "join:e,s1:on=value"]
+    )
+    def test_empty_side_yields_nothing(self, ordered, spec):
+        node, pieces = self._emit(ordered, spec, 7)
+        assert pieces == []
+        assert node.peak_pairs == 0
 
 
 class TestNestedJoinReport:
