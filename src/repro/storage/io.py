@@ -64,12 +64,33 @@ read path corruption-evident:
 The write path exposes named fault-injection points
 (``checkpoint.tmp`` / ``checkpoint.rotate`` / ``checkpoint.done`` —
 see :mod:`repro.faults`) at each durability boundary.
+
+Checkpoint cost (format 5)
+--------------------------
+
+A checkpoint is on the write path of every epoch loop that saves, so
+format 5 makes one cost what it stores:
+
+* **Narrowed table arrays.**  Every int64 table array (values, access
+  counts, last-access and forgotten stamps) is saved in the smallest
+  signed integer dtype that holds its ``[min, max]`` and widened back
+  to int64 on load.  The per-row insert epoch is no longer written:
+  replay re-derives it from the cohort log.
+* **Deflate only what can shrink.**  The header and table arrays are
+  deflated at level 1; codec payloads (``{prefix}cb{k}:*``) are
+  already encoded and are stored as-is.
+* **Read once.**  :func:`load_store` reads each member into memory
+  once; the manifest check and the replay both use that copy, and
+  forgotten stamps restore with one stable sort by epoch, so a load
+  is linear in the rows it restores.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import zipfile
 import zlib
 from pathlib import Path
 
@@ -100,8 +121,20 @@ __all__ = [
 #: payload arrays under ``{prefix}cb{k}:{field}``); version 4 added
 #: the durability envelope (atomic tmp+fsync+replace writes and the
 #: per-array CRC-32 ``"manifest"`` in the header, verified in full
-#: before any replay).  Version 1–3 files must be re-created.
-FORMAT_VERSION = 4
+#: before any replay); version 5 narrows the int64 table arrays to the
+#: smallest signed dtype that holds them, drops the per-row
+#: ``insert_epoch`` array (replay re-derives it from the cohorts) and
+#: stores codec payloads undeflated.  Version 1–4 files must be
+#: re-created.
+FORMAT_VERSION = 5
+
+#: Signed dtypes a table array may narrow to on save, smallest first.
+_NARROW_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+#: Codec payload members, ``{prefix}cb{k}:{field}`` under any nesting of
+#: shard (``p``), catalog table (``t``) and sharded (``s``) prefixes.
+#: They hold already-encoded blocks, which deflate cannot shrink.
+_BLOCK_PAYLOAD = re.compile(r"(?:[pst]\d+:)*cb\d+:")
 
 
 # -- table payload (shared by every kind) --------------------------------
@@ -118,21 +151,46 @@ def _table_header(table: Table) -> dict:
     }
 
 
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """A copy of int64 ``values`` in the smallest signed dtype that holds
+    their ``[min, max]`` (an empty array narrows to int8)."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    dtype = next(
+        dtype
+        for dtype in _NARROW_DTYPES
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max
+    )
+    return values.astype(dtype)
+
+
+def _widened(members: dict, name: str) -> np.ndarray:
+    """A saved table array back at int64; refuses a non-integer dtype
+    rather than truncating it."""
+    values = members[name]
+    if values.dtype.kind != "i":
+        raise StorageError(
+            f"checkpoint array {name!r} has dtype {values.dtype}, "
+            "expected a signed integer"
+        )
+    return values.astype(np.int64, copy=False)
+
+
 def _table_arrays(table: Table, prefix: str) -> dict:
+    # Every entry is a copy, so the snapshot holds once the caller
+    # releases the store's gate.
     arrays = {
         f"{prefix}active": table.active_mask().copy(),
-        f"{prefix}insert_epoch": table.insert_epochs().copy(),
-        f"{prefix}access_count": table.access_counts().copy(),
-        f"{prefix}last_access_epoch": table.last_access_epochs().copy(),
-        f"{prefix}forgotten_epoch": table.forgotten_epochs().copy(),
+        f"{prefix}access_count": _narrowed(table.access_counts()),
+        f"{prefix}last_access_epoch": _narrowed(table.last_access_epochs()),
+        f"{prefix}forgotten_epoch": _narrowed(table.forgotten_epochs()),
     }
     for name in table.column_names:
-        arrays[f"{prefix}column:{name}"] = table.values(name).copy()
+        arrays[f"{prefix}column:{name}"] = _narrowed(table.values(name))
     return arrays
 
 
 def _replay_table(
-    table: Table, header: dict, bundle, prefix: str, on_insert=None
+    table: Table, header: dict, members: dict, prefix: str, on_insert=None
 ) -> Table:
     """Replay a saved table payload into (empty) ``table``.
 
@@ -142,32 +200,41 @@ def _replay_table(
     database restore additionally feed its policy, mirroring
     :meth:`~repro.partitioning.partitioned.Partition.adopt_history`.
     """
+    columns = {
+        name: _widened(members, f"{prefix}column:{name}")
+        for name in header["columns"]
+    }
     for cohort in header["cohorts"]:
-        batch = {
-            name: bundle[f"{prefix}column:{name}"][
-                cohort["start"] : cohort["stop"]
-            ]
-            for name in header["columns"]
-        }
+        start, stop = cohort["start"], cohort["stop"]
+        batch = {name: values[start:stop] for name, values in columns.items()}
         positions = table.insert_batch(cohort["epoch"], batch)
         if on_insert is not None:
             on_insert(table, positions, cohort["epoch"])
 
-    active = bundle[f"{prefix}active"]
+    active = members[f"{prefix}active"]
     if active.shape[0] != table.total_rows:
         raise StorageError(
             f"checkpoint is inconsistent: {active.shape[0]} activity "
             f"bits for {table.total_rows} rows"
         )
-    forgotten_epoch = bundle[f"{prefix}forgotten_epoch"]
     forgotten = np.flatnonzero(~active)
-    # Group by forgotten epoch so stamps are restored exactly.
-    for epoch in np.unique(forgotten_epoch[forgotten]):
-        batch = forgotten[forgotten_epoch[forgotten] == epoch]
-        table.forget(batch, epoch=int(epoch))
+    stamps = _widened(members, f"{prefix}forgotten_epoch")[forgotten]
+    # One stable sort groups the rows by forget epoch, positions still
+    # ascending within each group: one forget per epoch, in epoch
+    # order, restores every stamp exactly.
+    order = np.argsort(stamps, kind="stable")
+    epochs, firsts = np.unique(stamps[order], return_index=True)
+    for epoch, batch in zip(
+        epochs.tolist(), np.split(forgotten[order], firsts[1:])
+    ):
+        table.forget(batch, epoch=epoch)
     # Counters restore directly — no query replay needed.
-    table._access_count.overwrite(bundle[f"{prefix}access_count"])
-    table._last_access_epoch.overwrite(bundle[f"{prefix}last_access_epoch"])
+    table._access_count.overwrite(
+        _widened(members, f"{prefix}access_count")
+    )
+    table._last_access_epoch.overwrite(
+        _widened(members, f"{prefix}last_access_epoch")
+    )
     return table
 
 
@@ -196,7 +263,7 @@ def _compressed_payload(db, prefix: str) -> tuple[list, dict]:
     return records, arrays
 
 
-def _restore_compressed(db, records, bundle, prefix: str) -> None:
+def _restore_compressed(db, records, members: dict, prefix: str) -> None:
     """Rebuild a database's demoted blocks from v3 checkpoint records."""
     if db.compressed is None or not records:
         return
@@ -204,7 +271,7 @@ def _restore_compressed(db, records, bundle, prefix: str) -> None:
     for k, rec in enumerate(records):
         scalars = {key: val for key, val in rec.items() if key != "arrays"}
         payload_arrays = {
-            field: bundle[f"{prefix}cb{k}:{field}"]
+            field: members[f"{prefix}cb{k}:{field}"]
             for field in rec.get("arrays", ())
         }
         full.append({"scalars": scalars, "arrays": payload_arrays})
@@ -303,13 +370,12 @@ def _catalog_payload(catalog) -> tuple[dict, dict]:
 
 
 def _array_crc(value) -> int:
-    array = np.ascontiguousarray(np.asarray(value))
-    return zlib.crc32(array.tobytes())
+    return zlib.crc32(np.ascontiguousarray(value))
 
 
 def _checkpoint_path(path) -> Path:
-    # np.savez_compressed appended ``.npz`` to bare paths in formats
-    # 1–3; keep that behaviour now that we write through a file handle.
+    # A bare path gets the ``.npz`` suffix that np.savez gave format 1–3
+    # files, so a caller passing the same bare path finds its file.
     path = Path(path)
     if path.suffix != ".npz":
         path = Path(str(path) + ".npz")
@@ -335,15 +401,25 @@ def _write_bundle(path, header: dict, arrays: dict, rotate: bool = False) -> Pat
         "manifest": manifest,
         **header,
     }
+    members = {
+        "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        **arrays,
+    }
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            header=np.frombuffer(
-                json.dumps(header).encode(), dtype=np.uint8
-            ),
-            **arrays,
-        )
+        # The .npz layout np.load reads: one ``{name}.npy`` entry per
+        # member.  Level-1 deflate for the header and the narrowed
+        # table arrays; codec payloads are stored as-is.
+        with zipfile.ZipFile(
+            fh, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+        ) as bundle:
+            for name, value in members.items():
+                entry = name + ".npy"
+                if _BLOCK_PAYLOAD.match(name):
+                    entry = zipfile.ZipInfo(entry)
+                    entry.compress_type = zipfile.ZIP_STORED
+                with bundle.open(entry, "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, value, allow_pickle=False)
         fh.flush()
         os.fsync(fh.fileno())
     fault_point(CHECKPOINT_TMP)
@@ -431,26 +507,26 @@ def _read_header(bundle, path: Path) -> dict:
             f"checkpoint format {version} not supported (expected "
             f"{FORMAT_VERSION}; format 1 files predate store/catalog "
             "checkpoints, format 2 files predate compressed-block "
-            "payloads and format 3 files predate the checksummed "
-            "durability manifest — re-create them with "
-            "save_table/save_store)"
+            "payloads, format 3 files predate the checksummed "
+            "durability manifest and format 4 files predate narrowed "
+            "table arrays — re-create them with save_table/save_store)"
         )
     return header
 
 
-def _verify_manifest(bundle, header: dict, path: Path) -> None:
+def _verify_manifest(members: dict, header: dict, path: Path) -> None:
     """Check every payload array against the header's CRC-32 manifest.
 
     Runs in full *before* any replay: a corrupt checkpoint must raise,
     not restore garbage into a fresh store.  Both directions are
     verified — a listed array that is missing or mismatched, and an
     unlisted stray array, each mean the file does not carry the state
-    its header promises.
+    its header promises.  ``members`` is the in-memory copy the replay
+    then slices, so what is verified is exactly what is restored.
     """
     manifest = header["manifest"]
-    members = set(bundle.files) - {"header"}
-    missing = sorted(set(manifest) - members)
-    stray = sorted(members - set(manifest))
+    missing = sorted(set(manifest) - set(members))
+    stray = sorted(set(members) - set(manifest))
     if missing or stray:
         detail = []
         if missing:
@@ -461,7 +537,7 @@ def _verify_manifest(bundle, header: dict, path: Path) -> None:
             f"{path} is corrupt ({'; '.join(detail)})"
         )
     for name, expected in manifest.items():
-        actual = _array_crc(bundle[name])
+        actual = _array_crc(members[name])
         if actual != expected:
             raise StorageError(
                 f"{path} is corrupt (checksum mismatch for array "
@@ -469,7 +545,7 @@ def _verify_manifest(bundle, header: dict, path: Path) -> None:
             )
 
 
-def _load_database(header: dict, bundle, prefix: str, policy_factory):
+def _load_database(header: dict, members: dict, prefix: str, policy_factory):
     from ..core.database import AmnesiaDatabase
 
     if policy_factory is None:
@@ -490,7 +566,7 @@ def _load_database(header: dict, bundle, prefix: str, policy_factory):
     _replay_table(
         db.table,
         table_header,
-        bundle,
+        members,
         prefix,
         on_insert=db.policy.on_insert,
     )
@@ -498,11 +574,11 @@ def _load_database(header: dict, bundle, prefix: str, policy_factory):
     db._policy_rng.bit_generator.state = header["policy_rng"]
     # Demoted blocks restore from their saved payloads — no re-encode,
     # so codec choices and byte accounting come back bit-identical.
-    _restore_compressed(db, header["compressed_blocks"], bundle, prefix)
+    _restore_compressed(db, header["compressed_blocks"], members, prefix)
     return db
 
 
-def _load_sharded(header: dict, bundle, prefix: str, policy_factory):
+def _load_sharded(header: dict, members: dict, prefix: str, policy_factory):
     from ..partitioning.partitioned import PartitionedAmnesiaDatabase
 
     if policy_factory is None:
@@ -532,13 +608,13 @@ def _load_sharded(header: dict, bundle, prefix: str, policy_factory):
         _replay_table(
             db.table,
             saved["table"],
-            bundle,
+            members,
             f"{prefix}p{i}:",
             on_insert=db.policy.on_insert,
         )
         db.advance_epoch_to(saved["epoch"])
         _restore_compressed(
-            db, saved["compressed_blocks"], bundle, f"{prefix}p{i}:"
+            db, saved["compressed_blocks"], members, f"{prefix}p{i}:"
         )
         # Direct budget restore: the saved state already satisfies it,
         # and set_budget's enforcement would let overshoot-style
@@ -553,7 +629,7 @@ def _load_sharded(header: dict, bundle, prefix: str, policy_factory):
     return store
 
 
-def _load_catalog(header: dict, bundle, policy_factory):
+def _load_catalog(header: dict, members: dict, policy_factory):
     from .catalog import Catalog
 
     # Older format-4 writers stored ``null`` for a mode the catalog had
@@ -566,9 +642,9 @@ def _load_catalog(header: dict, bundle, policy_factory):
         table = catalog.create_table(
             table_header["name"], table_header["columns"]
         )
-        _replay_table(table, table_header, bundle, f"t{i}:")
+        _replay_table(table, table_header, members, f"t{i}:")
     for j, (name, sub_header) in enumerate(header["sharded"].items()):
-        store = _load_sharded(sub_header, bundle, f"s{j}:", policy_factory)
+        store = _load_sharded(sub_header, members, f"s{j}:", policy_factory)
         catalog.register_sharded(name, store)
     return catalog
 
@@ -591,22 +667,25 @@ def load_store(path, policy_factory=None):
     if not path.exists():
         raise StorageError(f"no checkpoint at {path}")
     try:
+        # Each member is read (and inflated) exactly once; the manifest
+        # check and the replay share that copy.
         with np.load(path) as bundle:
             header = _read_header(bundle, path)
-            _verify_manifest(bundle, header, path)
-            kind = header.get("kind", "table")
-            if kind == "table":
-                table = Table(header["name"], header["columns"])
-                return _replay_table(table, header, bundle, "")
-            if kind == "database":
-                return _load_database(header, bundle, "", policy_factory)
-            if kind == "sharded":
-                return _load_sharded(header, bundle, "", policy_factory)
-            if kind == "catalog":
-                return _load_catalog(header, bundle, policy_factory)
-            raise StorageError(
-                f"{path} holds an unknown checkpoint kind {kind!r}"
-            )
+            members = {
+                name: bundle[name] for name in bundle.files if name != "header"
+            }
+        _verify_manifest(members, header, path)
+        kind = header.get("kind", "table")
+        if kind == "table":
+            table = Table(header["name"], header["columns"])
+            return _replay_table(table, header, members, "")
+        if kind == "database":
+            return _load_database(header, members, "", policy_factory)
+        if kind == "sharded":
+            return _load_sharded(header, members, "", policy_factory)
+        if kind == "catalog":
+            return _load_catalog(header, members, policy_factory)
+        raise StorageError(f"{path} holds an unknown checkpoint kind {kind!r}")
     except ReproError:
         raise
     except Exception as exc:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import re
+import zipfile
+import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -336,27 +341,47 @@ class TestShardedRoundTrip:
         restored.close()
 
 
+def _compressed_sharded_store():
+    store = PartitionedAmnesiaDatabase(
+        "k",
+        (0, 250, 500, 1000),
+        total_budget=120,
+        policy_factory=lambda: _make_policy("fifo"),
+        seed=9,
+        plan="cost",
+        compress="on",
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        store.insert({"k": rng.integers(-100, 1100, 60)})
+        store.range_query(0, 300)
+    assert sum(p.db.compressed.demoted_count for p in store.partitions) > 0
+    return store
+
+
+def _compressed_db():
+    db = AmnesiaDatabase(
+        budget=60,
+        policy=_make_policy("fifo"),
+        columns=("k",),
+        seed=11,
+        plan="cost",
+        compress="on",
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        db.insert({"k": rng.integers(0, 500, 25)})
+        db.range_query("k", 100, 300)
+    assert db.compressed.demoted_count > 0
+    return db
+
+
 class TestCompressedRoundTrip:
     """Checkpoint format v3: compressed blocks restore without
     re-encoding and the restored store answers bit-identically."""
 
-    def _build_db(self):
-        db = AmnesiaDatabase(
-            budget=60,
-            policy=_make_policy("fifo"),
-            columns=("k",),
-            seed=11,
-            plan="cost",
-            compress="on",
-        )
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            db.insert({"k": rng.integers(0, 500, 25)})
-            db.range_query("k", 100, 300)
-        return db
-
     def test_database_blocks_survive(self, tmp_path):
-        db = self._build_db()
+        db = _compressed_db()
         assert db.compressed is not None and db.compressed.demoted_count > 0
         path = db.checkpoint(tmp_path / "c.npz")
         restored = load_store(
@@ -388,7 +413,7 @@ class TestCompressedRoundTrip:
             observed.append(db.compressed.demoted_count)
             return observed
 
-        db = self._build_db()
+        db = _compressed_db()
         path = db.checkpoint(tmp_path / "mid.npz")
         restored = load_store(
             path, policy_factory=lambda: _make_policy("fifo")
@@ -398,23 +423,7 @@ class TestCompressedRoundTrip:
         )
 
     def test_sharded_blocks_survive(self, tmp_path):
-        store = PartitionedAmnesiaDatabase(
-            "k",
-            (0, 250, 500, 1000),
-            total_budget=120,
-            policy_factory=lambda: _make_policy("fifo"),
-            seed=9,
-            plan="cost",
-            compress="on",
-        )
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            store.insert({"k": rng.integers(-100, 1100, 60)})
-            store.range_query(0, 300)
-        demoted = [
-            p.db.compressed.demoted_count for p in store.partitions
-        ]
-        assert sum(demoted) > 0
+        store = _compressed_sharded_store()
         path = store.checkpoint(tmp_path / "s.npz")
         restored = load_store(
             path, policy_factory=lambda: _make_policy("fifo")
@@ -769,7 +778,7 @@ class TestDurability:
         with np.load(path) as bundle:
             header = json.loads(bytes(bundle["header"].tobytes()).decode())
             members = set(bundle.files) - {"header"}
-        assert header["format_version"] == 4
+        assert header["format_version"] == 5
         assert set(header["manifest"]) == members
 
     def test_no_tmp_file_left_behind_on_success(self, tmp_path):
@@ -795,3 +804,176 @@ class TestDurability:
         assert used == path
         assert recovered.total_rows == 200
         assert recovered.ingest_epoch == store.ingest_epoch
+
+
+def _catalog_with_compressed_shards():
+    catalog = Catalog(workers=2)
+    events = catalog.create_table("events", ["k"])
+    events.insert_batch(0, {"k": np.arange(40)})
+    events.forget(np.arange(0, 40, 3), epoch=1)
+    catalog.register_sharded("s", _compressed_sharded_store())
+    return catalog
+
+
+def _table_arrays_of(table):
+    arrays = {name: table.values(name) for name in table.column_names}
+    arrays.update(
+        insert_epochs=table.insert_epochs(),
+        forgotten_epochs=table.forgotten_epochs(),
+        access_counts=table.access_counts(),
+        last_access=table.last_access_epochs(),
+    )
+    return arrays
+
+
+class TestFormat5:
+    """Format 5: narrowed table arrays, level-1 deflate for everything
+    but the already-encoded codec payloads, and read-once loads."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-(2**63), 2**63 - 1], [-1, 2**62], [0, 0, 0], [7]],
+        ids=["int64-extremes", "minus-one-and-2**62", "zeros", "one-row"],
+    )
+    def test_narrowing_round_trips_every_int64(self, tmp_path, values):
+        """Columns and stamps restore as int64, bit-identical, however
+        wide their range.  ``(-1, 2**62)`` is the pair a float-typed
+        narrowing rule would lose bits on."""
+        table = Table("wide", ["a", "b"])
+        table.insert_batch(0, {"a": values, "b": values[::-1]})
+        positions = np.arange(len(values))
+        table.restore_access(positions, values, values[::-1])
+        table.forget(positions[:1], epoch=values[-1])
+        restored = load_table(save_table(table, tmp_path / "w.npz"))
+        got, want = _table_arrays_of(restored), _table_arrays_of(table)
+        assert got.keys() == want.keys()
+        for name, array in want.items():
+            assert got[name].dtype == np.int64, name
+            assert got[name].tobytes() == array.tobytes(), name
+
+    def test_empty_table_restores_int64_arrays(self, tmp_path):
+        table = Table("empty", ["a"])
+        restored = load_table(save_table(table, tmp_path / "e.npz"))
+        for name, array in _table_arrays_of(restored).items():
+            assert array.dtype == np.int64 and array.size == 0, name
+
+    def test_table_arrays_are_saved_narrow(self, tmp_path):
+        table = Table("t", ["small", "wide"])
+        table.insert_batch(0, {"small": [-3, 100], "wide": [0, 2**40]})
+        with np.load(save_table(table, tmp_path / "n.npz")) as bundle:
+            assert bundle["column:small"].dtype == np.int8
+            assert bundle["column:wide"].dtype == np.int64
+            assert "insert_epoch" not in bundle.files
+
+    def test_non_integer_table_array_is_refused(self, tmp_path):
+        """A float member fails loudly instead of truncating to int64."""
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1, 2, 3]})
+        path = save_table(table, tmp_path / "f.npz")
+        with np.load(path) as bundle:
+            members = {name: bundle[name] for name in bundle.files}
+        header = json.loads(bytes(members["header"].tobytes()).decode())
+        members["column:a"] = members["column:a"].astype(np.float64)
+        header["manifest"]["column:a"] = zlib.crc32(members["column:a"].tobytes())
+        members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **members)
+        with pytest.raises(StorageError, match="signed integer"):
+            load_store(path)
+
+    @pytest.mark.parametrize(
+        "kind", ["table", "database", "sharded", "catalog"]
+    )
+    def test_load_reads_each_member_once(
+        self, tmp_path, monkeypatch, rich_table, kind
+    ):
+        """Structural read count: a load opens every zip member exactly
+        once, whatever the checkpoint kind and however many cohorts the
+        replay slices out of it."""
+        stores = {
+            "table": lambda: rich_table,
+            "database": _compressed_db,
+            "sharded": _compressed_sharded_store,
+            "catalog": _catalog_with_compressed_shards,
+        }
+        store = stores[kind]()
+        path = save_store(store, tmp_path / f"{kind}.npz")
+        with zipfile.ZipFile(path) as bundle:
+            names = set(bundle.namelist())
+        reads = Counter()
+        real_open = zipfile.ZipFile.open
+
+        def counting_open(self, name, mode="r", *args, **kwargs):
+            if mode == "r":
+                reads[getattr(name, "filename", name)] += 1
+            return real_open(self, name, mode, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", counting_open)
+        restored = load_store(
+            path, policy_factory=lambda: _make_policy("fifo")
+        )
+        monkeypatch.undo()
+        assert set(reads) == names
+        assert max(reads.values()) == 1, reads.most_common(3)
+        if kind == "catalog":
+            # Vacuity guard: the catalog nests stored codec payloads.
+            assert any(":cb" in name for name in names)
+        for target in (store, restored):
+            if hasattr(target, "close"):
+                target.close()
+
+    def test_codec_payloads_are_stored_and_the_rest_deflated(self, tmp_path):
+        catalog = _catalog_with_compressed_shards()
+        path = catalog.checkpoint(tmp_path / "zip.npz")
+        block = re.compile(r"(^|:)cb\d+:[^:]*\.npy$")
+        with zipfile.ZipFile(path) as bundle:
+            infos = bundle.infolist()
+        stored = [i.filename for i in infos if block.search(i.filename)]
+        assert stored, "no codec payloads written"
+        for info in infos:
+            want = (
+                zipfile.ZIP_STORED
+                if info.filename in stored
+                else zipfile.ZIP_DEFLATED
+            )
+            assert info.compress_type == want, info.filename
+        catalog.close()
+
+    def test_format_4_is_refused_clearly(self, tmp_path):
+        """v4 files predate narrowed table arrays and must be refused
+        with a re-create hint, not half-restored."""
+        header = json.dumps({"format_version": 4, "kind": "table"})
+        path = tmp_path / "v4.npz"
+        np.savez(
+            path, header=np.frombuffer(header.encode(), dtype=np.uint8)
+        )
+        with pytest.raises(StorageError, match="format 4"):
+            load_store(path)
+
+    @pytest.mark.parametrize(
+        "point", ["checkpoint.tmp", "checkpoint.rotate", "checkpoint.done"]
+    )
+    def test_crash_at_every_point_recovers_codec_payloads(
+        self, tmp_path, point
+    ):
+        """Stored (undeflated) codec payloads survive a crash at any
+        checkpoint point: recovery yields the old or the new blocks."""
+        from repro import faults
+        from repro.storage import recover_store
+
+        db = _compressed_db()
+        path = save_store(db, tmp_path / "c.npz", rotate=True)
+        before = db.compressed.byte_report()
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            db.insert({"k": rng.integers(0, 500, 25)})
+            db.range_query("k", 100, 300)
+        after = db.compressed.byte_report()
+        assert after != before
+        with faults.armed(f"{point}:crash"):
+            with pytest.raises(faults.FaultInjected):
+                save_store(db, path, rotate=True)
+        recovered, _ = recover_store(
+            path, policy_factory=lambda: _make_policy("fifo")
+        )
+        assert recovered.compressed.byte_report() in (before, after)
