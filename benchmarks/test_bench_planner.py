@@ -145,7 +145,8 @@ RETENTION_BUDGET_FRACTION = 0.25
 
 #: Serving suite: the multi-tenant service driven in process (no
 #: socket noise), one selective shape pool cycled so the second pass
-#: onward hits the result cache.  Cold = empty caches, warm = primed.
+#: onward hits the result cache.  Cold = empty caches, warm = primed;
+#: http = the warm pass again, over one keep-alive HTTP connection.
 SERVE_FULL_ROWS = 200_000
 SERVE_QUICK_ROWS = 25_000
 SERVE_SHAPES = 25
@@ -1055,11 +1056,20 @@ def test_bench_serving_cached_vs_uncached(quick):
     service with a one-entry result cache isolates the *plan* cache:
     result lookups keep missing while the planner generation stands
     still, so plan hits (not result hits) carry its hit rate above
-    zero.  The warm-at-least-as-fast-as-cold floor gates on full-size
-    runs with ≥4 visible cores, per the carry-over convention; the
-    measured ratios land in the artifact regardless.
+    zero.  The warm pass is also replayed through one keep-alive
+    :class:`~repro.serving.ServiceClient` against ``serve_in_thread``
+    (``modes.http``, with ``http_over_inprocess`` beside it), so HTTP
+    dispatch has its own number; only its shape is asserted.  The
+    warm-at-least-as-fast-as-cold floor gates on full-size runs with
+    ≥4 visible cores, per the carry-over convention; the measured
+    ratios land in the artifact regardless.
     """
-    from repro.serving import QueryService, ResultCache
+    from repro.serving import (
+        QueryService,
+        ResultCache,
+        ServiceClient,
+        serve_in_thread,
+    )
 
     rows = SERVE_QUICK_ROWS if quick else SERVE_FULL_ROWS
     rng = np.random.default_rng(BENCH_SEED)
@@ -1122,6 +1132,29 @@ def test_bench_serving_cached_vs_uncached(quick):
     warm_time = _time_best_of(
         lambda: [run_pass() for _ in range(SERVE_ROUNDS)]
     ) / SERVE_ROUNDS
+
+    # HTTP dispatch on its own: the same warm pass through one
+    # ServiceClient, so the wire's per-request cost sits beside the
+    # in-process figure.
+    server, thread = serve_in_thread(service)
+    try:
+        with ServiceClient("127.0.0.1", server.server_address[1]) as client:
+
+            def http_pass():
+                return [client.request(request) for request in requests]
+
+            http_responses = http_pass()
+            http_time = _time_best_of(
+                lambda: [http_pass() for _ in range(SERVE_ROUNDS)]
+            ) / SERVE_ROUNDS
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+    assert all(r["cached"] for r in http_responses)
+    assert [(r["rf"], r["mf"]) for r in http_responses] == [
+        (r.rf, r.mf) for r in uncached
+    ]
     result_stats = service.result_cache.stats()
     assert result_stats["hits"] > 0 and result_stats["hit_rate"] > 0
 
@@ -1154,6 +1187,7 @@ def test_bench_serving_cached_vs_uncached(quick):
     _record("serve", "uncached", uncached_time, n)
     _record("serve", "cold", cold_time, n)
     _record("serve", "warm", warm_time, n)
+    _record("serve", "http", http_time, n)
     ratio = cold_time / warm_time
     _ARTIFACT["serve"].update(
         {
@@ -1163,12 +1197,17 @@ def test_bench_serving_cached_vs_uncached(quick):
             "cache_hit_rate": round(result_stats["hit_rate"], 4),
             "plan_cache_hit_rate": round(plan_stats["hit_rate"], 4),
             "warm_speedup_over_cold": round(ratio, 2),
+            "http_over_inprocess": round(http_time / warm_time, 2),
         }
     )
+    # Shape only: the HTTP row exists and measured something.
+    assert _ARTIFACT["serve"]["modes"]["http"]["ops_per_s"] > 0
+    assert _ARTIFACT["serve"]["http_over_inprocess"] > 0
     print(
         f"\nserving on {rows} rows ({CPUS} cpus): uncached "
         f"{uncached_time * 1e3:.1f}ms vs cold {cold_time * 1e3:.1f}ms vs "
-        f"warm {warm_time * 1e3:.1f}ms per {n}-query pass "
+        f"warm {warm_time * 1e3:.1f}ms vs http {http_time * 1e3:.1f}ms "
+        f"per {n}-query pass "
         f"({ratio:.1f}x warm speedup, result hit rate "
         f"{result_stats['hit_rate']:.2f}, plan hit rate "
         f"{plan_stats['hit_rate']:.2f})"

@@ -17,14 +17,17 @@ half:
   retries torn connections and 429/503 responses under a
   :class:`RetryPolicy`, and raises
   :class:`~repro._util.errors.TransientFault` only when the budget is
-  exhausted.  Each attempt uses a fresh connection: after a dropped
-  socket there is nothing to reuse.
+  exhausted.  It holds one persistent HTTP/1.1 connection, so a
+  request costs no TCP handshake and no new server-side handler
+  thread.  An attempt that fails mid-exchange drops that connection;
+  the next attempt opens a fresh one.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 
 import numpy as np
@@ -132,6 +135,13 @@ class ServiceClient:
     not succeed on retry).  When the retry budget runs out the last
     transient failure surfaces as
     :class:`~repro._util.errors.TransientFault`.
+
+    Every call goes over one keep-alive connection.  Any failure inside
+    an exchange closes it, so a half-read reply never leaks into the
+    next call; :mod:`http.client` reopens the socket on the next
+    attempt.  A lock serializes exchanges, so one client may be shared
+    by threads (they take turns on the connection).  ``close()`` — or
+    leaving a ``with`` block — releases the socket.
     """
 
     def __init__(
@@ -146,21 +156,39 @@ class ServiceClient:
         self.port = int(port)
         self.policy = policy if policy is not None else RetryPolicy()
         self.timeout = float(timeout)
-
-    def _roundtrip(self, method: str, path: str, payload: dict | None) -> dict:
-        conn = http.client.HTTPConnection(
+        self._conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
-        try:
-            body = None if payload is None else json.dumps(payload).encode()
-            headers = {} if body is None else {"Content-Type": "application/json"}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-            retry_after = response.getheader("Retry-After")
-        finally:
-            conn.close()
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connection (a later call reopens it)."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _roundtrip(self, method: str, path: str, payload: dict | None) -> dict:
+        body = None if payload is None else json.dumps(payload).encode()
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        with self._lock:
+            conn = self._conn
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+                data = response.read()
+            except BaseException:
+                # The exchange stopped part-way: whatever is left on
+                # the socket belongs to no one.  Drop it; the next
+                # attempt reconnects.
+                conn.close()
+                raise
+        status = response.status
+        retry_after = response.getheader("Retry-After")
         if status in (429, 503):
             fault = TransientFault(
                 f"{method} {path} returned {status}: {data.decode(errors='replace')}"

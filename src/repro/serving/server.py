@@ -15,6 +15,19 @@ Two layers:
   map to status codes (401 unknown session, 403 out of scope, 429
   admission, 400 malformed, 500 internal).
 
+Wire contract: connections are HTTP/1.1 keep-alive, so one client
+pays one handshake and occupies one handler thread for all of its
+requests.  Each reply is buffered and leaves in one write with Nagle
+off.  Because a connection outlives a request, framing is strict: a
+POST must carry one plain ``Content-Length`` of at most
+:data:`MAX_REQUEST_BYTES`.  A ``Transfer-Encoding``, a missing (411),
+malformed (400) or oversized (413) length is refused before any body
+byte is read, and the connection is closed — a body the server did not
+consume must never be parsed as the next request.  ``server_close()``
+shuts the read side of every open connection: a reply in flight still
+completes, then its handler sees end-of-stream and exits, and
+``server_close()`` returns only after every handler thread has.
+
 Correctness doctrine (the serving twin of the equivalence harness):
 every cache hit is **bit-identical** to a fresh execution.  The result
 cache guarantees it through cohort-set invalidation (see
@@ -45,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -643,6 +657,10 @@ _STATUS = (
     (ReproError, 400),
 )
 
+#: Largest POST body the server will read, in bytes.  A longer
+#: ``Content-Length`` is refused with 413 before any of it is read.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
 #: Backoff hint (seconds) sent with every 429/503 — coarse on purpose:
 #: it is a floor for the client's jittered exponential backoff, not a
 #: schedule (see :class:`repro.serving.retry.RetryPolicy`).
@@ -661,9 +679,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     service: QueryService  # set by make_server on the subclass
     protocol_version = "HTTP/1.1"
+    # Buffer the reply (``handle_one_request`` flushes once per request)
+    # and send it without Nagle's delay: headers and body leave together.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the service keeps its own counters; stderr stays quiet
+
+    def handle_expect_100(self) -> bool:
+        # The interim "100 Continue" cannot wait in the reply buffer:
+        # the client holds its body back until it arrives.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     def _reply(self, status: int, body: dict) -> None:
         data = json.dumps(body).encode("utf-8")
@@ -674,11 +703,53 @@ class _Handler(BaseHTTPRequestHandler):
             # Shed-load statuses carry the backoff hint load balancers
             # and RetryPolicy honor.
             self.send_header("Retry-After", str(RETRY_AFTER_SECONDS))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
+    def _refuse(self, status: int, error: str, detail: str) -> None:
+        """Reply ``status`` and close: the request's body is unread."""
+        self.close_connection = True
+        self._reply(status, {"ok": False, "error": error, "detail": detail})
+
+    def _body_length(self) -> int | None:
+        """The request's ``Content-Length``, or None after a refusal.
+
+        Only a single plain decimal length is accepted.  Anything else
+        leaves the position of the next request on the connection
+        unknown, so it is refused without reading a byte.
+        """
+        if "Transfer-Encoding" in self.headers:
+            self._refuse(400, "BadFraming", "Transfer-Encoding is not supported")
+            return None
+        values = self.headers.get_all("Content-Length") or []
+        if not values:
+            if self.command == "POST":
+                self._refuse(411, "LengthRequired", "POST needs a Content-Length")
+                return None
+            return 0
+        raw = values[0].strip()
+        if len(values) > 1 or not (raw.isascii() and raw.isdigit()):
+            self._refuse(400, "BadFraming", f"bad Content-Length {values!r}")
+            return None
+        length = int(raw)
+        if length > MAX_REQUEST_BYTES:
+            self._refuse(
+                413,
+                "RequestTooLarge",
+                f"body of {length} bytes exceeds {MAX_REQUEST_BYTES}",
+            )
+            return None
+        return length
+
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        if self.path == "/health":
+        length = self._body_length()
+        if length is None:
+            return
+        if length:
+            self._refuse(400, "BadFraming", "GET takes no body")
+        elif self.path == "/health":
             self._reply(200, self.service.health())
         elif self.path == "/stats":
             self._reply(200, self.service.stats())
@@ -686,9 +757,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"ok": False, "error": "NotFound"})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        length = self._body_length()
+        if length is None:
+            return
+        body = self.rfile.read(length)
+        if len(body) < length:
+            # The client hung up mid-body: nothing to answer, and a
+            # truncated request must not run.
+            self.close_connection = True
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length) or b"{}")
+            request = json.loads(body or b"{}")
             response = self._dispatch(request)
             self._reply(200, response)
         except json.JSONDecodeError as exc:
@@ -731,7 +810,13 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class CatalogServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one :class:`QueryService`."""
+    """Threaded HTTP server bound to one :class:`QueryService`.
+
+    Each accepted connection gets a daemon handler thread that serves
+    it until the client hangs up.  The server tracks those connections
+    so :meth:`server_close` can end them: a keep-alive connection would
+    otherwise go on answering after the server was closed.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -745,8 +830,45 @@ class CatalogServer(ThreadingHTTPServer):
     deadline: float | None = None
     dispatch_pool: ThreadPoolExecutor | None = None
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._live_lock = threading.Lock()
+        #: Open connection -> the handler thread serving it.
+        self._live: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=self.daemon_threads,
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
     def server_close(self) -> None:
+        """Stop listening, end every open connection, join its handler.
+
+        Shutting only the read side lets a reply in flight complete;
+        the handler's next read then sees end-of-stream and it exits.
+        Call after :meth:`shutdown` (or once ``serve_forever`` has
+        returned), so no connection is accepted meanwhile.
+        """
         super().server_close()
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _ in live:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
+        for _, thread in live:
+            thread.join()
         if self.dispatch_pool is not None:
             self.dispatch_pool.shutdown(wait=False)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +51,7 @@ from repro.serving import (
     serve_in_thread,
 )
 from repro.serving import RetryPolicy, ServiceClient
-from repro.serving.server import RETRY_AFTER_SECONDS
+from repro.serving.server import MAX_REQUEST_BYTES, RETRY_AFTER_SECONDS
 from repro.storage import Catalog, Table
 
 
@@ -595,6 +597,25 @@ def _get(port: int, path: str) -> tuple[int, dict]:
         conn.close()
 
 
+def _count_connections(server) -> list:
+    """Record every connection ``server`` accepts from now on."""
+    accepted = []
+    process_request = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = counting
+    return accepted
+
+
+def _handler_threads() -> list[threading.Thread]:
+    return [
+        t for t in threading.enumerate() if "process_request_thread" in t.name
+    ]
+
+
 class TestHTTPServer:
     def test_end_to_end_over_the_wire(self):
         catalog = _catalog()
@@ -669,13 +690,29 @@ class TestConcurrentSmoke:
     CLIENTS = 100
 
     def _client(self, port: int, index: int) -> list:
+        # One keep-alive connection carries all of this client's calls,
+        # 429 backoffs included.
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            return self._session(conn, index)
+        finally:
+            conn.close()
+
+    def _session(self, conn: http.client.HTTPConnection, index: int) -> list:
         tenant = "alice" if index % 2 == 0 else "bob"
         outcomes = []
+
+        def post(body: dict) -> tuple[int, dict]:
+            conn.request(
+                "POST", "/", json.dumps(body), {"Content-Type": "application/json"}
+            )
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
 
         def call(body: dict) -> dict:
             # 429 is legal under admission control; back off and retry.
             for attempt in range(40):
-                status, payload = _post(port, body)
+                status, payload = post(body)
                 if status != 429:
                     outcomes.append((status, body["op"], payload))
                     return payload
@@ -736,6 +773,7 @@ class TestConcurrentSmoke:
         )
         server, thread = serve_in_thread(service)
         port = server.server_address[1]
+        accepted = _count_connections(server)
         try:
             with ThreadPoolExecutor(max_workers=self.CLIENTS) as pool:
                 futures = [
@@ -746,6 +784,7 @@ class TestConcurrentSmoke:
             for client_outcomes in outcomes:
                 for status, op, payload in client_outcomes:
                     assert status == 200, (op, payload)
+            assert len(accepted) == self.CLIENTS  # one connection each
             stats = service.stats()
             # Every hit was re-executed and compared by the paranoid
             # service: a hit rate with zero stale hits is a *proof* of
@@ -988,6 +1027,7 @@ class TestResilientWire:
 
     def test_client_retries_through_a_crashed_worker(self):
         catalog, service, server, thread, port = self._serve()
+        accepted = _count_connections(server)
         try:
             client = ServiceClient(
                 "127.0.0.1",
@@ -1004,6 +1044,12 @@ class TestResilientWire:
                 assert plan.hits("serve.handle") == 2
             assert response["ok"] is True
             assert response["rf"] == 50
+            # The crash tore the first connection; the retry opened a
+            # second, and the next request reuses it.
+            assert len(accepted) == 2
+            assert client.request(_range_request(token, 0, 50))["rf"] == 50
+            assert len(accepted) == 2
+            client.close()
         finally:
             self._stop(catalog, service, server, thread)
 
@@ -1031,5 +1077,307 @@ class TestResilientWire:
             assert all(s >= RETRY_AFTER_SECONDS for s in slept)
             # Disarmed, the same client recovers immediately.
             assert client.request(_range_request(token, 0, 10))["ok"] is True
+            client.close()
         finally:
             self._stop(catalog, service, server, thread)
+
+
+# -- keep-alive connections ----------------------------------------------
+
+
+def _serve_alice(*, max_inflight: int = 64):
+    catalog = _catalog()
+    service = QueryService(catalog, max_inflight=max_inflight)
+    service.register_tenant("alice", tables={"obs"})
+    service.register_tenant(
+        "bob", tables={"obs"}, value_bounds={"value": (0, 100)}
+    )
+    server, thread = serve_in_thread(service)
+    return catalog, service, server, thread
+
+
+def _close_all(catalog, service, server, thread) -> None:
+    server.shutdown()
+    thread.join(10)
+    assert not thread.is_alive()
+    server.server_close()
+    service.close()
+    catalog.close()
+
+
+class TestKeepAlive:
+    """One connection per client, and a server that ends them on close.
+
+    Structural assertions only (connection counts, socket identity,
+    surviving threads) — no timing bounds.
+    """
+
+    def test_hundred_requests_one_connection(self):
+        catalog, service, server, thread = _serve_alice()
+        accepted = _count_connections(server)
+        try:
+            with ServiceClient("127.0.0.1", server.server_address[1]) as client:
+                token = client.request({"op": "open_session", "tenant": "alice"})[
+                    "token"
+                ]
+                for i in range(98):
+                    assert client.request(_range_request(token, i, i + 10))["ok"]
+                assert client.health()["ok"]
+            assert len(accepted) == 1
+        finally:
+            _close_all(catalog, service, server, thread)
+
+    def test_error_replies_keep_the_connection(self):
+        catalog, service, server, thread = _serve_alice(max_inflight=1)
+        accepted = _count_connections(server)
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=30
+        )
+
+        def post(body) -> int:
+            conn.request("POST", "/", body if isinstance(body, str) else json.dumps(body))
+            response = conn.getresponse()
+            response.read()
+            return response.status
+
+        try:
+            token = service.open_session("alice").token
+            bob = service.open_session("bob").token
+            assert post(_range_request(token, 0, 10)) == 200
+            sock = conn.sock
+            assert post("{not json") == 400
+            assert post(_range_request("nope", 0, 10)) == 401
+            assert post(_range_request(bob, 50, 150)) == 403
+            conn.request("GET", "/missing")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 404
+            assert service._admission.acquire(blocking=False)
+            try:
+                assert post(_range_request(token, 0, 10)) == 429
+            finally:
+                service._admission.release()
+            assert post(_range_request(token, 0, 10)) == 200
+            assert conn.sock is sock  # never reconnected
+            assert len(accepted) == 1
+        finally:
+            conn.close()
+            _close_all(catalog, service, server, thread)
+
+    def test_shared_client_matches_in_process_answers(self):
+        catalog, service, server, thread = _serve_alice()
+        twin_catalog = _catalog()
+        twin = QueryService(twin_catalog)
+        twin.register_tenant("alice", tables={"obs"})
+        twin_token = twin.open_session("alice").token
+        accepted = _count_connections(server)
+        client = ServiceClient("127.0.0.1", server.server_address[1])
+        token = client.request({"op": "open_session", "tenant": "alice"})["token"]
+
+        def worker(t: int) -> list[tuple[dict, dict]]:
+            # Thread t asks widths t+1: every request has its own answer,
+            # so a reply delivered to the wrong thread cannot pass.
+            pairs = []
+            for i in range(50):
+                low = (7 * i) % 150
+                got = client.request(_range_request(token, low, low + t + 1))
+                want = twin.handle(_range_request(twin_token, low, low + t + 1))
+                pairs.append((got, want))
+            return pairs
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(worker, range(4), timeout=60))
+            for pairs in results:
+                for got, want in pairs:
+                    got.pop("cached"), want.pop("cached")
+                    assert got == want
+            assert len(accepted) == 1
+        finally:
+            sys.setswitchinterval(switch_interval)
+            client.close()
+            twin.close()
+            twin_catalog.close()
+            _close_all(catalog, service, server, thread)
+
+    def test_server_close_ends_open_connections(self):
+        before = set(_handler_threads())
+        catalog, service, server, thread = _serve_alice()
+        client = ServiceClient(
+            "127.0.0.1",
+            server.server_address[1],
+            policy=RetryPolicy(attempts=2, sleep=lambda s: None),
+        )
+        token = client.request({"op": "open_session", "tenant": "alice"})["token"]
+        # The idle keep-alive connection holds a handler thread.
+        assert set(_handler_threads()) - before
+        _close_all(catalog, service, server, thread)
+        assert not set(_handler_threads()) - before
+        with pytest.raises(TransientFault):
+            client.request(_range_request(token, 0, 10))
+        client.close()
+
+    def test_server_close_completes_the_reply_in_flight(self):
+        before = set(_handler_threads())
+        catalog, service, server, thread = _serve_alice()
+        client = ServiceClient("127.0.0.1", server.server_address[1])
+        token = client.request({"op": "open_session", "tenant": "alice"})["token"]
+        answers = []
+        with faults.armed("serve.handle:delay=0.5") as plan:
+            caller = threading.Thread(
+                target=lambda: answers.append(
+                    client.request(_range_request(token, 0, 10))
+                )
+            )
+            caller.start()
+            deadline = time.monotonic() + 10
+            while not plan.hits("serve.handle") and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert plan.hits("serve.handle") == 1  # the reply is in flight
+            _close_all(catalog, service, server, thread)
+            caller.join(10)
+        assert not caller.is_alive()
+        assert answers and answers[0]["rf"] == 10
+        assert not set(_handler_threads()) - before
+        client.close()
+
+
+# -- request framing -----------------------------------------------------
+
+
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send ``data``; return all the server sends before it closes.
+
+    Every read waits at most 1 s: a server that waits for more input,
+    or keeps the connection open, fails with a timeout.
+    """
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=1.0) as sock:
+        sock.sendall(data)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # closed with our unread body still queued
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+_OPEN = json.dumps({"op": "open_session", "tenant": "alice"}).encode()
+
+
+class TestRequestFraming:
+    """A request whose length is unknown is refused, unread, and closed.
+
+    With keep-alive, bytes the server leaves unread would be parsed as
+    the next request; each malformed frame below carries an
+    ``open_session`` body, so "no session was opened" proves the
+    request did not run.
+    """
+
+    @pytest.mark.parametrize(
+        "headers, body, status",
+        [
+            (b"Content-Length: -1\r\n", _OPEN, 400),
+            (b"Content-Length: abc\r\n", _OPEN, 400),
+            (b"Content-Length: 1_0\r\n", _OPEN, 400),
+            (
+                b"Content-Length: %d\r\nContent-Length: 3\r\n" % len(_OPEN),
+                _OPEN,
+                400,
+            ),
+            (
+                b"Transfer-Encoding: chunked\r\n",
+                b"%x\r\n%s\r\n0\r\n\r\n" % (len(_OPEN), _OPEN),
+                400,
+            ),
+            (
+                b"Transfer-Encoding: chunked\r\nContent-Length: %d\r\n" % len(_OPEN),
+                _OPEN,
+                400,
+            ),
+            (b"", _OPEN, 411),
+            (b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1), _OPEN, 413),
+        ],
+        ids=[
+            "negative",
+            "non-integer",
+            "underscored",
+            "duplicate",
+            "chunked",
+            "chunked-and-length",
+            "missing",
+            "oversized",
+        ],
+    )
+    def test_malformed_post_is_refused_and_closed(self, headers, body, status):
+        catalog, service, server, thread = _serve_alice()
+        port = server.server_address[1]
+        try:
+            reply = _raw_exchange(
+                port,
+                b"POST / HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+                + headers
+                + b"\r\n"
+                + body,
+            )
+            head = reply.split(b"\r\n\r\n", 1)[0]
+            assert head.startswith(b"HTTP/1.1 %d " % status), reply
+            assert b"\r\nConnection: close" in head
+            assert service.sessions.opened_total == 0
+            # The server is unharmed: a well-framed request still runs.
+            assert _post(port, {"op": "open_session", "tenant": "alice"})[0] == 200
+            assert service.sessions.opened_total == 1
+        finally:
+            _close_all(catalog, service, server, thread)
+
+    def test_get_with_a_body_is_refused_and_closed(self):
+        catalog, service, server, thread = _serve_alice()
+        try:
+            reply = _raw_exchange(
+                server.server_address[1],
+                b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(_OPEN), _OPEN),
+            )
+            assert reply.startswith(b"HTTP/1.1 400 "), reply
+            assert service.sessions.opened_total == 0
+        finally:
+            _close_all(catalog, service, server, thread)
+
+    def test_expect_100_continue_is_answered_at_once(self):
+        catalog, service, server, thread = _serve_alice()
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.server_address[1]), timeout=1.0
+            ) as sock:
+                sock.sendall(
+                    b"POST / HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(_OPEN)
+                )
+                # The body waits for the interim reply, as curl's does.
+                assert sock.recv(65536).startswith(b"HTTP/1.1 100 ")
+                sock.sendall(_OPEN)
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+            assert service.sessions.opened_total == 1
+        finally:
+            _close_all(catalog, service, server, thread)
+
+    def test_truncated_body_does_not_run(self):
+        catalog, service, server, thread = _serve_alice()
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.server_address[1]), timeout=1.0
+            ) as sock:
+                sock.sendall(
+                    b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(_OPEN) + 10, _OPEN)
+                )
+                sock.shutdown(socket.SHUT_WR)  # hang up mid-body
+                assert sock.recv(65536) == b""  # closed without a reply
+            assert service.sessions.opened_total == 0
+        finally:
+            _close_all(catalog, service, server, thread)
