@@ -2,8 +2,8 @@
 
 "A more cost-effective option is to move forgotten data to cheap slow
 cold-storage" (§1).  The :class:`ColdStore` simulates that tier: it
-receives the values of forgotten tuples segment by segment, remembers
-them by position, accounts storage/retrieval against a
+receives the values of forgotten tuples segment by segment, keeps them
+in arrays sorted by position, accounts storage/retrieval against a
 :class:`~repro.coldstore.cost_model.StorageCostModel`, and can *recover*
 tuples on explicit request — mirroring the paper's stance that cold
 data "will never show up in query results, unless the user takes the
@@ -12,36 +12,23 @@ action and recovers" it (§5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .._util.errors import ColdStoreError
 from .cost_model import StorageCostModel, TierUsage
 
-__all__ = ["ColdSegment", "ColdStore"]
+__all__ = ["ColdStore"]
 
 _INT64_BYTES = 8
 
 
-@dataclass(frozen=True)
-class ColdSegment:
-    """One archived batch: positions plus their column values."""
-
-    segment_id: int
-    epoch: int
-    positions: np.ndarray
-    values_by_column: dict[str, np.ndarray]
-
-    @property
-    def nbytes(self) -> int:
-        """Logical archived payload size."""
-        per_row = _INT64_BYTES * (1 + len(self.values_by_column))
-        return int(self.positions.size) * per_row
-
-
 class ColdStore:
     """Archive of forgotten tuples with cost accounting.
+
+    Every archived position and its column values live in arrays sorted
+    by position, so membership and retrieval are one ``isin`` and one
+    ``searchsorted`` over the whole request; a segment keeps nothing
+    but its forget epoch.
 
     >>> import numpy as np
     >>> store = ColdStore()
@@ -56,8 +43,9 @@ class ColdStore:
     def __init__(self, cost_model: StorageCostModel | None = None):
         self.cost_model = cost_model or StorageCostModel()
         self.usage = TierUsage()
-        self._segments: list[ColdSegment] = []
-        self._position_to_segment: dict[int, int] = {}
+        self._epochs: list[int] = []
+        self._positions = np.empty(0, dtype=np.int64)
+        self._values: dict[str, np.ndarray] = {}
 
     # -- archiving ------------------------------------------------------
 
@@ -66,49 +54,61 @@ class ColdStore:
         epoch: int,
         positions: np.ndarray,
         values_by_column: dict[str, np.ndarray],
-    ) -> ColdSegment:
-        """Store one forgotten batch; positions must be new to the tier."""
+    ) -> None:
+        """Store one forgotten batch as a new segment.
+
+        Positions must be new to the tier, and every segment archives
+        the same columns.
+        """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             raise ColdStoreError("cannot archive an empty segment")
-        if np.unique(positions).size != positions.size:
+        order = np.argsort(positions)
+        ordered = positions[order]
+        if (ordered[1:] == ordered[:-1]).any():
             raise ColdStoreError("archive positions must be distinct")
         for name, values in values_by_column.items():
             if np.asarray(values).shape != positions.shape:
                 raise ColdStoreError(
                     f"column {name!r} values must align with positions"
                 )
-        clashes = [p for p in positions.tolist() if p in self._position_to_segment]
-        if clashes:
+        if self._epochs and values_by_column.keys() != self._values.keys():
             raise ColdStoreError(
-                f"positions already archived: {clashes[:5]}"
+                f"segment columns {sorted(values_by_column)} differ from "
+                f"the archived {sorted(self._values)}"
             )
-        segment = ColdSegment(
-            segment_id=len(self._segments),
-            epoch=int(epoch),
-            positions=positions.copy(),
-            values_by_column={
-                name: np.asarray(values, dtype=np.int64).copy()
-                for name, values in values_by_column.items()
-            },
+        clashes = positions[self.contains(positions)]
+        if clashes.size:
+            raise ColdStoreError(
+                f"positions already archived: {clashes[:5].tolist()}"
+            )
+        at = np.searchsorted(self._positions, ordered)
+        for name, values in values_by_column.items():
+            archived = self._values.get(name, np.empty(0, dtype=np.int64))
+            values = np.asarray(values, dtype=np.int64)[order]
+            self._values[name] = np.insert(archived, at, values)
+        self._positions = np.insert(self._positions, at, ordered)
+        self._epochs.append(int(epoch))
+        self.usage.record_store(
+            positions.size * _INT64_BYTES * (1 + len(values_by_column))
         )
-        self._segments.append(segment)
-        for p in positions.tolist():
-            self._position_to_segment[p] = segment.segment_id
-        self.usage.record_store(segment.nbytes)
-        return segment
 
     # -- introspection ----------------------------------------------------
 
     @property
     def segment_count(self) -> int:
         """Number of archived segments."""
-        return len(self._segments)
+        return len(self._epochs)
+
+    @property
+    def segment_epochs(self) -> list[int]:
+        """Forget epoch of each archived segment, oldest first."""
+        return list(self._epochs)
 
     @property
     def tuple_count(self) -> int:
         """Number of archived tuples."""
-        return len(self._position_to_segment)
+        return int(self._positions.size)
 
     @property
     def stored_bytes(self) -> int:
@@ -117,14 +117,7 @@ class ColdStore:
 
     def contains(self, positions: np.ndarray) -> np.ndarray:
         """Boolean per position: is it archived here?"""
-        positions = np.asarray(positions, dtype=np.int64)
-        return np.array(
-            [int(p) in self._position_to_segment for p in positions], dtype=bool
-        )
-
-    def segments(self) -> list[ColdSegment]:
-        """All archived segments, oldest first."""
-        return list(self._segments)
+        return np.isin(np.asarray(positions, dtype=np.int64), self._positions)
 
     # -- retrieval -------------------------------------------------------------
 
@@ -137,19 +130,13 @@ class ColdStore:
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             raise ColdStoreError("cannot retrieve an empty position set")
-        missing = [
-            p for p in positions.tolist() if p not in self._position_to_segment
-        ]
-        if missing:
-            raise ColdStoreError(f"positions not in cold storage: {missing[:5]}")
-
-        columns = self._segments[0].values_by_column.keys() if self._segments else ()
-        out = {name: np.empty(positions.size, dtype=np.int64) for name in columns}
-        for i, p in enumerate(positions.tolist()):
-            segment = self._segments[self._position_to_segment[p]]
-            row = int(np.flatnonzero(segment.positions == p)[0])
-            for name in out:
-                out[name][i] = segment.values_by_column[name][row]
+        missing = positions[~self.contains(positions)]
+        if missing.size:
+            raise ColdStoreError(
+                f"positions not in cold storage: {missing[:5].tolist()}"
+            )
+        rows = np.searchsorted(self._positions, positions)
+        out = {name: values[rows] for name, values in self._values.items()}
         nbytes = positions.size * _INT64_BYTES * (1 + len(out))
         self.usage.record_retrieval(nbytes)
         return out

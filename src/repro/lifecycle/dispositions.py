@@ -19,7 +19,6 @@ from abc import ABC
 
 import numpy as np
 
-from .._util.errors import LifecycleError
 from ..coldstore.store import ColdStore
 from ..storage.table import Table
 from ..summaries.summary import SummaryStore
@@ -34,6 +33,20 @@ __all__ = [
 ]
 
 _INT64_BYTES = 8
+
+
+def _forgotten_rows(
+    table: Table, positions: np.ndarray
+) -> tuple[int, dict[str, np.ndarray]]:
+    """(forget epoch, ``{column: values}``) of the rows in one forget event.
+
+    The epoch is the newest one the rows were forgotten at: a live
+    forget stamps every row with the same epoch, a backfill spans many.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    epoch = int(table.forgotten_epochs()[positions].max(initial=-1))
+    values = {name: table.values(name)[positions] for name in table.column_names}
+    return epoch, values
 
 
 class Disposition(ABC):
@@ -142,11 +155,8 @@ class ColdStorageDisposition(Disposition):
         self.store = store or ColdStore()
 
     def on_forget(self, table, positions):
-        positions = np.asarray(positions, dtype=np.int64)
-        values = {
-            name: table.values(name)[positions] for name in table.column_names
-        }
-        self.store.archive(epoch=table.cohorts.latest_epoch, positions=positions, values_by_column=values)
+        epoch, values = _forgotten_rows(table, positions)
+        self.store.archive(epoch=epoch, positions=positions, values_by_column=values)
 
     def recover(self, positions: np.ndarray) -> dict[str, np.ndarray]:
         """Fetch forgotten tuples back (cost-accounted by the store)."""
@@ -176,13 +186,8 @@ class SummaryDisposition(Disposition):
         self.store = store or SummaryStore()
 
     def on_forget(self, table, positions):
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            raise LifecycleError("summary disposition received an empty forget")
-        values = {
-            name: table.values(name)[positions] for name in table.column_names
-        }
-        self.store.add(epoch=table.cohorts.latest_epoch, values_by_column=values)
+        epoch, values = _forgotten_rows(table, positions)
+        self.store.add(epoch=epoch, values_by_column=values)
 
     def stats(self):
         return {

@@ -16,6 +16,7 @@ import numpy as np
 from .._util.errors import LifecycleError
 from ..indexes.base import Index
 from ..query.queries import AggregateFunction
+from ..stats.moments import ExactMoments
 from ..storage.table import Table
 from .dispositions import Disposition, SummaryDisposition
 
@@ -119,7 +120,8 @@ class DispositionExecutor:
         """(amnesiac+summary answer, oracle answer) for a whole-table aggregate.
 
         Requires a :class:`SummaryDisposition`; the answer combines live
-        tuples with the stored summaries of everything forgotten.
+        tuples with the stored summaries of everything forgotten, and the
+        oracle folds every tuple into the same exact moments.
         """
         if not isinstance(self.disposition, SummaryDisposition):
             raise LifecycleError(
@@ -130,5 +132,5 @@ class DispositionExecutor:
         answer = self.disposition.store.combined_with_active(
             function, column, active_values
         )
-        oracle = function.compute(self.table.values(column))
-        return answer, oracle
+        everything = ExactMoments.of(self.table.values(column))
+        return answer, function.from_moments(everything)

@@ -1,10 +1,9 @@
-"""Summaries of forgotten data: min/max/avg plus histogram micro-models."""
+"""Summaries of forgotten data: exact moments plus histogram micro-models."""
 
 from .histogram_summary import HistogramSummaryStore
-from .summary import ColumnSummary, ForgottenSummary, SummaryStore
+from .summary import ForgottenSummary, SummaryStore
 
 __all__ = [
-    "ColumnSummary",
     "ForgottenSummary",
     "HistogramSummaryStore",
     "SummaryStore",

@@ -6,12 +6,13 @@ will reduce the storage drastically but the DBMS will only be able to
 answer specific aggregation queries without making available any other
 details."
 
-A :class:`ForgottenSummary` keeps, per forgetting event and column, the
-five additive statistics (count, sum, sum of squares, min, max).  From
-those the :class:`SummaryStore` can answer whole-table COUNT, SUM, AVG,
-MIN, MAX and VAR over *forgotten + active* data exactly, and
-range-restricted aggregates approximately under a uniformity
-assumption — quantified in experiment I1.
+A :class:`ForgottenSummary` keeps, per forgetting event and column, one
+:class:`~repro.stats.ExactMoments`: count, min, max and the exact
+integer sums Σx and Σx².  From those the :class:`SummaryStore` answers
+whole-table COUNT, SUM, AVG, MIN, MAX, VAR and STD over *forgotten +
+active* data exactly, and bit-identically however the forgotten values
+were split into events; experiment I1 compares them with mark-only
+forgetting.
 """
 
 from __future__ import annotations
@@ -22,67 +23,22 @@ import numpy as np
 
 from .._util.errors import LifecycleError
 from ..query.queries import AggregateFunction
+from ..stats.moments import ExactMoments
 
-__all__ = ["ColumnSummary", "ForgottenSummary", "SummaryStore"]
+__all__ = ["ForgottenSummary", "SummaryStore"]
 
 _INT64_BYTES = 8
-#: Stored statistics per column summary (count, sum, sumsq, min, max).
+#: Stored statistics per column (count, Σx, Σx², min, max).
 _STATS_PER_COLUMN = 5
 
 
 @dataclass(frozen=True)
-class ColumnSummary:
-    """Additive statistics of one column over one forgotten batch."""
-
-    count: int
-    total: float
-    total_sq: float
-    min: int
-    max: int
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "ColumnSummary":
-        """Summarise a non-empty value array."""
-        values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            raise LifecycleError("cannot summarise an empty value array")
-        as_float = values.astype(np.float64)
-        return cls(
-            count=int(values.size),
-            total=float(as_float.sum()),
-            total_sq=float((as_float**2).sum()),
-            min=int(values.min()),
-            max=int(values.max()),
-        )
-
-    def merge(self, other: "ColumnSummary") -> "ColumnSummary":
-        """Combine two summaries (all statistics are additive)."""
-        return ColumnSummary(
-            count=self.count + other.count,
-            total=self.total + other.total,
-            total_sq=self.total_sq + other.total_sq,
-            min=min(self.min, other.min),
-            max=max(self.max, other.max),
-        )
-
-    @property
-    def mean(self) -> float:
-        """Average of the summarised values."""
-        return self.total / self.count
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the summarised values."""
-        return max(self.total_sq / self.count - self.mean**2, 0.0)
-
-
-@dataclass(frozen=True)
 class ForgottenSummary:
-    """Summaries of all columns for one forgetting event."""
+    """Exact moments of all columns for one forgetting event."""
 
     epoch: int
     tuple_count: int
-    columns: dict[str, ColumnSummary]
+    columns: dict[str, ExactMoments]
 
     @property
     def nbytes(self) -> int:
@@ -111,14 +67,17 @@ class SummaryStore:
         if not values_by_column:
             raise LifecycleError("summary event needs at least one column")
         columns = {
-            name: ColumnSummary.from_values(values)
+            name: ExactMoments.of(values)
             for name, values in values_by_column.items()
         }
-        counts = {s.count for s in columns.values()}
+        counts = {m.count for m in columns.values()}
         if len(counts) != 1:
             raise LifecycleError("summary columns must cover the same tuples")
+        tuple_count = counts.pop()
+        if tuple_count == 0:
+            raise LifecycleError("cannot summarise an empty value array")
         event = ForgottenSummary(
-            epoch=int(epoch), tuple_count=counts.pop(), columns=columns
+            epoch=int(epoch), tuple_count=tuple_count, columns=columns
         )
         self._events.append(event)
         return event
@@ -142,36 +101,26 @@ class SummaryStore:
         """All summaries, oldest first."""
         return list(self._events)
 
-    def combined(self, column: str) -> ColumnSummary:
-        """Merge every event's summary for ``column``."""
-        relevant = [e.columns[column] for e in self._events if column in e.columns]
-        if not relevant:
+    def _merged(self, column: str) -> ExactMoments:
+        """A fresh accumulator over every event's moments for ``column``."""
+        merged = ExactMoments()
+        for event in self._events:
+            if column in event.columns:
+                merged.merge(event.columns[column])
+        return merged
+
+    def combined(self, column: str) -> ExactMoments:
+        """Merge every event's moments for ``column`` (stored ones stay put)."""
+        merged = self._merged(column)
+        if merged.count == 0:
             raise LifecycleError(f"no summaries recorded for column {column!r}")
-        merged = relevant[0]
-        for summary in relevant[1:]:
-            merged = merged.merge(summary)
         return merged
 
     # -- query answering -------------------------------------------------
 
     def answer(self, function: AggregateFunction, column: str) -> float:
         """Whole-population aggregate over all *forgotten* tuples."""
-        summary = self.combined(column)
-        if function is AggregateFunction.COUNT:
-            return float(summary.count)
-        if function is AggregateFunction.SUM:
-            return summary.total
-        if function is AggregateFunction.AVG:
-            return summary.mean
-        if function is AggregateFunction.MIN:
-            return float(summary.min)
-        if function is AggregateFunction.MAX:
-            return float(summary.max)
-        if function is AggregateFunction.VAR:
-            return summary.variance
-        if function is AggregateFunction.STD:
-            return float(np.sqrt(summary.variance))
-        raise LifecycleError(f"summaries cannot answer {function}")
+        return function.from_moments(self.combined(column))
 
     def combined_with_active(
         self,
@@ -181,31 +130,11 @@ class SummaryStore:
     ) -> float | None:
         """Aggregate over active ∪ forgotten using summaries for the latter.
 
-        COUNT/SUM/AVG/MIN/MAX combine exactly; VAR/STD combine exactly
-        via the sum-of-squares identity.  This is what lets a
-        summary-keeping amnesiac database answer §4.3's
+        Every operator combines exactly: the live values fold into the
+        same exact integer sums as the forgotten ones.  This is what
+        lets a summary-keeping amnesiac database answer §4.3's
         ``SELECT AVG(a) FROM t`` with zero error despite forgetting.
         """
-        active_values = np.asarray(active_values, dtype=np.int64)
-        if self.event_count == 0 or not any(
-            column in e.columns for e in self._events
-        ):
-            return function.compute(active_values)
-        summary = self.combined(column)
-        if active_values.size:
-            summary = summary.merge(ColumnSummary.from_values(active_values))
-        if function is AggregateFunction.COUNT:
-            return float(summary.count)
-        if function is AggregateFunction.SUM:
-            return summary.total
-        if function is AggregateFunction.AVG:
-            return summary.mean
-        if function is AggregateFunction.MIN:
-            return float(summary.min)
-        if function is AggregateFunction.MAX:
-            return float(summary.max)
-        if function is AggregateFunction.VAR:
-            return summary.variance
-        if function is AggregateFunction.STD:
-            return float(np.sqrt(summary.variance))
-        raise LifecycleError(f"summaries cannot answer {function}")
+        merged = self._merged(column)
+        merged.update(active_values)
+        return function.from_moments(merged)

@@ -8,7 +8,8 @@ import pytest
 from repro._util.errors import ColdStoreError, ConfigError, LifecycleError
 from repro.coldstore import GLACIER_2016, ColdStore, StorageCostModel
 from repro.query import AggregateFunction
-from repro.summaries import ColumnSummary, SummaryStore
+from repro.stats import ExactMoments
+from repro.summaries import SummaryStore
 
 _TB = 1024.0**4
 
@@ -106,28 +107,72 @@ class TestColdStore:
         assert store.retrieve(np.array([1]))["a"][0] == 10
 
 
-class TestColumnSummary:
-    def test_from_values(self):
-        summary = ColumnSummary.from_values(np.array([1, 3, 5]))
-        assert summary.count == 3
-        assert summary.total == 9.0
-        assert summary.mean == 3.0
-        assert summary.min == 1 and summary.max == 5
-        assert summary.variance == pytest.approx(np.array([1, 3, 5]).var())
+class TestColdStoreLookup:
+    """Sorted-array lookups against a per-row reference built here."""
 
-    def test_merge_matches_concat(self, rng):
-        x = rng.integers(0, 100, 500)
-        y = rng.integers(50, 400, 300)
-        merged = ColumnSummary.from_values(x).merge(ColumnSummary.from_values(y))
-        both = np.concatenate([x, y])
-        assert merged.count == 800
-        assert merged.mean == pytest.approx(both.mean())
-        assert merged.variance == pytest.approx(both.var())
-        assert merged.min == both.min() and merged.max == both.max()
+    @pytest.fixture
+    def archived(self, rng):
+        store = ColdStore()
+        reference = {}
+        positions = rng.permutation(20_000)[:6_000]
+        for epoch, segment in enumerate(np.array_split(positions, 40)):
+            a, b = segment * 3 + 1, rng.integers(-(2**40), 2**40, segment.size)
+            store.archive(epoch, segment, {"a": a, "b": b})
+            reference.update(zip(segment.tolist(), zip(a.tolist(), b.tolist())))
+        return store, reference
 
-    def test_empty_rejected(self):
-        with pytest.raises(LifecycleError):
-            ColumnSummary.from_values(np.empty(0, dtype=np.int64))
+    def test_retrieve_matches_reference(self, archived, rng):
+        store, reference = archived
+        keys = np.array(list(reference))
+        # Shuffled, duplicated and spanning every segment.
+        request = rng.choice(keys, 5_000, replace=True)
+        assert np.unique(request).size < request.size
+        out = store.retrieve(request)
+        assert out["a"].tolist() == [reference[p][0] for p in request.tolist()]
+        assert out["b"].tolist() == [reference[p][1] for p in request.tolist()]
+        assert store.segment_count == 40
+        assert store.tuple_count == len(reference)
+        assert store.segment_epochs == list(range(40))
+
+    def test_contains_matches_reference(self, archived, rng):
+        store, reference = archived
+        request = rng.integers(-5, 20_005, 8_000)
+        expected = [p in reference for p in request.tolist()]
+        assert store.contains(request).tolist() == expected
+
+    def test_clash_within_batch_rejected(self, archived):
+        store, _ = archived
+        fresh = np.array([20_001, 20_002, 20_001])
+        with pytest.raises(ColdStoreError, match="distinct"):
+            store.archive(99, fresh, {"a": fresh, "b": fresh})
+        assert not store.contains(fresh).any()
+        assert store.segment_count == 40
+
+    def test_clash_across_batches_names_first_positions(self, archived):
+        store, reference = archived
+        taken = [p for p in range(20_000) if p in reference][:7]
+        request = np.array([20_003, *taken[::-1]])
+        with pytest.raises(ColdStoreError) as err:
+            store.archive(99, request, {"a": request, "b": request})
+        assert str(taken[::-1][:5]) in str(err.value)
+        assert not store.contains(np.array([20_003])).any()
+        assert store.tuple_count == len(reference)
+
+    def test_missing_retrieve_names_first_positions(self, archived):
+        store, reference = archived
+        absent = [p for p in range(20_000) if p not in reference][:6]
+        request = np.array([next(iter(reference)), *absent])
+        with pytest.raises(ColdStoreError) as err:
+            store.retrieve(request)
+        assert str(absent[:5]) in str(err.value)
+        assert store.usage.retrieval_ops == 0
+
+    def test_segments_share_columns(self):
+        store = ColdStore()
+        store.archive(1, np.array([1]), {"a": np.array([10])})
+        with pytest.raises(ColdStoreError, match="columns"):
+            store.archive(2, np.array([2]), {"b": np.array([20])})
+        assert store.segment_count == 1
 
 
 class TestSummaryStore:
@@ -151,6 +196,37 @@ class TestSummaryStore:
         assert store.answer(AggregateFunction.VAR, "a") == pytest.approx(
             np.array([2, 4, 6]).var()
         )
+
+    def test_single_event_moments(self):
+        store = SummaryStore()
+        store.add(1, {"a": np.array([1, 3, 5])})
+        summary = store.combined("a")
+        assert summary.count == 3
+        assert summary.total == 9
+        assert summary.mean == 3.0
+        assert summary.min == 1 and summary.max == 5
+        assert summary == ExactMoments.of(np.array([1, 3, 5]))
+
+    def test_two_events_match_concat(self, rng):
+        x = rng.integers(0, 100, 500)
+        y = rng.integers(50, 400, 300)
+        store = SummaryStore()
+        store.add(1, {"a": x})
+        store.add(2, {"a": y})
+        assert store.combined("a") == ExactMoments.of(np.concatenate([x, y]))
+
+    def test_combined_leaves_stored_moments_alone(self):
+        store = SummaryStore()
+        store.add(1, {"a": np.array([1, 2])})
+        store.add(2, {"a": np.array([7])})
+        store.combined("a").merge(ExactMoments.of(np.array([100])))
+        store.combined_with_active(AggregateFunction.SUM, "a", np.array([50]))
+        assert [e.columns["a"].count for e in store.events()] == [2, 1]
+        assert store.answer(AggregateFunction.SUM, "a") == 10.0
+
+    def test_empty_values_rejected(self):
+        with pytest.raises(LifecycleError):
+            SummaryStore().add(1, {"a": np.empty(0, dtype=np.int64)})
 
     def test_combined_with_active_exact(self, rng):
         forgotten = rng.integers(0, 1000, 400)
@@ -196,3 +272,31 @@ class TestSummaryStore:
     def test_empty_event_rejected(self):
         with pytest.raises(LifecycleError):
             SummaryStore().add(1, {})
+
+
+class TestExactSummaries:
+    """Float Σx² lost VAR on large offsets and depended on event splits."""
+
+    @pytest.fixture
+    def values(self):
+        return 10**9 + np.random.default_rng(0).integers(0, 100, 100_000)
+
+    def test_var_std_exact(self, values):
+        store = SummaryStore()
+        store.add(1, {"a": values})
+        exact = ExactMoments.of(values)
+        assert store.answer(AggregateFunction.VAR, "a") == exact.variance
+        assert store.answer(AggregateFunction.STD, "a") == exact.std
+        assert round(exact.variance, 2) == 831.42
+
+    def test_event_split_is_bit_identical(self, values):
+        one, fifty = SummaryStore(), SummaryStore()
+        one.add(0, {"a": values})
+        for epoch, chunk in enumerate(np.array_split(values, 50)):
+            fifty.add(epoch, {"a": chunk})
+        active = values[:1_000]
+        for fn in AggregateFunction:
+            assert one.answer(fn, "a") == fifty.answer(fn, "a"), fn
+            assert one.combined_with_active(
+                fn, "a", active
+            ) == fifty.combined_with_active(fn, "a", active), fn

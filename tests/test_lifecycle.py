@@ -88,6 +88,35 @@ class TestSummaryDisposition:
             disposition.on_forget(small_table, np.empty(0, dtype=np.int64))
 
 
+class TestForgetEpochRecorded:
+    """Dispositions stamp the forget epoch, not the newest insert cohort."""
+
+    @pytest.fixture
+    def two_cohorts(self):
+        table = Table("t", ["a", "b"])
+        table.insert_batch(0, {"a": np.arange(10), "b": np.arange(10) * 2})
+        table.insert_batch(1, {"a": np.arange(10, 20), "b": np.arange(10, 20) * 2})
+        return table
+
+    def test_live_forget(self, two_cohorts):
+        cold, summary = ColdStorageDisposition(), SummaryDisposition()
+        two_cohorts.add_observer(cold)
+        two_cohorts.add_observer(summary)
+        two_cohorts.forget(np.array([3, 12]), epoch=7)
+        assert cold.store.segment_epochs == [7]
+        assert [e.epoch for e in summary.store.events()] == [7]
+        assert cold.recover(np.array([12, 3]))["b"].tolist() == [24, 6]
+
+    def test_backfill_records_newest_forget(self, two_cohorts):
+        two_cohorts.forget(np.array([3]), epoch=4)
+        two_cohorts.forget(np.array([12]), epoch=9)
+        cold, summary = ColdStorageDisposition(), SummaryDisposition()
+        two_cohorts.add_observer(cold)
+        two_cohorts.add_observer(summary)
+        assert cold.store.segment_epochs == [9]
+        assert [e.epoch for e in summary.store.events()] == [9]
+
+
 class TestDispositionExecutor:
     def test_scan_recall_under_stop_indexing(self, half_forgotten):
         disposition = StopIndexingDisposition()

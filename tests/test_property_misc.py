@@ -11,8 +11,13 @@ from hypothesis.extra.numpy import arrays
 from repro.amnesia import weighted_sample_without_replacement
 from repro.compression import CODEC_NAMES, make_codec
 from repro.query import AggregateFunction
-from repro.stats import js_divergence, kl_divergence, total_variation
-from repro.summaries import ColumnSummary
+from repro.stats import (
+    ExactMoments,
+    js_divergence,
+    kl_divergence,
+    total_variation,
+)
+from repro.summaries import SummaryStore
 from repro.storage import Bitmap
 
 int_arrays = arrays(
@@ -56,13 +61,11 @@ def test_weighted_sampling_contract(n_candidates, quota_frac, seed):
     y=arrays(np.int64, st.integers(1, 200), elements=st.integers(0, 10_000)),
 )
 @settings(max_examples=40, deadline=None)
-def test_summary_merge_is_concat(x, y):
-    merged = ColumnSummary.from_values(x).merge(ColumnSummary.from_values(y))
-    union = np.concatenate([x, y])
-    assert merged.count == union.size
-    assert merged.mean == pytest.approx(union.mean(), rel=1e-9, abs=1e-9)
-    assert merged.variance == pytest.approx(union.var(), rel=1e-6, abs=1e-6)
-    assert merged.min == union.min() and merged.max == union.max()
+def test_summary_store_events_are_concat(x, y):
+    store = SummaryStore()
+    store.add(1, {"a": x})
+    store.add(2, {"a": y})
+    assert store.combined("a") == ExactMoments.of(np.concatenate([x, y]))
 
 
 @given(
