@@ -143,6 +143,19 @@ COMPRESSED_RETENTION_QUICK_ROWS = 50_000
 #: Fixed byte budget as a fraction of the stream's raw footprint.
 RETENTION_BUDGET_FRACTION = 0.25
 
+#: Planning suite: the price of one cost-mode ``plan()`` as the history
+#: grows.  Every cohort spans the whole value domain (so every cohort
+#: is a candidate of every probe) and every cohort is demoted, the worst
+#: case for per-cohort pricing.  Pricing runs over per-cohort arrays, so
+#: 20x the cohorts must cost at most 3x the time per plan; a loop over
+#: the candidate ranges measured 15x.  Plans are microseconds, so the
+#: sizes do not shrink under ``--quick`` and the ratio gates always.
+PLANNING_COHORTS = (100, 2_000)
+PLANNING_COHORT_ROWS = 100
+PLANNING_CALLS = 500
+PLANNING_REPEATS = 7
+PLANNING_MAX_GROWTH = 3.0
+
 #: Serving suite: the multi-tenant service driven in process (no
 #: socket noise), one selective shape pool cycled so the second pass
 #: onward hits the result cache.  Cold = empty caches, warm = primed;
@@ -176,6 +189,7 @@ def artifact(quick):
             "skewed": {"modes": {}, "qerror": {}},
             "streaming": {"modes": {}},
             "compressed": {"modes": {}, "retention": {}},
+            "planning": {"modes": {}},
             "serve": {"modes": {}},
         }
     )
@@ -1039,6 +1053,69 @@ def test_bench_compressed_scan_ops(history):
             f"expected >=5x compressed-path speedup over scan on "
             f"{rows} rows with {CPUS} cpus, got {ratio:.1f}x"
         )
+
+
+def _build_planning(cohorts: int) -> QueryPlanner:
+    """A cost-mode planner over ``cohorts`` demoted, domain-wide cohorts."""
+    rng = np.random.default_rng(BENCH_SEED + 17)
+    table = Table("bench_planning", ["a"])
+    zone_map = CohortZoneMap(table)
+    domain = cohorts * PLANNING_COHORT_ROWS
+    for epoch in range(cohorts):
+        values = rng.integers(0, domain, PLANNING_COHORT_ROWS)
+        table.insert_batch(epoch, values_by_column={"a": values})
+    table.forget(np.arange(0, domain, 7), epoch=cohorts)
+    store = CompressedCohortStore(table)
+    store.demote_cold(current_epoch=cohorts + store.min_age)
+    assert store.demoted_count == cohorts
+    return QueryPlanner(table, mode="cost", zone_map=zone_map, compressed=store)
+
+
+def test_bench_planning_scales_with_answer_not_history():
+    """Acceptance: pricing a plan does not walk the cohort history.
+
+    One selective probe is planned ``PLANNING_CALLS`` times under
+    ``plan="cost"`` at each history length, the lengths interleaved so
+    machine noise hits both alike; best-of-``PLANNING_REPEATS`` µs per
+    call lands in the artifact.  The decode term must really be priced
+    (every cohort is a demoted candidate), and the largest history may
+    cost at most ``PLANNING_MAX_GROWTH`` times the smallest.
+    """
+    probes = {}
+    for cohorts in PLANNING_COHORTS:
+        planner = _build_planning(cohorts)
+        domain = cohorts * PLANNING_COHORT_ROWS
+        predicate = RangePredicate("a", domain // 3, domain // 3 + domain // 200)
+        assert "+decode" in planner.plan(predicate).reason
+        probes[cohorts] = (planner, predicate)
+    best = dict.fromkeys(PLANNING_COHORTS, float("inf"))
+    for _ in range(PLANNING_REPEATS):
+        for cohorts, (planner, predicate) in probes.items():
+            start = time.perf_counter()
+            for _ in range(PLANNING_CALLS):
+                planner.plan(predicate)
+            best[cohorts] = min(best[cohorts], time.perf_counter() - start)
+    micros = {}
+    for cohorts, seconds in best.items():
+        micros[cohorts] = seconds / PLANNING_CALLS * 1e6
+        _record("planning", f"cost_{cohorts}_cohorts", seconds, PLANNING_CALLS)
+    small, large = (micros[c] for c in PLANNING_COHORTS)
+    growth = large / small
+    _ARTIFACT["planning"].update(
+        {
+            "cohort_rows": PLANNING_COHORT_ROWS,
+            "us_per_plan": {str(c): round(us, 2) for c, us in micros.items()},
+            "growth": round(growth, 2),
+        }
+    )
+    print(
+        f"\ncost-mode plan(): {small:.1f}us at {PLANNING_COHORTS[0]} cohorts "
+        f"vs {large:.1f}us at {PLANNING_COHORTS[1]} ({growth:.2f}x)"
+    )
+    assert growth <= PLANNING_MAX_GROWTH, (
+        f"plan() at {PLANNING_COHORTS[1]} cohorts cost {growth:.2f}x the "
+        f"{PLANNING_COHORTS[0]}-cohort time (bound {PLANNING_MAX_GROWTH}x)"
+    )
 
 
 def test_bench_serving_cached_vs_uncached(quick):

@@ -447,25 +447,13 @@ class QueryPlanner:
         with.
         """
         if self.zone_map is not None and self.zone_map.covers(column):
+            surcharge = None
+            if self.compressed is not None:
+                surcharge = self.compressed.decode_surcharge(column)
             return self.zone_map.estimate(
-                column, low, high, stats=self.table_stats
+                column, low, high, stats=self.table_stats, surcharge=surcharge
             )
         return None
-
-    def _decode_penalty(
-        self, column: str, low: int, high: int, *, require: str = "any"
-    ) -> float:
-        """Rows-equivalent decompression surcharge for a pruned probe."""
-        if (
-            self.compressed is None
-            or self.zone_map is None
-            or not self.zone_map.covers(column)
-        ):
-            return 0.0
-        ranges = self.zone_map.candidate_ranges(
-            column, low, high, require=require
-        )
-        return self.compressed.decode_penalty(ranges, column)
 
     def _plan_cost(
         self, column: str, low: int, high: int
@@ -474,16 +462,16 @@ class QueryPlanner:
         total = self.table.total_rows
         estimate = self.estimate(column, low, high)
         if estimate is not None:
-            missed_cost = estimate.forgotten_candidate_rows
+            # The missed side of an index plan reads forgotten-holding
+            # cohorts, which may be demoted: charge their decode term too.
+            missed_cost = (
+                float(estimate.forgotten_candidate_rows)
+                + estimate.forgotten_decode_rows
+            )
         else:
             # Without a zone map the missed (M_F) side scans every
             # forgotten position.
-            missed_cost = self.table.forgotten_count
-        # The missed side of an index plan reads forgotten-holding
-        # cohorts, which may be demoted: charge their decode term too.
-        missed_cost = float(missed_cost) + self._decode_penalty(
-            column, low, high, require="forgotten"
-        )
+            missed_cost = float(self.table.forgotten_count)
         # Candidates in auto's preference order, so exact cost ties
         # resolve the same way auto would.
         choices: list[tuple[float, str, Index | None, str]] = []
@@ -500,9 +488,9 @@ class QueryPlanner:
                 (cost, "index", index, f"{type(index).__name__}≈{cost:.0f}")
             )
         if estimate is not None:
-            zonemap_cost = float(
-                estimate.candidate_rows
-            ) + self._decode_penalty(column, low, high)
+            zonemap_cost = (
+                float(estimate.candidate_rows) + estimate.decode_rows
+            )
             zonemap_detail = f"zonemap={estimate.candidate_rows}"
             if zonemap_cost > estimate.candidate_rows:
                 zonemap_detail = (

@@ -149,7 +149,9 @@ class CardinalityEstimate:
     costs of a pruned scan (rows in intersecting cohorts); the
     ``est_*`` match counts assume values are uniform within each
     cohort's ``[min, max]`` — the classic System-R uniformity
-    assumption applied per cohort instead of per table.
+    assumption applied per cohort instead of per table.  The
+    ``*decode_rows`` surcharges are the compressed store's extra
+    rows-equivalent for the same two candidate sets (0 without one).
     """
 
     #: Rows a zone-map-pruned scan must consider (exact).
@@ -160,6 +162,10 @@ class CardinalityEstimate:
     est_active: float
     #: Estimated forgotten matches (the M_F side).
     est_forgotten: float
+    #: Decode surcharge of the ``candidate_rows`` cohorts.
+    decode_rows: float = 0.0
+    #: Decode surcharge of the ``forgotten_candidate_rows`` cohorts.
+    forgotten_decode_rows: float = 0.0
 
     @property
     def est_rows(self) -> float:
@@ -283,10 +289,18 @@ class CohortZoneMap:
         idempotent, so a backfill replay — including re-registration of
         an already-populated zone map — converges to the exact counts.
         """
-        mask = self.table.active_mask()
-        for i in np.unique(idx).tolist():
-            start, stop = int(self._starts[i]), int(self._stops[i])
-            self._active[i] = int(np.count_nonzero(mask[start:stop]))
+        touched = np.unique(idx)
+        starts = self._starts[touched]
+        stops = self._stops[touched]
+        # One reduceat over [first start, last stop): the even pieces
+        # are the touched windows, the odd ones the gaps between them.
+        # Dropping the final stop lets the last window run to the end.
+        # ``idx`` maps row positions, so no touched window is empty
+        # (reduceat would give an empty piece its first element).
+        cuts = np.column_stack([starts, stops]).ravel()[:-1]
+        mask = self.table.active_mask()[: stops[-1]]
+        counts = np.add.reduceat(mask, cuts, dtype=np.int64)
+        self._active[touched] = counts[::2]
 
     def on_insert(self, table, positions: np.ndarray) -> None:
         """Table hook: fold new rows into their cohorts' zones."""
@@ -311,6 +325,19 @@ class CohortZoneMap:
 
     # -- pruning --------------------------------------------------------
 
+    def _intersects(self, column: str, low: int, high: int):
+        """``(mins, maxs, mask)``: cohorts whose zone meets ``[low, high)``."""
+        self._sync()
+        try:
+            mins = self._mins[column]
+            maxs = self._maxs[column]
+        except KeyError:
+            raise StorageError(
+                f"zone map does not track column {column!r} "
+                f"(tracked: {', '.join(self._mins)})"
+            ) from None
+        return mins, maxs, (mins < high) & (maxs >= low)
+
     def candidate_ranges(
         self, column: str, low: int, high: int, *, require: str = "any"
     ) -> list[tuple[int, int]]:
@@ -322,20 +349,11 @@ class CohortZoneMap:
         * ``"active"`` — at least one active tuple remains;
         * ``"forgotten"`` — at least one tuple was forgotten.
         """
-        self._sync()
-        try:
-            mins = self._mins[column]
-            maxs = self._maxs[column]
-        except KeyError:
-            raise StorageError(
-                f"zone map does not track column {column!r} "
-                f"(tracked: {', '.join(self._mins)})"
-            ) from None
+        _, _, intersects = self._intersects(column, low, high)
         if require not in self.REQUIREMENTS:
             raise StorageError(
                 f"require must be one of {self.REQUIREMENTS}, got {require!r}"
             )
-        intersects = (mins < high) & (maxs >= low)
         if require == "active":
             intersects &= self._active > 0
         elif require == "forgotten":
@@ -350,15 +368,14 @@ class CohortZoneMap:
         total = self.table.total_rows
         if total == 0:
             return 0.0
-        scanned = sum(
-            stop - start for start, stop in self.candidate_ranges(column, low, high)
-        )
+        _, _, intersects = self._intersects(column, low, high)
+        scanned = int((self._stops - self._starts)[intersects].sum())
         return 1.0 - scanned / total
 
     # -- cardinality estimation -----------------------------------------
 
     def estimate(
-        self, column: str, low: int, high: int, *, stats=None
+        self, column: str, low: int, high: int, *, stats=None, surcharge=None
     ) -> CardinalityEstimate:
         """Estimate how many rows a probe of ``[low, high)`` matches.
 
@@ -375,38 +392,40 @@ class CohortZoneMap:
         value histograms (sharp on skewed streams) while the pruned-scan
         costs stay zone-map exact.  A ``stats`` object that does not
         cover the column falls back to per-cohort uniformity.
+
+        ``surcharge`` optionally supplies the per-cohort decode
+        surcharge (:meth:`~repro.storage.compressed.
+        CompressedCohortStore.decode_surcharge`); the estimate then
+        prices both candidate sets' decode terms off the same masks.
         """
-        self._sync()
-        try:
-            mins = self._mins[column]
-            maxs = self._maxs[column]
-        except KeyError:
-            raise StorageError(
-                f"zone map does not track column {column!r} "
-                f"(tracked: {', '.join(self._mins)})"
-            ) from None
+        mins, maxs, intersects = self._intersects(column, low, high)
         if mins.size == 0:
             return CardinalityEstimate(0, 0, 0.0, 0.0)
         sizes = self._stops - self._starts
-        intersects = (mins < high) & (maxs >= low)
-        overlap = np.minimum(maxs + 1, high) - np.maximum(mins, low)
-        span = maxs - mins + 1
-        fraction = np.where(
-            intersects, np.clip(overlap / np.maximum(span, 1), 0.0, 1.0), 0.0
-        )
         forgotten = sizes - self._active
         if stats is not None and stats.covers(column):
             est_active, est_forgotten = stats.estimate(column, low, high)
         else:
+            overlap = np.minimum(maxs + 1, high) - np.maximum(mins, low)
+            span = maxs - mins + 1
+            fraction = np.where(
+                intersects, np.clip(overlap / np.maximum(span, 1), 0.0, 1.0), 0.0
+            )
             est_active = float((self._active * fraction).sum())
             est_forgotten = float((forgotten * fraction).sum())
+        forgotten_side = intersects & (forgotten > 0)
+        decode_rows = forgotten_decode_rows = 0.0
+        if surcharge is not None:
+            extra = sizes * surcharge
+            decode_rows = float(extra[intersects].sum())
+            forgotten_decode_rows = float(extra[forgotten_side].sum())
         return CardinalityEstimate(
             candidate_rows=int(sizes[intersects].sum()),
-            forgotten_candidate_rows=int(
-                sizes[intersects & (forgotten > 0)].sum()
-            ),
+            forgotten_candidate_rows=int(sizes[forgotten_side].sum()),
             est_active=est_active,
             est_forgotten=est_forgotten,
+            decode_rows=decode_rows,
+            forgotten_decode_rows=forgotten_decode_rows,
         )
 
     # -- introspection --------------------------------------------------

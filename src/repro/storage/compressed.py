@@ -64,7 +64,9 @@ _UINT64_SPAN = 1 << 64
 #: codes (unpack, no value reconstruction); ``rle`` re-expands run
 #: verdicts; ``raw`` blocks read like the plain column.  The cost
 #: model's decode term prices ``factor - 1`` extra work per row so
-#: plans route around expensive decompression.
+#: plans route around expensive decompression.  Every surcharge is a
+#: multiple of 1/4, so rows x surcharge sums are exact in float64 in
+#: any order.
 DECODE_FACTORS = {"raw": 1.0, "dict": 1.25, "for": 1.25, "rle": 2.5}
 
 
@@ -101,6 +103,12 @@ class CompressedCohortStore:
         self._spans: dict[int, tuple[int, int]] = {}
         #: block start position -> cohort ordinal (range lookup)
         self._by_start: dict[int, int] = {}
+        #: column -> per-cohort decode surcharge (``factor - 1``, 0 raw)
+        self._surcharge = {
+            name: np.zeros(0, dtype=np.float64) for name in names
+        }
+        #: First cohort ordinal the last ``demote_cold`` did not pass.
+        self._cold_through = 0
         self._generation = 0
         # Access accounting: how compressed probes were answered.
         self._pruned_blocks = 0     # min/max quick reject/accept, no payload read
@@ -147,6 +155,7 @@ class CompressedCohortStore:
         Returns True when a demotion actually happened.
         """
         log = self.table.cohorts
+        ordinal = range(len(log))[ordinal]  # IndexError as log[ordinal]
         cohort = log[ordinal]
         if ordinal in self._blocks or cohort.size == 0:
             return False
@@ -156,26 +165,56 @@ class CompressedCohortStore:
             window = self.table.values(name)[cohort.start : cohort.stop]
             blocks[name] = best_codec(window)
             bounds[name] = (int(window.min()), int(window.max()))
-        self._blocks[ordinal] = blocks
-        self._bounds[ordinal] = bounds
-        self._spans[ordinal] = (cohort.start, cohort.stop)
-        self._by_start[cohort.start] = ordinal
+        self._install(ordinal, (cohort.start, cohort.stop), blocks, bounds)
         self._generation += 1
         return True
+
+    def _install(
+        self,
+        ordinal: int,
+        span: tuple[int, int],
+        blocks: dict[str, CompressedBlock],
+        bounds: dict[str, tuple[int, int]],
+    ) -> None:
+        """Record one demoted cohort's blocks, bounds, span and surcharges."""
+        self._blocks.setdefault(ordinal, {}).update(blocks)
+        self._bounds.setdefault(ordinal, {}).update(bounds)
+        self._spans[ordinal] = span
+        self._by_start[span[0]] = ordinal
+        for name, block in blocks.items():
+            if name in self._surcharge:
+                factor = DECODE_FACTORS.get(block.codec_name, 1.0)
+                self._surcharge_upto(name, ordinal + 1)[ordinal] = factor - 1.0
+
+    def _surcharge_upto(self, column: str, cohorts: int) -> np.ndarray:
+        """``column``'s surcharge array, zero-grown to ``>= cohorts`` entries."""
+        surcharge = self._surcharge[column]
+        if surcharge.size < cohorts:
+            grown = np.zeros(max(cohorts, 2 * surcharge.size))
+            grown[: surcharge.size] = surcharge
+            surcharge = self._surcharge[column] = grown
+        return surcharge
 
     def demote_cold(self, current_epoch: int) -> int:
         """Demote every cohort aged ``>= min_age`` epochs; return the count.
 
         Deterministic in the insert timeline alone: the same epoch
         sequence demotes the same cohorts regardless of plan mode,
-        statistics source or worker count.
+        statistics source or worker count.  Epochs increase along the
+        log, so every cohort a call passes is cold for good (demoted,
+        or empty forever): the next call resumes at the first ordinal
+        this one did not pass instead of walking the whole log.
         """
+        log = self.table.cohorts
         demoted = 0
-        for ordinal, cohort in enumerate(self.table.cohorts):
-            if current_epoch - cohort.epoch < self.min_age:
-                break  # epochs increase along the log; the rest are warm
+        ordinal = self._cold_through
+        while ordinal < len(log):
+            if current_epoch - log[ordinal].epoch < self.min_age:
+                break  # the rest are warm
             if self.demote(ordinal):
                 demoted += 1
+            ordinal += 1
+            self._cold_through = ordinal
         return demoted
 
     # -- lookup ---------------------------------------------------------
@@ -269,22 +308,23 @@ class CompressedCohortStore:
 
     # -- cost-model pricing ---------------------------------------------
 
-    def decode_penalty(self, ranges, column: str) -> float:
-        """Extra rows-equivalent the cost model charges for decompression.
+    def decode_surcharge(self, column: str):
+        """Per-cohort decode surcharge of ``column``, one entry per cohort.
 
-        For each ``(start, stop)`` range answered from a compressed
-        block, charge ``rows * (DECODE_FACTORS[codec] - 1)``; ranges
-        still on the raw column cost nothing extra.
+        Entry ``k`` is ``DECODE_FACTORS[codec] - 1`` when cohort ``k`` is
+        demoted and 0 while it is still raw, so ``sizes * surcharge``
+        summed under a candidate mask is the rows-equivalent extra work
+        the cost model charges for answering those cohorts from their
+        compressed blocks.  ``None`` when ``column`` is never compressed.
+        The result is a read-only view; it must not outlive the next
+        demotion.
         """
-        penalty = 0.0
-        for start, stop in ranges:
-            found = self.block_at(start, stop, column)
-            if found is None:
-                continue
-            _, block = found
-            factor = DECODE_FACTORS.get(block.codec_name, 1.0)
-            penalty += (stop - start) * (factor - 1.0)
-        return penalty
+        if column not in self._surcharge:
+            return None
+        cohorts = len(self.table.cohorts)
+        view = self._surcharge_upto(column, cohorts)[:cohorts]
+        view.flags.writeable = False
+        return view
 
     # -- accounting -----------------------------------------------------
 
@@ -391,14 +431,12 @@ class CompressedCohortStore:
                 payload=payload,
                 nbytes=int(scalars["nbytes"]),
             )
-            span = (int(scalars["start"]), int(scalars["stop"]))
-            self._blocks.setdefault(ordinal, {})[column] = block
-            self._bounds.setdefault(ordinal, {})[column] = (
-                int(scalars["vmin"]),
-                int(scalars["vmax"]),
+            self._install(
+                ordinal,
+                (int(scalars["start"]), int(scalars["stop"])),
+                {column: block},
+                {column: (int(scalars["vmin"]), int(scalars["vmax"]))},
             )
-            self._spans[ordinal] = span
-            self._by_start[span[0]] = ordinal
         self._generation += 1
 
     def __repr__(self) -> str:

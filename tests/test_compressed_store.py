@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro._util.errors import StorageError
-from repro.storage import CompressedCohortStore, Table
+from repro.storage import CohortZoneMap, CompressedCohortStore, Table
 from repro.storage.compressed import DECODE_FACTORS
 
 
@@ -81,6 +83,80 @@ class TestDemotion:
 
     def test_demoted_rows(self, store):
         assert store.demoted_rows == 100 + 100 + 120
+
+    def test_negative_ordinal_names_the_same_cohort(self):
+        table = make_table([np.arange(10), np.arange(10)])
+        s = CompressedCohortStore(table, min_age=1)
+        assert s.demote(-1) is True
+        assert s.demote(1) is False
+        assert s.block_at(10, 20, "a")[0] == 1
+        with pytest.raises(IndexError):
+            s.demote(2)
+
+
+class TestDemotionWatermark:
+    def test_demote_cold_resumes_where_it_stopped(self, monkeypatch):
+        table = make_table([np.arange(10)] * 6)  # epochs 0..5
+        s = CompressedCohortStore(table, min_age=2)
+        calls = []
+        demote = CompressedCohortStore.demote
+        monkeypatch.setattr(
+            CompressedCohortStore,
+            "demote",
+            lambda self, k: calls.append(k) or demote(self, k),
+        )
+        assert s.demote_cold(current_epoch=3) == 2
+        assert calls == [0, 1]
+        assert s.demote_cold(current_epoch=3) == 0
+        assert calls == [0, 1]  # nothing passed the watermark again
+        assert s.demote_cold(current_epoch=5) == 2
+        assert calls == [0, 1, 2, 3]
+
+    def test_direct_demote_ahead_of_the_watermark(self):
+        table = make_table([np.arange(10)] * 4)
+        s = CompressedCohortStore(table, min_age=2)
+        assert s.demote(2) is True  # warm, demoted by hand
+        assert s.demote_cold(current_epoch=4) == 2  # 0 and 1; 2 is done
+        assert s.demoted_count == 3
+
+    def test_restored_store_demotes_like_the_live_one(self):
+        """Same cohorts at the same epochs, before and after a round trip."""
+        rng = np.random.default_rng(7)
+        table = Table("t", ["a"])
+        live = CompressedCohortStore(table, min_age=3)
+        restored = None
+        live_log, restored_log = [], []
+        for epoch in range(30):
+            rows = 0 if epoch % 7 == 3 else int(rng.integers(1, 40))
+            table.insert_batch(epoch, {"a": rng.integers(0, 1000, rows)})
+            if epoch == 12:
+                live.demote(epoch)  # a direct demotion of a warm cohort
+            if epoch == 14:
+                restored = CompressedCohortStore(table, min_age=3)
+                restored.load_state(live.state())
+            stores = [(live, live_log)]
+            if restored is not None:
+                stores.append((restored, restored_log))
+            for store, log in stores:
+                before = set(_demoted(store))
+                store.demote_cold(epoch)
+                if epoch >= 14:
+                    log.append((epoch, sorted(set(_demoted(store)) - before)))
+        assert live_log == restored_log
+        assert _demoted(live) == _demoted(restored)
+        assert any(demoted for _, demoted in live_log)
+        assert np.array_equal(
+            live.decode_surcharge("a"), restored.decode_surcharge("a")
+        )
+
+
+def _demoted(store) -> list[int]:
+    """Ordinals of the cohorts ``store`` holds in compressed form."""
+    return [
+        ordinal
+        for ordinal, cohort in enumerate(store.table.cohorts)
+        if store.block_at(cohort.start, cohort.stop, "a") is not None
+    ]
 
 
 class TestLookup:
@@ -171,14 +247,144 @@ class TestDecodePenalty:
         cohort = store.table.cohorts[1]
         block = store.block_at(cohort.start, cohort.stop, "a")[1]
         factor = DECODE_FACTORS[block.codec_name]
-        ranges = [(cohort.start, cohort.stop), (10_000, 10_100)]
+        store.table.insert_batch(3, {"a": np.arange(100)})  # warm, raw
+        surcharge = store.decode_surcharge("a")
+        sizes = np.array([c.size for c in store.table.cohorts])
+        priced = np.array([False, True, False, True])
         expected = cohort.size * (factor - 1.0)
-        assert store.decode_penalty(ranges, "a") == pytest.approx(expected)
+        assert surcharge[3] == 0.0
+        assert (sizes * surcharge)[priced].sum() == pytest.approx(expected)
 
     def test_zero_without_demotions(self):
         table = make_table([np.arange(10)])
         s = CompressedCohortStore(table)
-        assert s.decode_penalty([(0, 10)], "a") == 0.0
+        assert s.decode_surcharge("a").tolist() == [0.0]
+
+    def test_every_codec_priced(self):
+        cohorts = [(shape, 200) for shape in _SHAPES]
+        table, _, store = _priced_store(cohorts, 0, range(4))
+        codecs = {
+            store.block_at(c.start, c.stop, "a")[1].codec_name
+            for c in table.cohorts
+        }
+        assert codecs == set(DECODE_FACTORS)
+        surcharge = store.decode_surcharge("a")
+        assert sorted(surcharge.tolist()) == sorted(
+            factor - 1.0 for factor in DECODE_FACTORS.values()
+        )
+
+    def test_none_for_uncompressed_column(self):
+        table = Table("t", ["a", "b"])
+        table.insert_batch(0, {"a": np.arange(10), "b": np.arange(10)})
+        s = CompressedCohortStore(table, columns=["a"], min_age=1)
+        s.demote_cold(current_epoch=1)
+        assert s.decode_surcharge("b") is None
+        assert s.decode_surcharge("a")[0] > 0.0
+
+
+#: Cohort shapes ``best_codec`` encodes as rle, dict, for and raw once a
+#: cohort holds 200 rows; smaller cohorts may pick another codec.
+_SHAPES = ("rle", "dict", "for", "raw")
+_INT64 = np.iinfo(np.int64)
+
+
+def _shaped(rng, shape: str, rows: int) -> np.ndarray:
+    if shape == "rle":
+        runs = rng.integers(_INT64.min, _INT64.max, 2)
+        return np.repeat(runs, -(-rows // 2))[:rows]
+    if shape == "dict":
+        return rng.choice(rng.integers(_INT64.min, _INT64.max, 3), rows)
+    if shape == "for":
+        return 10**15 + rng.integers(0, 100, rows)
+    return rng.integers(_INT64.min, _INT64.max, rows, endpoint=True)
+
+
+def _priced_store(cohorts, data_seed, demote):
+    """A table of shaped cohorts, a slice forgotten, ``demote`` demoted."""
+    rng = np.random.default_rng(data_seed)
+    table = Table("t", ["a", "b"])
+    zone_map = CohortZoneMap(table)
+    for epoch, (shape, rows) in enumerate(cohorts):
+        values = _shaped(rng, shape, rows)
+        table.insert_batch(epoch, {"a": values, "b": values[::-1].copy()})
+    if table.total_rows:
+        forget = rng.random(table.total_rows) < rng.random()
+        table.forget(np.flatnonzero(forget), epoch=len(cohorts))
+    store = CompressedCohortStore(table, columns=["a"], min_age=1)
+    for ordinal in demote:
+        store.demote(ordinal)
+    return table, zone_map, store
+
+
+def _per_range_penalty(store, ranges, column: str) -> float:
+    """The reference price: one ``block_at`` per candidate range."""
+    penalty = 0.0
+    for start, stop in ranges:
+        found = store.block_at(start, stop, column)
+        if found is not None:
+            factor = DECODE_FACTORS.get(found[1].codec_name, 1.0)
+            penalty += (stop - start) * (factor - 1.0)
+    return penalty
+
+
+class TestVectorizedSurcharge:
+    @seed(20170108)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cohorts=st.lists(
+            st.tuples(st.sampled_from(_SHAPES), st.integers(0, 200)),
+            min_size=1,
+            max_size=12,
+        ),
+        data_seed=st.integers(0, 2**32 - 1),
+        demote_bits=st.integers(0, 2**12 - 1),
+        probes=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(
+        cohorts=[(shape, 200) for shape in _SHAPES],
+        data_seed=0,
+        demote_bits=0b1111,
+        probes=[(0.0, 1.0), (0.5, 0.7)],
+    )
+    def test_matches_per_range_block_lookup(
+        self, cohorts, data_seed, demote_bits, probes
+    ):
+        """Vectorized decode surcharge == the per-range block_at sum, exactly.
+
+        Over random cohort layouts (empty cohorts included), forget
+        patterns and demotion sets, and again after a ``state()`` ->
+        ``load_state`` round trip.
+        """
+        demote = [k for k in range(len(cohorts)) if demote_bits >> k & 1]
+        table, zone_map, store = _priced_store(cohorts, data_seed, demote)
+        restored = CompressedCohortStore(table, columns=["a"], min_age=1)
+        restored.load_state(store.state())
+        values = np.sort(table.values("a"))
+        for lo_q, hi_q in probes:
+            if values.size:
+                low = int(values[int(lo_q * (values.size - 1))])
+                high = int(values[int(hi_q * (values.size - 1))]) + 1
+            else:
+                low, high = 0, 1
+            for column in ("a", "b"):
+                ranges = zone_map.candidate_ranges(column, low, high)
+                missed = zone_map.candidate_ranges(
+                    column, low, high, require="forgotten"
+                )
+                for s in (store, restored):
+                    estimate = zone_map.estimate(
+                        column, low, high, surcharge=s.decode_surcharge(column)
+                    )
+                    assert estimate.decode_rows == _per_range_penalty(
+                        s, ranges, column
+                    )
+                    assert estimate.forgotten_decode_rows == _per_range_penalty(
+                        s, missed, column
+                    )
 
 
 class TestAccounting:

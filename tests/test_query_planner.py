@@ -21,7 +21,7 @@ from repro.query import (
 )
 from repro.query.planner import HASH_RANGE_LIMIT
 from repro.stats import TableHistogramStats
-from repro.storage import CohortZoneMap, Table
+from repro.storage import CohortZoneMap, CompressedCohortStore, Table
 
 
 @pytest.fixture
@@ -333,6 +333,49 @@ class TestCostMode:
                 results["scan"].missed_positions.tolist()
                 == results["cost"].missed_positions.tolist()
             )
+
+    def test_pricing_reads_no_ranges_or_blocks(self, monkeypatch):
+        """A cost-mode plan prices the decode term off per-cohort arrays.
+
+        On a 500-cohort history with every cohort demoted, planning
+        must neither list candidate ranges nor look a block up (both
+        stay on the execution path); the decode term is still priced
+        for the pruned scan and for an index plan's missed side.
+        """
+        rng = np.random.default_rng(3)
+        table = Table("t", ["a"])
+        zone_map = CohortZoneMap(table)
+        for epoch in range(500):
+            table.insert_batch(epoch, {"a": rng.integers(0, 50_000, 20)})
+        table.forget(np.arange(0, table.total_rows, 5), epoch=500)
+        store = CompressedCohortStore(table)
+        store.demote_cold(current_epoch=500 + store.min_age)
+        assert store.demoted_count == 500
+        index = SortedIndex(table, "a")
+        planner = QueryPlanner(
+            table,
+            mode="cost",
+            zone_map=zone_map,
+            indexes=[index],
+            compressed=store,
+        )
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("cost pricing walked the cohort ranges")
+
+        monkeypatch.setattr(CohortZoneMap, "candidate_ranges", forbidden)
+        monkeypatch.setattr(CompressedCohortStore, "block_at", forbidden)
+        wide = planner.plan(RangePredicate("a", 1_000, 40_000))
+        assert "+decode" in wide.reason
+        narrow = planner.plan(RangePredicate("a", 100, 102))
+        assert narrow.mode == "index"
+        estimate = planner.estimate("a", 100, 102)
+        assert estimate.forgotten_decode_rows > 0
+        assert narrow.estimated_rows == (
+            index.estimate_entries(100, 102)
+            + estimate.forgotten_candidate_rows
+            + estimate.forgotten_decode_rows
+        )
 
 
 class TestHistogramStatistics:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro._util.errors import StorageError
 from repro.storage import Cohort, CohortLog
@@ -199,6 +201,42 @@ class TestCohortZoneMap:
         table.add_observer(zm)  # backfill replays all history
         assert zm.active_counts().tolist() == before == [2, 2]
         assert zm.candidate_ranges("a", 0, 50, require="forgotten") == [(0, 3)]
+
+    @seed(20170108)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=15),
+        forgets=st.lists(
+            st.lists(st.floats(0.0, 1.0), max_size=30), max_size=5
+        ),
+    )
+    def test_recount_matches_per_cohort_count(self, sizes, forgets):
+        """Active counts equal a per-cohort count_nonzero of the bitmap.
+
+        Over layouts with empty cohorts and forgets spread over any
+        subset of cohorts, live and after a backfill replay.
+        """
+        from repro.storage import CohortZoneMap, Table
+
+        table = Table("t", ["a"])
+        zm = CohortZoneMap(table)
+        epoch = 0
+        for size in sizes:
+            table.insert_batch(epoch, {"a": np.arange(size)})
+            epoch += 1
+        for fractions in forgets:
+            if table.total_rows:
+                picks = (np.array(fractions) * (table.total_rows - 1)).astype(int)
+                table.forget(np.unique(picks), epoch=epoch)
+                epoch += 1
+        mask = table.active_mask()
+        expected = [
+            int(np.count_nonzero(mask[c.start : c.stop])) for c in table.cohorts
+        ]
+        assert zm.active_counts().tolist() == expected
+        table.remove_observer(zm)
+        table.add_observer(zm)
+        assert zm.active_counts().tolist() == expected
 
 
 class TestCohortLogIndexOf:
