@@ -129,7 +129,10 @@ def checked_int64(values, name: str) -> np.ndarray:
         ...
     repro._util.errors.QueryError: v cannot be cast to int64 without loss (first offender: 2.7)
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting such as [[1, 2], [3]]
+        raise QueryError(f"{name} must be one-dimensional") from None
     if arr.ndim != 1:
         raise QueryError(
             f"{name} must be one-dimensional, got shape {arr.shape}"

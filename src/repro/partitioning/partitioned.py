@@ -90,7 +90,7 @@ from ..faults import (
     fault_point,
 )
 from ..query.planner import QueryPlan
-from ..query.plans import check_scan_bounds, merge_match_sides
+from ..query.plans import check_scan_bounds, match_rows
 from ..query.predicates import RangePredicate, TruePredicate
 from ..query.queries import AggregateFunction
 from ..stats.moments import ExactMoments
@@ -834,27 +834,21 @@ class PartitionedAmnesiaDatabase:
                 if covered:
                     partition.query_hits += 1
                 db = partition.db
-                if db.total_rows == 0:
-                    empty = np.empty(0, dtype=np.int64)
-                    return empty, empty.copy(), np.empty(0, dtype=bool)
                 predicate = (
                     TruePredicate()
                     if low is None
                     else RangePredicate(self.column, low, high)
                 )
-                active, missed, _ = db.planner.match(predicate, (self.column,))
-                if record_access:
-                    db.table.record_access(
-                        active, db.epoch if epoch is None else epoch
-                    )
-                if covered:
-                    partition.query_rows += int(active.size + missed.size)
-                positions, flags = merge_match_sides(active, missed)
-                return (
-                    db.table.values(self.column)[positions],
-                    db.table.insert_epochs()[positions],
-                    flags,
+                values, epochs, flags = match_rows(
+                    db.planner,
+                    predicate,
+                    self.column,
+                    db.epoch if epoch is None else epoch,
+                    record_access,
                 )
+                if covered:
+                    partition.query_rows += int(values.size)
+                return values, epochs, flags
 
         with self._gate.reading():
             return self._fanout.map_ordered(

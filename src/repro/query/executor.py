@@ -88,62 +88,61 @@ class QueryExecutor:
         """EXPLAIN-style report of the planner's activity so far."""
         return self.planner.plan_report()
 
+    # -- matching ---------------------------------------------------------
+
+    def match(
+        self, query, epoch: int, *, plan=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Split ``query``'s matches into (active, missed) positions.
+
+        The one match step of every predicate read: validation,
+        planner-routed matching and access accounting live here once,
+        so the range, aggregate, moments and served paths cannot drift
+        — the equivalence suite's "policy-visible state cannot tell the
+        paths apart" invariant hangs on that.  ``plan`` forwards a
+        still-valid cached plan to :meth:`~repro.query.planner.
+        QueryPlanner.match` (see the planner's ``generation``
+        contract); ``None`` plans per query.
+        """
+        if isinstance(query, RangeQuery):
+            if not query.columns:
+                raise QueryError("range query predicate references no column")
+            predicate = query.predicate
+        elif isinstance(query, AggregateQuery):
+            if not self.table.has_column(query.column):
+                raise QueryError(
+                    f"aggregate column {query.column!r} not in table "
+                    f"{self.table.name!r}"
+                )
+            predicate = query.effective_predicate()
+        else:
+            raise QueryError(f"unsupported query type {type(query).__name__}")
+        self._require_rows()
+        active, missed, _ = self.planner.match(
+            predicate, query.columns, plan=plan
+        )
+        if self.record_access:
+            self.table.record_access(active, epoch)
+        return active, missed
+
     # -- range queries ------------------------------------------------------
 
     def execute_range(
         self, query: RangeQuery, epoch: int, *, plan=None
     ) -> RangeResult:
-        """Run a range query; returns both views' match sets.
-
-        ``plan`` forwards a still-valid cached plan to
-        :meth:`~repro.query.planner.QueryPlanner.match` (see the
-        planner's ``generation`` contract); ``None`` plans per query.
-        """
-        if not query.columns:
-            raise QueryError("range query predicate references no column")
-        self._require_rows()
-        active, missed, _ = self.planner.match(
-            query.predicate, query.columns, plan=plan
-        )
-        if self.record_access:
-            self.table.record_access(active, epoch)
+        """Run a range query; returns both views' match sets."""
+        active, missed = self.match(query, epoch, plan=plan)
         return RangeResult(
             query=query, active_positions=active, missed_positions=missed
         )
 
     # -- aggregate queries -----------------------------------------------------
 
-    def _aggregate_matches(
-        self, query: AggregateQuery, epoch: int, plan=None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shared front half of both aggregate paths.
-
-        Validation, planner-routed matching and access accounting live
-        here once, so the scalar and moments paths cannot drift — the
-        equivalence suite's "policy-visible state cannot tell the two
-        apart" invariant hangs on that.  Returns (active, missed,
-        column values).
-        """
-        if not self.table.has_column(query.column):
-            raise QueryError(
-                f"aggregate column {query.column!r} not in table "
-                f"{self.table.name!r}"
-            )
-        self._require_rows()
-        active, missed, _ = self.planner.match(
-            query.effective_predicate(), query.columns, plan=plan
-        )
-        if self.record_access:
-            self.table.record_access(active, epoch)
-        return active, missed, self.table.values(query.column)
-
-    def execute_aggregate(
-        self, query: AggregateQuery, epoch: int, *, plan=None
+    def aggregate(
+        self, query: AggregateQuery, active: np.ndarray, missed: np.ndarray
     ) -> AggregateResult:
-        """Run an aggregate; computes amnesiac and oracle values."""
-        active, missed, column_values = self._aggregate_matches(
-            query, epoch, plan=plan
-        )
+        """Amnesiac and oracle values of ``query`` over matched positions."""
+        column_values = self.table.values(query.column)
         amnesiac = query.function.compute(column_values[active])
         oracle_positions = np.concatenate([active, missed])
         oracle = query.function.compute(column_values[oracle_positions])
@@ -154,6 +153,13 @@ class QueryExecutor:
             active_matches=int(active.size),
             oracle_matches=int(active.size + missed.size),
         )
+
+    def execute_aggregate(
+        self, query: AggregateQuery, epoch: int, *, plan=None
+    ) -> AggregateResult:
+        """Run an aggregate; computes amnesiac and oracle values."""
+        active, missed = self.match(query, epoch, plan=plan)
+        return self.aggregate(query, active, missed)
 
     def execute_moments(
         self, query: AggregateQuery, epoch: int
@@ -166,11 +172,11 @@ class QueryExecutor:
         sufficient statistics whose merges are bit-identical under any
         grouping or order — which a sharded store merges across shards
         before finalizing, the only way AVG/VAR/STD stay exact under
-        partitioning.  Matching goes through the planner and access
-        accounting is identical to the scalar path, so policy-visible
-        state cannot tell the paths apart.
+        partitioning.  Matching and access accounting go through
+        :meth:`match`, like every other read.
         """
-        active, missed, column_values = self._aggregate_matches(query, epoch)
+        active, missed = self.match(query, epoch)
+        column_values = self.table.values(query.column)
         return (
             ExactMoments.of(column_values[active]),
             ExactMoments.of(column_values[missed]),

@@ -65,13 +65,16 @@ intersection short-circuits to a ``pruned`` plan), a single surviving
 column routes through the ordinary single-column paths, and a genuine
 multi-column conjunction intersects the per-column zone-map candidate
 ranges and scans only the intersection — instead of the historical
-full-scan fallback.  Composite predicates beyond that shape (``OR``,
-``NOT``, non-range children) and ``TruePredicate`` queries still fall
-back to ``scan`` regardless of the configured mode, and a forced mode
-degrades gracefully down the same chain (``index`` → ``zonemap`` →
-``scan``) when its structure is missing — the planner never fails a
-query it can answer, it only records *why* it picked a
-cheaper-or-safer path.
+full-scan fallback.  Every pruned path (the single-column zone map,
+that intersection, and the missed side of an index plan) is one walk
+over candidate ranges that ANDs per-column range masks, each read off
+a compressed block when the range is demoted.  Composite predicates
+beyond that shape (``OR``, ``NOT``, non-range children) and
+``TruePredicate`` queries still fall back to ``scan`` regardless of
+the configured mode, and a forced mode degrades gracefully down the
+same chain (``index`` → ``zonemap`` → ``scan``) when its structure is
+missing — the planner never fails a query it can answer, it only
+records *why* it picked a cheaper-or-safer path.
 
 :meth:`QueryPlanner.plan_report` renders an ``EXPLAIN``-style summary
 of every decision taken so far; :meth:`QueryPlanner.explain` previews
@@ -648,12 +651,14 @@ class QueryPlanner:
         if plan.mode == "pruned":
             empty = np.empty(0, dtype=np.int64)
             active, missed, considered = empty, empty.copy(), 0
-        elif plan.mode == "zonemap" and plan.and_bounds is not None:
-            active, missed, considered = self._match_and(
-                plan, predicate, columns
-            )
         elif plan.mode == "zonemap":
-            active, missed, considered = self._match_zonemap(plan)
+            bounds = plan.and_bounds or ((plan.column, plan.low, plan.high),)
+            ranges = (
+                plan.and_ranges
+                if plan.and_ranges is not None
+                else self._and_ranges(bounds)
+            )
+            active, missed, considered = self._match_ranges(ranges, bounds)
         elif plan.mode == "index":
             active, missed, considered = self._match_index(plan)
         else:
@@ -699,37 +704,8 @@ class QueryPlanner:
         window = values[start:stop]
         return (window >= low) & (window < high)
 
-    def _match_zonemap(
-        self, plan: QueryPlan
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        values = self.table.values(plan.column)
-        active_mask = self.table.active_mask()
-        active_chunks: list[np.ndarray] = []
-        missed_chunks: list[np.ndarray] = []
-        considered = 0
-        ranges = self.zone_map.candidate_ranges(plan.column, plan.low, plan.high)
-        for start, stop in ranges:
-            considered += stop - start
-            mask = self._window_range_mask(
-                plan.column, start, stop, plan.low, plan.high, values
-            )
-            if not mask.any():
-                continue
-            active_window = active_mask[start:stop]
-            hits = np.flatnonzero(mask & active_window)
-            if hits.size:
-                active_chunks.append(hits + start)
-            hits = np.flatnonzero(mask & ~active_window)
-            if hits.size:
-                missed_chunks.append(hits + start)
-        return (
-            _concat(active_chunks),
-            _concat(missed_chunks),
-            considered,
-        )
-
     def _and_ranges(self, and_bounds: tuple) -> list[tuple[int, int]]:
-        """Intersected zone-map candidate ranges of an AND plan.
+        """Intersected zone-map candidate ranges of per-column bounds.
 
         Each column's candidate list is a superset of the rows matching
         that column's bounds, so the intersection is a superset of the
@@ -747,44 +723,38 @@ class QueryPlanner:
                 break
         return ranges or []
 
-    def _match_and(
-        self, plan: QueryPlan, predicate: Predicate, columns: tuple[str, ...]
+    def _match_ranges(
+        self, ranges, bounds: tuple, *, missed_only: bool = False
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Evaluate the full predicate over the intersected candidates."""
-        values = {name: self.table.values(name) for name in columns}
+        """Split the rows of ``ranges`` matching every ``bounds`` conjunct.
+
+        ``bounds`` holds same-column-merged ``(column, low, high)``
+        triples, so ANDing the per-column range masks is exactly the
+        predicate's mask — and each column's mask can come off its
+        compressed block.  ``missed_only`` skips the active side (the
+        index plans' M_F recovery).  Returns (active, missed, rows
+        considered).
+        """
+        values = {column: self.table.values(column) for column, _, _ in bounds}
         active_mask = self.table.active_mask()
         active_chunks: list[np.ndarray] = []
         missed_chunks: list[np.ndarray] = []
         considered = 0
-        ranges = (
-            plan.and_ranges
-            if plan.and_ranges is not None
-            else self._and_ranges(plan.and_bounds)
-        )
         for start, stop in ranges:
             considered += stop - start
-            if self.compressed is not None:
-                # plan.and_bounds carries the same-column-merged bounds
-                # of every conjunct, so ANDing the per-column range
-                # masks is exactly predicate.mask — and each column's
-                # mask can come off its compressed block.
-                mask = None
-                for column, low, high in plan.and_bounds:
-                    column_mask = self._window_range_mask(
-                        column, start, stop, low, high, values[column]
-                    )
-                    mask = (
-                        column_mask if mask is None else mask & column_mask
-                    )
-            else:
-                window = {name: arr[start:stop] for name, arr in values.items()}
-                mask = predicate.mask(window)
+            mask = None
+            for column, low, high in bounds:
+                column_mask = self._window_range_mask(
+                    column, start, stop, low, high, values[column]
+                )
+                mask = column_mask if mask is None else mask & column_mask
             if not mask.any():
                 continue
             active_window = active_mask[start:stop]
-            hits = np.flatnonzero(mask & active_window)
-            if hits.size:
-                active_chunks.append(hits + start)
+            if not missed_only:
+                hits = np.flatnonzero(mask & active_window)
+                if hits.size:
+                    active_chunks.append(hits + start)
             hits = np.flatnonzero(mask & ~active_window)
             if hits.size:
                 missed_chunks.append(hits + start)
@@ -793,38 +763,25 @@ class QueryPlanner:
     def _match_index(
         self, plan: QueryPlan
     ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Active side from the index; the exact M_F side from the
+        forgotten-holding zone-map candidates, or from the forgotten
+        positions when no zone map covers the column."""
         probe = plan.index.lookup_range(plan.low, plan.high)
         active = np.sort(probe.positions.astype(np.int64, copy=False))
-        missed, extra = self._missed_matches(plan.column, plan.low, plan.high)
-        return active, missed, probe.entries_touched + extra
-
-    def _missed_matches(
-        self, column: str, low: int, high: int
-    ) -> tuple[np.ndarray, int]:
-        """Forgotten rows matching ``[low, high)`` — the exact M_F side."""
-        values = self.table.values(column)
+        column, low, high = plan.column, plan.low, plan.high
         if self.zone_map is not None and self.zone_map.covers(column):
-            active_mask = self.table.active_mask()
-            chunks: list[np.ndarray] = []
-            considered = 0
             ranges = self.zone_map.candidate_ranges(
                 column, low, high, require="forgotten"
             )
-            for start, stop in ranges:
-                considered += stop - start
-                mask = self._window_range_mask(
-                    column, start, stop, low, high, values
-                ) & ~active_mask[start:stop]
-                hits = np.flatnonzero(mask)
-                if hits.size:
-                    chunks.append(hits + start)
-            return _concat(chunks), considered
-        forgotten = self.table.forgotten_positions()
-        if forgotten.size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        window = values[forgotten]
-        mask = (window >= low) & (window < high)
-        return forgotten[mask], int(forgotten.size)
+            _, missed, extra = self._match_ranges(
+                ranges, ((column, low, high),), missed_only=True
+            )
+        else:
+            forgotten = self.table.forgotten_positions()
+            window = self.table.values(column)[forgotten]
+            missed = forgotten[(window >= low) & (window < high)]
+            extra = int(forgotten.size)
+        return active, missed, probe.entries_touched + extra
 
     # -- accounting -----------------------------------------------------
 

@@ -126,7 +126,7 @@ __all__ = [
     "JoinNode",
     "QuerySpec",
     "check_scan_bounds",
-    "merge_match_sides",
+    "match_rows",
     "parse_query_spec",
     "build_plan",
     "execute_plan",
@@ -522,21 +522,34 @@ def check_scan_bounds(
     return (None if low is None else int(low), None if high is None else int(high))
 
 
-def merge_match_sides(
-    active: np.ndarray, missed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (active, missed) position sets into position order.
+def match_rows(
+    planner, predicate, column: str, epoch: int, record_access: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Match, charge access and gather one leaf's rows in position order.
 
-    Returns the merged ascending positions and the forgotten flags
-    aligned with them — the row order a naive full scan produces.  One
-    implementation serves both the plain-table leaf and the sharded
-    store's per-shard streams, so the two can never drift.
+    Returns ``(values, insert_epochs, forgotten)`` aligned row by row:
+    the active and missed sides merged into ascending positions — the
+    row order a naive full scan produces.  One implementation serves
+    both the plain-table leaf and the sharded store's per-shard
+    streams, so the two can never drift.
     """
+    table = planner.table
+    if table.total_rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), np.empty(0, dtype=bool)
+    active, missed, _ = planner.match(predicate, (column,))
+    if record_access:
+        table.record_access(active, epoch)
     positions = np.concatenate([active, missed])
     flags = np.zeros(positions.size, dtype=bool)
     flags[active.size:] = True
     order = np.argsort(positions, kind="stable")
-    return positions[order], flags[order]
+    positions = positions[order]
+    return (
+        table.values(column)[positions],
+        table.insert_epochs()[positions],
+        flags[order],
+    )
 
 
 class _ScanNode(PlanNode):
@@ -615,18 +628,15 @@ class TableScanNode(_ScanNode):
         return catalog.get(self.source).column_names[0]
 
     def scan(self, catalog, epoch: int, record_access: bool) -> NodeResult:
-        table = catalog.get(self.source)
         column = self._column(catalog)
-        if table.total_rows == 0:
-            return NodeResult(SCAN_COLUMNS, _empty_rows(2), np.empty(0, dtype=bool))
-        planner = catalog.planner(self.source)
-        active, missed, _ = planner.match(self._predicate(column), (column,))
-        if record_access:
-            table.record_access(active, epoch)
-        positions, flags = merge_match_sides(active, missed)
-        rows = np.column_stack(
-            [table.values(column)[positions], table.insert_epochs()[positions]]
-        ).astype(np.int64, copy=False)
+        values, epochs, flags = match_rows(
+            catalog.planner(self.source),
+            self._predicate(column),
+            column,
+            epoch,
+            record_access,
+        )
+        rows = np.column_stack([values, epochs]).astype(np.int64, copy=False)
         return NodeResult(SCAN_COLUMNS, rows, flags)
 
     def estimate_rows(self, catalog) -> float:

@@ -76,6 +76,7 @@ from .._util.errors import (
     SessionError,
     TransientFault,
 )
+from .._util.validation import checked_int64
 from ..faults import SERVE_HANDLE, SERVE_QUERY, FaultInjected, fault_point
 from ..query.predicates import (
     AndPredicate,
@@ -86,7 +87,12 @@ from ..query.predicates import (
     RangePredicate,
     TruePredicate,
 )
-from ..query.queries import AggregateFunction, AggregateQuery, RangeQuery
+from ..query.queries import (
+    AggregateFunction,
+    AggregateQuery,
+    RangeQuery,
+    RangeResult,
+)
 from .plan_cache import PlanCache, predicate_shape
 from .result_cache import ResultCache, guard_bounds
 from .sessions import SessionManager, TenantScope
@@ -99,6 +105,12 @@ __all__ = [
     "run_server",
     "predicate_from_json",
 ]
+
+
+def _json_int(value, name: str) -> int:
+    """One integer request field; strings, fractions and overflow are
+    a :class:`QueryError` (HTTP 400), never a silent truncation."""
+    return int(checked_int64([value], name)[0])
 
 
 def predicate_from_json(obj) -> Predicate:
@@ -114,9 +126,15 @@ def predicate_from_json(obj) -> Predicate:
     kind = obj["type"]
     try:
         if kind == "range":
-            return RangePredicate(obj["column"], int(obj["low"]), int(obj["high"]))
+            return RangePredicate(
+                obj["column"],
+                _json_int(obj["low"], "range 'low'"),
+                _json_int(obj["high"], "range 'high'"),
+            )
         if kind == "point":
-            return PointPredicate(obj["column"], int(obj["value"]))
+            return PointPredicate(
+                obj["column"], _json_int(obj["value"], "point 'value'")
+            )
         if kind == "true":
             return TruePredicate()
         if kind == "and":
@@ -400,55 +418,36 @@ class QueryService:
         return query, key
 
     def _execute(self, table, query, epoch: int, *, plan=None):
-        """Planner-routed execution mirroring the catalog executor.
+        """Run ``query`` through the table's catalog executor.
 
-        Same validation, same ``match``, same access accounting, same
-        aggregate arithmetic — the serving equivalence tests pin the
-        outputs to :meth:`Catalog.execute` across all plan/stats modes,
-        so this mirror cannot drift silently.  Returns
+        :meth:`QueryExecutor.match` does the validation, matching and
+        access accounting, exactly as for :meth:`Catalog.execute`; this
+        only shapes the JSON payload.  Returns
         ``(payload, active, missed)``.
         """
-        if table.total_rows == 0:
-            raise QueryError(f"table {table.name!r} is empty")
-        planner = self.catalog.planner(table.name)
+        executor = self.catalog.executor(table.name)
+        active, missed = executor.match(query, epoch, plan=plan)
         if isinstance(query, RangeQuery):
-            if not query.columns:
-                raise QueryError("range query predicate references no column")
-            active, missed, _ = planner.match(
-                query.predicate, query.columns, plan=plan
+            result = RangeResult(
+                query=query, active_positions=active, missed_positions=missed
             )
-            table.record_access(active, epoch)
-            rf, mf = int(active.size), int(missed.size)
             payload = {
                 "kind": "range",
-                "rf": rf,
-                "mf": mf,
-                "oracle_count": rf + mf,
-                "precision": 1.0 if rf + mf == 0 else rf / (rf + mf),
+                "rf": result.rf,
+                "mf": result.mf,
+                "oracle_count": result.oracle_count,
+                "precision": result.precision,
             }
         else:
-            if not table.has_column(query.column):
-                raise QueryError(
-                    f"aggregate column {query.column!r} not in table "
-                    f"{table.name!r}"
-                )
-            active, missed, _ = planner.match(
-                query.effective_predicate(), query.columns, plan=plan
-            )
-            table.record_access(active, epoch)
-            values = table.values(query.column)
-            amnesiac = query.function.compute(values[active])
-            oracle = query.function.compute(
-                values[np.concatenate([active, missed])]
-            )
+            result = executor.aggregate(query, active, missed)
             payload = {
                 "kind": "aggregate",
                 "function": query.function.value,
                 "column": query.column,
-                "amnesiac_value": amnesiac,
-                "oracle_value": oracle,
-                "active_matches": int(active.size),
-                "oracle_matches": int(active.size + missed.size),
+                "amnesiac_value": result.amnesiac_value,
+                "oracle_value": result.oracle_value,
+                "active_matches": result.active_matches,
+                "oracle_matches": result.oracle_matches,
             }
         payload["fingerprint"] = {
             "active": _fingerprint(active),
@@ -559,15 +558,19 @@ class QueryService:
         rows = request.get("rows")
         if not isinstance(rows, dict) or not rows:
             raise QueryError("ingest needs a non-empty 'rows' column mapping")
+        rows = {
+            column: checked_int64(values, f"ingest column {column!r}")
+            for column, values in rows.items()
+        }
         scope = session.scope
         if scope.value_bounds:
             for column, values in rows.items():
-                if column in scope.value_bounds and values:
+                if column in scope.value_bounds and values.size:
                     scope.check_values(
                         session.tenant,
                         column,
-                        int(min(values)),
-                        int(max(values)) + 1,
+                        int(values.min()),
+                        int(values.max()) + 1,
                     )
         with self.catalog.source_lock(name):
             table = self.catalog.get(name)
@@ -593,9 +596,17 @@ class QueryService:
             self.result_cache.watch(name, table)
             epoch = max(table.cohorts.latest_epoch, 0)
             if "positions" in request:
-                positions = np.asarray(request["positions"], dtype=np.int64)
+                positions = checked_int64(
+                    request["positions"], "forget positions"
+                )
+                if positions.size and (
+                    positions.min() < 0 or positions.max() >= table.total_rows
+                ):
+                    raise QueryError(
+                        f"forget positions must lie in [0, {table.total_rows})"
+                    )
             else:
-                n = int(request.get("n", 0))
+                n = _json_int(request.get("n", 0), "forget 'n'")
                 if n < 1:
                     raise QueryError("forget needs 'positions' or a positive 'n'")
                 positions = table.active_positions()[:n]

@@ -29,6 +29,7 @@ from .._util.errors import (
     StorageError,
     UnknownColumnError,
 )
+from .._util.validation import as_int_array
 from .bitmap import Bitmap
 from .cohorts import CohortLog
 from .column import IntColumn
@@ -141,6 +142,12 @@ class Table:
         if len(set(lengths.values())) != 1 or -1 in lengths.values():
             raise SchemaError(f"insert batch arrays must be 1-D and equal length, got {lengths}")
         (n,) = set(lengths.values())
+        # Convert every column before anything is recorded: a rejected
+        # column must leave the table untouched, not half-appended.
+        arrays = {
+            name: as_int_array(arr, f"column {name!r} values")
+            for name, arr in arrays.items()
+        }
 
         start = self.total_rows
         cohort = self._cohorts.record(epoch=epoch, start=start, stop=start + n)

@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro import AmnesiaDatabase, AmnesiaSimulator, SimulationConfig
@@ -33,6 +33,7 @@ from repro.query import (
     AggregateFunction,
     AggregateQuery,
     AndPredicate,
+    PointPredicate,
     QueryExecutor,
     QueryPlanner,
     RangePredicate,
@@ -406,6 +407,120 @@ def test_compressed_paths_answer_identically(workload):
                     executor.execute_aggregate(windowed, epoch)
                 )
                 assert got == baseline, f"{name} diverged on {windowed}"
+
+
+#: One conjunct bound: inside the data domain (``a`` in [0, 40), ``b``
+#: in [0, 10)), just past its edges, or — for the two extreme draws —
+#: far outside it (±2**62).
+_conjunct_bound = st.integers(-6, 46).map(
+    lambda v: {-6: -(2**62), 46: 2**62}.get(v, v)
+)
+
+
+@st.composite
+def conjunct_workloads(draw):
+    """Two-column insert/forget steps plus AND conjunctions to replay.
+
+    A step is ``(rows, seed, forget_fraction)``; the seed draws the
+    batch's values and the rows forgotten after it, which keeps the
+    data dense enough that generated bounds land on stored values.
+    """
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 30), st.integers(0, 2**16), st.floats(0.0, 0.6)
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    conjunct = st.one_of(
+        st.tuples(
+            st.just("range"),
+            st.sampled_from(["a", "b"]),
+            _conjunct_bound,
+            st.integers(0, 30),
+        ),
+        st.tuples(
+            st.just("point"),
+            st.sampled_from(["a", "b"]),
+            _conjunct_bound,
+            st.just(0),
+        ),
+    )
+    conjunctions = draw(
+        st.lists(
+            st.lists(conjunct, min_size=1, max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return steps, conjunctions
+
+
+def _conjunction(spec) -> AndPredicate:
+    children = [
+        RangePredicate(column, low, low + width)
+        if kind == "range"
+        else PointPredicate(column, low)
+        for kind, column, low, width in spec
+    ]
+    return AndPredicate(*children)
+
+
+@pytest.mark.parametrize("compress", (False, True))
+@seed(20170108)
+@given(workload=conjunct_workloads())
+@settings(max_examples=60, deadline=None)
+def test_conjunctions_match_scan_in_every_mode(compress, workload):
+    """Generated AND conjunctions of range and point predicates, with
+    same-column conjuncts, empty intersections and out-of-domain
+    bounds: every plan mode, raw or compressed, == the naive scan."""
+    steps, conjunctions = workload
+    table = Table("t", ["a", "b"])
+    compressed = CompressedCohortStore(table, min_age=1) if compress else None
+    zone_map = CohortZoneMap(table)
+    indexes = [
+        SortedIndex(table, "a", merge_threshold=16),
+        HashIndex(table, "b"),
+    ]
+    planners = {
+        "scan": QueryPlanner(table, mode="scan"),
+        "zonemap": QueryPlanner(
+            table, mode="zonemap", zone_map=zone_map, compressed=compressed
+        ),
+        "index-bare": QueryPlanner(table, mode="index", indexes=indexes),
+        "cost-bare": QueryPlanner(table, mode="cost"),
+    }
+    for mode in ("auto", "index", "cost"):
+        planners[mode] = QueryPlanner(
+            table,
+            mode=mode,
+            zone_map=zone_map,
+            indexes=indexes,
+            compressed=compressed,
+        )
+    executors = {
+        name: QueryExecutor(table, record_access=False, planner=planner)
+        for name, planner in planners.items()
+    }
+    for epoch, (rows, step_seed, forget_fraction) in enumerate(steps):
+        rng = np.random.default_rng(step_seed)
+        table.insert_batch(
+            epoch, {"a": rng.integers(0, 40, rows), "b": rng.integers(0, 10, rows)}
+        )
+        victims = np.flatnonzero(rng.random(table.total_rows) < forget_fraction)
+        table.forget(victims, epoch=epoch)
+        if compressed is not None:
+            compressed.demote_cold(epoch)
+        for spec in conjunctions:
+            query = RangeQuery(_conjunction(spec))
+            baseline = _range_fingerprint(
+                executors["scan"].execute_range(query, epoch)
+            )
+            for name, executor in executors.items():
+                got = _range_fingerprint(executor.execute_range(query, epoch))
+                assert got == baseline, f"{name} diverged on {query}"
 
 
 @pytest.mark.parametrize("plan", PLAN_VARIANTS)

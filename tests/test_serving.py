@@ -561,6 +561,48 @@ class TestQueryService:
         assert service.stats()["stale_hits"] == 1
         catalog.close()
 
+    @pytest.mark.parametrize("paranoid", (False, True))
+    def test_every_served_execution_matches_through_the_executor(
+        self, monkeypatch, paranoid
+    ):
+        """Cache misses and paranoid re-executions all go through
+        ``QueryExecutor.match``; nothing in serving calls the planner's
+        ``match`` on its own."""
+        from repro.query import QueryExecutor, QueryPlanner
+
+        calls = {"executor": 0, "planner": 0}
+        executor_match = QueryExecutor.match
+        planner_match = QueryPlanner.match
+
+        def counting_executor(self, *args, **kwargs):
+            calls["executor"] += 1
+            return executor_match(self, *args, **kwargs)
+
+        def counting_planner(self, *args, **kwargs):
+            calls["planner"] += 1
+            return planner_match(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryExecutor, "match", counting_executor)
+        monkeypatch.setattr(QueryPlanner, "match", counting_planner)
+        catalog, service = self._service(paranoid=paranoid)
+        token = service.open_session("alice").token
+        aggregate = {
+            "op": "query",
+            "token": token,
+            "source": "obs",
+            "kind": "aggregate",
+            "function": "sum",
+            "column": "value",
+            "predicate": {"type": "range", "column": "value", "low": 5, "high": 50},
+        }
+        requests = [_range_request(token, 0, 10), aggregate]
+        for request in requests + requests:
+            service.handle(request)
+        misses, hits = len(requests), len(requests)
+        expected = misses + (hits if paranoid else 0)
+        assert calls == {"executor": expected, "planner": expected}
+        catalog.close()
+
     def test_close_detaches_from_catalog(self):
         catalog, service = self._service()
         service.open_session("alice")
@@ -674,6 +716,117 @@ class TestHTTPServer:
             service.close()
             catalog.close()
         assert not thread.is_alive()
+
+
+@pytest.fixture(scope="class")
+def alice_server():
+    """One live server for a class: ``(catalog, port, alice, bob)``."""
+    catalog, service, server, thread = _serve_alice()
+    port = server.server_address[1]
+    alice = _post(port, {"op": "open_session", "tenant": "alice"})[1]["token"]
+    bob = _post(port, {"op": "open_session", "tenant": "bob"})[1]["token"]
+    yield catalog, port, alice, bob
+    _close_all(catalog, service, server, thread)
+
+
+def _forget_request(token: str, **fields) -> dict:
+    return {"op": "forget", "token": token, "source": "obs", **fields}
+
+
+def _query_with_low(token: str, low) -> dict:
+    request = _range_request(token, 0, 10)
+    request["predicate"]["low"] = low
+    return request
+
+
+class TestMalformedFields:
+    """A field of the wrong type or range is a 400 that changes nothing:
+    never a 500, and never silently truncated into a valid request."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda alice, bob: _forget_request(alice, positions=[2.7]),
+            lambda alice, bob: _forget_request(alice, positions=[[1, 2]]),
+            lambda alice, bob: _forget_request(alice, positions=[[1, 2], [3]]),
+            lambda alice, bob: _forget_request(alice, positions=["3"]),
+            lambda alice, bob: _forget_request(alice, positions=[-1]),
+            lambda alice, bob: _forget_request(alice, positions=[200]),
+            lambda alice, bob: _forget_request(alice, n="abc"),
+            lambda alice, bob: _forget_request(alice, n=2.9),
+            lambda alice, bob: {
+                "op": "ingest",
+                "token": bob,
+                "source": "obs",
+                "rows": {"value": ["x"], "sensor": [0]},
+            },
+            lambda alice, bob: {
+                "op": "ingest",
+                "token": bob,
+                "source": "obs",
+                "rows": {"value": 5, "sensor": [0]},
+            },
+            lambda alice, bob: _query_with_low(alice, "a"),
+            lambda alice, bob: _query_with_low(alice, 2.7),
+        ],
+        ids=[
+            "forget-fraction",
+            "forget-2d",
+            "forget-ragged",
+            "forget-string",
+            "forget-negative",
+            "forget-past-end",
+            "forget-n-string",
+            "forget-n-fraction",
+            "scoped-ingest-string",
+            "scoped-ingest-scalar",
+            "predicate-low-string",
+            "predicate-low-fraction",
+        ],
+    )
+    def test_bad_field_is_400_and_changes_nothing(self, alice_server, make):
+        catalog, port, alice, bob = alice_server
+        table = catalog.get("obs")
+        before = (table.total_rows, table.active_positions().tolist())
+        status, body = _post(port, make(alice, bob))
+        assert status == 400, body
+        assert body["ok"] is False
+        assert (table.total_rows, table.active_positions().tolist()) == before
+
+
+class TestTornInsert:
+    def test_rejected_ingest_leaves_the_table_usable(self):
+        """After a 400 ingest, the table answers like a fresh one."""
+
+        def replay(bad_first: bool) -> list:
+            catalog, service, server, thread = _serve_alice()
+            port = server.server_address[1]
+            try:
+                token = _post(port, {"op": "open_session", "tenant": "alice"})[1][
+                    "token"
+                ]
+                ingest = {"op": "ingest", "token": token, "source": "obs"}
+                if bad_first:
+                    status, _ = _post(
+                        port, {**ingest, "rows": {"value": [7], "sensor": [1.5]}}
+                    )
+                    assert status == 400
+                replies = [
+                    _post(
+                        port, {**ingest, "rows": {"value": [5, 6], "sensor": [1, 1]}}
+                    ),
+                    _post(port, _range_request(token, 0, 10)),
+                ]
+                table = catalog.get("obs")
+                assert len(table.cohorts) == 2
+                assert len(table.values("value")) == len(table.values("sensor"))
+                return replies
+            finally:
+                _close_all(catalog, service, server, thread)
+
+        torn = replay(bad_first=True)
+        assert [status for status, _ in torn] == [200, 200]
+        assert torn == replay(bad_first=False)
 
 
 # -- the concurrent smoke ------------------------------------------------

@@ -51,6 +51,34 @@ class TestInsert:
         with pytest.raises(SchemaError):
             table.insert_batch(0, {"a": [1, 2], "b": [3]})
 
+    @pytest.mark.parametrize("bad", [[1.5], [2**70], ["x"]])
+    def test_rejected_column_leaves_table_untouched(self, bad):
+        # The bad column comes last, after one that converts cleanly:
+        # nothing of the batch may land, or every later insert would
+        # fail on a cohort log that ran ahead of the columns.
+        table = Table("t", ["a", "b"])
+        table.insert_batch(0, {"a": [1, 2], "b": [3, 4]})
+        inserts = []
+
+        class Recorder:
+            def on_insert(self, table, positions):
+                inserts.append(positions.tolist())
+
+            def on_forget(self, table, positions):
+                pass
+
+        table.add_observer(Recorder(), backfill=False)
+        with pytest.raises(ConfigError):
+            table.insert_batch(1, {"a": [5], "b": bad})
+        assert table.total_rows == 2
+        assert len(table.cohorts) == 1
+        assert [len(table.values(name)) for name in ("a", "b")] == [2, 2]
+        assert table.active_count == 2
+        assert inserts == []
+        assert table.insert_batch(1, {"a": [5], "b": [6]}).tolist() == [2]
+        assert table.values("b").tolist() == [3, 4, 6]
+        assert inserts == [[2]]
+
     def test_insert_epochs_must_increase(self, small_table):
         with pytest.raises(StorageError):
             small_table.insert_batch(0, {"a": [1]})
