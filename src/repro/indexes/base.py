@@ -55,7 +55,7 @@ class Index(ABC):
     """
 
     def __init__(self, table: Table, column: str):
-        table.column(column)  # validates existence
+        table.values(column)  # validates existence
         self.table = table
         self.column = column
         self._dropped = False

@@ -52,8 +52,8 @@ class ForeignKey:
         parent: Table,
         parent_column: str,
     ):
-        child.column(child_column)
-        parent.column(parent_column)
+        child.values(child_column)  # validates existence
+        parent.values(parent_column)
         if child is parent:
             raise ConfigError("self-referencing foreign keys are not supported")
         self.child = child

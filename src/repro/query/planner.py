@@ -347,7 +347,7 @@ class QueryPlanner:
         that routes inserts by these very bounds); the planner uses it
         to answer provably-empty probes without touching the table.
         """
-        self.table.column(column)  # validates existence
+        self.table.values(column)  # validates existence
         low = None if low is None else int(low)
         high = None if high is None else int(high)
         if low is not None and high is not None and high <= low:

@@ -146,7 +146,7 @@ class TableHistogramStats:
         if not names:
             raise StorageError("histogram statistics need at least one column")
         for name in names:
-            table.column(name)  # validates existence
+            table.values(name)  # validates existence
         self.table = table
         self.bins = check_positive_int(bins, "bins")
         self._active: dict[str, EquiWidthHistogram | None] = {

@@ -215,7 +215,7 @@ class CohortZoneMap:
         if not names:
             raise StorageError("zone map needs at least one column")
         for name in names:
-            table.column(name)  # validates existence
+            table.values(name)  # validates existence
         self.table = table
         self._mins = {name: np.empty(0, dtype=np.int64) for name in names}
         self._maxs = {name: np.empty(0, dtype=np.int64) for name in names}

@@ -89,7 +89,7 @@ class CompressedCohortStore:
         if not names:
             raise StorageError("compressed store needs at least one column")
         for name in names:
-            table.column(name)  # validates existence
+            table.values(name)  # validates existence
         if min_age < 1:
             raise StorageError(f"min_age must be >= 1, got {min_age}")
         self.table = table

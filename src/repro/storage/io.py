@@ -229,11 +229,10 @@ def _replay_table(
     ):
         table.forget(batch, epoch=epoch)
     # Counters restore directly — no query replay needed.
-    table._access_count.overwrite(
-        _widened(members, f"{prefix}access_count")
-    )
-    table._last_access_epoch.overwrite(
-        _widened(members, f"{prefix}last_access_epoch")
+    table.restore_access(
+        np.arange(table.total_rows, dtype=np.int64),
+        _widened(members, f"{prefix}access_count"),
+        _widened(members, f"{prefix}last_access_epoch"),
     )
     return table
 

@@ -1,16 +1,21 @@
-"""The amnesiac table: columnar data + activity bitmap + tuple metadata.
+"""The amnesiac table: one row store of values, activity and metadata.
 
-A :class:`Table` is the simulator's unit of storage (paper §2.1).  It
-holds:
+A :class:`Table` is the simulator's unit of storage (paper §2.1).  Its
+per-row state is a set of plain NumPy arrays that grow together under
+one row count and one capacity:
 
-* one append-only :class:`~repro.storage.column.IntColumn` per attribute
-  (values are immutable history — amnesia never rewrites them);
-* an *active* :class:`~repro.storage.bitmap.Bitmap` — the single source
-  of truth for what the amnesiac DBMS can still see;
-* per-tuple metadata the policies feed on: insertion epoch, access
-  frequency, last-access epoch, forgotten-at epoch;
-* a :class:`~repro.storage.cohorts.CohortLog` mapping row positions back
-  to the update batch that inserted them (for the amnesia maps).
+* one ``int64`` value array per attribute (values are immutable history
+  — amnesia never rewrites them);
+* one ``bool`` *activity* array — the single source of truth for what
+  the amnesiac DBMS can still see; forgetting only clears a row's flag
+  (paper §2.3), so the oracle keeps the complete history;
+* four ``int64`` metadata arrays the policies feed on: insertion epoch,
+  access frequency, last-access epoch and forgotten-at epoch.
+
+A :class:`~repro.storage.cohorts.CohortLog` maps row positions back to
+the update batch that inserted them (for the amnesia maps).  Every read
+accessor returns a zero-copy, read-only view over the first
+``total_rows`` slots, or a fresh copy.
 
 Observers (indexes, lifecycle dispositions) can subscribe to insert and
 forget events so that auxiliary structures stay consistent without the
@@ -30,12 +35,11 @@ from .._util.errors import (
     UnknownColumnError,
 )
 from .._util.validation import as_int_array
-from .bitmap import Bitmap
 from .cohorts import CohortLog
-from .column import IntColumn
-from .vectors import GrowableIntVector
 
 __all__ = ["Table", "TableObserver"]
+
+_INITIAL_CAPACITY = 64
 
 
 class TableObserver(Protocol):
@@ -67,15 +71,21 @@ class Table:
         names = list(column_names)
         if not names:
             raise SchemaError("a table needs at least one column")
+        if not all(names):
+            raise SchemaError(f"column names must be non-empty, got {names}")
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in {names}")
         self.name = name
-        self._columns: dict[str, IntColumn] = {n: IntColumn(n) for n in names}
-        self._active = Bitmap()
-        self._insert_epoch = GrowableIntVector(fill=0)
-        self._access_count = GrowableIntVector(fill=0)
-        self._last_access_epoch = GrowableIntVector(fill=-1)
-        self._forgotten_epoch = GrowableIntVector(fill=-1)
+        self._rows = 0
+        self._active_rows = 0
+        self._values = {
+            n: np.zeros(_INITIAL_CAPACITY, dtype=np.int64) for n in names
+        }
+        self._active = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self._insert_epoch = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
+        self._access_count = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
+        self._last_access_epoch = np.full(_INITIAL_CAPACITY, -1, dtype=np.int64)
+        self._forgotten_epoch = np.full(_INITIAL_CAPACITY, -1, dtype=np.int64)
         self._cohorts = CohortLog()
         self._observers: list[TableObserver] = []
 
@@ -84,40 +94,80 @@ class Table:
     @property
     def column_names(self) -> tuple[str, ...]:
         """Attribute names, in declaration order."""
-        return tuple(self._columns)
+        return tuple(self._values)
 
     def has_column(self, name: str) -> bool:
         """True if the table has a column called ``name``."""
-        return name in self._columns
-
-    def column(self, name: str) -> IntColumn:
-        """The column object for ``name`` (raises UnknownColumnError)."""
-        try:
-            return self._columns[name]
-        except KeyError:
-            raise UnknownColumnError(name, self.column_names) from None
+        return name in self._values
 
     # -- sizes ------------------------------------------------------------
 
     @property
     def total_rows(self) -> int:
         """Rows ever inserted (active + forgotten)."""
-        return len(self._active)
+        return self._rows
 
     @property
     def active_count(self) -> int:
         """Rows the amnesiac DBMS can still see."""
-        return self._active.count_set()
+        return self._active_rows
 
     @property
     def forgotten_count(self) -> int:
         """Rows marked forgotten so far."""
-        return self._active.count_clear()
+        return self._rows - self._active_rows
 
     @property
     def cohorts(self) -> CohortLog:
         """The insertion-batch log (read-mostly)."""
         return self._cohorts
+
+    # -- row store internals ----------------------------------------------
+
+    def _reserve(self, needed: int) -> None:
+        """Grow every per-row array to hold ``needed`` rows (amortised).
+
+        Every slot past ``total_rows`` holds its array's fill (0, or -1
+        for the last-access and forgotten epochs), written here: the
+        whole array is touched when it grows, never page by page as
+        later inserts first reach fresh memory.
+        """
+        capacity = self._active.shape[0]
+        if needed <= capacity:
+            return
+        capacity = max(2 * capacity, needed)
+
+        def grown(old: np.ndarray, fill) -> np.ndarray:
+            new = np.full(capacity, fill, dtype=old.dtype)
+            new[: self._rows] = old[: self._rows]
+            return new
+
+        # One array at a time, so only one old copy is alive at once.
+        for name, data in self._values.items():
+            self._values[name] = grown(data, 0)
+        self._active = grown(self._active, False)
+        self._insert_epoch = grown(self._insert_epoch, 0)
+        self._access_count = grown(self._access_count, 0)
+        self._last_access_epoch = grown(self._last_access_epoch, -1)
+        self._forgotten_epoch = grown(self._forgotten_epoch, -1)
+
+    def _checked(self, positions) -> np.ndarray:
+        """``positions`` as int64, or IndexError if any is not a row."""
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and (
+            positions.min() < 0 or positions.max() >= self._rows
+        ):
+            raise IndexError(
+                f"positions out of range [0, {self._rows}) "
+                f"for table {self.name!r}"
+            )
+        return positions
+
+    def _view(self, data: np.ndarray) -> np.ndarray:
+        """Zero-copy, read-only view of the first ``total_rows`` slots."""
+        out = data[: self._rows]
+        out.flags.writeable = False
+        return out
 
     # -- mutation ---------------------------------------------------------
 
@@ -128,15 +178,15 @@ class Table:
          1-D integer arrays.  The batch is recorded as the cohort for
         ``epoch``; epochs must strictly increase across calls.
         """
-        missing = set(self._columns) - set(values_by_column)
-        extra = set(values_by_column) - set(self._columns)
+        missing = set(self._values) - set(values_by_column)
+        extra = set(values_by_column) - set(self._values)
         if missing or extra:
             raise SchemaError(
                 f"insert batch columns mismatch: missing={sorted(missing)}, "
                 f"unexpected={sorted(extra)}"
             )
         arrays = {
-            name: np.asarray(values_by_column[name]) for name in self._columns
+            name: np.asarray(values_by_column[name]) for name in self._values
         }
         lengths = {name: arr.shape[0] if arr.ndim == 1 else -1 for name, arr in arrays.items()}
         if len(set(lengths.values())) != 1 or -1 in lengths.values():
@@ -149,15 +199,16 @@ class Table:
             for name, arr in arrays.items()
         }
 
-        start = self.total_rows
-        cohort = self._cohorts.record(epoch=epoch, start=start, stop=start + n)
-        for name, column in self._columns.items():
-            column.append_many(arrays[name])
-        self._active.extend(n, value=True)
-        self._insert_epoch.extend(n, value=epoch)
-        self._access_count.extend(n, value=0)
-        self._last_access_epoch.extend(n, value=-1)
-        self._forgotten_epoch.extend(n, value=-1)
+        start, stop = self._rows, self._rows + n
+        cohort = self._cohorts.record(epoch=epoch, start=start, stop=stop)
+        self._reserve(stop)
+        for name, data in self._values.items():
+            data[start:stop] = arrays[name]
+        # The access and forgotten metadata already hold their fills.
+        self._active[start:stop] = True
+        self._insert_epoch[start:stop] = epoch
+        self._rows = stop
+        self._active_rows += n
 
         positions = cohort.positions()
         for observer in self._observers:
@@ -167,20 +218,21 @@ class Table:
     def forget(self, positions: np.ndarray, epoch: int) -> int:
         """Mark rows at ``positions`` forgotten; return how many flipped.
 
-        Forgetting is idempotent per row (re-forgetting is a no-op) but
-        the simulator treats double-forgetting as a policy bug, so the
-        count of newly flipped rows is returned for callers to assert on.
+        Forgetting is idempotent per row (re-forgetting is a no-op, and
+        a position repeated in one call counts once) but the simulator
+        treats double-forgetting as a policy bug, so the count of newly
+        flipped rows is returned for callers to assert on.  Observers
+        receive each newly forgotten position exactly once, ascending.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return 0
-        newly = positions[self._active.test_many(positions)]
-        flipped = self._active.clear_many(positions)
+        positions = np.unique(self._checked(positions))
+        newly = positions[self._active[positions]]
         if newly.size:
-            self._forgotten_epoch.set_at(newly, int(epoch))
+            self._active[newly] = False
+            self._forgotten_epoch[newly] = int(epoch)
+            self._active_rows -= int(newly.size)
             for observer in self._observers:
                 observer.on_forget(self, newly)
-        return flipped
+        return int(newly.size)
 
     def require_victims(self, n: int) -> None:
         """Raise unless at least ``n`` active rows exist."""
@@ -191,15 +243,21 @@ class Table:
         """Bulk-restore access metadata for rows migrated between tables.
 
         Partition boundary splits/merges replay a shard's history into a
-        fresh table; this carries the access-frequency signal the rot
-        and overuse policies feed on across the move, instead of
-        resetting every migrated row to "never read".
+        fresh table, and a checkpoint restore replays a saved one; this
+        carries the access-frequency signal the rot and overuse policies
+        feed on across the move, instead of resetting every migrated row
+        to "never read".
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return
-        self._access_count.put(positions, counts)
-        self._last_access_epoch.put(positions, last_epochs)
+        positions = self._checked(positions)
+        counts = np.asarray(counts, dtype=np.int64)
+        last_epochs = np.asarray(last_epochs, dtype=np.int64)
+        if not counts.shape == last_epochs.shape == positions.shape:
+            raise StorageError(
+                f"restore_access expects {positions.shape} values, got "
+                f"{counts.shape} counts and {last_epochs.shape} epochs"
+            )
+        self._access_count[positions] = counts
+        self._last_access_epoch[positions] = last_epochs
 
     def record_access(self, positions: np.ndarray, epoch: int) -> None:
         """Bump access frequency for rows appearing in a query result.
@@ -207,53 +265,61 @@ class Table:
         Duplicate positions accumulate — a tuple returned by several
         queries in one batch is that much "fresher" (paper §3.2).
         """
-        positions = np.asarray(positions, dtype=np.int64)
+        positions = self._checked(positions)
         if positions.size == 0:
             return
-        self._access_count.add_at(positions, 1)
-        self._last_access_epoch.set_at(np.unique(positions), int(epoch))
+        np.add.at(self._access_count, positions, 1)
+        self._last_access_epoch[positions] = int(epoch)
 
     # -- views --------------------------------------------------------------
 
     def active_mask(self) -> np.ndarray:
         """Read-only boolean mask over all rows (True = active)."""
-        return self._active.view()
+        return self._view(self._active)
 
     def active_positions(self) -> np.ndarray:
         """Positions of active rows, ascending."""
-        return self._active.set_positions()
+        return np.flatnonzero(self._active[: self._rows])
 
     def forgotten_positions(self) -> np.ndarray:
         """Positions of forgotten rows, ascending."""
-        return self._active.clear_positions()
+        return np.flatnonzero(~self._active[: self._rows])
 
     def is_active(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean activity test for arbitrary ``positions``."""
-        return self._active.test_many(positions)
+        """Boolean activity test for arbitrary ``positions`` (a copy)."""
+        return self._active[self._checked(positions)]
 
     def values(self, column: str) -> np.ndarray:
-        """Read-only view of *all* values of ``column`` (oracle view)."""
-        return self.column(column).values()
+        """Read-only view of *all* values of ``column`` (oracle view).
+
+        Raises :class:`UnknownColumnError` for a column the table lacks,
+        so callers validate a column name with it too.
+        """
+        try:
+            data = self._values[column]
+        except KeyError:
+            raise UnknownColumnError(column, self.column_names) from None
+        return self._view(data)
 
     def active_values(self, column: str) -> np.ndarray:
         """Values of ``column`` restricted to active rows (a copy)."""
-        return self.column(column).take(self.active_positions())
+        return self.values(column)[self.active_mask()]
 
     def insert_epochs(self) -> np.ndarray:
         """Read-only per-row insertion epoch."""
-        return self._insert_epoch.values()
+        return self._view(self._insert_epoch)
 
     def access_counts(self) -> np.ndarray:
         """Read-only per-row access frequency."""
-        return self._access_count.values()
+        return self._view(self._access_count)
 
     def last_access_epochs(self) -> np.ndarray:
         """Read-only per-row last-access epoch (-1 = never accessed)."""
-        return self._last_access_epoch.values()
+        return self._view(self._last_access_epoch)
 
     def forgotten_epochs(self) -> np.ndarray:
         """Read-only per-row forgotten-at epoch (-1 = still active)."""
-        return self._forgotten_epoch.values()
+        return self._view(self._forgotten_epoch)
 
     # -- cohort analytics -----------------------------------------------------
 
@@ -264,7 +330,7 @@ class Table:
         This is exactly one vertical slice of the paper's Figures 1–2.
         Runs once per amnesia-map slice on every epoch, so the
         per-cohort counts come from a single ``np.add.reduceat`` over
-        the activity bitmap instead of a Python loop — cohorts tile
+        the activity mask instead of a Python loop — cohorts tile
         ``[0, total_rows)``, so each cohort's segment ends where the
         next one starts.
         """
@@ -327,6 +393,6 @@ class Table:
 
     def __repr__(self) -> str:
         return (
-            f"Table(name={self.name!r}, columns={list(self._columns)}, "
+            f"Table(name={self.name!r}, columns={list(self._values)}, "
             f"total={self.total_rows}, active={self.active_count})"
         )

@@ -18,7 +18,7 @@ from repro.stats import (
     total_variation,
 )
 from repro.summaries import SummaryStore
-from repro.storage import Bitmap
+from repro.storage import Table
 
 int_arrays = arrays(
     dtype=np.int64,
@@ -96,18 +96,15 @@ def test_divergence_properties(p, q):
     assert js_divergence(p, p) == pytest.approx(0.0, abs=1e-9)
 
 
-@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 99)), max_size=200))
+@given(ops=st.lists(st.integers(0, 99), max_size=200))
 @settings(max_examples=40)
 def test_bitmap_random_walk(ops):
-    """Single-bit random walk keeps popcount exact."""
-    bm = Bitmap()
-    bm.extend(100, value=False)
-    reference = np.zeros(100, dtype=bool)
-    for set_it, pos in ops:
-        if set_it:
-            bm.set(pos)
-            reference[pos] = True
-        else:
-            bm.clear(pos)
-            reference[pos] = False
-    assert bm.count_set() == int(reference.sum())
+    """Single-row forget random walk keeps the active count exact."""
+    table = Table("t", ["a"])
+    table.insert_batch(0, {"a": np.zeros(100, dtype=np.int64)})
+    reference = np.ones(100, dtype=bool)
+    for epoch, pos in enumerate(ops, start=1):
+        assert table.forget(np.array([pos]), epoch) == int(reference[pos])
+        reference[pos] = False
+    assert table.active_count == int(reference.sum())
+    assert np.array_equal(table.active_mask(), reference)

@@ -6,68 +6,86 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import Bitmap, IntColumn, Table
+from repro.stats import TableHistogramStats
+from repro.storage import CohortZoneMap, Table
 
 positions_lists = st.lists(st.integers(0, 199), min_size=0, max_size=120)
 
 
+def _table(n: int) -> Table:
+    table = Table("t", ["a"])
+    table.insert_batch(0, {"a": np.arange(n)})
+    return table
+
+
 class TestBitmapProperties:
-    @given(clear=positions_lists, reset=positions_lists)
+    """A table's activity array: its count, mask and position lists."""
+
+    @given(clear=positions_lists)
     @settings(max_examples=60)
-    def test_popcount_matches_ground_truth(self, clear, reset):
-        """Incremental popcount == brute-force count after any op mix."""
-        bm = Bitmap()
-        bm.extend(200, value=True)
+    def test_popcount_matches_ground_truth(self, clear):
+        """The maintained active count == the mask's brute-force count."""
+        table = _table(200)
         reference = np.ones(200, dtype=bool)
         if clear:
-            bm.clear_many(np.array(clear))
+            table.forget(np.array(clear), epoch=1)
             reference[np.array(clear)] = False
-        if reset:
-            bm.set_many(np.array(reset))
-            reference[np.array(reset)] = True
-        assert bm.count_set() == int(reference.sum())
-        assert np.array_equal(bm.to_array(), reference)
+        assert table.active_count == int(table.active_mask().sum())
+        assert table.active_count == int(reference.sum())
+        assert np.array_equal(table.active_mask(), reference)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=50))
     @settings(max_examples=40)
     def test_extend_patterns(self, pattern):
-        bm = Bitmap()
-        for bit in pattern:
-            bm.extend(1, value=bit)
-        assert len(bm) == len(pattern)
-        assert bm.count_set() == sum(pattern)
-        assert list(bm) == pattern
+        table = Table("t", ["a"])
+        for epoch, bit in enumerate(pattern):
+            (position,) = table.insert_batch(epoch, {"a": [epoch]})
+            if not bit:
+                table.forget(np.array([position]), epoch)
+        assert table.total_rows == len(pattern)
+        assert table.active_count == sum(pattern)
+        assert table.active_mask().tolist() == pattern
 
     @given(clear=positions_lists)
     @settings(max_examples=40)
     def test_set_clear_partition(self, clear):
-        """set_positions and clear_positions always partition [0, n)."""
-        bm = Bitmap()
-        bm.extend(200, value=True)
+        """Active and forgotten positions always partition [0, n)."""
+        table = _table(200)
         if clear:
-            bm.clear_many(np.array(clear))
-        set_pos = set(bm.set_positions().tolist())
-        clear_pos = set(bm.clear_positions().tolist())
-        assert set_pos | clear_pos == set(range(200))
-        assert not (set_pos & clear_pos)
+            table.forget(np.array(clear), epoch=1)
+        active = set(table.active_positions().tolist())
+        forgotten = set(table.forgotten_positions().tolist())
+        assert active | forgotten == set(range(200))
+        assert not (active & forgotten)
+        assert len(forgotten) == table.forgotten_count
 
 
 class TestColumnProperties:
     @given(
         st.lists(
-            st.lists(st.integers(-(2**62), 2**62), min_size=0, max_size=40),
+            st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=3),
             min_size=1,
-            max_size=10,
+            max_size=60,
         )
     )
     @settings(max_examples=40)
     def test_append_many_concatenates(self, chunks):
-        col = IntColumn("a", initial_capacity=1)
+        """Many small batches grow every row array together: values
+        round-trip and each metadata array holds its fill."""
+        table = Table("t", ["a"])
         expected: list[int] = []
-        for chunk in chunks:
-            col.append_many(chunk)
+        epochs: list[int] = []
+        for epoch, chunk in enumerate(chunks):
+            table.insert_batch(epoch, {"a": chunk})
             expected.extend(chunk)
-        assert col.values().tolist() == expected
+            epochs.extend([epoch] * len(chunk))
+        n = len(expected)
+        assert table.values("a").tolist() == expected
+        assert table.insert_epochs().tolist() == epochs
+        assert table.access_counts().tolist() == [0] * n
+        assert table.last_access_epochs().tolist() == [-1] * n
+        assert table.forgotten_epochs().tolist() == [-1] * n
+        assert table.active_mask().all() and table.active_count == n
 
 
 class TestTableProperties:
@@ -79,16 +97,21 @@ class TestTableProperties:
     )
     @settings(max_examples=40)
     def test_counts_always_consistent(self, batches, forget_seed):
-        """active + forgotten == total after any insert/forget mix."""
+        """active + forgotten == total after any insert/forget mix, and
+        the observers' totals agree with the table's.
+
+        Victims are drawn with replacement from every position, so one
+        call may repeat a row or name one already forgotten.
+        """
         rng = np.random.default_rng(forget_seed)
         table = Table("t", ["a"])
+        stats = TableHistogramStats(table, bins=8)
+        zone_map = CohortZoneMap(table)
         for epoch, n in enumerate(batches):
             table.insert_batch(epoch, {"a": rng.integers(0, 100, n)})
-            active = table.active_positions()
-            if active.size:
-                k = int(rng.integers(0, active.size + 1))
-                if k:
-                    table.forget(rng.choice(active, k, replace=False), epoch)
+            k = int(rng.integers(0, table.total_rows + 1))
+            if k:
+                table.forget(rng.choice(table.total_rows, k), epoch)
             assert table.active_count + table.forgotten_count == table.total_rows
             assert table.active_positions().size == table.active_count
             # Cohort activity re-aggregates to the active count.
@@ -97,6 +120,12 @@ class TestTableProperties:
                 frac * sizes[e] for e, frac in table.cohort_activity().items()
             )
             assert round(weighted) == table.active_count
+            active, forgotten = stats.histograms("a")
+            assert (active.total, forgotten.total) == (
+                table.active_count,
+                table.forgotten_count,
+            )
+            assert int(zone_map.active_counts().sum()) == table.active_count
 
     @given(forget_seed=st.integers(0, 2**31))
     @settings(max_examples=30)

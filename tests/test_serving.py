@@ -794,6 +794,40 @@ class TestMalformedFields:
         assert (table.total_rows, table.active_positions().tolist()) == before
 
 
+class TestDuplicateForget:
+    def test_repeated_position_forgets_once(self):
+        """A position named twice is one forget: 200, one row flipped,
+        and the histogram statistics agree with the table.  On a small
+        table a doubled forget used to drive a histogram bin negative
+        mid-notification, answering 400 after the row had flipped."""
+        catalog = _catalog(rows=10)
+        service = QueryService(catalog)
+        service.register_tenant("alice", tables={"obs"})
+        server, thread = serve_in_thread(service)
+        port = server.server_address[1]
+        try:
+            alice = _post(port, {"op": "open_session", "tenant": "alice"})[1][
+                "token"
+            ]
+            # A first query builds the planner and its histograms.
+            assert _post(port, _range_request(alice, 0, 5))[0] == 200
+            status, body = _post(
+                port, _forget_request(alice, positions=[3, 3])
+            )
+            assert status == 200, body
+            assert body["forgotten"] == 1
+            table = catalog.get("obs")
+            assert table.forgotten_positions().tolist() == [3]
+            stats = catalog.planner("obs").table_stats
+            active, forgotten = stats.histograms("value")
+            assert (active.total, forgotten.total) == (
+                table.active_count,
+                table.forgotten_count,
+            )
+        finally:
+            _close_all(catalog, service, server, thread)
+
+
 class TestTornInsert:
     def test_rejected_ingest_leaves_the_table_usable(self):
         """After a 400 ingest, the table answers like a fresh one."""

@@ -1,151 +1,131 @@
-"""Tests for repro.storage.bitmap."""
+"""Tests for a table's activity marking: counts, forgets and views.
+
+Activity is one ``bool`` per row in the table's row store; forgetting
+clears a row's flag and never destroys its values.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro._util.errors import StorageError
-from repro.storage import Bitmap
+from repro.storage import Table
+
+
+def _table(n: int, forgotten=()) -> Table:
+    table = Table("t", ["a"])
+    table.insert_batch(0, {"a": np.arange(n)})
+    if len(forgotten):
+        table.forget(np.asarray(forgotten), epoch=1)
+    return table
 
 
 class TestGrowth:
     def test_empty(self):
-        bm = Bitmap()
-        assert len(bm) == 0
-        assert bm.count_set() == 0
-        assert bm.count_clear() == 0
+        table = Table("t", ["a"])
+        assert table.total_rows == 0
+        assert table.active_count == 0
+        assert table.forgotten_count == 0
+        assert table.active_mask().size == 0
 
     def test_extend_set(self):
-        bm = Bitmap()
-        bm.extend(10, value=True)
-        assert len(bm) == 10
-        assert bm.count_set() == 10
+        table = _table(10)
+        assert table.total_rows == 10
+        assert table.active_count == 10
+        assert table.active_mask().all()
 
     def test_extend_clear(self):
-        bm = Bitmap()
-        bm.extend(10, value=False)
-        assert bm.count_set() == 0
-        assert bm.count_clear() == 10
+        table = _table(10, forgotten=np.arange(10))
+        assert table.active_count == 0
+        assert table.forgotten_count == 10
 
     def test_extend_zero_is_noop(self):
-        bm = Bitmap()
-        bm.extend(0)
-        assert len(bm) == 0
-
-    def test_extend_negative_raises(self):
-        with pytest.raises(StorageError):
-            Bitmap().extend(-1)
+        table = Table("t", ["a"])
+        assert table.insert_batch(0, {"a": []}).size == 0
+        assert table.total_rows == 0
+        assert table.active_count == 0
 
     def test_growth_beyond_capacity(self):
-        bm = Bitmap(initial_capacity=2)
-        bm.extend(1000, value=True)
-        assert len(bm) == 1000
-        assert bm.count_set() == 1000
-        assert bm.capacity >= 1000
-
-    def test_bad_capacity(self):
-        with pytest.raises(StorageError):
-            Bitmap(initial_capacity=0)
+        table = Table("t", ["a"])
+        for epoch in range(1000):
+            table.insert_batch(epoch, {"a": [epoch]})
+        assert table.total_rows == 1000
+        assert table.active_count == 1000
+        assert table.values("a").tolist() == list(range(1000))
 
 
 class TestPointOps:
     def test_getitem(self):
-        bm = Bitmap()
-        bm.extend(3, value=True)
-        bm.clear(1)
-        assert bm[0] is True and bm[1] is False and bm[2] is True
+        table = _table(3, forgotten=[1])
+        assert bool(table.is_active(0)) is True
+        assert bool(table.is_active(1)) is False
+        assert bool(table.is_active(2)) is True
 
     def test_getitem_out_of_range(self):
-        bm = Bitmap()
-        bm.extend(3)
+        table = _table(3)
         with pytest.raises(IndexError):
-            bm[3]
+            table.is_active(3)
         with pytest.raises(IndexError):
-            bm[-1]
+            table.is_active(-1)
 
     def test_set_clear_idempotent(self):
-        bm = Bitmap()
-        bm.extend(2, value=False)
-        bm.set(0)
-        bm.set(0)
-        assert bm.count_set() == 1
-        bm.clear(0)
-        bm.clear(0)
-        assert bm.count_set() == 0
+        table = _table(2)
+        assert table.forget(np.array([0]), epoch=1) == 1
+        assert table.forget(np.array([0]), epoch=2) == 0
+        assert table.active_count == 1
 
 
 class TestBulkOps:
     def test_clear_many_counts_flips(self):
-        bm = Bitmap()
-        bm.extend(10, value=True)
-        flipped = bm.clear_many(np.array([1, 3, 3, 5]))
+        table = _table(10)
+        flipped = table.forget(np.array([1, 3, 3, 5]), epoch=1)
         # Position 3 flips once; duplicates in one call are harmless.
         assert flipped == 3
-        assert bm.count_set() == 7
-
-    def test_set_many_counts_flips(self):
-        bm = Bitmap()
-        bm.extend(5, value=False)
-        assert bm.set_many(np.array([0, 1])) == 2
-        assert bm.set_many(np.array([1, 2])) == 1
+        assert table.active_count == 7
 
     def test_bulk_empty_is_noop(self):
-        bm = Bitmap()
-        bm.extend(5)
-        assert bm.clear_many(np.empty(0, dtype=np.int64)) == 0
+        table = _table(5)
+        assert table.forget(np.empty(0, dtype=np.int64), epoch=1) == 0
+        assert table.active_count == 5
 
     def test_bulk_out_of_range(self):
-        bm = Bitmap()
-        bm.extend(5)
+        table = _table(5)
         with pytest.raises(IndexError):
-            bm.clear_many(np.array([5]))
+            table.forget(np.array([5]), epoch=1)
         with pytest.raises(IndexError):
-            bm.set_many(np.array([-1]))
+            table.forget(np.array([-1]), epoch=1)
+        assert table.active_count == 5
 
     def test_test_many(self):
-        bm = Bitmap()
-        bm.extend(4, value=True)
-        bm.clear(2)
-        assert bm.test_many(np.array([0, 2])).tolist() == [True, False]
+        table = _table(4, forgotten=[2])
+        assert table.is_active(np.array([0, 2])).tolist() == [True, False]
 
 
 class TestViews:
     def test_view_is_readonly(self):
-        bm = Bitmap()
-        bm.extend(4)
-        view = bm.view()
+        view = _table(4).active_mask()
         with pytest.raises(ValueError):
             view[0] = False
 
     def test_view_reflects_changes(self):
-        bm = Bitmap()
-        bm.extend(4, value=True)
-        view = bm.view()
-        bm.clear(0)
+        table = _table(4)
+        view = table.active_mask()
+        table.forget(np.array([0]), epoch=1)
         assert view[0] == np.False_
 
     def test_to_array_is_copy(self):
-        bm = Bitmap()
-        bm.extend(4, value=True)
-        arr = bm.to_array()
-        bm.clear(0)
-        assert arr[0] == np.True_
+        table = _table(4)
+        positions = table.active_positions()
+        flags = table.is_active(np.array([0]))
+        table.forget(np.array([0]), epoch=1)
+        assert positions.tolist() == [0, 1, 2, 3]
+        assert flags[0] == np.True_
 
     def test_positions(self):
-        bm = Bitmap()
-        bm.extend(6, value=True)
-        bm.clear_many(np.array([0, 2, 4]))
-        assert bm.set_positions().tolist() == [1, 3, 5]
-        assert bm.clear_positions().tolist() == [0, 2, 4]
-
-    def test_iter(self):
-        bm = Bitmap()
-        bm.extend(3, value=True)
-        bm.clear(1)
-        assert list(bm) == [True, False, True]
+        table = _table(6, forgotten=[0, 2, 4])
+        assert table.active_positions().tolist() == [1, 3, 5]
+        assert table.forgotten_positions().tolist() == [0, 2, 4]
 
     def test_repr(self):
-        bm = Bitmap()
-        bm.extend(3, value=True)
-        assert "3" in repr(bm)
+        text = repr(_table(3, forgotten=[1]))
+        assert "total=3" in text and "active=2" in text

@@ -1,151 +1,139 @@
-"""Tests for repro.storage.column and repro.storage.vectors."""
+"""Tests for a table's value columns and per-row metadata arrays.
+
+``TestIntColumn`` covers the append-only ``int64`` value arrays;
+``TestGrowableIntVector`` the four metadata arrays (insert epoch,
+access count, last-access epoch, forgotten-at epoch) that grow with
+them and are updated in place.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro._util.errors import ConfigError, StorageError
-from repro.storage import GrowableIntVector, IntColumn
+from repro._util.errors import ConfigError, SchemaError, StorageError
+from repro.storage import Table
 
 
 class TestIntColumn:
     def test_empty(self):
-        col = IntColumn("a")
-        assert len(col) == 0
-        assert col.nbytes() == 0
+        table = Table("t", ["a"])
+        assert table.values("a").size == 0
+        assert table.active_values("a").size == 0
 
     def test_requires_name(self):
-        with pytest.raises(StorageError):
-            IntColumn("")
+        with pytest.raises(SchemaError):
+            Table("t", [""])
 
     def test_append_returns_position(self):
-        col = IntColumn("a")
-        assert col.append(5) == 0
-        assert col.append(7) == 1
-        assert col[0] == 5 and col[1] == 7
+        table = Table("t", ["a"])
+        assert table.insert_batch(0, {"a": [5]}).tolist() == [0]
+        assert table.insert_batch(1, {"a": [7]}).tolist() == [1]
+        assert table.values("a").tolist() == [5, 7]
 
     def test_append_many(self):
-        col = IntColumn("a")
-        col.append_many([3, 1, 2])
-        col.append_many(np.array([9]))
-        assert col.values().tolist() == [3, 1, 2, 9]
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [3, 1, 2]})
+        table.insert_batch(1, {"a": np.array([9])})
+        assert table.values("a").tolist() == [3, 1, 2, 9]
 
     def test_append_many_empty(self):
-        col = IntColumn("a")
-        col.append_many([])
-        assert len(col) == 0
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": []})
+        assert len(table.values("a")) == 0
 
     def test_append_rejects_fractional(self):
-        col = IntColumn("a")
+        table = Table("t", ["a"])
         with pytest.raises(ConfigError):
-            col.append_many(np.array([1.5]))
+            table.insert_batch(0, {"a": np.array([1.5])})
 
     def test_growth(self):
-        col = IntColumn("a", initial_capacity=1)
-        col.append_many(np.arange(10_000))
-        assert len(col) == 10_000
-        assert col.values()[-1] == 9_999
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": np.arange(10_000)})
+        table.insert_batch(1, {"a": [-1]})
+        assert len(table.values("a")) == 10_001
+        assert table.values("a")[-2] == 9_999
 
     def test_values_view_readonly(self):
-        col = IntColumn("a")
-        col.append_many([1, 2])
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1, 2]})
         with pytest.raises(ValueError):
-            col.values()[0] = 9
+            table.values("a")[0] = 9
 
     def test_getitem_bounds(self):
-        col = IntColumn("a")
-        col.append_many([1])
+        """A view ends at the row count, not at the allocated capacity."""
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1]})
         with pytest.raises(IndexError):
-            col[1]
+            table.values("a")[1]
 
     def test_take(self):
-        col = IntColumn("a")
-        col.append_many([10, 20, 30])
-        assert col.take(np.array([2, 0])).tolist() == [30, 10]
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [10, 20, 30]})
+        table.forget(np.array([1]), epoch=1)
+        assert table.active_values("a").tolist() == [10, 30]
 
     def test_take_empty(self):
-        col = IntColumn("a")
-        col.append_many([1])
-        assert col.take(np.empty(0, dtype=np.int64)).size == 0
-
-    def test_take_out_of_range(self):
-        col = IntColumn("a")
-        col.append_many([1])
-        with pytest.raises(IndexError):
-            col.take(np.array([1]))
-
-    def test_min_max(self):
-        col = IntColumn("a")
-        col.append_many([5, -2, 9])
-        assert col.min() == -2
-        assert col.max() == 9
-
-    def test_min_empty_raises(self):
-        with pytest.raises(StorageError):
-            IntColumn("a").min()
-
-    def test_nbytes(self):
-        col = IntColumn("a")
-        col.append_many(np.arange(4))
-        assert col.nbytes() == 32
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1]})
+        table.forget(np.array([0]), epoch=1)
+        assert table.active_values("a").size == 0
 
 
 class TestGrowableIntVector:
     def test_extend_with_fill(self):
-        vec = GrowableIntVector(fill=7)
-        vec.extend(3)
-        assert vec.values().tolist() == [7, 7, 7]
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1, 2, 3]})
+        assert table.access_counts().tolist() == [0, 0, 0]
+        assert table.last_access_epochs().tolist() == [-1, -1, -1]
+        assert table.forgotten_epochs().tolist() == [-1, -1, -1]
 
     def test_extend_with_value(self):
-        vec = GrowableIntVector(fill=0)
-        vec.extend(2, value=5)
-        assert vec.values().tolist() == [5, 5]
+        table = Table("t", ["a"])
+        table.insert_batch(3, {"a": [1, 2]})
+        table.insert_batch(5, {"a": [3]})
+        assert table.insert_epochs().tolist() == [3, 3, 5]
 
     def test_extend_with_array(self):
-        vec = GrowableIntVector()
-        vec.extend_with([1, 2, 3])
-        assert vec.values().tolist() == [1, 2, 3]
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1, 2, 3]})
+        table.restore_access(np.array([2, 0]), [7, 4], [9, 8])
+        assert table.access_counts().tolist() == [4, 0, 7]
+        assert table.last_access_epochs().tolist() == [8, -1, 9]
 
     def test_extend_with_rejects_2d(self):
+        table = Table("t", ["a"])
+        with pytest.raises(SchemaError):
+            table.insert_batch(0, {"a": np.zeros((2, 2), dtype=np.int64)})
+        table.insert_batch(0, {"a": [1, 2]})
         with pytest.raises(StorageError):
-            GrowableIntVector().extend_with(np.zeros((2, 2), dtype=np.int64))
+            table.restore_access(np.array([0, 1]), [[1, 2]], [3, 4])
+        assert table.access_counts().tolist() == [0, 0]
 
     def test_set_at(self):
-        vec = GrowableIntVector()
-        vec.extend(4)
-        vec.set_at(np.array([1, 3]), 9)
-        assert vec.values().tolist() == [0, 9, 0, 9]
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1, 2, 3, 4]})
+        table.forget(np.array([1, 3]), epoch=9)
+        assert table.forgotten_epochs().tolist() == [-1, 9, -1, 9]
 
     def test_add_at_accumulates_duplicates(self):
-        vec = GrowableIntVector()
-        vec.extend(3)
-        vec.add_at(np.array([1, 1, 2]), 1)
-        assert vec.values().tolist() == [0, 2, 1]
-
-    def test_take(self):
-        vec = GrowableIntVector()
-        vec.extend_with([10, 20, 30])
-        assert vec.take(np.array([2, 1])).tolist() == [30, 20]
-
-    def test_getitem(self):
-        vec = GrowableIntVector()
-        vec.extend_with([4, 5])
-        assert vec[1] == 5
-        with pytest.raises(IndexError):
-            vec[2]
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1, 2, 3]})
+        table.record_access(np.array([1, 1, 2]), epoch=4)
+        assert table.access_counts().tolist() == [0, 2, 1]
+        assert table.last_access_epochs().tolist() == [-1, 4, 4]
 
     def test_out_of_range_updates(self):
-        vec = GrowableIntVector()
-        vec.extend(2)
+        table = Table("t", ["a"])
+        table.insert_batch(0, {"a": [1, 2]})
         with pytest.raises(IndexError):
-            vec.set_at(np.array([2]), 1)
+            table.record_access(np.array([2]), epoch=1)
+        assert table.access_counts().tolist() == [0, 0]
 
     def test_growth_preserves_fill(self):
-        vec = GrowableIntVector(fill=-1, initial_capacity=1)
-        vec.extend(100)
-        assert (vec.values() == -1).all()
-
-    def test_negative_extend(self):
-        with pytest.raises(StorageError):
-            GrowableIntVector().extend(-1)
+        table = Table("t", ["a"])
+        for epoch in range(100):
+            table.insert_batch(epoch, {"a": [epoch]})
+        assert (table.last_access_epochs() == -1).all()
+        assert (table.forgotten_epochs() == -1).all()
+        assert table.insert_epochs().tolist() == list(range(100))

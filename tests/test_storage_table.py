@@ -29,7 +29,7 @@ class TestSchema:
         assert small_table.has_column("a")
         assert not small_table.has_column("b")
         with pytest.raises(UnknownColumnError):
-            small_table.column("b")
+            small_table.values("b")
 
 
 class TestInsert:
@@ -132,6 +132,51 @@ class TestAccessAccounting:
     def test_record_access_empty(self, small_table):
         small_table.record_access(np.empty(0, dtype=np.int64), epoch=1)
         assert (small_table.access_counts() == 0).all()
+
+
+class TestRowStore:
+    def test_every_view_is_read_only(self, small_table):
+        views = [
+            small_table.active_mask(),
+            small_table.values("a"),
+            small_table.insert_epochs(),
+            small_table.access_counts(),
+            small_table.last_access_epochs(),
+            small_table.forgotten_epochs(),
+        ]
+        for view in views:
+            assert view.size == small_table.total_rows
+            with pytest.raises(ValueError):
+                view[0] = 1
+
+    @pytest.mark.parametrize("bad", [[100], [-1], [0, 100]])
+    def test_out_of_range_positions_change_nothing(self, small_table, bad):
+        small_table.forget(np.array([7]), epoch=1)
+        small_table.record_access(np.array([3]), epoch=1)
+
+        def state():
+            return [
+                small_table.active_count,
+                small_table.active_mask().tolist(),
+                small_table.access_counts().tolist(),
+                small_table.last_access_epochs().tolist(),
+                small_table.forgotten_epochs().tolist(),
+            ]
+
+        before = state()
+        positions = np.array(bad)
+        calls = [
+            lambda: small_table.forget(positions, epoch=2),
+            lambda: small_table.record_access(positions, epoch=2),
+            lambda: small_table.is_active(positions),
+            lambda: small_table.restore_access(
+                positions, np.ones(positions.size), np.ones(positions.size)
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+            assert state() == before
 
 
 class TestCohortActivity:
