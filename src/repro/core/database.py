@@ -2,10 +2,10 @@
 
 :class:`AmnesiaDatabase` is the library's "downstream user" API: a
 single-table columnar store with a tuple budget and a pluggable amnesia
-policy.  Unlike the :class:`~repro.core.simulator.AmnesiaSimulator`
-(which drives scripted experiments), the facade is event-driven — every
-insert advances the timeline and triggers forgetting as soon as the
-budget is exceeded, and queries can be issued at any point.
+policy.  It is event-driven — every insert advances the timeline and
+triggers forgetting as soon as the budget is exceeded, and queries can
+be issued at any point — and the :class:`~repro.core.simulator.
+AmnesiaSimulator` runs its scripted experiments on it.
 
 >>> import numpy as np
 >>> from repro.amnesia import FifoAmnesia
@@ -30,7 +30,7 @@ from ..indexes.brin import BlockRangeIndex
 from ..indexes.hash_index import HashIndex
 from ..indexes.sorted_index import SortedIndex
 from ..query.executor import QueryExecutor
-from ..query.planner import PLAN_MODES, QueryPlanner
+from ..query.planner import PLAN_MODES, table_planner
 from ..query.predicates import RangePredicate
 from ..query.queries import (
     AggregateFunction,
@@ -39,9 +39,6 @@ from ..query.queries import (
     RangeQuery,
     RangeResult,
 )
-from ..stats.table_stats import TableHistogramStats
-from ..storage.cohorts import CohortZoneMap
-from ..storage.compressed import CompressedCohortStore
 from ..storage.table import Table
 from .config import COMPRESS_MODES, STATS_MODES
 
@@ -126,34 +123,15 @@ class AmnesiaDatabase:
         self.table = Table(table_name, columns)
         self.plan_mode = check_in(plan, PLAN_MODES, "plan")
         self.stats_mode = check_in(stats, STATS_MODES, "stats")
-        zone_map = (
-            CohortZoneMap(self.table) if self.plan_mode != "scan" else None
-        )
-        # Like the zone map, histogram statistics are skipped in scan
-        # mode: the trust-nothing baseline consults no estimates, so
-        # maintaining them would be pure observer overhead.
-        table_stats = (
-            TableHistogramStats(self.table)
-            if self.stats_mode == "hist" and self.plan_mode != "scan"
-            else None
-        )
         self.compress_mode = check_in(compress, COMPRESS_MODES, "compress")
-        # Like the zone map, the compressed store is skipped in scan
-        # mode: the trust-nothing baseline must read raw columns only,
-        # which is what makes compressed execution checkable against it.
-        self.compressed = (
-            CompressedCohortStore(self.table)
-            if self.compress_mode == "on" and self.plan_mode != "scan"
-            else None
-        )
-        self.planner = QueryPlanner(
+        self.planner = table_planner(
             self.table,
-            mode=self.plan_mode,
-            zone_map=zone_map,
+            self.plan_mode,
+            stats=self.stats_mode,
+            compress=self.compress_mode,
             value_bounds=value_bounds,
-            stats=table_stats,
-            compressed=self.compressed,
         )
+        self.compressed = self.planner.compressed
         self.executor = QueryExecutor(
             self.table, record_access=True, planner=self.planner
         )

@@ -13,6 +13,12 @@ database is always of DBSIZE" (§2.3):
                forget >= F tuples -> storage budget restored
                snapshot           -> amnesia map row, epoch report
 
+The loop drives one :class:`~repro.core.database.AmnesiaDatabase`: its
+executor answers the query batch, and its :meth:`~repro.core.database.
+AmnesiaDatabase.insert` is the update-then-forget step, so the
+simulator and the facade share one planner set-up and one forgetting
+step.
+
 The simulator owns three independent random streams (data, queries,
 policy), all derived from ``config.seed`` by name, so any component can
 be swapped without perturbing the others' randomness.
@@ -29,17 +35,11 @@ from ..datagen.distributions import ValueDistribution
 from ..metrics.maps import AmnesiaMap
 from ..metrics.precision import BatchPrecisionCollector
 from ..metrics.reports import EpochReport, RunReport
-from ..indexes.sorted_index import SortedIndex
-from ..query.executor import QueryExecutor
 from ..query.generators import RangeQueryGenerator
-from ..query.planner import QueryPlanner
 from ..stats.divergence import js_divergence
 from ..stats.histograms import EquiWidthHistogram
-from ..stats.table_stats import TableHistogramStats
-from ..storage.cohorts import CohortZoneMap
-from ..storage.compressed import CompressedCohortStore
-from ..storage.table import Table
 from .config import SimulationConfig
+from .database import AmnesiaDatabase
 
 __all__ = ["AmnesiaSimulator"]
 
@@ -88,7 +88,6 @@ class AmnesiaSimulator:
         self.distribution = distribution
         self.policy = policy
         self._data_rng = spawn(config.seed, "data")
-        self._policy_rng = spawn(config.seed, "policy")
         if workload is None and config.queries_per_epoch > 0:
             workload = RangeQueryGenerator(
                 config.column,
@@ -97,42 +96,25 @@ class AmnesiaSimulator:
                 rng=spawn(config.seed, "queries"),
             )
         self.workload = workload
-        self.table = Table("amnesia_sim", [config.column])
-        zone_map = (
-            CohortZoneMap(self.table, columns=[config.column])
-            if config.plan != "scan"
-            else None
+        self.db = AmnesiaDatabase(
+            config.dbsize,
+            policy,
+            columns=(config.column,),
+            disposition=disposition,
+            table_name="amnesia_sim",
+            plan=config.plan,
+            stats=config.stats,
+            compress=config.compress,
         )
-        table_stats = (
-            TableHistogramStats(self.table, columns=[config.column])
-            if config.stats == "hist" and config.plan != "scan"
-            else None
-        )
-        # Like the zone map, compressed execution is skipped in scan
-        # mode: the trust-nothing baseline reads raw columns only.
-        self.compressed = (
-            CompressedCohortStore(self.table, columns=[config.column])
-            if config.compress == "on" and config.plan != "scan"
-            else None
-        )
-        self.planner = QueryPlanner(
-            self.table,
-            mode=config.plan,
-            zone_map=zone_map,
-            stats=table_stats,
-            compressed=self.compressed,
-        )
+        # The victim stream is the simulator's, derived by name like
+        # the data and query streams.
+        self.db._policy_rng = spawn(config.seed, "policy")
         if config.plan == "index":
             # Forced index mode would otherwise degrade to zone maps on
             # a bare table; give it the index it was asked to use.
-            self.planner.register_index(SortedIndex(self.table, config.column))
-        self.executor = QueryExecutor(
-            self.table, record_access=True, planner=self.planner
-        )
+            self.db.create_index(config.column, "sorted")
+        self.table = self.db.table
         self.map = AmnesiaMap()
-        self._disposition = disposition
-        if disposition is not None:
-            self.table.add_observer(disposition)
         self._epoch = -1
         self._reports: list[EpochReport] = []
 
@@ -150,7 +132,7 @@ class AmnesiaSimulator:
 
     def plan_report(self) -> str:
         """EXPLAIN-style report of the planner's activity so far."""
-        return self.planner.plan_report()
+        return self.db.plan_report()
 
     def checkpoint(self, path, rotate: bool = False):
         """Save the simulator's table state to ``path``.
@@ -183,8 +165,10 @@ class AmnesiaSimulator:
         if self._epoch >= 0:
             raise ConfigError("initial load already performed")
         values = self.distribution.sample(self.config.dbsize, self._data_rng)
-        self.table.insert_batch(0, {self.config.column: values})
-        self.policy.on_insert(self.table, self.table.cohorts[0].positions(), 0)
+        # No amnesia step at load: an overshooting policy must not
+        # purge the initial cohort before its first epoch.
+        positions = self.table.insert_batch(0, {self.config.column: values})
+        self.policy.on_insert(self.table, positions, 0)
         self._epoch = 0
         report = self._snapshot(inserted=self.config.dbsize, forgotten=0, precision=None)
         self._auto_checkpoint()
@@ -197,12 +181,13 @@ class AmnesiaSimulator:
         epoch = self._epoch + 1
 
         precision = self._run_query_batch(epoch)
-        inserted = self._run_insert_batch(epoch)
-        forgotten = self._run_amnesia(epoch)
-        if self.compressed is not None:
-            # Demote cohorts that just went cold; age-based, so the
-            # demotion schedule depends only on the epoch sequence.
-            self.compressed.demote_cold(epoch)
+        inserted = self.config.batch_size
+        values = self.distribution.sample(inserted, self._data_rng)
+        forgotten_before = self.table.forgotten_count
+        # Insert at ``epoch``, then forget down to DBSIZE and demote
+        # cold cohorts: the database's one update-then-forget step.
+        self.db.insert({self.config.column: values})
+        forgotten = self.table.forgotten_count - forgotten_before
 
         self._epoch = epoch
         report = self._snapshot(
@@ -233,31 +218,8 @@ class AmnesiaSimulator:
         collector = BatchPrecisionCollector()
         queries = self.workload.batch(self.table, self.config.queries_per_epoch)
         for query in queries:
-            collector.add(self.executor.execute(query, epoch))
+            collector.add(self.db.executor.execute(query, epoch))
         return collector.summary()
-
-    def _run_insert_batch(self, epoch: int) -> int:
-        n = self.config.batch_size
-        values = self.distribution.sample(n, self._data_rng)
-        positions = self.table.insert_batch(epoch, {self.config.column: values})
-        self.policy.on_insert(self.table, positions, epoch)
-        return n
-
-    def _run_amnesia(self, epoch: int) -> int:
-        quota = max(self.table.active_count - self.config.dbsize, 0)
-        if quota == 0 and not self.policy.allows_overshoot:
-            # A previous overshoot (privacy purge) left the table under
-            # budget; nothing to forget this round.
-            return 0
-        # Overshooting policies run every epoch: mandatory purges do
-        # not wait for storage pressure.
-        victims = self.policy.select_victims(
-            self.table, quota, epoch, self._policy_rng
-        )
-        victims = self.policy.validate_victims(self.table, victims, quota)
-        if victims.size == 0:
-            return 0
-        return self.table.forget(victims, epoch)
 
     # -- reporting --------------------------------------------------------------
 

@@ -29,6 +29,7 @@ from ..lifecycle.dispositions import (
 from ..lifecycle.executor import DispositionExecutor
 from ..plotting.tables import render_table
 from ..query.queries import AggregateFunction
+from ..stats.moments import ExactMoments
 from .runner import ExperimentResult, default_config, run_once
 
 __all__ = ["run_dispositions"]
@@ -139,7 +140,9 @@ def run_dispositions(
         with_summary, oracle = executor.aggregate_with_summaries(
             function, config.column
         )
-        amnesiac = function.compute(sim2.table.active_values(config.column))
+        amnesiac = function.from_moments(
+            ExactMoments.of(sim2.table.active_values(config.column))
+        )
         denom = max(abs(oracle), 1.0)
         err_summary = abs(with_summary - oracle) / denom
         err_amnesiac = (

@@ -141,15 +141,16 @@ class QueryExecutor:
     def aggregate(
         self, query: AggregateQuery, active: np.ndarray, missed: np.ndarray
     ) -> AggregateResult:
-        """Amnesiac and oracle values of ``query`` over matched positions."""
+        """Amnesiac and oracle values of ``query`` over matched positions,
+        finalized from exact moments like every other aggregate path."""
         column_values = self.table.values(query.column)
-        amnesiac = query.function.compute(column_values[active])
-        oracle_positions = np.concatenate([active, missed])
-        oracle = query.function.compute(column_values[oracle_positions])
+        amnesiac = ExactMoments.of(column_values[active])
+        oracle = ExactMoments.of(column_values[missed])
+        oracle.merge(amnesiac)  # the oracle also sees the active rows
         return AggregateResult(
             query=query,
-            amnesiac_value=amnesiac,
-            oracle_value=oracle,
+            amnesiac_value=query.function.from_moments(amnesiac),
+            oracle_value=query.function.from_moments(oracle),
             active_matches=int(active.size),
             oracle_matches=int(active.size + missed.size),
         )

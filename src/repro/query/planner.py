@@ -92,6 +92,7 @@ from .._util.validation import check_in
 from ..indexes.base import Index
 from ..indexes.hash_index import HashIndex
 from ..indexes.sorted_index import SortedIndex
+from ..stats.table_stats import TableHistogramStats
 from ..storage.cohorts import CohortZoneMap
 from ..storage.compressed import CompressedCohortStore
 from ..storage.table import Table
@@ -104,6 +105,7 @@ __all__ = [
     "QueryPlan",
     "PlanExecution",
     "QueryPlanner",
+    "table_planner",
 ]
 
 #: Plan modes accepted by the planner, the config knob and the CLI.
@@ -887,6 +889,36 @@ class QueryPlanner:
             f"indexes={sorted(self._indexes)}, "
             f"zone_map={'yes' if self.zone_map is not None else 'no'})"
         )
+
+
+def table_planner(
+    table: Table,
+    mode: str,
+    *,
+    stats: str,
+    compress: str = "off",
+    value_bounds: dict | None = None,
+) -> QueryPlanner:
+    """A planner over ``table`` with the structures ``mode`` uses.
+
+    Every mode but ``scan`` attaches a zone map, plus histogram
+    statistics under ``stats="hist"`` and a compressed store under
+    ``compress="on"``.  ``scan`` attaches none of them: the
+    trust-nothing baseline reads raw columns and consults no
+    estimates, which is what makes every other path checkable
+    against it.
+    """
+    pruned = mode != "scan"
+    return QueryPlanner(
+        table,
+        mode=mode,
+        zone_map=CohortZoneMap(table) if pruned else None,
+        value_bounds=value_bounds,
+        stats=TableHistogramStats(table) if pruned and stats == "hist" else None,
+        compressed=(
+            CompressedCohortStore(table) if pruned and compress == "on" else None
+        ),
+    )
 
 
 def _concat(chunks: list[np.ndarray]) -> np.ndarray:

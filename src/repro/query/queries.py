@@ -44,41 +44,18 @@ class AggregateFunction(str, Enum):
     VAR = "var"
     STD = "std"
 
-    def compute(self, values: np.ndarray) -> float | None:
-        """Apply the operator to a value vector (None on empty input).
-
-        COUNT of an empty selection is 0, not None: an amnesiac database
-        still *answers* a count, it just answers it wrong.
-        """
-        if values.size == 0:
-            return 0.0 if self is AggregateFunction.COUNT else None
-        values = values.astype(np.float64, copy=False)
-        if self is AggregateFunction.AVG:
-            return float(values.mean())
-        if self is AggregateFunction.SUM:
-            return float(values.sum())
-        if self is AggregateFunction.COUNT:
-            return float(values.size)
-        if self is AggregateFunction.MIN:
-            return float(values.min())
-        if self is AggregateFunction.MAX:
-            return float(values.max())
-        if self is AggregateFunction.VAR:
-            return float(values.var())
-        if self is AggregateFunction.STD:
-            return float(values.std())
-        raise QueryError(f"unhandled aggregate {self}")  # pragma: no cover
-
     def from_moments(self, moments) -> float | None:
-        """Finalize the operator from a merged moment accumulator.
+        """Finalize the operator from a moment accumulator.
 
-        The distributed twin of :meth:`compute`: a sharded store merges
-        per-shard :class:`~repro.stats.ExactMoments` (exact integer
-        sums) and finalizes once, which keeps AVG/VAR/STD exact and
-        layout-independent across shards — merging the final per-shard
-        aggregates could not.  Empty
-        accumulators follow :meth:`compute`'s NULL semantics (COUNT
-        answers 0, everything else ``None``).
+        The one finalizer of every aggregate: single-table, sharded,
+        streamed and summary-backed reads all fold their values into
+        :class:`~repro.stats.ExactMoments` (exact integer sums) and
+        finalize here once, so AVG/VAR/STD are identical however the
+        values were split — across shards, batches or front ends.
+
+        NULL rule: over no values COUNT answers 0 (an amnesiac database
+        still *answers* a count, it just answers it wrong) and every
+        other operator answers ``None``.
         """
         if moments.count == 0:
             return 0.0 if self is AggregateFunction.COUNT else None

@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING
 
 from .._util.errors import SchemaError
 from .._util.validation import check_in, check_positive_int
-from .cohorts import CohortZoneMap
 from .table import Table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -290,29 +289,19 @@ class Catalog:
     def planner(self, name: str) -> "QueryPlanner":
         """The table's planner, built on first use.
 
-        Non-``scan`` modes attach a :class:`CohortZoneMap` (backfilled
-        over existing history, so late attachment is exact); the
-        ``hist`` statistics mode additionally attaches a
-        :class:`~repro.stats.TableHistogramStats` the same way.
+        Built by :func:`~repro.query.planner.table_planner` from the
+        catalog's plan and statistics modes; its structures backfill
+        over existing history, so late attachment is exact.
         """
-        from ..query.planner import QueryPlanner
-        from ..stats.table_stats import TableHistogramStats
+        from ..query.planner import table_planner
 
         planner = self._planners.get(name)
         if planner is None:
             with self._build_lock:
                 planner = self._planners.get(name)
                 if planner is None:
-                    table = self.get(name)
-                    mode = self.plan_mode
-                    zone_map = CohortZoneMap(table) if mode != "scan" else None
-                    table_stats = (
-                        TableHistogramStats(table)
-                        if self.stats_mode == "hist" and mode != "scan"
-                        else None
-                    )
-                    planner = QueryPlanner(
-                        table, mode=mode, zone_map=zone_map, stats=table_stats
+                    planner = table_planner(
+                        self.get(name), self.plan_mode, stats=self.stats_mode
                     )
                     self._planners[name] = planner
         return planner

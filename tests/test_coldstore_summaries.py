@@ -238,7 +238,7 @@ class TestSummaryStore:
                    AggregateFunction.MIN, AggregateFunction.MAX,
                    AggregateFunction.COUNT, AggregateFunction.VAR,
                    AggregateFunction.STD):
-            expected = fn.compute(union)
+            expected = fn.from_moments(ExactMoments.of(union))
             assert store.combined_with_active(fn, "a", active) == pytest.approx(
                 expected
             ), fn

@@ -8,6 +8,10 @@ import pytest
 from repro import AmnesiaDatabase
 from repro._util.errors import ConfigError, QueryError
 from repro.amnesia import FifoAmnesia, PrivacyRetentionWrapper, UniformAmnesia
+from repro.partitioning import PartitionedAmnesiaDatabase
+from repro.query import AggregateFunction
+from repro.serving import QueryService
+from repro.storage import Catalog
 
 
 class TestBudgetEnforcement:
@@ -101,6 +105,68 @@ class TestQueries:
         db.insert({"a": np.arange(100)})
         db.range_query("a", 0, 10)
         assert db.table.access_counts()[:10].sum() == 10
+
+
+class TestAggregateAgreement:
+    """Every front end finalizes an aggregate the same way, to the bit."""
+
+    @staticmethod
+    def _front_ends(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 3000))
+        values = rng.integers(0, 10 ** int(rng.integers(1, 10)), n)
+        budget = int(rng.integers(1, n + 1))
+        cuts = np.sort(rng.integers(0, n + 1, 2))
+        db = AmnesiaDatabase(budget=budget, policy=FifoAmnesia())
+        sharded = PartitionedAmnesiaDatabase(
+            "a", [0, int(values.max()) + 1], budget, FifoAmnesia
+        )
+        for batch in np.split(values, cuts):
+            db.insert({"a": batch})
+            sharded.insert({"a": batch})
+        catalog = Catalog()
+        table = catalog.create_table("t", ["a"])
+        table.insert_batch(0, {"a": values})
+        table.forget(np.flatnonzero(~db.table.active_mask()), 1)
+        service = QueryService(catalog)
+        service.register_tenant("tenant", tables={"t"})
+        token = service.open_session("tenant").token
+        low, high = np.sort(rng.integers(0, int(values.max()) + 2, 2))
+        return db, sharded, catalog, service, token, (int(low), int(high))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_single_sharded_and_served_agree(self, seed):
+        db, sharded, catalog, service, token, window = self._front_ends(seed)
+        try:
+            for function in AggregateFunction:
+                for bounds in ((None, None), window):
+                    local = db.aggregate(function, "a", *bounds)
+                    request = {
+                        "op": "query",
+                        "token": token,
+                        "source": "t",
+                        "kind": "aggregate",
+                        "function": function.value,
+                        "column": "a",
+                    }
+                    if bounds[0] is not None:
+                        request["predicate"] = {
+                            "type": "range",
+                            "column": "a",
+                            "low": bounds[0],
+                            "high": bounds[1],
+                        }
+                    served = service.handle(request)
+                    expected = (local.amnesiac_value, local.oracle_value)
+                    assert sharded.aggregate(function, *bounds) == expected
+                    assert (
+                        served["amnesiac_value"],
+                        served["oracle_value"],
+                    ) == expected
+        finally:
+            service.close()
+            catalog.close()
+            sharded.close()
 
 
 class TestStats:

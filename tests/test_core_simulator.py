@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import AmnesiaSimulator, SimulationConfig
 from repro._util.errors import ConfigError
 from repro.amnesia import (
+    AreaAmnesia,
     FifoAmnesia,
     PrivacyRetentionWrapper,
+    RotAmnesia,
     UniformAmnesia,
 )
 from repro.datagen import SerialDistribution, UniformDistribution
@@ -188,3 +192,60 @@ class TestPrivacyOvershoot:
             active = sim.table.active_positions()
             ages = sim.current_epoch - sim.table.insert_epochs()[active]
             assert ages.max() < 2
+
+
+def _golden_digest(policy, **config_kwargs) -> str:
+    """SHA-1 over every epoch report plus the final table state."""
+    config = SimulationConfig(
+        dbsize=300, epochs=6, queries_per_epoch=15, seed=11, **config_kwargs
+    )
+    sim = AmnesiaSimulator(config, UniformDistribution(5000), policy)
+    digest = hashlib.sha1()
+    for r in sim.run().epochs:
+        line = (r.epoch, r.active_rows, r.inserted, r.forgotten, r.precision)
+        digest.update(repr(line).encode())
+    digest.update(sim.table.active_mask().tobytes())
+    digest.update(sim.table.access_counts().tobytes())
+    return digest.hexdigest()
+
+
+GOLDEN_POLICIES = {
+    "fifo": FifoAmnesia,
+    "uniform": UniformAmnesia,
+    "rot": RotAmnesia,
+    "area": AreaAmnesia,
+    "privacy": lambda: PrivacyRetentionWrapper(
+        UniformAmnesia(), max_age_epochs=3
+    ),
+}
+
+GOLDEN_PLANS = {
+    "auto": {"plan": "auto"},
+    "index": {"plan": "index"},
+    "cost-hist-compress": {"plan": "cost", "stats": "hist", "compress": "on"},
+}
+
+#: Captured on the loop before it drove ``AmnesiaDatabase``.  One digest
+#: per policy: every plan mode must reproduce it (the planner
+#: equivalence invariant), so a plan-specific drift fails here too.
+GOLDEN = {
+    "area": "b48c890952b925c4225e348272acb9ea029c5dfd",
+    "fifo": "8de08e92bd134ef744ef10d506a7cd8c8954ed4c",
+    "privacy": "7592e71f5bb0308ebdfa052ae1a4b97229e579b0",
+    "rot": "91737799525eeeaecf601f6f12c5544c41a5d3f6",
+    "uniform": "486e9256ad0af9842c443022490ac159e778231d",
+}
+
+
+class TestGolden:
+    """Pin the simulator's results: data, query and victim streams.
+
+    Any change to a random stream, the order of the loop's phases or
+    the forgetting step shows up here.
+    """
+
+    @pytest.mark.parametrize("plan", sorted(GOLDEN_PLANS))
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_POLICIES))
+    def test_digest(self, policy, plan):
+        got = _golden_digest(GOLDEN_POLICIES[policy](), **GOLDEN_PLANS[plan])
+        assert got == GOLDEN[policy]

@@ -73,9 +73,14 @@ def test_summary_store_events_are_concat(x, y):
 )
 @settings(max_examples=30, deadline=None)
 def test_aggregates_match_numpy(values):
-    assert AggregateFunction.AVG.compute(values) == pytest.approx(values.mean())
-    assert AggregateFunction.SUM.compute(values) == pytest.approx(values.sum())
-    assert AggregateFunction.VAR.compute(values) == pytest.approx(
+    moments = ExactMoments.of(values)
+    assert AggregateFunction.AVG.from_moments(moments) == pytest.approx(
+        values.mean()
+    )
+    assert AggregateFunction.SUM.from_moments(moments) == pytest.approx(
+        values.sum()
+    )
+    assert AggregateFunction.VAR.from_moments(moments) == pytest.approx(
         values.var(), abs=1e-6
     )
 

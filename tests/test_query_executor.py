@@ -14,25 +14,28 @@ from repro.query import (
     RangeQuery,
     TruePredicate,
 )
+from repro.stats import ExactMoments
 from repro.storage import Table
 
 
 class TestAggregateFunction:
     def test_all_functions(self):
-        values = np.array([1, 2, 3, 4])
-        assert AggregateFunction.AVG.compute(values) == 2.5
-        assert AggregateFunction.SUM.compute(values) == 10.0
-        assert AggregateFunction.COUNT.compute(values) == 4.0
-        assert AggregateFunction.MIN.compute(values) == 1.0
-        assert AggregateFunction.MAX.compute(values) == 4.0
-        assert AggregateFunction.VAR.compute(values) == pytest.approx(1.25)
-        assert AggregateFunction.STD.compute(values) == pytest.approx(np.sqrt(1.25))
+        moments = ExactMoments.of(np.array([1, 2, 3, 4]))
+        assert AggregateFunction.AVG.from_moments(moments) == 2.5
+        assert AggregateFunction.SUM.from_moments(moments) == 10.0
+        assert AggregateFunction.COUNT.from_moments(moments) == 4.0
+        assert AggregateFunction.MIN.from_moments(moments) == 1.0
+        assert AggregateFunction.MAX.from_moments(moments) == 4.0
+        assert AggregateFunction.VAR.from_moments(moments) == pytest.approx(1.25)
+        assert AggregateFunction.STD.from_moments(moments) == pytest.approx(
+            np.sqrt(1.25)
+        )
 
     def test_empty_input(self):
-        empty = np.empty(0, dtype=np.int64)
-        assert AggregateFunction.COUNT.compute(empty) == 0.0
-        assert AggregateFunction.AVG.compute(empty) is None
-        assert AggregateFunction.MIN.compute(empty) is None
+        empty = ExactMoments.of(np.empty(0, dtype=np.int64))
+        assert AggregateFunction.COUNT.from_moments(empty) == 0.0
+        assert AggregateFunction.AVG.from_moments(empty) is None
+        assert AggregateFunction.MIN.from_moments(empty) is None
 
     def test_from_string(self):
         assert AggregateFunction("avg") is AggregateFunction.AVG
