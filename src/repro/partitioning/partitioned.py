@@ -747,6 +747,8 @@ class PartitionedAmnesiaDatabase:
         function = AggregateFunction(function)
         if (low is None) != (high is None):
             raise ConfigError("supply both low and high, or neither")
+        if low is not None and high < low:
+            raise QueryError(f"range [{low}, {high}) is reversed")
 
         def run_shard(partition: Partition):
             with partition.lock:
@@ -771,40 +773,6 @@ class PartitionedAmnesiaDatabase:
             oracle.merge(missed_part)
         return function.from_moments(active), function.from_moments(oracle)
 
-    def scan_rows(
-        self,
-        low: int | None = None,
-        high: int | None = None,
-        *,
-        record_access: bool = True,
-        epoch: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Matching rows as a stream: ``(values, insert epochs, forgotten)``.
-
-        The row-level twin of :meth:`range_query`, feeding cross-table
-        plans (:class:`~repro.query.plans.ShardedScanNode`): every
-        shard matches through its own planner (so shard pruning and
-        zone-map/index paths keep working), active matches get their
-        access recorded exactly as a direct query would — at ``epoch``
-        when the caller supplies one (cross-table queries pass their
-        query epoch, so recency-sensitive policies see plain and
-        sharded sources identically), else at each shard's own clock —
-        and the per-shard outputs, each in insertion-position order,
-        are concatenated **in shard order**, so the stream is
-        bit-identical at any worker count and under every plan mode.
-        ``low=None`` (with ``high=None``) scans the full store.
-        Query-traffic counters for :meth:`rebalance` accumulate like
-        :meth:`range_query`'s: coverage-based, never plan-dependent.
-        """
-        outputs = self.scan_chunks(
-            low, high, record_access=record_access, epoch=epoch
-        )
-        return (
-            np.concatenate([o[0] for o in outputs]),
-            np.concatenate([o[1] for o in outputs]),
-            np.concatenate([o[2] for o in outputs]),
-        )
-
     def scan_chunks(
         self,
         low: int | None = None,
@@ -815,16 +783,29 @@ class PartitionedAmnesiaDatabase:
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per-shard ``(values, epochs, forgotten)`` chunks, in shard order.
 
-        The batch handoff behind :meth:`scan_rows` and the streaming
-        execution layer (:meth:`repro.query.plans.PlanNode.batches`):
-        identical matching, access accounting and traffic counters, but
-        the per-shard outputs are handed back *unconcatenated*, so a
-        batch iterator can re-chunk them to its batch size without ever
-        building the full concatenated stream.  All shards are scanned
-        under **one** acquisition of the read gate's shared side, so
-        the whole chunk list reflects a single published ingest epoch —
-        a consumer draining the chunks later still sees the snapshot
-        taken here, however the store advances in between.
+        The row-level twin of :meth:`range_query`, feeding cross-table
+        plans (:class:`~repro.query.plans.ShardedScanNode`): every
+        shard matches through its own planner (so shard pruning and
+        zone-map/index paths keep working), and active matches get
+        their access recorded exactly as a direct query would — at
+        ``epoch`` when the caller supplies one (cross-table queries
+        pass their query epoch, so recency-sensitive policies see plain
+        and sharded sources identically), else at each shard's own
+        clock.  Each chunk is in insertion-position order and the
+        chunks come **in shard order**, so their concatenation is
+        bit-identical at any worker count and under every plan mode.
+        ``low=None`` (with ``high=None``) scans the full store.
+        Query-traffic counters for :meth:`rebalance` accumulate like
+        :meth:`range_query`'s: coverage-based, never plan-dependent.
+
+        The chunks stay *unconcatenated*, so a batch iterator
+        (:meth:`repro.query.plans.PlanNode.batches`) can re-chunk them
+        to its batch size without ever building the full stream.  All
+        shards are scanned under **one** acquisition of the read gate's
+        shared side, so the whole chunk list reflects a single
+        published ingest epoch — a consumer draining the chunks later
+        still sees the snapshot taken here, however the store advances
+        in between.
         """
         low, high = check_scan_bounds(low, high)
 
@@ -859,7 +840,7 @@ class PartitionedAmnesiaDatabase:
         self, low: int | None = None, high: int | None = None, *, cost: bool = False
     ) -> float:
         """Estimated matches (or, with ``cost=True``, rows considered)
-        of a :meth:`scan_rows` call — per-shard planner estimates
+        of a :meth:`scan_chunks` call — per-shard planner estimates
         (histogram-sharpened under ``stats="hist"``) summed over the
         shards the range covers."""
         total = 0.0

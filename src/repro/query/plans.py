@@ -512,7 +512,7 @@ def check_scan_bounds(
     """Validate optional scan bounds: both-or-neither, not reversed.
 
     Shared by the leaf nodes here and
-    :meth:`repro.partitioning.PartitionedAmnesiaDatabase.scan_rows`,
+    :meth:`repro.partitioning.PartitionedAmnesiaDatabase.scan_chunks`,
     so every cross-table scan surface enforces one contract.
     """
     if (low is None) != (high is None):
@@ -725,10 +725,10 @@ class ShardedScanNode(_ScanNode):
     """
 
     def scan(self, catalog, epoch: int, record_access: bool) -> NodeResult:
-        store = catalog.sharded(self.source)
-        values, epochs, flags = store.scan_rows(
+        chunks = catalog.sharded(self.source).scan_chunks(
             self.low, self.high, record_access=record_access, epoch=epoch
         )
+        values, epochs, flags = (np.concatenate(part) for part in zip(*chunks))
         rows = np.column_stack([values, epochs]).astype(np.int64, copy=False)
         if rows.size == 0:
             rows = _empty_rows(2)
@@ -1357,15 +1357,14 @@ def _fan_out_leaves(
     """Run every leaf scan of ``node``'s tree; map leaf id → payload.
 
     The shared leaf phase of the materializing and streaming paths:
-    leaves are collected depth-first, their lazily built planner/
-    executor caches resolved up front (construction mutates shared
-    dicts the worker threads then only read), grouped by source name —
-    so two scans of one table execute sequentially in tree order,
-    keeping access accounting race-free and identical to a sequential
-    walk — and fanned out over ``pool``.  With ``stream=True`` each
-    leaf hands back its :meth:`_ScanNode.scan_payload` (chunked, for
-    re-batching without a full concatenation); otherwise its
-    materialized :class:`NodeResult`.
+    leaves are collected depth-first, their sources looked up front
+    (an unknown name fails before any scan records access), grouped
+    by source name — so two scans of one table execute sequentially
+    in tree order, keeping access accounting race-free and identical
+    to a sequential walk — and fanned out over ``pool``.  With
+    ``stream=True`` each leaf hands back its
+    :meth:`_ScanNode.scan_payload` (chunked, for re-batching without a
+    full concatenation); otherwise its materialized :class:`NodeResult`.
     """
     leaves: list[_ScanNode] = []
 
@@ -1382,7 +1381,7 @@ def _fan_out_leaves(
         if isinstance(leaf, ShardedScanNode):
             catalog.sharded(leaf.source)
         else:
-            catalog.planner(leaf.source)
+            catalog.get(leaf.source)
     groups: dict[str, list[int]] = {}
     for i, leaf in enumerate(leaves):
         groups.setdefault(leaf.source, []).append(i)

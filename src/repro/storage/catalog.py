@@ -5,10 +5,11 @@ The paper's simulator has a fixed schema ("a collection of columns",
 where several tables (e.g. per-sensor streams) coexist in one run.
 
 Beyond the registry, the catalog is the multi-table face of the query
-planner: every registered table lazily gets its own
+planner: registering a table builds its
 :class:`~repro.query.planner.QueryPlanner` (zone-map-backed unless the
-catalog's mode is ``"scan"``) and
-:class:`~repro.query.executor.QueryExecutor`, and the catalog exposes
+catalog's mode is ``"scan"``) and its access-recording
+:class:`~repro.query.executor.QueryExecutor`, stored with the table
+and its lock as one entry under the name, and the catalog exposes
 ``plan()``/``explain()``/``execute()`` per table plus one
 :meth:`plan_report` spanning them all — multi-table runs share a
 single plan story instead of each call site wiring its own access
@@ -106,19 +107,19 @@ class Catalog:
         self.stats_mode = check_in(stats, STATS_MODES, "stats")
         self.workers = workers
         self._fanout = FanOutPool()
-        self._tables: dict[str, Table] = {}
-        self._planners: dict[str, "QueryPlanner"] = {}
-        self._executors: dict[tuple[str, bool], "QueryExecutor"] = {}
-        # One lock per table serializes its planner+executor pipeline
-        # (the catalog twin of the sharded store's per-shard locks):
-        # concurrent batches or cross-table queries touching the same
-        # table cannot race its access accounting or planner counters.
-        self._table_locks: dict[str, threading.Lock] = {}
-        # Guards lazy planner/executor construction: without it two
-        # concurrent first-touch callers could build two planners for
-        # one table and split its counters between them.
-        self._build_lock = threading.Lock()
+        # name -> (table, planner, executor, lock), built together at
+        # registration.  The lock serializes the table's planner+
+        # executor pipeline (the catalog twin of the sharded store's
+        # per-shard locks): concurrent batches or cross-table queries
+        # touching one table cannot race its access accounting or
+        # planner counters.
+        self._tables: dict[
+            str, tuple[Table, "QueryPlanner", "QueryExecutor", threading.Lock]
+        ] = {}
         self._sharded: dict[str, object] = {}
+        # Serializes registry mutations (name check, build and insert
+        # in one step) and the cross-table query summary.
+        self._lock = threading.Lock()
         # Lifecycle subscribers: ``hook(event, name)`` with ``event``
         # in {"create", "drop"} — fired after registry mutations,
         # outside the catalog's locks (hooks may re-enter the catalog).
@@ -148,44 +149,32 @@ class Catalog:
 
     def create_table(self, name: str, column_names) -> Table:
         """Create and register a new table."""
-        if name in self._tables:
-            raise SchemaError(f"table {name!r} already exists")
-        if name in self._sharded:
-            raise SchemaError(f"{name!r} already names a sharded store")
         table = Table(name, column_names)
-        self._admit(name, table)
+        self.register(table)
         return table
 
     def register(self, table: Table) -> None:
-        """Register an externally constructed table."""
-        if table.name in self._tables:
-            raise SchemaError(f"table {table.name!r} already exists")
-        if table.name in self._sharded:
-            raise SchemaError(
-                f"{table.name!r} already names a sharded store"
-            )
-        self._admit(table.name, table)
+        """Register a table, building its planner and executor.
 
-    def _admit(self, name: str, table: Table) -> None:
-        """Install a new table in the registry and announce it.
-
-        Verifies — under ``_build_lock``, so no lazy build is mid-
-        flight — that no planner/executor of a previously dropped table
-        with the same name survived: a stale entry here would silently
-        serve the *old* table's plans and accounting (the drop-race
-        bug this guards against; :meth:`drop` now takes the same lock).
+        The planner comes from :func:`~repro.query.planner.table_planner`
+        with the catalog's plan and statistics modes; its structures
+        backfill over any existing history and observe the table from
+        here on.  The name check, the build and the insertion happen
+        under one lock, so of two racing registrations of one name
+        exactly one wins, and the loser attaches nothing to its table.
         """
-        with self._build_lock:
-            stale = name in self._planners or any(
-                key[0] == name for key in self._executors
-            )
-            if stale:  # pragma: no cover - guarded by the drop fix
-                raise SchemaError(
-                    f"stale planner/executor cache survived for {name!r}; "
-                    "drop must purge caches before the name is reused"
-                )
-            self._tables[name] = table
-            self._table_locks[name] = threading.Lock()
+        from ..query.executor import QueryExecutor
+        from ..query.planner import table_planner
+
+        name = table.name
+        with self._lock:
+            if name in self._tables:
+                raise SchemaError(f"table {name!r} already exists")
+            if name in self._sharded:
+                raise SchemaError(f"{name!r} already names a sharded store")
+            planner = table_planner(table, self.plan_mode, stats=self.stats_mode)
+            executor = QueryExecutor(table, planner=planner)
+            self._tables[name] = (table, planner, executor, threading.Lock())
         self._notify("create", name)
 
     def register_sharded(self, name: str, store) -> None:
@@ -196,25 +185,20 @@ class Catalog:
         pool; registration only makes them addressable from plan trees
         (:class:`~repro.query.plans.ShardedScanNode`) and query specs.
         """
-        if name in self._tables or name in self._sharded:
-            raise SchemaError(f"{name!r} already names a catalog source")
         # The full contract the query/explain/report paths rely on —
         # rejected here, next to the registration call, instead of as
         # an AttributeError deep inside a later explain or report.
-        required = (
-            "scan_rows",
-            "scan_chunks",
-            "estimate_scan",
-            "partition_count",
-            "plan_mode",
-        )
+        required = ("scan_chunks", "estimate_scan", "partition_count", "plan_mode")
         missing = [attr for attr in required if not hasattr(store, attr)]
         if missing:
             raise SchemaError(
                 f"sharded source {name!r} must expose {required}; "
                 f"{type(store).__name__} lacks {missing}"
             )
-        self._sharded[name] = store
+        with self._lock:
+            if name in self._tables or name in self._sharded:
+                raise SchemaError(f"{name!r} already names a catalog source")
+            self._sharded[name] = store
         self._notify("create", name)
 
     def sharded(self, name: str):
@@ -232,34 +216,23 @@ class Catalog:
         """All registered sharded store names."""
         return list(self._sharded)
 
-    def get(self, name: str) -> Table:
-        """Look a table up by name."""
+    def _entry(self, name: str):
         try:
             return self._tables[name]
         except KeyError:
             raise SchemaError(f"no table named {name!r}") from None
 
-    def drop(self, name: str) -> None:
-        """Remove a table or sharded store (its data is unreferenced).
+    def get(self, name: str) -> Table:
+        """Look a table up by name."""
+        return self._entry(name)[0]
 
-        Purges the planner/executor caches under ``_build_lock`` — the
-        same lock the lazy double-checked builds hold — so an in-flight
-        :meth:`planner`/:meth:`executor` call can never re-insert an
-        entry for the dropped table after the purge (the entry a table
-        re-created under the same name would then wrongly inherit).
-        """
-        if name in self._sharded:
-            del self._sharded[name]
-            self._notify("drop", name)
-            return
-        with self._build_lock:
-            if name not in self._tables:
+    def drop(self, name: str) -> None:
+        """Remove a table or sharded store (its data is unreferenced)."""
+        with self._lock:
+            if name in self._sharded:
+                del self._sharded[name]
+            elif self._tables.pop(name, None) is None:
                 raise SchemaError(f"no table named {name!r}")
-            del self._tables[name]
-            self._table_locks.pop(name, None)
-            self._planners.pop(name, None)
-            for key in [k for k in self._executors if k[0] == name]:
-                del self._executors[key]
         self._notify("drop", name)
 
     # -- lifecycle hooks -----------------------------------------------------
@@ -287,49 +260,16 @@ class Catalog:
     # -- planning surface ----------------------------------------------------
 
     def planner(self, name: str) -> "QueryPlanner":
-        """The table's planner, built on first use.
+        """The table's planner, built when the table was registered."""
+        return self._entry(name)[1]
 
-        Built by :func:`~repro.query.planner.table_planner` from the
-        catalog's plan and statistics modes; its structures backfill
-        over existing history, so late attachment is exact.
+    def executor(self, name: str) -> "QueryExecutor":
+        """The table's access-recording executor, bound to its planner.
+
+        A read-only pass builds its own ``QueryExecutor(table,
+        record_access=False, planner=catalog.planner(name))``.
         """
-        from ..query.planner import table_planner
-
-        planner = self._planners.get(name)
-        if planner is None:
-            with self._build_lock:
-                planner = self._planners.get(name)
-                if planner is None:
-                    planner = table_planner(
-                        self.get(name), self.plan_mode, stats=self.stats_mode
-                    )
-                    self._planners[name] = planner
-        return planner
-
-    def executor(self, name: str, *, record_access: bool = True) -> "QueryExecutor":
-        """The table's executor, bound to its catalog planner.
-
-        Recording and non-recording executors are cached separately
-        (both share the table's one planner), so a read-only analysis
-        pass never inherits — or poisons — the accounting choice of an
-        earlier caller.
-        """
-        from ..query.executor import QueryExecutor
-
-        key = (name, bool(record_access))
-        executor = self._executors.get(key)
-        if executor is None:
-            planner = self.planner(name)
-            with self._build_lock:
-                executor = self._executors.get(key)
-                if executor is None:
-                    executor = QueryExecutor(
-                        self.get(name),
-                        record_access=record_access,
-                        planner=planner,
-                    )
-                    self._executors[key] = executor
-        return executor
+        return self._entry(name)[2]
 
     def create_index(self, name: str, column: str, index_factory, **kwargs):
         """Build ``index_factory(table, column, **kwargs)`` and register it."""
@@ -359,22 +299,16 @@ class Catalog:
         table's access accounting or planner counters.
 
         Raises :class:`~repro._util.errors.SchemaError` for unknown
-        names, including a table dropped concurrently between the
-        existence check and the lock lookup.
+        names.
         """
         if name in self._sharded:
             return nullcontext()
-        self.get(name)  # validates existence (clear error for unknowns)
-        try:
-            return self._table_locks[name]
-        except KeyError:
-            # The table was dropped between get() and the lookup.
-            raise SchemaError(f"no table named {name!r}") from None
+        return self._entry(name)[3]
 
     def execute(self, name: str, query, epoch: int):
         """Run a query against one table through its catalog executor."""
-        executor = self.executor(name)
-        with self.source_lock(name):
+        _, _, executor, lock = self._entry(name)
+        with lock:
             return executor.execute(query, epoch)
 
     def execute_batch(self, requests, epoch: int) -> list:
@@ -387,22 +321,20 @@ class Catalog:
         one worker), so results and access accounting are bit-identical
         to a sequential loop at any width.  Each execution additionally
         holds the table's :meth:`source_lock`, so *concurrent* batches
-        sharing a table stay exact too.  Executors (and planners) are
-        resolved up front, before the fan-out, because lazy
-        construction mutates shared caches.
+        sharing a table stay exact too.  Every name is checked before
+        the fan-out, so an unknown one fails before any query runs.
         """
         requests = list(requests)
         by_table: dict[str, list[int]] = {}
         for i, (name, _) in enumerate(requests):
-            self.executor(name)  # build caches outside the worker threads
+            self._entry(name)
             by_table.setdefault(name, []).append(i)
         results: list = [None] * len(requests)
 
         def run_table(indexes: list[int]) -> None:
             for i in indexes:
                 name, query = requests[i]
-                with self.source_lock(name):
-                    results[i] = self.executor(name).execute(query, epoch)
+                results[i] = self.execute(name, query, epoch)
 
         self._fanout.map_ordered(
             run_table, list(by_table.values()), self.workers
@@ -451,7 +383,7 @@ class Catalog:
             batch_size=batch_size,
         )
         summary = summarize_result(result)
-        with self._build_lock:
+        with self._lock:
             self._cross_queries += 1
             self._last_cross = (node, summary, batch_size)
         return result
@@ -490,17 +422,12 @@ class Catalog:
         self.close()
 
     def plan_report(self) -> str:
-        """One EXPLAIN-style report covering every planned table."""
+        """One EXPLAIN-style report covering every registered source."""
         lines = [
             f"Catalog(plan={self.plan_mode!r}, stats={self.stats_mode!r}) — "
-            f"{len(self._tables)} table(s), "
-            f"{len(self._planners)} planned, workers {self.workers}"
+            f"{len(self._tables)} table(s), workers {self.workers}"
         ]
-        for name in self._tables:
-            planner = self._planners.get(name)
-            if planner is None:
-                lines.append(f"table {name!r}: never queried")
-                continue
+        for name, (_, planner, _, _) in self._tables.items():
             lines.append(f"table {name!r}:")
             lines.extend("  " + line for line in planner.plan_report().splitlines())
         for name, store in self._sharded.items():
@@ -526,7 +453,7 @@ class Catalog:
         return name in self._tables
 
     def __iter__(self) -> Iterator[Table]:
-        return iter(self._tables.values())
+        return (entry[0] for entry in self._tables.values())
 
     def __len__(self) -> int:
         return len(self._tables)

@@ -1,19 +1,17 @@
-"""Catalog lifecycle: drop/recreate correctness and lock regressions.
+"""Catalog lifecycle: registration races and drop/recreate correctness.
 
-Two races fixed alongside the serving layer are pinned here with
-deterministic interleavings:
-
-* ``Catalog.drop`` used to mutate the planner/executor caches without
-  holding ``_build_lock``, so an in-flight lazy build could re-insert
-  an entry for the dropped table — and a recreated table under the
-  same name then served the *old* table's planner.
-* ``Catalog.source_lock`` used to index ``_table_locks`` directly, so
-  a concurrent drop between the existence check and the lookup leaked
-  a bare ``KeyError`` instead of the library's ``SchemaError``.
+A table's planner, executor and lock are built when it is registered
+and stored as one entry under its name, so a lookup can never pair a
+table with another table's planner.  The registration race is pinned
+with a deterministic interleaving: of two ``create_table`` calls for
+one name racing through ``Table.__init__`` exactly one may succeed,
+or the later one would silently replace the table the first caller
+is already writing to.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import AbstractContextManager
 
@@ -22,79 +20,103 @@ import pytest
 
 from repro._util.errors import SchemaError
 from repro.query import AggregateFunction, AggregateQuery, RangePredicate, RangeQuery
-from repro.storage import Catalog, CohortZoneMap
+from repro.storage import Catalog, Table
 
 
 def _query(low: int, high: int) -> RangeQuery:
     return RangeQuery(RangePredicate("a", low, high))
 
 
-class TestDropBuildRace:
-    def test_drop_blocks_on_inflight_lazy_build(self, monkeypatch):
-        """A drop racing a lazy planner build must wait for the build
-        lock — and the purge must land *after* the build's insertion,
-        so a recreated table never inherits the stale planner."""
-        catalog = Catalog(plan="auto")
-        old = catalog.create_table("t", ["a"])
-        old.insert_batch(0, {"a": [1, 2, 3]})
-
-        in_build = threading.Event()
+class TestRegistrationRace:
+    def test_racing_create_table_keeps_the_first_registration(self, monkeypatch):
+        """Thread A pauses inside ``Table.__init__`` while thread B
+        creates the same name and writes to it: A must lose with a
+        SchemaError, B's table must stay registered, and A's table must
+        carry no observer of the catalog's."""
+        catalog = Catalog(plan="cost", stats="hist")
+        in_init = threading.Event()
         resume = threading.Event()
-        original_init = CohortZoneMap.__init__
+        paused: list[Table] = []
+        original_init = Table.__init__
 
-        def paused_init(self, table, columns=None):
-            # Pause the lazy build inside _build_lock, between the
-            # existence check and the cache insertion — the exact
-            # window the unfixed drop slipped through.
-            if table is old:
-                in_build.set()
+        def paused_init(self, name, column_names):
+            original_init(self, name, column_names)
+            if threading.current_thread() is racer:
+                paused.append(self)
+                in_init.set()
                 assert resume.wait(5)
-            original_init(self, table, columns)
 
-        monkeypatch.setattr(CohortZoneMap, "__init__", paused_init)
+        monkeypatch.setattr(Table, "__init__", paused_init)
+        outcome: list = []
 
-        def build():
+        def create():
             try:
-                catalog.planner("t")
-            except SchemaError:
-                pass  # acceptable: the build lost the race cleanly
+                outcome.append(catalog.create_table("t", ["a"]))
+            except SchemaError as exc:
+                outcome.append(exc)
 
-        builder = threading.Thread(target=build)
-        builder.start()
-        assert in_build.wait(5)
-
-        dropper = threading.Thread(target=lambda: catalog.drop("t"))
-        dropper.start()
-        dropper.join(0.3)
-        # The fixed drop is stuck on _build_lock while the build is in
-        # flight; the unfixed drop completed here (and the build then
-        # re-inserted a planner for the dropped table).
-        assert dropper.is_alive(), "drop must serialize behind the lazy build"
-
+        racer = threading.Thread(target=create)
+        racer.start()
+        assert in_init.wait(5)
+        winner = catalog.create_table("t", ["a"])
+        winner.insert_batch(0, {"a": [1, 2, 3]})
         resume.set()
-        builder.join(5)
-        dropper.join(5)
-        assert not dropper.is_alive()
+        racer.join(5)
+        assert not racer.is_alive()
 
-        new = catalog.create_table("t", ["a"])
-        new.insert_batch(0, {"a": [9, 10]})
-        assert catalog.planner("t").table is new
-        assert catalog.executor("t").table is new
+        assert isinstance(outcome[0], SchemaError)
+        assert catalog.get("t") is winner
+        assert catalog.planner("t").table is winner
+        assert catalog.execute("t", _query(0, 10), epoch=0).rf == 3
+        assert paused[0]._observers == []
         catalog.close()
 
-    def test_recreate_asserts_no_stale_cache_survives(self):
-        """The admission guard behind the fix: a surviving stale entry
-        is a loud SchemaError, never a silent wrong planner."""
+    def test_many_racing_registrations_have_one_winner(self):
+        """Stress: more threads than cores race ``create_table`` on one
+        name with a short switch interval; each round exactly one wins
+        and the registered table is the winner's."""
         catalog = Catalog(plan="auto")
+        threads_per_round = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                barrier = threading.Barrier(threads_per_round)
+                won: list[Table] = []
+                lost: list[SchemaError] = []
+
+                def create():
+                    barrier.wait(5)
+                    try:
+                        won.append(catalog.create_table("t", ["a"]))
+                    except SchemaError as exc:
+                        lost.append(exc)
+
+                threads = [
+                    threading.Thread(target=create)
+                    for _ in range(threads_per_round)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(won) == 1 and len(lost) == threads_per_round - 1
+                assert catalog.get("t") is won[0]
+                assert catalog.planner("t").table is won[0]
+                catalog.drop("t")
+        finally:
+            sys.setswitchinterval(previous)
+        catalog.close()
+
+    def test_losing_register_attaches_nothing(self):
+        catalog = Catalog(plan="cost", stats="hist")
         catalog.create_table("t", ["a"])
-        catalog.get("t").insert_batch(0, {"a": [1]})
-        catalog.planner("t")
-        # Simulate the pre-fix corruption: drop without the purge.
-        with catalog._build_lock:
-            del catalog._tables["t"]
-            catalog._table_locks.pop("t")
-        with pytest.raises(SchemaError, match="stale planner/executor"):
-            catalog.create_table("t", ["a"])
+        loser = Table("t", ["a"])
+        loser.insert_batch(0, {"a": [1, 2]})
+        with pytest.raises(SchemaError, match="already exists"):
+            catalog.register(loser)
+        assert loser._observers == []
         catalog.close()
 
 
@@ -105,33 +127,13 @@ class TestSourceLockErrors:
             catalog.source_lock("missing")
         catalog.close()
 
-    def test_racing_drop_raises_schema_error_not_keyerror(self, monkeypatch):
-        """Drop landing between the existence check and the lock lookup
-        must surface as SchemaError (pre-fix: a bare KeyError)."""
-        catalog = Catalog()
-        catalog.create_table("t", ["a"])
-        real_get = Catalog.get
-
-        def racing_get(self, name):
-            table = real_get(self, name)
-            if name == "t" and "t" in self._tables:
-                # A concurrent caller drops the table right after the
-                # check passed.
-                self.drop("t")
-            return table
-
-        monkeypatch.setattr(Catalog, "get", racing_get)
-        with pytest.raises(SchemaError, match="no table named 't'"):
-            catalog.source_lock("t")
-        catalog.close()
-
     def test_sharded_sources_get_a_null_context(self):
         """Sharded stores synchronize internally (EpochGate + per-shard
         locks): their source lock is a reusable null context."""
         catalog = Catalog()
 
         class FakeSharded:
-            scan_rows = scan_chunks = estimate_scan = lambda self: None
+            scan_chunks = estimate_scan = lambda self: None
             partition_count = 1
             plan_mode = "auto"
 
@@ -183,6 +185,17 @@ class TestDropRecreateEndToEnd:
         # The old table keeps its own life, unreferenced by the catalog.
         assert first.forgotten_count == 50
         assert "t" in catalog and len(catalog) == 1
+        catalog.close()
+
+    def test_recreate_binds_the_new_table(self):
+        catalog = Catalog(plan="auto")
+        old = catalog.create_table("t", ["a"])
+        old.insert_batch(0, {"a": [1, 2, 3]})
+        catalog.execute("t", _query(0, 10), epoch=0)
+        catalog.drop("t")
+        new = catalog.create_table("t", ["a"])
+        assert catalog.planner("t").table is new
+        assert catalog.executor("t").table is new
         catalog.close()
 
     def test_lifecycle_hooks_fire_in_order(self):

@@ -177,6 +177,16 @@ class TestQueries:
         with pytest.raises(ConfigError):
             store.aggregate("avg", low=10)
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["empty", "loaded"])
+    def test_reversed_window_rejected(self, loaded):
+        """A reversed window is an error whether or not any shard holds
+        rows: an empty store must not answer ``(None, None)``."""
+        store = make_store()
+        if loaded:
+            store.insert({"a": np.array([1, 600])})
+        with pytest.raises(QueryError, match="reversed"):
+            store.aggregate("sum", 10, 5)
+
     def test_aggregate_empty_window_null_semantics(self):
         store = make_store()
         store.insert({"a": np.array([1, 600])})

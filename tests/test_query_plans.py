@@ -300,9 +300,9 @@ class TestShardedInputs:
     def test_scan_rows_validates_bounds(self, sharded_catalog):
         _, store = sharded_catalog
         with pytest.raises(QueryError):
-            store.scan_rows(5, 1)
+            store.scan_chunks(5, 1)
         with pytest.raises(QueryError):
-            store.scan_rows(low=5)
+            store.scan_chunks(low=5)
 
     def test_registry_guards(self, sharded_catalog):
         catalog, store = sharded_catalog
@@ -311,17 +311,17 @@ class TestShardedInputs:
         with pytest.raises(SchemaError):
             catalog.register_sharded("sh", store)  # already registered
         with pytest.raises(SchemaError):
-            catalog.register_sharded("bad", object())  # no scan_rows()
+            catalog.register_sharded("bad", object())  # no scan_chunks()
 
-        class ScanOnly:  # satisfies scan_rows but not explain/report
-            def scan_rows(self, *args, **kwargs):
+        class ScanOnly:  # satisfies scan_chunks but not explain/report
+            def scan_chunks(self, *args, **kwargs):
                 return None
 
         with pytest.raises(SchemaError, match="lacks"):
             catalog.register_sharded("bad", ScanOnly())
 
-        class NoChunks:  # all but the streaming path's chunked scan
-            scan_rows = estimate_scan = lambda self: None
+        class NoChunks:  # all but the chunked scan
+            estimate_scan = lambda self: None
             partition_count = 1
             plan_mode = "auto"
 

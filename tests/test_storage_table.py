@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._util.errors import (
     ConfigError,
@@ -13,6 +15,27 @@ from repro._util.errors import (
     UnknownColumnError,
 )
 from repro.storage import Catalog, Table
+
+#: One catalog-table step: insert a batch, forget some rows (indexes
+#: taken modulo the rows present), or plan a probe mid-stream so the
+#: live structures are read (and rebuilt when stale) along the way.
+catalog_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.lists(st.integers(-50, 500), min_size=1, max_size=25),
+        ),
+        st.tuples(
+            st.just("forget"),
+            st.lists(st.integers(0, 10_000), min_size=1, max_size=15),
+        ),
+        st.tuples(
+            st.just("probe"), st.tuples(st.integers(-60, 510), st.integers(0, 200))
+        ),
+    ),
+    min_size=1,
+    max_size=14,
+)
 
 
 class TestSchema:
@@ -321,13 +344,15 @@ class TestCatalogPlanning:
         assert catalog.executor("obs").planner is catalog.planner("obs")
 
     def test_record_access_variants_cached_separately(self):
-        """A read-only pass must not inherit (or freeze in) the
-        accounting choice of an earlier caller."""
-        from repro.query import RangePredicate, RangeQuery
+        """A read-only pass builds its own non-recording executor on
+        the catalog's planner; the catalog's executor records."""
+        from repro.query import QueryExecutor, RangePredicate, RangeQuery
 
         catalog, table = self._loaded(plan="auto")
         query = RangeQuery(RangePredicate("a", 0, 10))
-        catalog.executor("obs", record_access=False).execute(query, epoch=1)
+        QueryExecutor(
+            table, record_access=False, planner=catalog.planner("obs")
+        ).execute(query, epoch=1)
         assert table.access_counts().sum() == 0
         catalog.execute("obs", query, epoch=1)  # default: recording
         assert table.access_counts().sum() == 10
@@ -523,7 +548,55 @@ class TestCatalogPlanning:
 
     def test_drop_clears_planner_and_executors(self):
         catalog, _ = self._loaded(plan="auto")
-        catalog.executor("obs")
-        catalog.executor("obs", record_access=False)
         catalog.drop("obs")
-        assert not catalog._planners and not catalog._executors
+        with pytest.raises(SchemaError):
+            catalog.planner("obs")
+        with pytest.raises(SchemaError):
+            catalog.executor("obs")
+
+    @pytest.mark.parametrize("stats", ["uniform", "hist"])
+    @given(steps=catalog_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_live_structures_equal_backfilled(self, stats, steps):
+        """A catalog table's planner observes the table from
+        registration on; its zone map, histograms and estimates must
+        equal those of a planner built over the finished table."""
+        from repro.query import RangePredicate
+        from repro.query.planner import table_planner
+
+        catalog = Catalog(plan="cost", stats=stats)
+        table = catalog.create_table("obs", ["a"])
+        live = catalog.planner("obs")
+        for epoch, (kind, arg) in enumerate(steps):
+            if kind == "insert":
+                table.insert_batch(epoch, {"a": arg})
+            elif kind == "forget" and table.total_rows:
+                table.forget(np.asarray(arg) % table.total_rows, epoch)
+            elif kind == "probe":
+                live.plan(RangePredicate("a", arg[0], arg[0] + arg[1]))
+        backfilled = table_planner(table, "cost", stats=stats)
+
+        assert np.array_equal(
+            live.zone_map.active_counts(), backfilled.zone_map.active_counts()
+        )
+        for got, want in zip(
+            live.zone_map.bounds("a"), backfilled.zone_map.bounds("a")
+        ):
+            assert np.array_equal(got, want)
+        if stats == "hist":
+            for got, want in zip(
+                live.table_stats.histograms("a"),
+                backfilled.table_stats.histograms("a"),
+            ):
+                if want is None:
+                    assert got is None
+                    continue
+                assert (got.lo, got.hi) == (want.lo, want.hi)
+                assert np.array_equal(got.counts, want.counts)
+        else:
+            assert live.table_stats is None and backfilled.table_stats is None
+        for low, high in ((-60, 600), (0, 1), (100, 250), (490, 510)):
+            assert live.estimate("a", low, high) == backfilled.estimate(
+                "a", low, high
+            )
+        catalog.close()
