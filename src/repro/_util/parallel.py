@@ -16,7 +16,10 @@ Two design points keep the parallel path honest:
   workload still spreads hot items across groups.
 * ``workers <= 1`` (or a single item) bypasses the pool entirely and
   runs inline — the sequential path stays the zero-thread baseline the
-  equivalence harness compares against.
+  equivalence harness compares against.  Callers pass only the items
+  that have work: the sharded store's reads hand over the shards a
+  range covers and run pruned ones inline, so a one-shard read never
+  leaves the caller thread.
 
 Numpy releases the GIL inside its ufunc loops, so shard scans genuinely
 overlap on multi-core hosts; on a single core the striping keeps the
@@ -133,7 +136,10 @@ class FanOutPool:
     The pool is sized on first parallel use and grown if a later call
     asks for more workers; :meth:`close` releases the threads.  The
     object is safe to share between caller threads — submissions from
-    concurrent queries interleave on the same executor.
+    concurrent queries interleave on the same executor.  A call with
+    ``workers <= 1`` or at most one item submits nothing: it runs on
+    the caller thread, so a caller that filters its items down to the
+    ones with work decides when the pool is worth a round-trip.
     """
 
     def __init__(self) -> None:

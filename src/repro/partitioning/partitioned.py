@@ -16,14 +16,17 @@ bounds, so "does this query touch this shard?" is a planner decision
 around the query stack, and within a shard the planner picks
 scan/zonemap/index/cost paths exactly as it does for a single table.
 
-Shards are mutually independent, so reads fan out over a thread pool
-(``workers=``): per-shard planner+executor pipelines run concurrently,
-each under its shard's lock (planner counters and table access
-accounting stay race-free even when several caller threads query the
-store at once), and the per-shard outputs are merged **in shard
-order**, so counts, windowed aggregates and
-:class:`~repro.stats.ExactMoments` come out bit-identical to
-sequential execution regardless of completion order.
+Shards are mutually independent, so a read fans the shards it has
+work for out over a thread pool (``workers=``): those per-shard
+planner+executor pipelines run concurrently, while shards the range
+prunes (and empty ones) run inline on the caller — a read whose work
+lands in one shard makes no pool round-trip.  Every pipeline runs
+under its shard's lock (planner counters and table access accounting
+stay race-free even when several caller threads query the store at
+once), and the per-shard outputs are merged **in shard order**, so
+counts, windowed aggregates and :class:`~repro.stats.ExactMoments`
+come out bit-identical to sequential execution regardless of
+completion order.
 
 Edge partitions absorb out-of-domain values (inserts clamp *routing*,
 never the stored values), so their declared bounds are open-ended —
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -671,18 +675,20 @@ class PartitionedAmnesiaDatabase:
     def range_query(self, low: int, high: int) -> MergedRangeResult:
         """Fan a range query out through the shard planners; merge exactly.
 
-        Shards execute concurrently when ``workers > 1`` — each
-        pipeline runs under its shard lock and the per-shard outputs
-        are merged in shard order, so the result (and every policy-
-        visible counter behind it) is bit-identical to sequential
-        execution.  The planner prunes shards whose declared value
-        bounds exclude the range (a ``pruned`` plan — zero rows
-        considered).  Query traffic for :meth:`rebalance` counts shards
-        the range *covers* and the rows it matched there (both
-        plan-independent statistics), never shards a particular plan
-        mode happened to execute — otherwise rebalancing, and with it
-        every downstream budget and forgetting decision, would diverge
-        between ``scan`` and the pruned modes.
+        Every shard runs its pipeline under its shard lock; with
+        ``workers > 1`` the shards that have work — those the range
+        covers, or all of them under ``plan="scan"`` — run concurrently
+        when there are two or more, and the rest run inline on the
+        caller.  The per-shard outputs are merged in shard order, so
+        the result (and every policy-visible counter behind it) is
+        bit-identical to sequential execution.  The planner prunes
+        shards whose declared value bounds exclude the range (a
+        ``pruned`` plan — zero rows considered).  Query traffic for
+        :meth:`rebalance` counts shards the range *covers* and the rows
+        it matched there (both plan-independent statistics), never
+        shards a particular plan mode happened to execute — otherwise
+        rebalancing, and with it every downstream budget and forgetting
+        decision, would diverge between ``scan`` and the pruned modes.
         """
         if high < low:
             raise QueryError(f"range [{low}, {high}) is reversed")
@@ -713,13 +719,7 @@ class PartitionedAmnesiaDatabase:
                 executed = int(covered or partition.db.plan_mode == "scan")
                 return (result.rf, result.mf, executed, 1 - executed)
 
-        # Shared gate hold: a concurrent flush() publishes its batches
-        # either entirely before or entirely after this query — no
-        # shard can answer from a half-applied ingest wave.
-        with self._gate.reading():
-            outputs = self._fanout.map_ordered(
-                run_shard, self._partitions, self.workers
-            )
+        outputs = self._read_shards(run_shard, low, high)
         rf, mf, executed, pruned = (sum(col) for col in zip(*outputs))
         return MergedRangeResult(
             rf=rf, mf=mf, shards_executed=executed, shards_pruned=pruned
@@ -737,12 +737,12 @@ class PartitionedAmnesiaDatabase:
         and optional ``[low, high)`` windows, matching
         :meth:`repro.core.database.AmnesiaDatabase.aggregate`.  Each
         shard contributes per-view :class:`~repro.stats.ExactMoments`
-        (computed through its planner, concurrently when
-        ``workers > 1``); their exact integer sums merge and the
-        function is finalized once over the merged accumulator, so
-        AVG/VAR/STD are the exact global statistics — not averages of
-        shard answers, and independent of the shard layout and of which
-        shard finished first.
+        (computed through its planner; the shards with work run
+        concurrently when ``workers > 1``); their exact integer sums
+        merge and the function is finalized once over the merged
+        accumulator, so AVG/VAR/STD are the exact global statistics —
+        not averages of shard answers, and independent of the shard
+        layout and of which shard finished first.
         """
         function = AggregateFunction(function)
         if (low is None) != (high is None):
@@ -758,10 +758,7 @@ class PartitionedAmnesiaDatabase:
                     function, self.column, low, high
                 )
 
-        with self._gate.reading():
-            outputs = self._fanout.map_ordered(
-                run_shard, self._partitions, self.workers
-            )
+        outputs = self._read_shards(run_shard, low, high)
         active = ExactMoments()
         oracle = ExactMoments()
         for moments in outputs:
@@ -831,10 +828,42 @@ class PartitionedAmnesiaDatabase:
                     partition.query_rows += int(values.size)
                 return values, epochs, flags
 
+        return self._read_shards(run_shard, low, high)
+
+    def _read_shards(self, run_shard, low: int | None, high: int | None) -> list:
+        """``run_shard`` over every shard, outputs in shard order.
+
+        Only *busy* shards go through the pool: shards with rows that
+        the range covers, or every shard with rows under ``plan="scan"``
+        or a full scan (``low=None``).  The rest still run ``run_shard``
+        inline, so every shard plans and counts its traffic, but a
+        pruned or empty shard answers from its planner in microseconds
+        and a read whose work lands in one shard makes no pool
+        round-trip at all.  Which shards count as busy is a scheduling
+        choice only: ``run_shard`` decides everything under its shard
+        lock, so results are the same either way.
+
+        Runs under the read gate's shared side: a concurrent
+        :meth:`flush` publishes its batches either entirely before or
+        entirely after the read — no shard answers from a half-applied
+        ingest wave.
+        """
         with self._gate.reading():
-            return self._fanout.map_ordered(
-                run_shard, self._partitions, self.workers
+            partitions = self._partitions
+            busy = [
+                p.db.total_rows > 0
+                and (low is None or p.db.plan_mode == "scan" or p.covers(low, high))
+                for p in partitions
+            ]
+            pooled = iter(
+                self._fanout.map_ordered(
+                    run_shard, list(compress(partitions, busy)), self.workers
+                )
             )
+            return [
+                next(pooled) if is_busy else run_shard(p)
+                for p, is_busy in zip(partitions, busy)
+            ]
 
     def estimate_scan(
         self, low: int | None = None, high: int | None = None, *, cost: bool = False

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,94 @@ class TestBitpack:
     def test_negative_count(self):
         with pytest.raises(CompressionError):
             unpack_ints(np.array([0], dtype=np.uint8), bits=4, count=-1)
+
+
+def reference_pack(values: np.ndarray, bits: int) -> np.ndarray:
+    """The per-bit layout definition: each code's ``bits`` binary digits,
+    MSB first, fused by ``np.packbits`` (the original kernel)."""
+    values = np.asarray(values, dtype=np.uint64)
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
+    bit_matrix = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bit_matrix.ravel())
+
+
+@st.composite
+def codes_and_bits(draw):
+    bits = draw(st.integers(1, 64))
+    top = (1 << bits) - 1
+    count = draw(st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200]))
+    code = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    values = draw(st.lists(code, min_size=count, max_size=count))
+    return np.array(values, dtype=np.uint64), bits
+
+
+class TestBitpackKernel:
+    """The word kernels keep the per-bit ``np.packbits`` layout exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(codes_and_bits())
+    def test_matches_reference_layout_and_inverts(self, case):
+        values, bits = case
+        packed = pack_ints(values, bits)
+        reference = reference_pack(values, bits)
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == reference.tobytes()
+        count = values.size
+        out = unpack_ints(reference, bits, count, dtype=np.uint64)
+        assert out.dtype == np.uint64 and np.array_equal(out, values)
+        if count and int(values.max()) >= 2**63:
+            with pytest.raises(CompressionError, match="does not fit in int64"):
+                unpack_ints(reference, bits, count)
+        else:
+            out = unpack_ints(reference, bits, count)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, values.astype(np.int64))
+
+    def test_short_payload_rejected(self):
+        packed = pack_ints(np.arange(10), 4)
+        assert packed.size == 5
+        with pytest.raises(CompressionError, match="need 5"):
+            unpack_ints(packed[:2], 4, 10)
+        with pytest.raises(CompressionError):
+            unpack_ints(np.empty(0, dtype=np.uint8), 64, 1, dtype=np.uint64)
+
+    def test_longer_payload_reads_its_prefix(self):
+        packed = pack_ints(np.arange(10), 4)
+        padded = np.concatenate([packed, np.full(3, 0xFF, dtype=np.uint8)])
+        assert unpack_ints(padded, 4, 10).tolist() == list(range(10))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([1.5]), np.array([1.0, 2.0]), np.array([1 + 0j]), np.array(["1"])],
+    )
+    def test_pack_rejects_non_integer_dtypes(self, values):
+        with pytest.raises(CompressionError, match="integer codes"):
+            pack_ints(values, 2)
+
+    def test_pack_accepts_bool_and_narrow_ints(self):
+        flags = pack_ints(np.array([True, False, True]), 1)
+        assert unpack_ints(flags, 1, 3).tolist() == [1, 0, 1]
+        narrow = np.array([0, 200, 255], dtype=np.uint8)
+        assert unpack_ints(pack_ints(narrow, 8), 8, 3).tolist() == [0, 200, 255]
+
+    @pytest.mark.parametrize("bits", [14, 40, 64])
+    def test_peak_traced_bytes_per_value(self, bits):
+        count = 8000
+        values = np.random.default_rng(bits).integers(
+            0, 2**bits - 1, count, dtype=np.uint64, endpoint=True
+        )
+        packed = pack_ints(values, bits)
+        for run in (
+            lambda: pack_ints(values, bits),
+            lambda: unpack_ints(packed, bits, count, dtype=np.uint64),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / count <= 160, f"{peak / count:.0f} B/value at {bits} bits"
 
 
 @pytest.mark.parametrize("codec_name", CODEC_NAMES)

@@ -485,6 +485,104 @@ class TestParallelFanout:
         assert store.rebalance_policy == "rows"
 
 
+class TestReadDispatch:
+    """Reads hand the pool only the shards that have work to do."""
+
+    BOUNDS = tuple(range(0, 900, 100))  # 8 shards of 100 values
+
+    def _build(self, workers, plan="auto"):
+        store = PartitionedAmnesiaDatabase(
+            "a", self.BOUNDS, 800, policy_factory=FifoAmnesia, seed=7,
+            workers=workers, plan=plan,
+        )
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            store.insert({"a": rng.integers(-20, 820, 300)})
+        return store
+
+    @pytest.fixture
+    def submits(self, monkeypatch):
+        calls = []
+        original = ThreadPoolExecutor.submit
+
+        def spy(pool, fn, *args, **kwargs):
+            calls.append(fn)
+            return original(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+        return calls
+
+    @staticmethod
+    def _reads(store):
+        """One single-shard read of each kind, then wider ones."""
+        rf_mf = []
+        for low, high in [(120, 180), (150, 250), (-50, 30), (790, 900)]:
+            r = store.range_query(low, high)
+            rf_mf.append((r.rf, r.mf, r.shards_executed, r.shards_pruned))
+        aggregates = [
+            store.aggregate("avg", 310, 390),
+            store.aggregate("var", 250, 450),
+            store.aggregate("count"),
+        ]
+        chunks = [
+            np.concatenate([c[0] for c in store.scan_chunks(low, high)])
+            for low, high in [(510, 560), (None, None)]
+        ]
+        return rf_mf, aggregates, chunks
+
+    def test_single_shard_reads_submit_nothing(self, submits):
+        store = self._build(workers=4)
+        submits.clear()
+        result = store.range_query(120, 180)
+        store.aggregate("sum", 310, 390)
+        store.scan_chunks(510, 560)
+        assert submits == []
+        assert (result.shards_executed, result.shards_pruned) == (1, 7)
+        store.close()
+
+    def test_two_shard_and_full_reads_fan_out(self, submits):
+        store = self._build(workers=4)
+        submits.clear()
+        store.range_query(150, 250)
+        assert len(submits) == 2  # one group task per busy shard
+        submits.clear()
+        store.aggregate("count")
+        store.scan_chunks()
+        assert len(submits) == 8  # every shard has rows: 4 groups each
+        store.close()
+
+    def test_scan_plan_fans_out_every_shard(self, submits):
+        store = self._build(workers=4, plan="scan")
+        submits.clear()
+        result = store.range_query(120, 180)
+        assert len(submits) == 4
+        assert (result.shards_executed, result.shards_pruned) == (8, 0)
+        store.close()
+
+    @pytest.mark.parametrize("plan", ["auto", "cost", "scan"])
+    def test_observables_match_sequential_twin(self, plan):
+        sequential = self._build(workers=1, plan=plan)
+        parallel = self._build(workers=4, plan=plan)
+        seq_reads, par_reads = self._reads(sequential), self._reads(parallel)
+        assert seq_reads[:2] == par_reads[:2]
+        for a, b in zip(seq_reads[2], par_reads[2]):
+            assert np.array_equal(a, b)
+        # The header names the worker count; every shard line must match.
+        assert (
+            sequential.plan_report().splitlines()[1:]
+            == parallel.plan_report().splitlines()[1:]
+        )
+        for s_part, p_part in zip(sequential.partitions, parallel.partitions):
+            assert s_part.query_hits == p_part.query_hits
+            assert s_part.query_rows == p_part.query_rows
+            s_table, p_table = s_part.db.table, p_part.db.table
+            assert np.array_equal(s_table.access_counts(), p_table.access_counts())
+            assert np.array_equal(
+                s_table.last_access_epochs(), p_table.last_access_epochs()
+            )
+        parallel.close()
+
+
 class TestIngestQueue:
     """The batched write seam: enqueue routes, flush publishes."""
 
