@@ -12,21 +12,21 @@ half:
   A server-supplied ``Retry-After`` acts as a *floor* on the computed
   delay, never a replacement — the client still backs off further on
   repeated failures.
-* :class:`ServiceClient` — a minimal stdlib (:mod:`http.client`)
-  JSON client for :class:`~repro.serving.server.CatalogServer` that
-  retries torn connections and 429/503 responses under a
+* :class:`ServiceClient` — a JSON client for
+  :class:`~repro.serving.server.CatalogServer` over one persistent
+  HTTP/1.1 connection of its own (a socket with Nagle off and one
+  buffered reader): one write per request, and a strict reply reader.
+  It retries torn connections and 429/503 responses under a
   :class:`RetryPolicy`, and raises
   :class:`~repro._util.errors.TransientFault` only when the budget is
-  exhausted.  It holds one persistent HTTP/1.1 connection, so a
-  request costs no TCP handshake and no new server-side handler
-  thread.  An attempt that fails mid-exchange drops that connection;
+  exhausted.  An attempt that fails mid-exchange drops the connection;
   the next attempt opens a fresh one.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 
@@ -34,6 +34,7 @@ import numpy as np
 
 from .._util.errors import ServingError, TransientFault
 from .._util.rng import DEFAULT_SEED, derive_seed
+from .server import read_fields
 
 __all__ = ["RetryPolicy", "ServiceClient"]
 
@@ -115,33 +116,23 @@ class RetryPolicy:
         raise AssertionError("unreachable")  # pragma: no cover
 
 
-#: Connection-level failures worth a retry: the server dropped or tore
-#: the socket (a "crashed" worker) before a complete reply arrived.
-_TORN_CONNECTION = (
-    ConnectionError,
-    http.client.BadStatusLine,
-    http.client.ImproperConnectionState,
-    http.client.IncompleteRead,
-)
-
-
 class ServiceClient:
     """Retrying JSON client for one :class:`CatalogServer` endpoint.
 
     ``request`` POSTs one request dict and returns the response dict;
     torn connections and 429/503 replies are retried under ``policy``,
-    honoring ``Retry-After``.  Other error statuses raise
-    :class:`~repro._util.errors.ServingError` immediately (a 403 will
-    not succeed on retry).  When the retry budget runs out the last
-    transient failure surfaces as
-    :class:`~repro._util.errors.TransientFault`.
+    honoring a numeric ``Retry-After`` (an HTTP-date is no hint).  Other
+    error statuses raise :class:`~repro._util.errors.ServingError` at
+    once (a 403 will not succeed on retry); a timeout propagates.
 
-    Every call goes over one keep-alive connection.  Any failure inside
-    an exchange closes it, so a half-read reply never leaks into the
-    next call; :mod:`http.client` reopens the socket on the next
-    attempt.  A lock serializes exchanges, so one client may be shared
-    by threads (they take turns on the connection).  ``close()`` — or
-    leaving a ``with`` block — releases the socket.
+    Each request leaves in one ``sendall`` on a keep-alive socket.  A
+    reply other than an ``HTTP/1.1`` status line, a head accepted by
+    :func:`~repro.serving.server.read_fields` and exactly one plain
+    ``Content-Length`` of body bytes is a torn connection.  Any failure
+    inside an exchange, and a ``Connection: close`` reply, closes the
+    socket; the next call reconnects.  A lock serializes exchanges, so
+    threads may share one client.  ``close()`` — or leaving a ``with``
+    block — releases the socket.
     """
 
     def __init__(
@@ -156,15 +147,20 @@ class ServiceClient:
         self.port = int(port)
         self.policy = policy if policy is not None else RetryPolicy()
         self.timeout = float(timeout)
-        self._conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        self._sock: socket.socket | None = None
+        self._rfile = None
         self._lock = threading.Lock()
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def close(self) -> None:
         """Close the connection (a later call reopens it)."""
         with self._lock:
-            self._conn.close()
+            self._drop()
 
     def __enter__(self) -> ServiceClient:
         return self
@@ -172,30 +168,50 @@ class ServiceClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _exchange(self, data: bytes) -> tuple[int, dict, bytes]:
+        """Send one request; read ``(status, fields, body)`` of its reply."""
+        if self._sock is None:
+            sock = socket.create_connection((self.host, self.port), self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._rfile = sock, sock.makefile("rb")
+        self._sock.sendall(data)
+        words = self._rfile.readline(65537).split(None, 2)
+        if len(words) < 2 or words[0] != b"HTTP/1.1" or not words[1].isdigit():
+            raise ConnectionError(f"bad status line {b' '.join(words)!r}")
+        fields = read_fields(self._rfile)
+        if fields is None or "transfer-encoding" in fields:
+            raise ConnectionError("reply head is not strict HTTP/1.1")
+        length = fields.get("content-length", [""])
+        if len(length) != 1 or not (length[0].isascii() and length[0].isdigit()):
+            raise ConnectionError(f"bad Content-Length {length!r}")
+        body = self._rfile.read(int(length[0]))
+        if len(body) < int(length[0]):
+            raise ConnectionError("connection closed mid-reply")
+        if "close" in ",".join(fields.get("connection", [])).lower():
+            self._drop()
+        return int(words[1]), fields, body
+
     def _roundtrip(self, method: str, path: str, payload: dict | None) -> dict:
-        body = None if payload is None else json.dumps(payload).encode()
-        headers = {} if body is None else {"Content-Type": "application/json"}
+        body = b"" if payload is None else json.dumps(payload).encode()
+        head = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        )
         with self._lock:
-            conn = self._conn
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
+                status, fields, data = self._exchange(head.encode() + body)
             except BaseException:
                 # The exchange stopped part-way: whatever is left on
                 # the socket belongs to no one.  Drop it; the next
                 # attempt reconnects.
-                conn.close()
+                self._drop()
                 raise
-        status = response.status
-        retry_after = response.getheader("Retry-After")
         if status in (429, 503):
             fault = TransientFault(
                 f"{method} {path} returned {status}: {data.decode(errors='replace')}"
             )
-            fault.retry_after = (
-                float(retry_after) if retry_after is not None else None
-            )
+            hint = fields.get("retry-after", [""])[0]  # an HTTP-date is no hint
+            fault.retry_after = int(hint) if hint.isascii() and hint.isdigit() else None
             raise fault
         try:
             decoded = json.loads(data)
@@ -216,7 +232,7 @@ class ServiceClient:
         def attempt() -> dict:
             try:
                 return self._roundtrip("POST", "/", payload)
-            except _TORN_CONNECTION as exc:
+            except ConnectionError as exc:
                 raise TransientFault(f"connection torn: {exc}") from exc
 
         return self.policy.call(attempt)

@@ -18,12 +18,15 @@ Two layers:
 Wire contract: connections are HTTP/1.1 keep-alive, so one client
 pays one handshake and occupies one handler thread for all of its
 requests.  Each reply is buffered and leaves in one write with Nagle
-off.  Because a connection outlives a request, framing is strict: a
+off.  Request heads go through :func:`read_fields`, the strict head
+reader the client shares: ``name: value`` + CRLF lines, at most 100,
+or a 400.  Because a connection outlives a request, framing is strict: a
 POST must carry one plain ``Content-Length`` of at most
 :data:`MAX_REQUEST_BYTES`.  A ``Transfer-Encoding``, a missing (411),
 malformed (400) or oversized (413) length is refused before any body
-byte is read, and the connection is closed — a body the server did not
-consume must never be parsed as the next request.  ``server_close()``
+byte is read (and before any ``100 Continue``), and the connection is
+closed — a body the server did not consume must never be parsed as
+the next request.  ``server_close()``
 shuts the read side of every open connection: a reply in flight still
 completes, then its handler sees end-of-stream and exits, and
 ``server_close()`` returns only after every handler thread has.
@@ -685,6 +688,27 @@ def _status_for(exc: Exception) -> int:
     return 500
 
 
+def read_fields(rfile) -> dict[str, list[str]] | None:
+    """Read a head's header lines (both ends of the wire use this).
+
+    Returns each lower-cased name's values in arrival order, or None if
+    a line is not ``name: value`` + CRLF (whitespace in or around the
+    name, obs-fold included), exceeds 64 KiB or 100 lines, or is cut off.
+    """
+    fields: dict[str, list[str]] = {}
+    for _ in range(101):
+        line = rfile.readline(65537)
+        if line == b"\r\n":
+            return fields
+        name, colon, value = line.partition(b":")
+        if not colon or not line.endswith(b"\r\n") or name.split() != [name]:
+            return None
+        fields.setdefault(name.decode("latin-1").lower(), []).append(
+            value.strip().decode("latin-1")
+        )
+    return None
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One JSON request per POST; probes on GET."""
 
@@ -698,12 +722,30 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the service keeps its own counters; stderr stays quiet
 
-    def handle_expect_100(self) -> bool:
-        # The interim "100 Continue" cannot wait in the reply buffer:
-        # the client holds its body back until it arrives.
-        proceed = super().handle_expect_100()
-        self.wfile.flush()
-        return proceed
+    def parse_request(self) -> bool:
+        """Read the head with :func:`read_fields` and check its framing,
+        both before any ``100 Continue``; False after a refusal."""
+        self.command, self.request_version = None, "HTTP/1.1"
+        self.requestline = self.raw_requestline.decode("latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        strict = len(words) == 3 and words[2] in ("HTTP/1.0", "HTTP/1.1")
+        self.headers = read_fields(self.rfile) if strict else None
+        if self.headers is None:
+            self._refuse(400, "BadRequest", "malformed request head")
+            return False
+        self.command, self.path, self.request_version = words
+        connection = ",".join(self.headers.get("connection", [])).lower()
+        self.close_connection = "close" in connection or words[2] == "HTTP/1.0"
+        self.content_length = self._body_length()
+        if self.content_length is None:
+            return False
+        expect = ",".join(self.headers.get("expect", [])).lower()
+        if expect == "100-continue" and words[2] == "HTTP/1.1":
+            # Sent at once: the client holds its body back until then.
+            self.send_response_only(100)
+            self.end_headers()
+            self.wfile.flush()
+        return True
 
     def _reply(self, status: int, body: dict) -> None:
         data = json.dumps(body).encode("utf-8")
@@ -731,16 +773,16 @@ class _Handler(BaseHTTPRequestHandler):
         leaves the position of the next request on the connection
         unknown, so it is refused without reading a byte.
         """
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             self._refuse(400, "BadFraming", "Transfer-Encoding is not supported")
             return None
-        values = self.headers.get_all("Content-Length") or []
+        values = self.headers.get("content-length", [])
         if not values:
             if self.command == "POST":
                 self._refuse(411, "LengthRequired", "POST needs a Content-Length")
                 return None
             return 0
-        raw = values[0].strip()
+        raw = values[0]
         if len(values) > 1 or not (raw.isascii() and raw.isdigit()):
             self._refuse(400, "BadFraming", f"bad Content-Length {values!r}")
             return None
@@ -752,15 +794,13 @@ class _Handler(BaseHTTPRequestHandler):
                 f"body of {length} bytes exceeds {MAX_REQUEST_BYTES}",
             )
             return None
+        if length and self.command != "POST":
+            self._refuse(400, "BadFraming", f"{self.command} takes no body")
+            return None
         return length
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        length = self._body_length()
-        if length is None:
-            return
-        if length:
-            self._refuse(400, "BadFraming", "GET takes no body")
-        elif self.path == "/health":
+        if self.path == "/health":
             self._reply(200, self.service.health())
         elif self.path == "/stats":
             self._reply(200, self.service.stats())
@@ -768,11 +808,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"ok": False, "error": "NotFound"})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        length = self._body_length()
-        if length is None:
-            return
-        body = self.rfile.read(length)
-        if len(body) < length:
+        body = self.rfile.read(self.content_length)
+        if len(body) < self.content_length:
             # The client hung up mid-body: nothing to answer, and a
             # truncated request must not run.
             self.close_connection = True

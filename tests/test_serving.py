@@ -1522,6 +1522,61 @@ class TestRequestFraming:
         finally:
             _close_all(catalog, service, server, thread)
 
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            b"X-No-Colon\r\n",
+            b"X-Spaced : 1\r\n",
+            b"X-Folded: a\r\n  b\r\n",
+            b"".join(b"X-Field-%d: v\r\n" % i for i in range(101)),
+        ],
+        ids=["no-colon", "space-before-colon", "obs-fold", "101-lines"],
+    )
+    def test_malformed_head_is_refused_and_closed(self, headers):
+        catalog, service, server, thread = _serve_alice()
+        port = server.server_address[1]
+        try:
+            reply = _raw_exchange(
+                port,
+                b"POST / HTTP/1.1\r\nHost: x\r\n"
+                + headers
+                + b"Content-Length: %d\r\n\r\n%s" % (len(_OPEN), _OPEN),
+            )
+            head = reply.split(b"\r\n\r\n", 1)[0]
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert b"\r\nConnection: close" in head
+            assert service.sessions.opened_total == 0
+            assert _post(port, {"op": "open_session", "tenant": "alice"})[0] == 200
+        finally:
+            _close_all(catalog, service, server, thread)
+
+    @pytest.mark.parametrize(
+        "headers, status",
+        [
+            (b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1), 413),
+            (b"Transfer-Encoding: chunked\r\n", 400),
+            (b"", 411),
+        ],
+        ids=["oversized", "chunked", "missing"],
+    )
+    def test_refused_frame_is_not_invited_by_100_continue(self, headers, status):
+        catalog, service, server, thread = _serve_alice()
+        try:
+            # Only the head is sent: a client that waits for "100
+            # Continue" before its body must get the refusal instead.
+            reply = _raw_exchange(
+                server.server_address[1],
+                b"POST / HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                + headers
+                + b"\r\n",
+            )
+            head = reply.split(b"\r\n\r\n", 1)[0]
+            assert head.startswith(b"HTTP/1.1 %d " % status), reply
+            assert b"\r\nConnection: close" in head
+            assert b" 100 " not in reply
+        finally:
+            _close_all(catalog, service, server, thread)
+
     def test_get_with_a_body_is_refused_and_closed(self):
         catalog, service, server, thread = _serve_alice()
         try:
@@ -1567,4 +1622,187 @@ class TestRequestFraming:
                 assert sock.recv(65536) == b""  # closed without a reply
             assert service.sessions.opened_total == 0
         finally:
+            _close_all(catalog, service, server, thread)
+
+
+# -- client reply framing ------------------------------------------------
+
+
+def _reply(status: bytes, body: bytes = b"{}", *head: bytes) -> bytes:
+    """A well-framed reply: ``status`` line, ``head`` lines, the body."""
+    lines = [b"HTTP/1.1 " + status, *head, b"Content-Length: %d" % len(body)]
+    return b"\r\n".join(lines) + b"\r\n\r\n" + body
+
+
+_GOOD = _reply(b"200 OK", b'{"ok": true}')
+
+
+class _ScriptedServer:
+    """A raw-socket server that answers from a script, one connection
+    at a time.
+
+    Each script entry ``(reply, keep)`` answers one request: ``reply``
+    is sent (one byte per ``send`` with ``dribble``), then the
+    connection is closed unless ``keep``.  The server stops once the
+    script is spent.
+    """
+
+    def __init__(self, script, *, dribble: bool = False):
+        self.script = list(script)
+        self.dribble = dribble
+        self.accepted = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        with self._listener:
+            while self.script:
+                conn, _ = self._listener.accept()
+                self.accepted += 1
+                with conn, conn.makefile("rb") as rfile:
+                    while self.script and self._read_request(rfile):
+                        reply, keep = self.script.pop(0)
+                        self._send(conn, reply)
+                        if not keep:
+                            break
+
+    @staticmethod
+    def _read_request(rfile) -> bool:
+        length = 0
+        while (line := rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        return bool(line) and len(rfile.read(length)) == length
+
+    def _send(self, conn, reply: bytes) -> None:
+        if not self.dribble:
+            conn.sendall(reply)
+            return
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(len(reply)):
+            conn.send(reply[i : i + 1])
+            time.sleep(0.001)
+
+    def client(self, attempts: int = 2, slept=None) -> ServiceClient:
+        sleep = (lambda s: None) if slept is None else slept.append
+        return ServiceClient(
+            "127.0.0.1",
+            self.port,
+            policy=RetryPolicy(attempts=attempts, sleep=sleep),
+            timeout=5.0,
+        )
+
+    def join(self) -> None:
+        self._thread.join(10)
+        assert not self._thread.is_alive()
+
+
+class _WriteSpy:
+    """Wraps a socket and counts the writes made through it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes = 0
+
+    def send(self, data):
+        self.writes += 1
+        return self._sock.send(data)
+
+    def sendall(self, data):
+        self.writes += 1
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestClientFraming:
+    """``ServiceClient`` reads replies strictly; anything else is torn."""
+
+    @pytest.mark.parametrize(
+        "torn",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
+            b"garbage\r\n\r\n",
+            b"",
+        ],
+        ids=["short-body", "chunked", "no-length", "bad-status", "eof"],
+    )
+    def test_torn_reply_is_transient_and_the_next_call_reconnects(self, torn):
+        server = _ScriptedServer([(torn, False), (torn, False), (_GOOD, True)])
+        client = server.client(attempts=2)
+        try:
+            with pytest.raises(TransientFault, match="connection torn"):
+                client.request({"op": "stats"})
+            assert client.request({"op": "stats"}) == {"ok": True}
+            assert server.accepted == 3
+        finally:
+            client.close()
+            server.join()
+
+    def test_dribbled_reply_parses(self):
+        body = b'{"ok": true, "n": 12345}'
+        server = _ScriptedServer(
+            [(_reply(b"200 OK", body, b"X-Extra:  padded  "), True)], dribble=True
+        )
+        client = server.client()
+        try:
+            assert client.request({"op": "stats"}) == {"ok": True, "n": 12345}
+        finally:
+            client.close()
+            server.join()
+
+    def test_connection_close_reply_reconnects(self):
+        server = _ScriptedServer(
+            [(_reply(b"200 OK", b'{"n": 1}', b"Connection: close"), True),
+             (_reply(b"200 OK", b'{"n": 2}'), True)]
+        )
+        client = server.client(attempts=1)
+        try:
+            assert client.request({"op": "stats"}) == {"n": 1}
+            assert client.request({"op": "stats"}) == {"n": 2}
+            assert server.accepted == 2
+        finally:
+            client.close()
+            server.join()
+
+    def test_http_date_retry_after_is_no_hint(self):
+        unavailable = _reply(
+            b"503 Service Unavailable",
+            b'{"ok": false}',
+            b"Retry-After: Fri, 31 Dec 1999 23:59:59 GMT",
+        )
+        server = _ScriptedServer([(unavailable, True), (_GOOD, True)])
+        slept: list[float] = []
+        client = server.client(attempts=2, slept=slept)
+        try:
+            assert client.request({"op": "stats"}) == {"ok": True}
+            assert len(slept) == 1  # the policy's own backoff, not a floor
+            assert server.accepted == 1
+        finally:
+            client.close()
+            server.join()
+
+    def test_each_request_is_one_write(self):
+        catalog, service, server, thread = _serve_alice()
+        accepted = _count_connections(server)
+        client = ServiceClient("127.0.0.1", server.server_address[1])
+        try:
+            token = client.request({"op": "open_session", "tenant": "alice"})[
+                "token"
+            ]
+            spy = client._sock = _WriteSpy(client._sock)
+            for i in range(5):
+                assert client.request(_range_request(token, i, i + 10))["ok"]
+            assert client.health()["ok"]
+            assert spy.writes == 6
+            assert len(accepted) == 1
+        finally:
+            client.close()
             _close_all(catalog, service, server, thread)
