@@ -38,9 +38,9 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_SEED
-from repro.amnesia import FifoAmnesia
+from repro.amnesia import FifoAmnesia, RotAmnesia
 from repro.indexes import BlockRangeIndex, SortedIndex
-from repro.partitioning import PartitionedAmnesiaDatabase
+from repro.partitioning import Partition, PartitionedAmnesiaDatabase
 from repro.query import QueryExecutor, QueryPlanner, RangePredicate, RangeQuery
 from repro.stats import ExactMoments, TableHistogramStats
 from repro.storage import (
@@ -165,6 +165,18 @@ SERVE_QUICK_ROWS = 25_000
 SERVE_SHAPES = 25
 SERVE_ROUNDS = 4
 
+#: Rebalance suite: one adaptive ``rebalance()`` on an 8-shard store
+#: (rot policy, cost plans, one worker) holding 1M rows over 400 epochs
+#: under a 200k budget, with range traffic only on shard 0, so the
+#: rebalance splits shard 0 and merges the coldest adjacent pair.  The
+#: wall time and the part of it spent replaying migrated rows land in
+#: the artifact; only the split/merge shape is asserted.
+REBALANCE_FULL_ROWS = 1_000_000
+REBALANCE_QUICK_ROWS = 125_000
+REBALANCE_EPOCHS = 400
+REBALANCE_BUDGET_FRACTION = 0.2
+REBALANCE_DOMAIN = 1_000_000
+
 #: Trajectory artifact consumed by CI (ops/s per plan mode + shards).
 ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
 
@@ -191,6 +203,7 @@ def artifact(quick):
             "compressed": {"modes": {}, "retention": {}},
             "planning": {"modes": {}},
             "serve": {"modes": {}},
+            "rebalance": {"adaptive_s": {}, "replay_s": {}},
         }
     )
     yield _ARTIFACT
@@ -1298,6 +1311,66 @@ def test_bench_serving_cached_vs_uncached(quick):
             f"warm cache-hit serving slower than cold planning on "
             f"{rows} rows with {CPUS} cpus ({ratio:.2f}x)"
         )
+
+
+@pytest.mark.parametrize("compress", ["off", "on"])
+def test_bench_adaptive_rebalance(quick, monkeypatch, compress):
+    """The ``rebalance`` suite: one adaptive boundary move, timed.
+
+    Records ``rebalance.adaptive_s`` (the whole ``rebalance()`` call)
+    and ``rebalance.replay_s`` (the part spent in
+    ``Partition.adopt_history``) per compress mode, plus the rows
+    migrated.  Asserts the shape only: exactly one split and one merge.
+    """
+    rows = REBALANCE_QUICK_ROWS if quick else REBALANCE_FULL_ROWS
+    store = PartitionedAmnesiaDatabase(
+        "value",
+        np.linspace(0, REBALANCE_DOMAIN, SHARDS + 1).astype(np.int64),
+        int(rows * REBALANCE_BUDGET_FRACTION),
+        RotAmnesia,
+        seed=BENCH_SEED,
+        plan="cost",
+        workers=1,
+        rebalance="adaptive",
+        compress=compress,
+    )
+    rng = np.random.default_rng(BENCH_SEED + 19)
+    shard_width = REBALANCE_DOMAIN // SHARDS
+    for epoch in range(REBALANCE_EPOCHS):
+        store.insert(
+            {"value": rng.integers(0, REBALANCE_DOMAIN, rows // REBALANCE_EPOCHS)}
+        )
+        if epoch % 4 == 0:
+            low = int(rng.integers(0, shard_width // 2))
+            store.range_query(low, low + shard_width // 4)
+
+    replay = {"seconds": 0.0, "rows": 0}
+    adopt = Partition.adopt_history
+
+    def timed_adopt(partition, sources):
+        start = time.perf_counter()
+        adopt(partition, sources)
+        replay["seconds"] += time.perf_counter() - start
+        replay["rows"] += partition.db.table.total_rows
+
+    monkeypatch.setattr(Partition, "adopt_history", timed_adopt)
+    start = time.perf_counter()
+    store.rebalance()
+    seconds = time.perf_counter() - start
+    store.close()
+
+    section = _ARTIFACT["rebalance"]
+    section["adaptive_s"][compress] = round(seconds, 6)
+    section["replay_s"][compress] = round(replay["seconds"], 6)
+    section.update(rows=rows, migrated_rows=replay["rows"])
+    print(
+        f"\nadaptive rebalance on {rows} rows (compress {compress}): "
+        f"{seconds:.3f}s, {replay['seconds']:.3f}s replaying "
+        f"{replay['rows']} migrated rows"
+    )
+    kinds = [event.split(" ")[2] for event in store.adaptations]
+    assert kinds == ["split", "merged"], store.adaptations
+    assert store.partition_count == SHARDS
 
 
 def test_bench_planner_auto(history, once):

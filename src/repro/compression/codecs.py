@@ -264,32 +264,42 @@ def make_codec(name: str) -> Codec:
 
 
 def best_codec(values: np.ndarray) -> CompressedBlock:
-    """Encode with every codec and keep the smallest block.
+    """Encode with the codec whose block would be smallest.
 
     This is the per-block "lightweight compression chooser" columnar
-    engines run at load time.  A codec that cannot encode a particular
-    block is skipped, not fatal — the chooser never raises on a valid
-    int64 block (raw always succeeds).  Invalid input (wrong shape,
-    non-integral values) still raises crisply.  Ties on ``nbytes``
-    break deterministically by registration order
-    (raw, rle, dict, for) via the stability of :func:`min`.
+    engines run at load time.  Every codec's footprint follows from the
+    value count ``n``, the run count, the distinct count and
+    :func:`~repro.compression.bitpack.bits_needed` — raw ``16 + 8n``,
+    rle ``16 + 16·runs``, dict ``16 + 8·distinct + ⌈n·bits/8⌉``, for
+    ``16 + ⌈n·bits/8⌉`` — so only the winner is encoded.  Ties on
+    ``nbytes`` break deterministically by registration order
+    (raw, rle, dict, for).  The chooser never raises on a valid int64
+    block; invalid input (wrong shape) raises crisply.
     """
-    # Validate once up front so bad input fails with the real reason
-    # instead of "no codec could encode".
+    # Validate once up front so bad input fails with the real reason.
     probe = np.asarray(values)
     if probe.ndim != 1:
         raise CompressionError(
             f"codecs encode 1-D arrays, got shape {probe.shape}"
         )
-    blocks = []
-    for codec in _CODECS.values():
-        try:
-            blocks.append(codec.encode(values))
-        except CompressionError:
-            continue
-    if not blocks:
-        raise CompressionError(
-            "no codec could encode the block; input is not a valid "
-            "int64 array"
+    values = probe.astype(np.int64, copy=False)
+    n = int(values.size)
+    nbytes = {"raw": _HEADER_BYTES + n * _INT64_BYTES}
+    if n:
+        ordered = np.sort(values)
+        distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        runs = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
+        spread = int(ordered[-1]) - int(ordered[0])
+
+        def packed(bits: int) -> int:
+            return (n * bits + 7) // 8
+
+        nbytes["rle"] = _HEADER_BYTES + runs * 2 * _INT64_BYTES
+        nbytes["dict"] = (
+            _HEADER_BYTES
+            + distinct * _INT64_BYTES
+            + packed(bits_needed(distinct - 1))
         )
-    return min(blocks, key=lambda b: b.nbytes)
+        nbytes["for"] = _HEADER_BYTES + packed(bits_needed(spread))
+    # ``min`` keeps the first of equal keys: registration order.
+    return _CODECS[min(nbytes, key=nbytes.__getitem__)].encode(values)

@@ -99,6 +99,7 @@ from ..query.predicates import RangePredicate, TruePredicate
 from ..query.queries import AggregateFunction
 from ..stats.moments import ExactMoments
 from ..stats.table_stats import traffic_weighted_quantiles
+from ..storage.table import Table
 
 __all__ = ["MergedRangeResult", "Partition", "PartitionedAmnesiaDatabase"]
 
@@ -217,70 +218,35 @@ class Partition:
 
         ``sources`` is a list of ``(table, positions)`` pairs, positions
         ascending.  Rows are re-inserted grouped by their original
-        insert epoch (epochs interleave across sources in source order;
-        same-epoch cohorts from different sources collapse into one),
-        then the forgotten ones are re-forgotten at their original
-        epochs and access metadata is restored — so the migrated shard
-        answers every query, and feeds every policy, exactly as the
-        source shards did.  The shard's clock resumes from the highest
-        source epoch.
+        insert epoch (source order within an epoch, so same-epoch
+        cohorts from different sources collapse into one) through
+        :meth:`~repro.storage.table.Table.replay_history`, which also
+        restores forget stamps and access metadata.
         """
         table = self.db.table
         if table.total_rows:
             raise ConfigError("adopt_history needs an empty partition")
-        gathered = []
-        for src, positions in sources:
-            positions = np.asarray(positions, dtype=np.int64)
-            if positions.size == 0:
-                continue
-            gathered.append(
-                {
-                    "epochs": src.insert_epochs()[positions],
-                    "values": src.values(self.column)[positions],
-                    "active": src.active_mask()[positions],
-                    "forgotten_at": src.forgotten_epochs()[positions],
-                    "access": src.access_counts()[positions],
-                    "last_access": src.last_access_epochs()[positions],
-                }
-            )
-        if not gathered:
+        sources = [(src, np.asarray(p, dtype=np.int64)) for src, p in sources]
+        if not any(positions.size for _, positions in sources):
             return
-        all_epochs = np.unique(np.concatenate([g["epochs"] for g in gathered]))
-        forgotten_by_epoch: dict[int, list[np.ndarray]] = {}
-        restore = {"positions": [], "access": [], "last_access": []}
-        for epoch in all_epochs.tolist():
-            # Positions are ascending, so per-source insert epochs are
-            # non-decreasing: each epoch's rows form one contiguous
-            # run, located in O(log R) instead of a full mask scan.
-            batches = []
-            for g in gathered:
-                lo, hi = np.searchsorted(g["epochs"], [epoch, epoch + 1])
-                if hi > lo:
-                    batches.append((g, slice(int(lo), int(hi))))
-            values = np.concatenate([g["values"][run] for g, run in batches])
-            positions = table.insert_batch(epoch, {self.column: values})
-            self.db.policy.on_insert(table, positions, epoch)
-            offset = 0
-            for g, run in batches:
-                count = run.stop - run.start
-                new_positions = positions[offset : offset + count]
-                offset += count
-                forgotten = ~g["active"][run]
-                if forgotten.any():
-                    at = g["forgotten_at"][run][forgotten]
-                    for fe in np.unique(at).tolist():
-                        forgotten_by_epoch.setdefault(fe, []).append(
-                            new_positions[forgotten][at == fe]
-                        )
-                restore["positions"].append(new_positions)
-                restore["access"].append(g["access"][run])
-                restore["last_access"].append(g["last_access"][run])
-        for fe in sorted(forgotten_by_epoch):
-            table.forget(np.concatenate(forgotten_by_epoch[fe]), epoch=fe)
-        table.restore_access(
-            np.concatenate(restore["positions"]),
-            np.concatenate(restore["access"]),
-            np.concatenate(restore["last_access"]),
+
+        def gather(read) -> np.ndarray:
+            return np.concatenate([read(src)[p] for src, p in sources])
+
+        # A stable sort keeps source order (then position order) within
+        # each insert epoch, so every epoch run becomes one cohort.
+        epochs = gather(Table.insert_epochs)
+        order = np.argsort(epochs, kind="stable")
+        cohort_epochs, starts = np.unique(epochs[order], return_index=True)
+        stops = np.append(starts[1:], epochs.size)
+        table.replay_history(
+            list(zip(cohort_epochs.tolist(), starts.tolist(), stops.tolist())),
+            {self.column: gather(lambda src: src.values(self.column))[order]},
+            gather(Table.active_mask)[order],
+            gather(Table.forgotten_epochs)[order],
+            gather(Table.access_counts)[order],
+            gather(Table.last_access_epochs)[order],
+            self.db.policy.on_insert,
         )
 
     def __repr__(self) -> str:

@@ -194,45 +194,31 @@ def _replay_table(
 ) -> Table:
     """Replay a saved table payload into (empty) ``table``.
 
-    Cohort-by-cohort replay drives the live observer stream, so zone
-    maps, histogram statistics and indexes attached to ``table``
-    rebuild exactly; ``on_insert(table, positions, epoch)`` lets a
-    database restore additionally feed its policy, mirroring
-    :meth:`~repro.partitioning.partitioned.Partition.adopt_history`.
+    Cohort-by-cohort replay (:meth:`~repro.storage.table.Table.
+    replay_history`) drives the live observer stream, so zone maps,
+    histogram statistics and indexes attached to ``table`` rebuild
+    exactly; ``on_insert(table, positions, epoch)`` lets a database
+    restore additionally feed its policy.
     """
-    columns = {
-        name: _widened(members, f"{prefix}column:{name}")
-        for name in header["columns"]
-    }
-    for cohort in header["cohorts"]:
-        start, stop = cohort["start"], cohort["stop"]
-        batch = {name: values[start:stop] for name, values in columns.items()}
-        positions = table.insert_batch(cohort["epoch"], batch)
-        if on_insert is not None:
-            on_insert(table, positions, cohort["epoch"])
-
+    cohorts = [(c["epoch"], c["start"], c["stop"]) for c in header["cohorts"]]
+    rows = sum(stop - start for _, start, stop in cohorts)
     active = members[f"{prefix}active"]
-    if active.shape[0] != table.total_rows:
+    if active.shape != (rows,):
         raise StorageError(
             f"checkpoint is inconsistent: {active.shape[0]} activity "
-            f"bits for {table.total_rows} rows"
+            f"bits for {rows} rows"
         )
-    forgotten = np.flatnonzero(~active)
-    stamps = _widened(members, f"{prefix}forgotten_epoch")[forgotten]
-    # One stable sort groups the rows by forget epoch, positions still
-    # ascending within each group: one forget per epoch, in epoch
-    # order, restores every stamp exactly.
-    order = np.argsort(stamps, kind="stable")
-    epochs, firsts = np.unique(stamps[order], return_index=True)
-    for epoch, batch in zip(
-        epochs.tolist(), np.split(forgotten[order], firsts[1:])
-    ):
-        table.forget(batch, epoch=epoch)
-    # Counters restore directly — no query replay needed.
-    table.restore_access(
-        np.arange(table.total_rows, dtype=np.int64),
+    table.replay_history(
+        cohorts,
+        {
+            name: _widened(members, f"{prefix}column:{name}")
+            for name in header["columns"]
+        },
+        active,
+        _widened(members, f"{prefix}forgotten_epoch"),
         _widened(members, f"{prefix}access_count"),
         _widened(members, f"{prefix}last_access_epoch"),
+        on_insert,
     )
     return table
 
@@ -563,11 +549,7 @@ def _load_database(header: dict, members: dict, prefix: str, policy_factory):
         compress=header["compress"],
     )
     _replay_table(
-        db.table,
-        table_header,
-        members,
-        prefix,
-        on_insert=db.policy.on_insert,
+        db.table, table_header, members, prefix, on_insert=db.policy.on_insert
     )
     db.advance_epoch_to(header["epoch"])
     db._policy_rng.bit_generator.state = header["policy_rng"]
@@ -604,17 +586,12 @@ def _load_sharded(header: dict, members: dict, prefix: str, policy_factory):
     for i, (partition, saved) in enumerate(zip(store.partitions, parts)):
         db = partition.db
         db.table.name = saved["table"]["name"]
+        part = f"{prefix}p{i}:"
         _replay_table(
-            db.table,
-            saved["table"],
-            members,
-            f"{prefix}p{i}:",
-            on_insert=db.policy.on_insert,
+            db.table, saved["table"], members, part, on_insert=db.policy.on_insert
         )
         db.advance_epoch_to(saved["epoch"])
-        _restore_compressed(
-            db, saved["compressed_blocks"], members, f"{prefix}p{i}:"
-        )
+        _restore_compressed(db, saved["compressed_blocks"], members, part)
         # Direct budget restore: the saved state already satisfies it,
         # and set_budget's enforcement would let overshoot-style
         # policies purge rows the checkpoint still holds.

@@ -239,25 +239,49 @@ class Table:
         if n > self.active_count:
             raise InsufficientVictimsError(n, self.active_count)
 
-    def restore_access(self, positions: np.ndarray, counts, last_epochs) -> None:
-        """Bulk-restore access metadata for rows migrated between tables.
+    def replay_history(
+        self, cohorts, columns: dict, active, forgotten_epochs,
+        access_counts, last_access_epochs, on_insert,
+    ) -> None:
+        """Rebuild this empty table from per-row history arrays.
 
-        Partition boundary splits/merges replay a shard's history into a
-        fresh table, and a checkpoint restore replays a saved one; this
-        carries the access-frequency signal the rot and overuse policies
-        feed on across the move, instead of resetting every migrated row
-        to "never read".
+        The one replay path for a checkpoint load and a partition
+        boundary move.  Each ``(epoch, start, stop)`` of ``cohorts`` is
+        one ``insert_batch`` of the ``columns`` slice, then
+        ``on_insert(table, positions, epoch)`` unless the hook is None.
+        Rows with ``active`` False are then forgotten again at their
+        ``forgotten_epochs`` stamps, and every row's access count and
+        last-access epoch is restored, so the rot and overuse policies
+        see a moved row exactly as before instead of "never read".
         """
-        positions = self._checked(positions)
-        counts = np.asarray(counts, dtype=np.int64)
-        last_epochs = np.asarray(last_epochs, dtype=np.int64)
-        if not counts.shape == last_epochs.shape == positions.shape:
+        if self._rows:
+            raise StorageError(f"replay needs an empty table, {self!r} is not")
+        rows = sum(stop - start for _, start, stop in cohorts)
+        counts = np.asarray(access_counts, dtype=np.int64)
+        last_epochs = np.asarray(last_access_epochs, dtype=np.int64)
+        if not counts.shape == last_epochs.shape == (rows,):
             raise StorageError(
-                f"restore_access expects {positions.shape} values, got "
+                f"replay expects {(rows,)} access values, got "
                 f"{counts.shape} counts and {last_epochs.shape} epochs"
             )
-        self._access_count[positions] = counts
-        self._last_access_epoch[positions] = last_epochs
+        for epoch, start, stop in cohorts:
+            batch = {name: values[start:stop] for name, values in columns.items()}
+            positions = self.insert_batch(epoch, batch)
+            if on_insert is not None:
+                on_insert(self, positions, epoch)
+        forgotten = np.flatnonzero(~active)
+        stamps = forgotten_epochs[forgotten]
+        # One stable sort groups the rows by forget epoch, positions still
+        # ascending within each group: one forget per epoch, in epoch
+        # order, restores every stamp exactly.
+        order = np.argsort(stamps, kind="stable")
+        epochs, firsts = np.unique(stamps[order], return_index=True)
+        for epoch, batch in zip(
+            epochs.tolist(), np.split(forgotten[order], firsts[1:])
+        ):
+            self.forget(batch, epoch=epoch)
+        self._access_count[:rows] = counts
+        self._last_access_epoch[:rows] = last_epochs
 
     def record_access(self, positions: np.ndarray, epoch: int) -> None:
         """Bump access frequency for rows appearing in a query result.

@@ -377,6 +377,78 @@ class TestCodecProperties:
         assert large.bytes_per_value <= small.bytes_per_value + 1e-9
 
 
+def _encode_all_then_min(values):
+    """The reference chooser: encode with every codec, keep the smallest
+    (first of equal sizes, in registration order)."""
+    blocks = [make_codec(name).encode(values) for name in CODEC_NAMES]
+    return min(blocks, key=lambda block: block.nbytes)
+
+
+def _repeat(pairs):
+    values, lengths = zip(*pairs)
+    return np.repeat(np.array(values, dtype=np.int64), lengths)
+
+
+# Blocks that win with every codec: empty (all tie at the header),
+# constant and long-run blocks (rle), few distinct values (dict) and
+# spreads from 1 bit up to [-2**62, 2**62] (for or raw).
+chooser_blocks = st.one_of(
+    st.just(np.empty(0, dtype=np.int64)),
+    st.builds(
+        lambda n, value: np.full(n, value, dtype=np.int64),
+        st.integers(1, 300),
+        st.integers(-(2**62), 2**62),
+    ),
+    st.lists(
+        st.tuples(st.integers(-(2**62), 2**62), st.integers(1, 60)),
+        min_size=1,
+        max_size=20,
+    ).map(_repeat),
+    st.integers(0, 62).flatmap(
+        lambda k: arrays(
+            dtype=np.int64,
+            shape=st.integers(1, 300),
+            elements=st.integers(-(2**k), 2**k),
+        )
+    ),
+)
+
+
+class TestChooserPricing:
+    """``best_codec`` prices every codec and encodes only the winner; it
+    must pick exactly what encoding with all four and keeping the
+    smallest picks."""
+
+    @given(values=chooser_blocks)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_encode_all_then_min(self, values):
+        got, want = best_codec(values), _encode_all_then_min(values)
+        assert (got.codec_name, got.n_values, got.nbytes) == (
+            want.codec_name,
+            want.n_values,
+            want.nbytes,
+        )
+        assert got.payload.keys() == want.payload.keys()
+        for key, expected in want.payload.items():
+            actual = got.payload[key]
+            if isinstance(expected, np.ndarray):
+                assert actual.dtype == expected.dtype, key
+                assert np.array_equal(actual, expected), key
+            else:
+                assert actual == expected, key
+
+    def test_every_codec_can_win(self):
+        blocks = {
+            "raw": np.array([0, 2**62], dtype=np.int64),  # ties for
+            "rle": np.full(1000, 7, dtype=np.int64),
+            "dict": np.tile(np.array([0, 2**40, 2**50]), 200),
+            "for": np.arange(1000, dtype=np.int64),
+        }
+        for name, values in blocks.items():
+            assert best_codec(values).codec_name == name
+            assert _encode_all_then_min(values).codec_name == name
+
+
 class TestRegistry:
     def test_make_codec(self):
         for name in CODEC_NAMES:

@@ -11,7 +11,8 @@ import pytest
 from repro import AmnesiaDatabase
 from repro._util.errors import ConfigError, QueryError
 from repro.amnesia import FifoAmnesia, UniformAmnesia
-from repro.partitioning import PartitionedAmnesiaDatabase
+from repro.partitioning import Partition, PartitionedAmnesiaDatabase
+from repro.storage import Table
 
 
 def make_store(total_budget=100, boundaries=(0, 500, 1000)):
@@ -313,6 +314,101 @@ class TestPlannerRouting:
         stats = store.stats()
         assert stats["plan"] == store.plan_mode
         assert stats["shard_prunes"] == [0, 1]
+
+
+def _empty_partition():
+    return Partition(
+        index=0, low=0, high=1000, budget=100, policy=FifoAmnesia(),
+        column="a", seed=1,
+    )
+
+
+def _table_arrays(table):
+    return {
+        "values": table.values("a").tolist(),
+        "active": table.active_mask().tolist(),
+        "insert_epochs": table.insert_epochs().tolist(),
+        "forgotten_epochs": table.forgotten_epochs().tolist(),
+        "access_counts": table.access_counts().tolist(),
+        "last_access": table.last_access_epochs().tolist(),
+        "cohorts": [(c.epoch, c.start, c.stop) for c in table.cohorts],
+        "cohort_activity": table.cohort_activity(),
+    }
+
+
+class TestAdoptHistory:
+    """``Partition.adopt_history`` replays rows from source shards into
+    an empty one, keeping insert epochs, forget stamps and access
+    counters."""
+
+    @staticmethod
+    def _sources():
+        # Insert epochs interleave across the two sources and collide
+        # at epoch 2; rows are forgotten at four different epochs.
+        first, second = Table("s1", ["a"]), Table("s2", ["a"])
+        first.insert_batch(0, {"a": [10, 11, 12]})
+        first.insert_batch(2, {"a": [20, 21]})
+        first.insert_batch(3, {"a": [30]})
+        second.insert_batch(1, {"a": [100, 101]})
+        second.insert_batch(2, {"a": [200, 201, 202]})
+        second.insert_batch(4, {"a": [400]})
+        first.forget(np.array([1]), epoch=2)
+        first.forget(np.array([3]), epoch=5)
+        second.forget(np.array([0, 3]), epoch=3)
+        second.forget(np.array([5]), epoch=6)
+        first.record_access(np.array([0, 0, 4]), epoch=3)
+        second.record_access(np.array([2, 4]), epoch=5)
+        return first, second
+
+    def test_interleaved_sources_merge_by_insert_epoch(self):
+        first, second = self._sources()
+        partition = _empty_partition()
+        # Row 1 of the second source (value 101) stays behind.
+        partition.adopt_history(
+            [(first, np.arange(6)), (second, np.array([0, 2, 3, 4, 5]))]
+        )
+        assert _table_arrays(partition.db.table) == {
+            # Epoch order; within epoch 2 the first source's rows lead.
+            "values": [10, 11, 12, 100, 20, 21, 200, 201, 202, 30, 400],
+            "active": [
+                True, False, True, False, False, True,
+                True, False, True, True, False,
+            ],
+            "insert_epochs": [0, 0, 0, 1, 2, 2, 2, 2, 2, 3, 4],
+            "forgotten_epochs": [-1, 2, -1, 3, 5, -1, -1, 3, -1, -1, 6],
+            "access_counts": [2, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0],
+            "last_access": [3, -1, -1, -1, -1, 3, 5, -1, 5, -1, -1],
+            "cohorts": [(0, 0, 3), (1, 3, 4), (2, 4, 9), (3, 9, 10), (4, 10, 11)],
+            "cohort_activity": {0: 2 / 3, 1: 0.0, 2: 3 / 5, 3: 1.0, 4: 0.0},
+        }
+        assert partition.db.active_count == 6
+
+    def test_adopting_a_whole_table_reproduces_it(self):
+        for source in self._sources():
+            partition = _empty_partition()
+            partition.adopt_history(
+                [(source, np.arange(source.total_rows))]
+            )
+            assert _table_arrays(partition.db.table) == _table_arrays(source)
+
+    def test_empty_sources_are_a_no_op(self):
+        first, second = self._sources()
+        partition = _empty_partition()
+        partition.adopt_history([])
+        partition.adopt_history(
+            [(first, np.array([], dtype=np.int64)), (second, [])]
+        )
+        table = partition.db.table
+        assert table.total_rows == 0
+        assert list(table.cohorts) == []
+
+    def test_non_empty_partition_is_refused(self):
+        first, _ = self._sources()
+        partition = _empty_partition()
+        partition.db.insert({"a": [1, 2]})
+        with pytest.raises(ConfigError, match="empty partition"):
+            partition.adopt_history([(first, np.arange(6))])
+        assert partition.db.table.total_rows == 2
 
 
 class TestRebalance:

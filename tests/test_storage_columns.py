@@ -96,8 +96,15 @@ class TestGrowableIntVector:
 
     def test_extend_with_array(self):
         table = Table("t", ["a"])
-        table.insert_batch(0, {"a": [1, 2, 3]})
-        table.restore_access(np.array([2, 0]), [7, 4], [9, 8])
+        table.replay_history(
+            [(0, 0, 3)],
+            {"a": np.array([1, 2, 3])},
+            np.ones(3, dtype=bool),
+            np.full(3, -1),
+            [4, 0, 7],
+            [8, -1, 9],
+            None,
+        )
         assert table.access_counts().tolist() == [4, 0, 7]
         assert table.last_access_epochs().tolist() == [8, -1, 9]
 
@@ -105,10 +112,18 @@ class TestGrowableIntVector:
         table = Table("t", ["a"])
         with pytest.raises(SchemaError):
             table.insert_batch(0, {"a": np.zeros((2, 2), dtype=np.int64)})
-        table.insert_batch(0, {"a": [1, 2]})
         with pytest.raises(StorageError):
-            table.restore_access(np.array([0, 1]), [[1, 2]], [3, 4])
-        assert table.access_counts().tolist() == [0, 0]
+            table.replay_history(
+                [(0, 0, 2)],
+                {"a": np.array([1, 2])},
+                np.ones(2, dtype=bool),
+                np.full(2, -1),
+                [[1, 2]],
+                [3, 4],
+                None,
+            )
+        # The shape check runs before any row is inserted.
+        assert table.total_rows == 0
 
     def test_set_at(self):
         table = Table("t", ["a"])

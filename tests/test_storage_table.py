@@ -192,9 +192,6 @@ class TestRowStore:
             lambda: small_table.forget(positions, epoch=2),
             lambda: small_table.record_access(positions, epoch=2),
             lambda: small_table.is_active(positions),
-            lambda: small_table.restore_access(
-                positions, np.ones(positions.size), np.ones(positions.size)
-            ),
         ]
         for call in calls:
             with pytest.raises(IndexError):
