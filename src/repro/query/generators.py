@@ -59,7 +59,7 @@ def _anchor_value(table: Table, column: str, anchor: str, rng: np.random.Generat
     if anchor == "domain":
         return int(rng.integers(0, int(values.max()) + 1))
     if anchor == "recent":
-        cohort = table.cohorts[len(table.cohorts) - 1]
+        cohort = table.cohorts[-1]
         positions = cohort.positions()
         return int(values[positions[rng.integers(0, positions.size)]])
     raise ConfigError(f"unknown anchor {anchor!r}; choose from {ANCHORS}")

@@ -8,11 +8,11 @@ half-open interval ``[start, stop)`` of positions.
 
 Epoch 0 is the initial load; epochs ``1..n`` are update batches.
 
-:class:`CohortZoneMap` layers zone-map statistics (per-cohort min/max
-value and active-tuple count) on top of the log.  It subscribes to the
-table's insert/forget events, so the statistics stay exact without the
-table knowing about them — the query planner uses them to skip cohorts
-a range predicate cannot touch.
+The log also keeps each cohort's active-row count.
+:class:`CohortZoneMap` layers per-cohort min/max values on top of it.
+It subscribes to the table's insert events, so the bounds stay exact
+without the table knowing about them — the query planner uses them and
+the log's counts to skip cohorts a range predicate cannot touch.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = ["CardinalityEstimate", "Cohort", "CohortLog", "CohortZoneMap"]
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
+_EPOCH, _START, _STOP, _ACTIVE = range(4)
 
 
 @dataclass(frozen=True)
@@ -51,43 +52,51 @@ class Cohort:
 
 
 class CohortLog:
-    """Append-only log of insertion cohorts.
+    """Append-only log of insertion cohorts and their active-row counts.
 
     Maintains the invariant that cohorts are contiguous, non-overlapping
     and in strictly increasing epoch order — i.e. they tile ``[0,
-    total_rows)`` exactly.
+    total_rows)`` exactly.  A cohort starts fully active; the table
+    counts forgotten rows out through :meth:`forget`.
 
     >>> log = CohortLog()
     >>> _ = log.record(epoch=0, start=0, stop=1000)
     >>> _ = log.record(epoch=1, start=1000, stop=1200)
     >>> log.epoch_of(np.array([0, 999, 1000])).tolist()
     [0, 0, 1]
+    >>> log.forget(np.array([3, 1000, 1001]))
+    >>> log.active_counts().tolist()
+    [999, 198]
     """
 
-    __slots__ = ("_cohorts", "_starts")
+    __slots__ = ("_count", "_ledger")
 
     def __init__(self) -> None:
-        self._cohorts: list[Cohort] = []
-        self._starts: list[int] = []
+        self._count = 0
+        #: Rows ``_EPOCH``, ``_START``, ``_STOP``, ``_ACTIVE``; one
+        #: column per cohort, capacity doubling as the log grows.
+        self._ledger = np.zeros((4, 16), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._cohorts)
+        return self._count
 
     def __iter__(self):
-        return iter(self._cohorts)
+        spans = self._ledger[:_ACTIVE, : self._count].T.tolist()
+        return (Cohort(*span) for span in spans)
 
     def __getitem__(self, index: int) -> Cohort:
-        return self._cohorts[index]
+        index = range(self._count)[index]  # IndexError, negatives as a list
+        return Cohort(*self._ledger[:_ACTIVE, index].tolist())
 
     @property
     def total_rows(self) -> int:
         """Total number of rows covered by all cohorts."""
-        return self._cohorts[-1].stop if self._cohorts else 0
+        return int(self._ledger[_STOP, self._count - 1]) if self._count else 0
 
     @property
     def latest_epoch(self) -> int:
         """Epoch of the most recent cohort (-1 when empty)."""
-        return self._cohorts[-1].epoch if self._cohorts else -1
+        return int(self._ledger[_EPOCH, self._count - 1]) if self._count else -1
 
     def record(self, epoch: int, start: int, stop: int) -> Cohort:
         """Record a new cohort, enforcing contiguity and epoch order."""
@@ -98,21 +107,50 @@ class CohortLog:
             raise StorageError(
                 f"cohort must start at {expected_start}, got {start}"
             )
-        if self._cohorts and epoch <= self._cohorts[-1].epoch:
+        if self._count and epoch <= self.latest_epoch:
             raise StorageError(
-                f"cohort epochs must increase: {epoch} after {self._cohorts[-1].epoch}"
+                f"cohort epochs must increase: {epoch} after {self.latest_epoch}"
             )
-        cohort = Cohort(epoch=int(epoch), start=int(start), stop=int(stop))
-        self._cohorts.append(cohort)
-        self._starts.append(cohort.start)
-        return cohort
+        n = self._count
+        if n == self._ledger.shape[1]:
+            self._ledger = np.hstack([self._ledger, np.zeros_like(self._ledger)])
+        self._ledger[:, n] = (epoch, start, stop, stop - start)
+        self._count = n + 1
+        return self[n]
+
+    def forget(self, positions: np.ndarray) -> None:
+        """Count still-active ``positions`` (each once) out of their
+        cohorts' active counts."""
+        n = self._count
+        self._ledger[_ACTIVE, :n] -= np.bincount(self.index_of(positions), minlength=n)
+
+    def _row(self, row: int) -> np.ndarray:
+        out = self._ledger[row, : self._count]
+        out.flags.writeable = False
+        return out
+
+    def starts(self) -> np.ndarray:
+        """Read-only per-cohort first position."""
+        return self._row(_START)
+
+    def stops(self) -> np.ndarray:
+        """Read-only per-cohort end position (exclusive)."""
+        return self._row(_STOP)
+
+    def active_counts(self) -> np.ndarray:
+        """Read-only per-cohort count of still-active rows."""
+        return self._row(_ACTIVE)
+
+    def count_through(self, epoch: int) -> int:
+        """How many cohorts were inserted at or before ``epoch``."""
+        return int(np.searchsorted(self._row(_EPOCH), epoch, side="right"))
 
     def by_epoch(self, epoch: int) -> Cohort:
         """Return the cohort inserted at ``epoch``."""
-        for cohort in self._cohorts:
-            if cohort.epoch == epoch:
-                return cohort
-        raise KeyError(f"no cohort recorded for epoch {epoch}")
+        index = self.count_through(epoch) - 1
+        if index < 0 or self._ledger[_EPOCH, index] != epoch:
+            raise KeyError(f"no cohort recorded for epoch {epoch}")
+        return self[index]
 
     def index_of(self, positions: np.ndarray) -> np.ndarray:
         """Map row positions to cohort ordinals (0-based log indices).
@@ -125,20 +163,15 @@ class CohortLog:
         total = self.total_rows
         if positions.min() < 0 or positions.max() >= total:
             raise IndexError(f"positions out of range [0, {total}) in index_of")
-        starts = np.asarray(self._starts, dtype=np.int64)
-        return np.searchsorted(starts, positions, side="right") - 1
+        return np.searchsorted(self.starts(), positions, side="right") - 1
 
     def epoch_of(self, positions: np.ndarray) -> np.ndarray:
         """Map row positions to the epoch that inserted them."""
-        idx = self.index_of(positions)
-        if idx.size == 0:
-            return idx
-        epochs = np.asarray([c.epoch for c in self._cohorts], dtype=np.int64)
-        return epochs[idx]
+        return self._ledger[_EPOCH, self.index_of(positions)]
 
     def epochs(self) -> list[int]:
         """All recorded epochs, in order."""
-        return [c.epoch for c in self._cohorts]
+        return self._row(_EPOCH).tolist()
 
 
 @dataclass(frozen=True)
@@ -178,11 +211,11 @@ class CohortZoneMap:
 
     A :class:`~repro.storage.table.TableObserver` that maintains, for
     each tracked column and each insertion cohort, the minimum and
-    maximum value ever inserted plus the exact count of still-active
-    tuples.  The query planner prunes cohorts whose ``[min, max]``
-    cannot intersect a range predicate; the active/forgotten counts let
-    it additionally skip cohorts that cannot contribute to one side of
-    the amnesiac/oracle split.
+    maximum value ever inserted; the exact active counts are the
+    table's :class:`CohortLog`'s.  The query planner prunes cohorts
+    whose ``[min, max]`` cannot intersect a range predicate; the
+    active/forgotten counts let it additionally skip cohorts that
+    cannot contribute to one side of the amnesiac/oracle split.
 
     Min/max are *insert-time* bounds: forgetting never widens a zone,
     so the bounds stay safe (possibly loose) without any rewriting —
@@ -190,7 +223,8 @@ class CohortZoneMap:
 
     Registration backfills existing history (see
     :meth:`~repro.storage.table.Table.add_observer`), so a zone map
-    attached to a table that already holds rows is immediately exact.
+    attached to a table that already holds rows has exact bounds at
+    once, and a repeated backfill leaves them as they are.
 
     >>> from repro.storage import Table
     >>> t = Table("obs", ["a"])
@@ -219,9 +253,6 @@ class CohortZoneMap:
         self.table = table
         self._mins = {name: np.empty(0, dtype=np.int64) for name in names}
         self._maxs = {name: np.empty(0, dtype=np.int64) for name in names}
-        self._starts = np.empty(0, dtype=np.int64)
-        self._stops = np.empty(0, dtype=np.int64)
-        self._active = np.empty(0, dtype=np.int64)
         self._generation = 0
         table.add_observer(self)  # backfill replays existing history
 
@@ -239,8 +270,7 @@ class CohortZoneMap:
     @property
     def cohort_count(self) -> int:
         """Cohorts currently mapped."""
-        self._sync()
-        return int(self._active.size)
+        return len(self.table.cohorts)
 
     @property
     def generation(self) -> int:
@@ -257,50 +287,13 @@ class CohortZoneMap:
     # -- observer hooks -------------------------------------------------
 
     def _sync(self) -> None:
-        """Grow the per-cohort arrays to cover newly recorded cohorts."""
-        log = self.table.cohorts
-        needed = len(log)
-        current = self._active.size
-        if needed <= current:
+        """Grow the bounds with empty zones for newly recorded cohorts."""
+        grow = len(self.table.cohorts) - next(iter(self._mins.values())).size
+        if grow <= 0:
             return
-        grow = needed - current
         for name in self._mins:
-            self._mins[name] = np.concatenate(
-                [self._mins[name], np.full(grow, _INT64_MAX, dtype=np.int64)]
-            )
-            self._maxs[name] = np.concatenate(
-                [self._maxs[name], np.full(grow, _INT64_MIN, dtype=np.int64)]
-            )
-        fresh = [log[i] for i in range(current, needed)]
-        self._starts = np.concatenate(
-            [self._starts, np.asarray([c.start for c in fresh], dtype=np.int64)]
-        )
-        self._stops = np.concatenate(
-            [self._stops, np.asarray([c.stop for c in fresh], dtype=np.int64)]
-        )
-        self._active = np.concatenate(
-            [self._active, np.zeros(grow, dtype=np.int64)]
-        )
-
-    def _refresh_counts(self, idx: np.ndarray) -> None:
-        """Recompute active counts for the cohorts in ``idx`` from the bitmap.
-
-        Recounting (rather than incrementing) makes the hooks
-        idempotent, so a backfill replay — including re-registration of
-        an already-populated zone map — converges to the exact counts.
-        """
-        touched = np.unique(idx)
-        starts = self._starts[touched]
-        stops = self._stops[touched]
-        # One reduceat over [first start, last stop): the even pieces
-        # are the touched windows, the odd ones the gaps between them.
-        # Dropping the final stop lets the last window run to the end.
-        # ``idx`` maps row positions, so no touched window is empty
-        # (reduceat would give an empty piece its first element).
-        cuts = np.column_stack([starts, stops]).ravel()[:-1]
-        mask = self.table.active_mask()[: stops[-1]]
-        counts = np.add.reduceat(mask, cuts, dtype=np.int64)
-        self._active[touched] = counts[::2]
+            self._mins[name] = np.append(self._mins[name], np.full(grow, _INT64_MAX))
+            self._maxs[name] = np.append(self._maxs[name], np.full(grow, _INT64_MIN))
 
     def on_insert(self, table, positions: np.ndarray) -> None:
         """Table hook: fold new rows into their cohorts' zones."""
@@ -313,15 +306,10 @@ class CohortZoneMap:
             values = table.values(name)[positions]
             np.minimum.at(self._mins[name], idx, values)
             np.maximum.at(self._maxs[name], idx, values)
-        self._refresh_counts(idx)
 
     def on_forget(self, table, positions: np.ndarray) -> None:
-        """Table hook: refresh active counts (zones stay as bounds)."""
+        """Table hook: bump the generation (the log keeps the counts)."""
         self._generation += 1
-        self._sync()
-        if positions.size == 0:
-            return
-        self._refresh_counts(table.cohorts.index_of(positions))
 
     # -- pruning --------------------------------------------------------
 
@@ -354,14 +342,14 @@ class CohortZoneMap:
             raise StorageError(
                 f"require must be one of {self.REQUIREMENTS}, got {require!r}"
             )
+        log = self.table.cohorts
+        starts, stops = log.starts(), log.stops()
         if require == "active":
-            intersects &= self._active > 0
+            intersects &= log.active_counts() > 0
         elif require == "forgotten":
-            intersects &= (self._stops - self._starts) > self._active
+            intersects &= stops - starts > log.active_counts()
         idx = np.flatnonzero(intersects)
-        return [
-            (int(self._starts[i]), int(self._stops[i])) for i in idx.tolist()
-        ]
+        return list(zip(starts[idx].tolist(), stops[idx].tolist()))
 
     def pruned_fraction(self, column: str, low: int, high: int) -> float:
         """Fraction of rows a probe of ``[low, high)`` skips."""
@@ -369,7 +357,8 @@ class CohortZoneMap:
         if total == 0:
             return 0.0
         _, _, intersects = self._intersects(column, low, high)
-        scanned = int((self._stops - self._starts)[intersects].sum())
+        log = self.table.cohorts
+        scanned = int((log.stops() - log.starts())[intersects].sum())
         return 1.0 - scanned / total
 
     # -- cardinality estimation -----------------------------------------
@@ -401,8 +390,10 @@ class CohortZoneMap:
         mins, maxs, intersects = self._intersects(column, low, high)
         if mins.size == 0:
             return CardinalityEstimate(0, 0, 0.0, 0.0)
-        sizes = self._stops - self._starts
-        forgotten = sizes - self._active
+        log = self.table.cohorts
+        active = log.active_counts()
+        sizes = log.stops() - log.starts()
+        forgotten = sizes - active
         if stats is not None and stats.covers(column):
             est_active, est_forgotten = stats.estimate(column, low, high)
         else:
@@ -411,7 +402,7 @@ class CohortZoneMap:
             fraction = np.where(
                 intersects, np.clip(overlap / np.maximum(span, 1), 0.0, 1.0), 0.0
             )
-            est_active = float((self._active * fraction).sum())
+            est_active = float((active * fraction).sum())
             est_forgotten = float((forgotten * fraction).sum())
         forgotten_side = intersects & (forgotten > 0)
         decode_rows = forgotten_decode_rows = 0.0
@@ -431,9 +422,8 @@ class CohortZoneMap:
     # -- introspection --------------------------------------------------
 
     def active_counts(self) -> np.ndarray:
-        """Read-only per-cohort active-tuple counts."""
-        self._sync()
-        return self._active.copy()
+        """Per-cohort active-tuple counts (a copy of the log's)."""
+        return self.table.cohorts.active_counts().copy()
 
     def bounds(self, column: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-cohort (mins, maxs) for ``column`` (copies)."""
@@ -444,18 +434,10 @@ class CohortZoneMap:
 
     def nbytes(self) -> int:
         """Approximate footprint of the statistics arrays."""
-        per_column = sum(
-            self._mins[n].nbytes + self._maxs[n].nbytes for n in self._mins
-        )
-        return int(
-            per_column
-            + self._starts.nbytes
-            + self._stops.nbytes
-            + self._active.nbytes
-        )
+        return sum(a.nbytes for a in (*self._mins.values(), *self._maxs.values()))
 
     def __repr__(self) -> str:
         return (
             f"CohortZoneMap(columns={list(self._mins)}, "
-            f"cohorts={self._active.size})"
+            f"cohorts={self.cohort_count})"
         )

@@ -99,8 +99,6 @@ class CompressedCohortStore:
         self._blocks: dict[int, dict[str, CompressedBlock]] = {}
         #: cohort ordinal -> column -> exact (vmin, vmax)
         self._bounds: dict[int, dict[str, tuple[int, int]]] = {}
-        #: cohort ordinal -> (start, stop)
-        self._spans: dict[int, tuple[int, int]] = {}
         #: block start position -> cohort ordinal (range lookup)
         self._by_start: dict[int, int] = {}
         #: column -> per-cohort decode surcharge (``factor - 1``, 0 raw)
@@ -144,7 +142,8 @@ class CompressedCohortStore:
     @property
     def demoted_rows(self) -> int:
         """Rows covered by compressed blocks."""
-        return sum(stop - start for start, stop in self._spans.values())
+        sizes = self.table.cohorts.stops() - self.table.cohorts.starts()
+        return int(sizes[list(self._blocks)].sum())
 
     # -- demotion -------------------------------------------------------
 
@@ -165,22 +164,20 @@ class CompressedCohortStore:
             window = self.table.values(name)[cohort.start : cohort.stop]
             blocks[name] = best_codec(window)
             bounds[name] = (int(window.min()), int(window.max()))
-        self._install(ordinal, (cohort.start, cohort.stop), blocks, bounds)
+        self._install(ordinal, blocks, bounds)
         self._generation += 1
         return True
 
     def _install(
         self,
         ordinal: int,
-        span: tuple[int, int],
         blocks: dict[str, CompressedBlock],
         bounds: dict[str, tuple[int, int]],
     ) -> None:
-        """Record one demoted cohort's blocks, bounds, span and surcharges."""
+        """Record one demoted cohort's blocks, bounds and surcharges."""
         self._blocks.setdefault(ordinal, {}).update(blocks)
         self._bounds.setdefault(ordinal, {}).update(bounds)
-        self._spans[ordinal] = span
-        self._by_start[span[0]] = ordinal
+        self._by_start[int(self.table.cohorts.starts()[ordinal])] = ordinal
         for name, block in blocks.items():
             if name in self._surcharge:
                 factor = DECODE_FACTORS.get(block.codec_name, 1.0)
@@ -201,20 +198,14 @@ class CompressedCohortStore:
         Deterministic in the insert timeline alone: the same epoch
         sequence demotes the same cohorts regardless of plan mode,
         statistics source or worker count.  Epochs increase along the
-        log, so every cohort a call passes is cold for good (demoted,
-        or empty forever): the next call resumes at the first ordinal
-        this one did not pass instead of walking the whole log.
+        log, so the cold cohorts are a prefix of the log and every one
+        a call passes is cold for good (demoted, or empty forever): the
+        next call resumes at the first ordinal this one did not pass
+        instead of walking the whole log.
         """
-        log = self.table.cohorts
-        demoted = 0
-        ordinal = self._cold_through
-        while ordinal < len(log):
-            if current_epoch - log[ordinal].epoch < self.min_age:
-                break  # the rest are warm
-            if self.demote(ordinal):
-                demoted += 1
-            ordinal += 1
-            self._cold_through = ordinal
+        cold = self.table.cohorts.count_through(current_epoch - self.min_age)
+        demoted = sum(self.demote(o) for o in range(self._cold_through, cold))
+        self._cold_through = max(self._cold_through, cold)
         return demoted
 
     # -- lookup ---------------------------------------------------------
@@ -230,7 +221,7 @@ class CompressedCohortStore:
         ordinal = self._by_start.get(int(start))
         if ordinal is None or column not in self._columns:
             return None
-        if self._spans[ordinal] != (int(start), int(stop)):
+        if self.table.cohorts.stops()[ordinal] != stop:
             return None
         return ordinal, self._blocks[ordinal][column]
 
@@ -390,7 +381,7 @@ class CompressedCohortStore:
         """
         records = []
         for ordinal in sorted(self._blocks):
-            start, stop = self._spans[ordinal]
+            cohort = self.table.cohorts[ordinal]
             for column in self._columns:
                 block = self._blocks[ordinal][column]
                 vmin, vmax = self._bounds[ordinal][column]
@@ -400,8 +391,8 @@ class CompressedCohortStore:
                     "codec": block.codec_name,
                     "n_values": block.n_values,
                     "nbytes": block.nbytes,
-                    "start": start,
-                    "stop": stop,
+                    "start": cohort.start,
+                    "stop": cohort.stop,
                     "vmin": vmin,
                     "vmax": vmax,
                 }
@@ -415,11 +406,20 @@ class CompressedCohortStore:
         return records
 
     def load_state(self, records) -> None:
-        """Rebuild demoted blocks from :meth:`state` records."""
+        """Rebuild demoted blocks from :meth:`state` records; a record
+        that does not match its cohort of the table raises StorageError."""
+        log = self.table.cohorts
         for record in records:
             scalars = dict(record["scalars"])
             ordinal = int(scalars["ordinal"])
             column = scalars["column"]
+            saved = tuple(int(scalars[k]) for k in ("start", "stop", "n_values"))
+            cohort = log[ordinal] if 0 <= ordinal < len(log) else None
+            if cohort is None or saved != (cohort.start, cohort.stop, cohort.size):
+                raise StorageError(
+                    f"compressed block (start, stop, n_values) {saved} does not "
+                    f"match cohort {ordinal} of the table: {cohort or 'none'}"
+                )
             payload: dict = {}
             for key, value in scalars.items():
                 if key.startswith("param_"):
@@ -433,7 +433,6 @@ class CompressedCohortStore:
             )
             self._install(
                 ordinal,
-                (int(scalars["start"]), int(scalars["stop"])),
                 {column: block},
                 {column: (int(scalars["vmin"]), int(scalars["vmax"]))},
             )

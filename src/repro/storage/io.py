@@ -200,21 +200,13 @@ def _replay_table(
     exactly; ``on_insert(table, positions, epoch)`` lets a database
     restore additionally feed its policy.
     """
-    cohorts = [(c["epoch"], c["start"], c["stop"]) for c in header["cohorts"]]
-    rows = sum(stop - start for _, start, stop in cohorts)
-    active = members[f"{prefix}active"]
-    if active.shape != (rows,):
-        raise StorageError(
-            f"checkpoint is inconsistent: {active.shape[0]} activity "
-            f"bits for {rows} rows"
-        )
     table.replay_history(
-        cohorts,
+        [(c["epoch"], c["start"], c["stop"]) for c in header["cohorts"]],
         {
             name: _widened(members, f"{prefix}column:{name}")
             for name in header["columns"]
         },
-        active,
+        members[f"{prefix}active"],
         _widened(members, f"{prefix}forgotten_epoch"),
         _widened(members, f"{prefix}access_count"),
         _widened(members, f"{prefix}last_access_epoch"),

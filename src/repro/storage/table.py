@@ -13,9 +13,10 @@ one row count and one capacity:
   access frequency, last-access epoch and forgotten-at epoch.
 
 A :class:`~repro.storage.cohorts.CohortLog` maps row positions back to
-the update batch that inserted them (for the amnesia maps).  Every read
-accessor returns a zero-copy, read-only view over the first
-``total_rows`` slots, or a fresh copy.
+the update batch that inserted them and keeps each batch's span and
+active-row count, which the amnesia maps, the zone map and the
+compressed store all read.  Every read accessor returns a zero-copy,
+read-only view over the first ``total_rows`` slots, or a fresh copy.
 
 Observers (indexes, lifecycle dispositions) can subscribe to insert and
 forget events so that auxiliary structures stay consistent without the
@@ -221,15 +222,20 @@ class Table:
         Forgetting is idempotent per row (re-forgetting is a no-op, and
         a position repeated in one call counts once) but the simulator
         treats double-forgetting as a policy bug, so the count of newly
-        flipped rows is returned for callers to assert on.  Observers
-        receive each newly forgotten position exactly once, ascending.
+        flipped rows is returned for callers to assert on.  The cohort
+        log counts them out, then observers receive each newly
+        forgotten position exactly once, ascending.
         """
-        positions = np.unique(self._checked(positions))
+        positions = self._checked(positions).ravel()
+        # Sorted positions skip np.unique, which hashes even sorted input.
+        if not (positions[1:] > positions[:-1]).all():
+            positions = np.unique(positions)
         newly = positions[self._active[positions]]
         if newly.size:
             self._active[newly] = False
             self._forgotten_epoch[newly] = int(epoch)
             self._active_rows -= int(newly.size)
+            self._cohorts.forget(newly)
             for observer in self._observers:
                 observer.on_forget(self, newly)
         return int(newly.size)
@@ -253,17 +259,24 @@ class Table:
         ``forgotten_epochs`` stamps, and every row's access count and
         last-access epoch is restored, so the rot and overuse policies
         see a moved row exactly as before instead of "never read".
+
+        Nothing is inserted unless the cohorts tile ``[0, rows)`` in
+        epoch order and every per-row array has shape ``(rows,)``.
         """
         if self._rows:
             raise StorageError(f"replay needs an empty table, {self!r} is not")
-        rows = sum(stop - start for _, start, stop in cohorts)
-        counts = np.asarray(access_counts, dtype=np.int64)
-        last_epochs = np.asarray(last_access_epochs, dtype=np.int64)
-        if not counts.shape == last_epochs.shape == (rows,):
-            raise StorageError(
-                f"replay expects {(rows,)} access values, got "
-                f"{counts.shape} counts and {last_epochs.shape} epochs"
-            )
+        tiling = CohortLog()  # refuses a gap, overlap or epoch out of order
+        for epoch, start, stop in cohorts:
+            tiling.record(epoch, start, stop)
+        rows = tiling.total_rows
+        per_row = dict(
+            {f"column {name!r}": values for name, values in columns.items()},
+            active=active, forgotten_epochs=forgotten_epochs,
+            access_counts=access_counts, last_access_epochs=last_access_epochs,
+        )
+        bad = {k: np.shape(v) for k, v in per_row.items() if np.shape(v) != (rows,)}
+        if bad:
+            raise StorageError(f"replay expects {(rows,)} per-row values, got {bad}")
         for epoch, start, stop in cohorts:
             batch = {name: values[start:stop] for name, values in columns.items()}
             positions = self.insert_batch(epoch, batch)
@@ -280,8 +293,8 @@ class Table:
             epochs.tolist(), np.split(forgotten[order], firsts[1:])
         ):
             self.forget(batch, epoch=epoch)
-        self._access_count[:rows] = counts
-        self._last_access_epoch[:rows] = last_epochs
+        self._access_count[:rows] = access_counts
+        self._last_access_epoch[:rows] = last_access_epochs
 
     def record_access(self, positions: np.ndarray, epoch: int) -> None:
         """Bump access frequency for rows appearing in a query result.
@@ -351,40 +364,16 @@ class Table:
         """Fraction of each cohort still active: the amnesia-map row.
 
         Returns ``{epoch: active_fraction}`` over all recorded cohorts.
-        This is exactly one vertical slice of the paper's Figures 1–2.
-        Runs once per amnesia-map slice on every epoch, so the
-        per-cohort counts come from a single ``np.add.reduceat`` over
-        the activity mask instead of a Python loop — cohorts tile
-        ``[0, total_rows)``, so each cohort's segment ends where the
-        next one starts.
+        This is exactly one vertical slice of the paper's Figures 1–2,
+        read off the cohort log's active counts (an empty cohort
+        reads 0.0).
         """
-        cohorts = list(self._cohorts)
-        if not cohorts:
-            return {}
-        mask = self.active_mask()
-        sizes = np.asarray([c.size for c in cohorts], dtype=np.int64)
-        if mask.size == 0:
-            fractions = np.zeros(len(cohorts))
-        else:
-            # reduceat quirks: a repeated index (mid-stream empty
-            # cohort) yields mask[start] instead of 0 — overwritten
-            # below — and an index == len(mask) (trailing empty
-            # cohort) is rejected outright, so those cohorts stay out
-            # of the reduceat entirely rather than shifting the last
-            # real segment's boundary.
-            starts = np.asarray([c.start for c in cohorts], dtype=np.int64)
-            counts = np.zeros(len(cohorts), dtype=np.int64)
-            valid = starts < mask.size
-            counts[valid] = np.add.reduceat(
-                mask.astype(np.int64), starts[valid]
-            )
-            fractions = np.where(
-                sizes > 0, counts / np.maximum(sizes, 1), 0.0
-            )
-        return {
-            cohort.epoch: float(fraction)
-            for cohort, fraction in zip(cohorts, fractions)
-        }
+        log = self._cohorts
+        sizes = log.stops() - log.starts()
+        fractions = np.where(
+            sizes > 0, log.active_counts() / np.maximum(sizes, 1), 0.0
+        )
+        return dict(zip(log.epochs(), fractions.tolist()))
 
     # -- observers ---------------------------------------------------------
 

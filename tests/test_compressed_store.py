@@ -439,3 +439,31 @@ class TestPersistence:
         g0 = restored.generation
         restored.load_state(store.state())
         assert restored.generation > g0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ordinal", 3),
+            ("ordinal", -1),
+            ("ordinal", 1),
+            ("start", 1),
+            ("stop", 99),
+            ("n_values", 99),
+        ],
+        ids=[
+            "ordinal-past-the-log",
+            "negative-ordinal",
+            "ordinal-of-another-cohort",
+            "start",
+            "stop",
+            "n-values",
+        ],
+    )
+    def test_load_state_refuses_a_record_off_its_cohort(self, store, field, value):
+        """A block record must name a cohort of the replayed table and
+        agree with its span and size; it is never installed as it is."""
+        records = store.state()
+        records[0]["scalars"][field] = value
+        restored = CompressedCohortStore(store.table, min_age=1)
+        with pytest.raises(StorageError, match="does not match cohort"):
+            restored.load_state(records)

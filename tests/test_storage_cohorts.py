@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro._util.errors import StorageError
@@ -308,3 +308,166 @@ class TestCardinalityEstimate:
         estimate = zm.estimate("a", 0, 10)
         assert estimate.candidate_rows == 0
         assert estimate.est_rows == 0.0
+
+
+class TestCohortLogLedger:
+    """The log owns every cohort's span and active-row count."""
+
+    def _log(self):
+        log = CohortLog()
+        log.record(0, 0, 4)
+        log.record(2, 4, 4)  # empty, mid-stream
+        log.record(5, 4, 7)
+        return log
+
+    def test_arrays_are_read_only_views(self):
+        log = self._log()
+        assert log.starts().tolist() == [0, 4, 4]
+        assert log.stops().tolist() == [4, 4, 7]
+        assert log.active_counts().tolist() == [4, 0, 3]
+        for array in (log.starts(), log.stops(), log.active_counts()):
+            with pytest.raises(ValueError):
+                array[0] = 9
+
+    def test_forget_counts_rows_out_of_their_cohorts(self):
+        log = self._log()
+        log.forget(np.array([0, 3, 4, 6]))
+        assert log.active_counts().tolist() == [2, 0, 1]
+
+    def test_negative_index_and_iteration(self):
+        log = self._log()
+        assert log[-1] == Cohort(epoch=5, start=4, stop=7)
+        assert log[-3] == log[0] == Cohort(epoch=0, start=0, stop=4)
+        assert list(log) == [log[0], log[1], log[2]]
+        with pytest.raises(IndexError):
+            log[3]
+        with pytest.raises(IndexError):
+            log[-4]
+
+    def test_by_epoch_and_count_through(self):
+        log = self._log()
+        assert log.by_epoch(2) == Cohort(epoch=2, start=4, stop=4)
+        assert log.by_epoch(5).size == 3
+        for missing in (-1, 1, 3, 6):
+            with pytest.raises(KeyError):
+                log.by_epoch(missing)
+        assert [log.count_through(e) for e in (-1, 0, 1, 2, 4, 5, 9)] == [
+            0, 1, 1, 2, 2, 3, 3,
+        ]
+
+    def test_grows_past_its_first_capacity(self):
+        log = CohortLog()
+        for epoch in range(100):
+            log.record(epoch, epoch * 2, epoch * 2 + 2)
+        assert len(log) == 100 and log.total_rows == 200
+        assert log.epochs() == list(range(100))
+        assert log.epoch_of(np.array([0, 199])).tolist() == [0, 99]
+
+
+def _reduceat_activity(table):
+    """The amnesia-map row as one ``np.add.reduceat`` over the activity
+    mask, with its empty-cohort workarounds: the formula the log's
+    counts replace, kept here as the reference."""
+    cohorts = list(table.cohorts)
+    if not cohorts:
+        return {}
+    mask = table.active_mask()
+    sizes = np.asarray([c.size for c in cohorts], dtype=np.int64)
+    if mask.size == 0:
+        fractions = np.zeros(len(cohorts))
+    else:
+        starts = np.asarray([c.start for c in cohorts], dtype=np.int64)
+        counts = np.zeros(len(cohorts), dtype=np.int64)
+        valid = starts < mask.size
+        counts[valid] = np.add.reduceat(mask.astype(np.int64), starts[valid])
+        fractions = np.where(sizes > 0, counts / np.maximum(sizes, 1), 0.0)
+    return {c.epoch: float(f) for c, f in zip(cohorts, fractions)}
+
+
+_LEDGER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.lists(st.integers(-40, 40), max_size=12)),
+        st.tuples(st.just("forget"), st.lists(st.floats(0.0, 1.0), max_size=12)),
+        st.tuples(st.just("detach"), st.none()),
+        st.tuples(st.just("attach"), st.none()),
+    ),
+    max_size=25,
+)
+_PROBES = [(-50, 50), (-10, 5), (0, 1), (17, 18), (30, 100), (100, 200)]
+
+
+class TestLedgerProperty:
+    @seed(20170108)
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_LEDGER_OPS, trailing_empty=st.booleans(), replay=st.booleans())
+    @example(
+        ops=[
+            ("insert", [1, 2, 3]),
+            ("insert", []),
+            ("forget", [0.0, 0.0, 0.5]),
+            ("detach", None),
+            ("insert", [20, -5]),
+            ("attach", None),
+            ("forget", [1.0, 1.0]),
+        ],
+        trailing_empty=True,
+        replay=True,
+    )
+    def test_ledger_matches_recounts_and_a_fresh_zone_map(
+        self, ops, trailing_empty, replay
+    ):
+        """After any insert/forget sequence — empty cohorts mid-stream
+        and at the end, repeated forget positions, a zone map detached
+        and re-attached, a replay rebuild — the log's counts equal a
+        recount of the activity mask, the amnesia-map row equals the
+        reduceat formula, and the live zone map prunes and estimates
+        exactly like one built fresh over the finished table."""
+        from repro.storage import CohortZoneMap, Table
+
+        table = Table("t", ["a"])
+        zm = CohortZoneMap(table)
+        attached = True
+        epoch = 0
+        for op, arg in ops:
+            epoch += 1
+            if op == "insert":
+                table.insert_batch(epoch, {"a": np.array(arg, dtype=np.int64)})
+            elif op == "forget" and table.total_rows:
+                picks = (np.array(arg) * (table.total_rows - 1)).astype(np.int64)
+                table.forget(np.concatenate([picks, picks[::-1]]), epoch=epoch)
+            elif op == "detach" and attached:
+                table.remove_observer(zm)
+                attached = False
+            elif op == "attach" and not attached:
+                table.add_observer(zm)
+                attached = True
+        if not attached:
+            table.add_observer(zm)
+        if trailing_empty:
+            table.insert_batch(epoch + 1, {"a": np.empty(0, dtype=np.int64)})
+        if replay:
+            rebuilt = Table("t", ["a"])
+            zm = CohortZoneMap(rebuilt)
+            rebuilt.replay_history(
+                [(c.epoch, c.start, c.stop) for c in table.cohorts],
+                {"a": table.values("a")},
+                table.active_mask(),
+                table.forgotten_epochs(),
+                table.access_counts(),
+                table.last_access_epochs(),
+                None,
+            )
+            table = rebuilt
+
+        mask = table.active_mask()
+        recount = [int(mask[c.start : c.stop].sum()) for c in table.cohorts]
+        assert table.cohorts.active_counts().tolist() == recount
+        assert zm.active_counts().tolist() == recount
+        assert table.cohort_activity() == _reduceat_activity(table)
+        fresh = CohortZoneMap(table)
+        for low, high in _PROBES:
+            for require in CohortZoneMap.REQUIREMENTS:
+                assert zm.candidate_ranges(
+                    "a", low, high, require=require
+                ) == fresh.candidate_ranges("a", low, high, require=require)
+            assert zm.estimate("a", low, high) == fresh.estimate("a", low, high)

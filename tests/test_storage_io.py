@@ -799,6 +799,24 @@ class TestDurability:
         assert used == Path(str(path) + ".prev")
         assert recovered.total_rows == 50
 
+    def test_recover_falls_back_on_a_short_forgotten_epoch(self, tmp_path):
+        """A CRC-valid primary whose ``forgotten_epoch`` member is one
+        row short is refused by the replay, so recovery uses ``.prev``
+        instead of restoring it."""
+        from repro.storage import recover_store
+
+        table = self._two_state_table()
+        table.forget(np.arange(10), epoch=1)
+        path = save_table(table, tmp_path / "ck.npz")
+        table.insert_batch(2, {"a": [1, 2]})
+        save_table(table, path, rotate=True)
+        _rewrite_member(path, "forgotten_epoch", lambda stamps: stamps[:-1])
+        with pytest.raises(StorageError, match="per-row values"):
+            load_store(path)
+        recovered, used = recover_store(path)
+        assert used == Path(str(path) + ".prev")
+        assert recovered.total_rows == 50 and recovered.forgotten_count == 10
+
     def test_recover_failure_lists_every_attempt(self, tmp_path):
         from repro.storage import recover_store
 
@@ -862,6 +880,18 @@ def _catalog_with_compressed_shards():
     catalog.register_sharded("s", _compressed_sharded_store())
     return catalog
 
+
+def _rewrite_member(path, name, change):
+    """Rewrite one checkpoint member as ``change(member)`` with a
+    matching CRC in the manifest, so only the replay can refuse it."""
+    with np.load(path) as bundle:
+        members = {member: bundle[member] for member in bundle.files}
+    header = json.loads(bytes(members["header"].tobytes()).decode())
+    members[name] = change(members[name])
+    header["manifest"][name] = zlib.crc32(np.ascontiguousarray(members[name]))
+    members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **members)
 
 def _table_arrays_of(table):
     arrays = {name: table.values(name) for name in table.column_names}
@@ -927,14 +957,7 @@ class TestFormat5:
         table = Table("t", ["a"])
         table.insert_batch(0, {"a": [1, 2, 3]})
         path = save_table(table, tmp_path / "f.npz")
-        with np.load(path) as bundle:
-            members = {name: bundle[name] for name in bundle.files}
-        header = json.loads(bytes(members["header"].tobytes()).decode())
-        members["column:a"] = members["column:a"].astype(np.float64)
-        header["manifest"]["column:a"] = zlib.crc32(members["column:a"].tobytes())
-        members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **members)
+        _rewrite_member(path, "column:a", lambda a: a.astype(np.float64))
         with pytest.raises(StorageError, match="signed integer"):
             load_store(path)
 

@@ -143,6 +143,14 @@ class TestForget:
         assert small_table.is_active(np.array([0, 1])).tolist() == [False, True]
         assert small_table.active_values("a").tolist() == list(range(1, 100, 2))
 
+    def test_unsorted_repeats_flip_once_and_leave_the_log_exact(self, epoch_table):
+        assert epoch_table.forget(np.array([25, 3, 25, 0, 3]), epoch=3) == 3
+        assert epoch_table.forgotten_positions().tolist() == [0, 3, 25]
+        mask = epoch_table.active_mask()
+        assert epoch_table.cohorts.active_counts().tolist() == [
+            int(mask[c.start : c.stop].sum()) for c in epoch_table.cohorts
+        ]
+
 
 class TestAccessAccounting:
     def test_record_access_accumulates(self, small_table):
@@ -199,6 +207,73 @@ class TestRowStore:
             assert state() == before
 
 
+class TestReplayChecks:
+    """``replay_history`` checks every per-row array and the cohort
+    tiling before it inserts anything."""
+
+    ROWS = 6
+    COHORTS = [(0, 0, 4), (1, 4, 6)]
+
+    def _replay(self, table, cohorts=None, **override):
+        rows = self.ROWS
+        arrays = {
+            "columns": {"a": np.arange(rows), "b": np.arange(rows) * 10},
+            "active": np.array([True, False] * 3),
+            "forgotten_epochs": np.array([-1, 2] * 3),
+            "access_counts": np.zeros(rows, dtype=np.int64),
+            "last_access_epochs": np.full(rows, -1),
+        }
+        arrays.update(override)
+        table.replay_history(
+            self.COHORTS if cohorts is None else cohorts,
+            arrays["columns"],
+            arrays["active"],
+            arrays["forgotten_epochs"],
+            arrays["access_counts"],
+            arrays["last_access_epochs"],
+            None,
+        )
+
+    def test_full_arrays_replay(self):
+        table = Table("t", ["a", "b"])
+        self._replay(table)
+        assert table.total_rows == 6 and table.forgotten_count == 3
+        assert table.cohorts.active_counts().tolist() == [2, 1]
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"columns": {"a": np.arange(6), "b": np.arange(5)}},
+            {"forgotten_epochs": np.array([-1, 2] * 2 + [-1])},
+            {"active": np.array([True, False] * 2 + [True])},
+            {"access_counts": np.zeros(7, dtype=np.int64)},
+        ],
+        ids=["short-column", "short-forgotten-epochs", "short-active", "long-access"],
+    )
+    def test_a_wrong_length_array_inserts_nothing(self, override):
+        table = Table("t", ["a", "b"])
+        with pytest.raises(StorageError, match=r"\(6,\) per-row values"):
+            self._replay(table, **override)
+        assert table.total_rows == 0 and len(table.cohorts) == 0
+
+    @pytest.mark.parametrize(
+        "cohorts",
+        [
+            [(0, 0, 4), (1, 5, 6)],
+            [(0, 0, 4), (1, 3, 6)],
+            [(0, 1, 4), (1, 4, 6)],
+            [(1, 0, 4), (0, 4, 6)],
+            [(0, 0, 4), (1, 4, 3)],
+        ],
+        ids=["gap", "overlap", "late-start", "epoch-order", "reversed"],
+    )
+    def test_cohorts_that_do_not_tile_insert_nothing(self, cohorts):
+        table = Table("t", ["a", "b"])
+        with pytest.raises(StorageError):
+            self._replay(table, cohorts=cohorts)
+        assert table.total_rows == 0 and len(table.cohorts) == 0
+
+
 class TestCohortActivity:
     def test_activity_fractions(self, epoch_table):
         # Forget all of epoch 0's 20 rows and half of epoch 1's.
@@ -210,9 +285,9 @@ class TestCohortActivity:
         assert activity[2] == 1.0
 
     def test_empty_cohorts_anywhere_in_the_log(self):
-        """Zero-row batches must not perturb their neighbours' counts —
-        the reduceat rewrite's edge cases (regression: a trailing empty
-        cohort used to steal the last row of the cohort before it)."""
+        """Zero-row batches must not perturb their neighbours' counts
+        (regression: a trailing empty cohort once stole the last row of
+        the cohort before it)."""
         table = Table("t", ["a"])
         table.insert_batch(0, {"a": [5, 6]})
         table.insert_batch(1, {"a": []})
