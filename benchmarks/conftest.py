@@ -7,7 +7,7 @@ against the paper, not nanosecond variance.
 
 Benchmarks use reduced-but-meaningful sizes (fewer queries per epoch
 than the paper's 1000) so the full suite stays in the minutes range;
-the experiment ids and parameters match DESIGN.md §3.
+the experiment ids match ``repro.experiments.EXPERIMENTS``.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def test_ante_bias_ablation(once):
     assert all(a < b for a, b in zip(initial, initial[1:]))
     # ... at the cost of fresher updates.
     assert all(a > b for a, b in zip(tail, tail[1:]))
-    # The DESIGN.md default (bias 6) keeps "most" of cohort 0.
+    # AnterogradeAmnesia's default (bias 6) keeps "most" of cohort 0.
     assert by_bias[6.0]["initial_cohort"] > 0.5
     # And the black hole is always the darkest region.
     for b in biases:

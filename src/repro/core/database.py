@@ -27,7 +27,6 @@ from .._util.validation import check_in, checked_int64
 from ..amnesia.base import AmnesiaPolicy
 from ..indexes.base import Index
 from ..indexes.brin import BlockRangeIndex
-from ..indexes.hash_index import HashIndex
 from ..indexes.sorted_index import SortedIndex
 from ..query.executor import QueryExecutor
 from ..query.planner import PLAN_MODES, table_planner
@@ -46,7 +45,6 @@ __all__ = ["AmnesiaDatabase"]
 
 _INDEX_KINDS = {
     "sorted": SortedIndex,
-    "hash": HashIndex,
     "brin": BlockRangeIndex,
 }
 
@@ -317,8 +315,10 @@ class AmnesiaDatabase:
     def create_index(self, column: str, kind: str = "sorted", **kwargs) -> Index:
         """Create an index on ``column`` and register it with the planner.
 
-        ``kind`` is one of ``"sorted"``, ``"hash"``, ``"brin"``; extra
-        keyword arguments go to the index constructor.  The index is
+        ``kind`` is ``"sorted"`` (value-ordered; serves point and range
+        probes and orders sort-merge joins) or ``"brin"`` (block ranges);
+        any other kind raises :class:`ConfigError`.  Extra keyword
+        arguments go to the index constructor.  The index is
         built from the table's current state (late creation is safe)
         and maintained through the observer protocol afterwards.
         """

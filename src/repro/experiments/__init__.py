@@ -1,6 +1,7 @@
 """Experiment reproductions: one module per paper figure/table + ablations.
 
-See DESIGN.md §3 for the experiment index.  Every ``run_*`` function
+:data:`EXPERIMENTS` is the experiment index (``python -m repro list``
+prints it with one line per id).  Every ``run_*`` function
 returns an :class:`~repro.experiments.runner.ExperimentResult` whose
 ``data`` dict carries raw series for programmatic assertions and whose
 ``render()`` produces the printable report.
@@ -30,7 +31,7 @@ from .runner import ExperimentResult, default_config, run_once, sweep_policies
 from .selectivity import run_selectivity
 from .volatility import run_volatility
 
-#: Experiment id -> runner, as indexed in DESIGN.md §3.
+#: Experiment id -> runner; ``python -m repro list`` describes each id.
 EXPERIMENTS = {
     "F1": run_figure1,
     "F2": run_figure2,

@@ -1,7 +1,7 @@
 """Experiments A1/A2 — ablations over the under-specified knobs.
 
-The paper leaves two policy parameters open; DESIGN.md commits to
-defaults and these sweeps justify them:
+The paper leaves two policy parameters open; the policies' constructor
+defaults commit to values and these sweeps justify them:
 
 * A1 — the area policy's hole count K ("say K"): K=1 grows one giant
   hole (FIFO-like contiguity), large K approaches uniform speckle.
@@ -96,8 +96,8 @@ def run_ante_bias_ablation(
     our concretisation.  The sweep shows the Figure 1 trade: a larger
     bias retains more of the initial cohort ("retains most of the data
     at point 0") while deepening the black hole over the oldest
-    updates — DESIGN.md's default of 6 sits where cohort 0 keeps a
-    clear majority.
+    updates — ``AnterogradeAmnesia``'s default of 6 sits where cohort 0
+    keeps a clear majority.
     """
     overrides = {
         "dbsize": dbsize,

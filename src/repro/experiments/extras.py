@@ -2,8 +2,8 @@
 
 These quantify the features the paper only sketches (§4.4 adaptive
 partitioning, §5 human-forgetting heuristics / referential integrity /
-micro-model summaries) so DESIGN.md's extension rows have the same
-evidence trail as the published figures.
+micro-model summaries) so the extension ids in ``EXPERIMENTS`` have
+the same evidence trail as the published figures.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Indexes that skip forgotten data: sorted, hash, block-range (BRIN)."""
+"""Indexes that skip forgotten data: sorted and block-range (BRIN)."""
 
 from .base import Index, ProbeResult
 from .brin import BlockRangeIndex
-from .hash_index import HashIndex
 from .sorted_index import SortedIndex
 
-__all__ = ["Index", "ProbeResult", "BlockRangeIndex", "HashIndex", "SortedIndex"]
+__all__ = ["Index", "ProbeResult", "BlockRangeIndex", "SortedIndex"]

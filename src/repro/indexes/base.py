@@ -6,8 +6,12 @@ forgotten data"; §4.4 adds that indices "can be easily dropped, and
 recreated upon need, to reduce the storage footprint" (as MonetDB
 does).  The index classes here implement both behaviours:
 
-* they subscribe to table insert/forget events and *drop forgotten
-  tuples from their entries* (lazily or eagerly);
+* no probe returns a forgotten tuple:
+  :class:`~repro.indexes.sorted_index.SortedIndex` reads the table's
+  activity array at probe time and purges forgotten entries when it
+  merges its write buffer, and
+  :class:`~repro.indexes.brin.BlockRangeIndex` counts each block's
+  active tuples down on every forget event;
 * they expose ``drop()``/``rebuild()`` and a footprint estimate so the
   storage-budget experiments can weigh index bytes against tuple bytes;
 * every probe reports how many entries it touched, the cost signal the
@@ -126,9 +130,8 @@ class Index(ABC):
     def _insert(self, positions: np.ndarray, values: np.ndarray) -> None:
         """Add new (position, value) pairs."""
 
-    @abstractmethod
     def _forget(self, positions: np.ndarray) -> None:
-        """Invalidate entries for forgotten positions."""
+        """React to forgotten positions (default: nothing to update)."""
 
     @abstractmethod
     def lookup_range(self, low: int, high: int) -> ProbeResult:

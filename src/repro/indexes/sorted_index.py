@@ -3,9 +3,10 @@
 Entries are (value, position) pairs kept in value order, probed by
 binary search.  Inserts land in an unsorted *delta* buffer that is
 merged into the sorted run once it outgrows a threshold — the classic
-read-optimised/write-buffer split of columnar systems.  Forgetting
-marks entries invalid via a tombstone bitmap ("stop indexing the
-forgotten data"); tombstones are physically purged at merge time.
+read-optimised/write-buffer split of columnar systems.  The index keeps
+no record of forgetting of its own: a probe drops its forgotten hits by
+reading the table's activity array ("stop indexing the forgotten
+data"), and a merge purges forgotten entries from the run.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 from .base import Index, ProbeResult
 
 __all__ = ["SortedIndex"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class SortedIndex(Index):
@@ -44,103 +47,59 @@ class SortedIndex(Index):
 
     def _build(self, positions: np.ndarray, values: np.ndarray) -> None:
         order = np.argsort(values, kind="stable")
-        self._values = values[order].copy()
-        self._positions = positions[order].copy()
-        self._alive = np.ones(self._positions.size, dtype=bool)
-        self._delta_positions: list[np.ndarray] = []
-        self._delta_values: list[np.ndarray] = []
-        self._delta_size = 0
-        self._forgotten: set[int] = set()
-
-    def _free(self) -> None:
-        self._values = np.empty(0, dtype=np.int64)
-        self._positions = np.empty(0, dtype=np.int64)
-        self._alive = np.empty(0, dtype=bool)
-        self._delta_positions = []
-        self._delta_values = []
-        self._delta_size = 0
-        self._forgotten = set()
-
-    def _insert(self, positions: np.ndarray, values: np.ndarray) -> None:
-        self._delta_positions.append(np.asarray(positions, dtype=np.int64).copy())
-        self._delta_values.append(np.asarray(values, dtype=np.int64).copy())
-        self._delta_size += int(positions.size)
-        if self._delta_size > self.merge_threshold:
-            self._merge()
-
-    def _forget(self, positions: np.ndarray) -> None:
-        positions = np.asarray(positions, dtype=np.int64)
-        # Tombstone the sorted run via a position->slot lookup.
-        if self._positions.size:
-            slots = np.flatnonzero(np.isin(self._positions, positions))
-            self._alive[slots] = False
-        self._forgotten.update(int(p) for p in positions.tolist())
-
-    def _merge(self) -> None:
-        """Fold the delta into the sorted run, purging tombstones."""
-        parts_values = [self._values[self._alive]]
-        parts_positions = [self._positions[self._alive]]
-        for values, positions in zip(self._delta_values, self._delta_positions):
-            keep = np.array(
-                [int(p) not in self._forgotten for p in positions.tolist()],
-                dtype=bool,
-            )
-            parts_values.append(values[keep])
-            parts_positions.append(positions[keep])
-        values = np.concatenate(parts_values)
-        positions = np.concatenate(parts_positions)
-        order = np.argsort(values, kind="stable")
         self._values = values[order]
         self._positions = positions[order]
-        self._alive = np.ones(self._positions.size, dtype=bool)
-        self._delta_positions = []
-        self._delta_values = []
-        self._delta_size = 0
-        self._forgotten = set()
+        self._delta_values = _EMPTY
+        self._delta_positions = _EMPTY
+
+    def _free(self) -> None:
+        self._build(_EMPTY, _EMPTY)
+
+    def _insert(self, positions: np.ndarray, values: np.ndarray) -> None:
+        self._delta_values = np.concatenate([self._delta_values, values])
+        self._delta_positions = np.concatenate([self._delta_positions, positions])
+        if self._delta_positions.size > self.merge_threshold:
+            self._merge()
+
+    def _merge(self) -> None:
+        """Fold the delta into the sorted run, purging forgotten entries."""
+        values = np.concatenate([self._values, self._delta_values])
+        positions = np.concatenate([self._positions, self._delta_positions])
+        keep = self.table.active_mask()[positions]
+        self._build(positions[keep], values[keep])
 
     # -- probes ----------------------------------------------------------------
 
+    def _run_bounds(self, low: int, high: int) -> tuple[int, int]:
+        """Slice ``[lo, hi)`` of the sorted run holding ``[low, high)``."""
+        values = self._values
+        return int(values.searchsorted(low)), int(values.searchsorted(high))
+
     def lookup_range(self, low: int, high: int) -> ProbeResult:
         self._require_built()
-        touched = 0
-        out: list[np.ndarray] = []
-        lo = int(np.searchsorted(self._values, low, side="left"))
-        hi = int(np.searchsorted(self._values, high, side="left"))
-        touched += hi - lo
-        if hi > lo:
-            alive = self._alive[lo:hi]
-            out.append(self._positions[lo:hi][alive])
-        for values, positions in zip(self._delta_values, self._delta_positions):
-            touched += int(values.size)
-            mask = (values >= low) & (values < high)
-            if mask.any():
-                candidates = positions[mask]
-                keep = np.array(
-                    [int(p) not in self._forgotten for p in candidates.tolist()],
-                    dtype=bool,
-                )
-                out.append(candidates[keep])
-        positions = (
-            np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        lo, hi = self._run_bounds(low, high)
+        delta = self._delta_values
+        fresh = self._delta_positions[(delta >= low) & (delta < high)]
+        candidates = np.concatenate([self._positions[lo:hi], fresh])
+        return ProbeResult(
+            positions=candidates[self.table.active_mask()[candidates]],
+            entries_touched=hi - lo + delta.size,
         )
-        return ProbeResult(positions=positions, entries_touched=touched)
 
     def estimate_entries(self, low: int, high: int) -> int | None:
         """Exact probe cost: sorted-run hits plus the full delta buffer."""
         if self._dropped:
             return None
-        lo = int(np.searchsorted(self._values, low, side="left"))
-        hi = int(np.searchsorted(self._values, high, side="left"))
-        return hi - lo + self._delta_size
+        lo, hi = self._run_bounds(low, high)
+        return hi - lo + self._delta_values.size
 
     def nbytes(self) -> int:
         if self._dropped:
             return 0
-        run = self._values.nbytes + self._positions.nbytes + self._alive.nbytes
-        delta = sum(v.nbytes + p.nbytes for v, p in zip(self._delta_values, self._delta_positions))
-        return int(run + delta)
+        run = self._values.nbytes + self._positions.nbytes
+        return int(run + self._delta_values.nbytes + self._delta_positions.nbytes)
 
     @property
     def delta_size(self) -> int:
         """Entries waiting in the unsorted write buffer."""
-        return self._delta_size
+        return int(self._delta_positions.size)

@@ -237,10 +237,11 @@ class Partition:
         # each insert epoch, so every epoch run becomes one cohort.
         epochs = gather(Table.insert_epochs)
         order = np.argsort(epochs, kind="stable")
-        cohort_epochs, starts = np.unique(epochs[order], return_index=True)
+        epochs = epochs[order]
+        starts = np.r_[0, np.flatnonzero(epochs[1:] != epochs[:-1]) + 1]
         stops = np.append(starts[1:], epochs.size)
         table.replay_history(
-            list(zip(cohort_epochs.tolist(), starts.tolist(), stops.tolist())),
+            list(zip(epochs[starts].tolist(), starts.tolist(), stops.tolist())),
             {self.column: gather(lambda src: src.values(self.column))[order]},
             gather(Table.active_mask)[order],
             gather(Table.forgotten_epochs)[order],

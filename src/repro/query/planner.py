@@ -90,7 +90,6 @@ import numpy as np
 from .._util.errors import QueryError
 from .._util.validation import check_in
 from ..indexes.base import Index
-from ..indexes.hash_index import HashIndex
 from ..indexes.sorted_index import SortedIndex
 from ..stats.table_stats import TableHistogramStats
 from ..storage.cohorts import CohortZoneMap
@@ -114,11 +113,6 @@ PLAN_MODES = ("auto", "scan", "zonemap", "index", "cost")
 #: Access paths a plan can execute (``pruned`` answers from statistics
 #: alone and touches no data).
 EXECUTED_MODES = ("scan", "zonemap", "index", "pruned")
-
-#: Widest range (in distinct integer values) routed to a hash index —
-#: hash range probes degrade to one lookup per value in the range.
-HASH_RANGE_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class QueryPlan:
@@ -397,24 +391,11 @@ class QueryPlanner:
 
     # -- planning -------------------------------------------------------
 
-    def _usable_index(
-        self, column: str, low: int, high: int
-    ) -> tuple[Index, str] | None:
-        """Best built index serving ``[low, high)`` on ``column``."""
-        hash_fallback = None
+    def _usable_index(self, column: str) -> Index | None:
+        """The first live (not dropped) index registered on ``column``."""
         for index in self._indexes.get(column, ()):
-            if index.is_dropped:
-                continue
-            if isinstance(index, HashIndex):
-                if high - low <= HASH_RANGE_LIMIT:
-                    hash_fallback = index
-                continue
-            return index, f"{type(index).__name__} covers {column!r}"
-        if hash_fallback is not None:
-            return (
-                hash_fallback,
-                f"HashIndex covers the narrow range (width {high - low})",
-            )
+            if not index.is_dropped:
+                return index
         return None
 
     def _prune_by_bounds(
@@ -482,8 +463,6 @@ class QueryPlanner:
         choices: list[tuple[float, str, Index | None, str]] = []
         for index in self._indexes.get(column, ()):
             if index.is_dropped:
-                continue
-            if isinstance(index, HashIndex) and high - low > HASH_RANGE_LIMIT:
                 continue
             probe = index.estimate_entries(low, high)
             if probe is None:
@@ -600,9 +579,9 @@ class QueryPlanner:
         if requested == "cost":
             return self._plan_cost(column, low, high)
         if requested in ("auto", "index"):
-            found = self._usable_index(column, low, high)
-            if found is not None:
-                index, why = found
+            index = self._usable_index(column)
+            if index is not None:
+                why = f"{type(index).__name__} covers {column!r}"
                 return QueryPlan("index", requested, why, column, low, high, index)
         if self.zone_map is not None and self.zone_map.covers(column):
             reason = (

@@ -251,8 +251,11 @@ class CohortZoneMap:
         for name in names:
             table.values(name)  # validates existence
         self.table = table
-        self._mins = {name: np.empty(0, dtype=np.int64) for name in names}
-        self._maxs = {name: np.empty(0, dtype=np.int64) for name in names}
+        #: Per-column zones for the first ``_count`` cohorts; capacity
+        #: doubles as cohorts arrive, unused slots hold empty zones.
+        self._count = 0
+        self._mins = {name: np.full(16, _INT64_MAX, dtype=np.int64) for name in names}
+        self._maxs = {name: np.full(16, _INT64_MIN, dtype=np.int64) for name in names}
         self._generation = 0
         table.add_observer(self)  # backfill replays existing history
 
@@ -287,13 +290,28 @@ class CohortZoneMap:
     # -- observer hooks -------------------------------------------------
 
     def _sync(self) -> None:
-        """Grow the bounds with empty zones for newly recorded cohorts."""
-        grow = len(self.table.cohorts) - next(iter(self._mins.values())).size
-        if grow <= 0:
-            return
-        for name in self._mins:
-            self._mins[name] = np.append(self._mins[name], np.full(grow, _INT64_MAX))
-            self._maxs[name] = np.append(self._maxs[name], np.full(grow, _INT64_MIN))
+        """Map newly recorded cohorts to empty zones, doubling capacity."""
+        count = len(self.table.cohorts)
+        capacity = next(iter(self._mins.values())).size
+        if count > capacity:
+            capacity = max(2 * capacity, count)
+            for zones, empty in ((self._mins, _INT64_MAX), (self._maxs, _INT64_MIN)):
+                for name, old in zones.items():
+                    grown = np.full(capacity, empty, dtype=np.int64)
+                    grown[: old.size] = old
+                    zones[name] = grown
+        self._count = count
+
+    def _zones(self, column: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(mins, maxs)`` views over the mapped cohorts of ``column``."""
+        self._sync()
+        try:
+            return self._mins[column][: self._count], self._maxs[column][: self._count]
+        except KeyError:
+            raise StorageError(
+                f"zone map does not track column {column!r} "
+                f"(tracked: {', '.join(self._mins)})"
+            ) from None
 
     def on_insert(self, table, positions: np.ndarray) -> None:
         """Table hook: fold new rows into their cohorts' zones."""
@@ -315,15 +333,7 @@ class CohortZoneMap:
 
     def _intersects(self, column: str, low: int, high: int):
         """``(mins, maxs, mask)``: cohorts whose zone meets ``[low, high)``."""
-        self._sync()
-        try:
-            mins = self._mins[column]
-            maxs = self._maxs[column]
-        except KeyError:
-            raise StorageError(
-                f"zone map does not track column {column!r} "
-                f"(tracked: {', '.join(self._mins)})"
-            ) from None
+        mins, maxs = self._zones(column)
         return mins, maxs, (mins < high) & (maxs >= low)
 
     def candidate_ranges(
@@ -427,14 +437,13 @@ class CohortZoneMap:
 
     def bounds(self, column: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-cohort (mins, maxs) for ``column`` (copies)."""
-        self._sync()
-        if column not in self._mins:
-            raise StorageError(f"zone map does not track column {column!r}")
-        return self._mins[column].copy(), self._maxs[column].copy()
+        mins, maxs = self._zones(column)
+        return mins.copy(), maxs.copy()
 
     def nbytes(self) -> int:
-        """Approximate footprint of the statistics arrays."""
-        return sum(a.nbytes for a in (*self._mins.values(), *self._maxs.values()))
+        """Approximate footprint of the mapped cohorts' statistics."""
+        zones = (*self._mins.values(), *self._maxs.values())
+        return sum(a[: self._count].nbytes for a in zones)
 
     def __repr__(self) -> str:
         return (

@@ -283,16 +283,15 @@ class Table:
             if on_insert is not None:
                 on_insert(self, positions, epoch)
         forgotten = np.flatnonzero(~active)
-        stamps = forgotten_epochs[forgotten]
         # One stable sort groups the rows by forget epoch, positions still
         # ascending within each group: one forget per epoch, in epoch
         # order, restores every stamp exactly.
-        order = np.argsort(stamps, kind="stable")
-        epochs, firsts = np.unique(stamps[order], return_index=True)
-        for epoch, batch in zip(
-            epochs.tolist(), np.split(forgotten[order], firsts[1:])
-        ):
-            self.forget(batch, epoch=epoch)
+        forgotten = forgotten[np.argsort(forgotten_epochs[forgotten], kind="stable")]
+        stamps = forgotten_epochs[forgotten]
+        firsts = np.flatnonzero(stamps[1:] != stamps[:-1]) + 1
+        for first, batch in zip(np.r_[0, firsts], np.split(forgotten, firsts)):
+            if batch.size:
+                self.forget(batch, epoch=int(stamps[first]))
         self._access_count[:rows] = access_counts
         self._last_access_epoch[:rows] = last_access_epochs
 

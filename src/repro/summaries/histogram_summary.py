@@ -85,17 +85,7 @@ class HistogramSummaryStore:
         Bins partially covered by the range contribute proportionally
         to the overlap (uniform-within-bin assumption).
         """
-        if high <= low:
-            return 0.0
-        edges = self._histogram.bin_edges()
-        counts = self._histogram.counts.astype(np.float64)
-        bin_lo = edges[:-1]
-        bin_hi = edges[1:]
-        overlap = np.clip(
-            np.minimum(bin_hi, high) - np.maximum(bin_lo, low), 0.0, None
-        )
-        width = bin_hi - bin_lo
-        return float((counts * overlap / width).sum())
+        return self._histogram.mass(low, high)
 
     def repaired_range_count(self, active_count: int, low: int, high: int) -> float:
         """Active exact count plus the forgotten estimate."""

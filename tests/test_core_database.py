@@ -45,6 +45,25 @@ class TestBudgetEnforcement:
             AmnesiaDatabase(budget=0, policy=FifoAmnesia())
 
 
+class TestCreateIndex:
+    def test_hash_kind_is_rejected(self):
+        """Only the sorted and block-range kinds exist; any other kind,
+        the retired hash index included, names the two it may be."""
+        db = AmnesiaDatabase(budget=100, policy=FifoAmnesia())
+        db.insert({"a": np.arange(50)})
+        with pytest.raises(ConfigError, match=r"\('sorted', 'brin'\)"):
+            db.create_index("a", "hash")
+        assert db.planner.indexes_on("a") == ()
+
+    @pytest.mark.parametrize("kind", ["sorted", "brin"])
+    def test_known_kinds_serve_index_plans(self, kind):
+        db = AmnesiaDatabase(budget=100, policy=FifoAmnesia(), plan="index")
+        db.insert({"a": np.arange(150)})
+        db.create_index("a", kind)
+        assert db.explain("a", 60, 70).mode == "index"
+        assert db.range_query("a", 0, 100).rf == 50
+
+
 class TestInsertValidation:
     def test_lossy_float_insert_rejected(self):
         """The old path silently truncated 2.7 to 2; now it refuses —

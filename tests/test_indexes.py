@@ -1,12 +1,14 @@
-"""Tests for repro.indexes: sorted, hash, BRIN."""
+"""Tests for repro.indexes: sorted and BRIN."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro._util.errors import ConfigError, IndexError_
-from repro.indexes import BlockRangeIndex, HashIndex, SortedIndex
+from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.storage import Table
 
 
@@ -27,10 +29,9 @@ def brute_force(table, low, high):
     "index_factory",
     [
         SortedIndex,
-        HashIndex,
         lambda t, c: BlockRangeIndex(t, c, block_size=64),
     ],
-    ids=["sorted", "hash", "brin"],
+    ids=["sorted", "brin"],
 )
 class TestIndexContract:
     """Every index type must agree with the brute-force scan."""
@@ -129,28 +130,6 @@ class TestSortedIndexSpecifics:
         assert narrow.entries_touched < wide.entries_touched
 
 
-class TestHashIndexSpecifics:
-    def test_entry_bookkeeping(self):
-        table = Table("t", ["a"])
-        table.insert_batch(0, {"a": [7, 7, 3]})
-        index = HashIndex(table, "a")
-        assert index.entry_count == 3
-        assert index.distinct_values == 2
-        table.forget(np.array([0]), epoch=1)
-        assert index.entry_count == 2
-        table.forget(np.array([2]), epoch=1)
-        assert index.distinct_values == 1
-
-    def test_range_degrades_to_point_probes(self):
-        table = Table("t", ["a"])
-        table.insert_batch(0, {"a": [5, 6, 7]})
-        index = HashIndex(table, "a")
-        probe = index.lookup_range(5, 8)
-        assert sorted(probe.positions.tolist()) == [0, 1, 2]
-        # One probe per candidate value.
-        assert probe.entries_touched >= 3
-
-
 class TestBrinSpecifics:
     def test_block_pruning_on_clustered_data(self):
         table = Table("t", ["a"])
@@ -197,7 +176,7 @@ class TestObserverSafety:
             SortedIndex(indexed_table, "missing")
 
     def test_nbytes_positive_when_built(self, indexed_table):
-        for factory in (SortedIndex, HashIndex, BlockRangeIndex):
+        for factory in (SortedIndex, BlockRangeIndex):
             index = factory(indexed_table, "a")
             assert index.nbytes() > 0
             indexed_table.remove_observer(index)
@@ -212,23 +191,13 @@ class TestForgettingStopsIndexHits:
         table.insert_batch(0, {"a": np.arange(n)})
         return table
 
-    def test_hash_point_lookup_drops_forgotten(self):
+    def test_sorted_point_lookup_drops_forgotten(self):
         table = self._serial_table()
-        index = HashIndex(table, "a")
+        index = SortedIndex(table, "a")
         assert index.lookup_value(42).positions.tolist() == [42]
         table.forget(np.array([42]), epoch=1)
         assert index.lookup_value(42).positions.size == 0
         assert index.lookup_range(40, 45).positions.tolist() == [40, 41, 43, 44]
-
-    def test_hash_entry_count_shrinks_and_bucket_gc(self):
-        table = Table("t", ["a"])
-        table.insert_batch(0, {"a": [7, 7, 3]})
-        index = HashIndex(table, "a")
-        assert index.entry_count == 3 and index.distinct_values == 2
-        table.forget(np.array([0, 1]), epoch=1)
-        assert index.entry_count == 1
-        assert index.distinct_values == 1  # the 7-bucket was emptied and freed
-        assert index.lookup_value(7).positions.size == 0
 
     def test_sorted_run_tombstones_forgotten(self):
         table = self._serial_table()
@@ -271,7 +240,6 @@ class TestForgettingStopsIndexHits:
         table = self._serial_table(n=5)
         indexes = (
             SortedIndex(table, "a", merge_threshold=2),
-            HashIndex(table, "a"),
             BlockRangeIndex(table, "a", block_size=4),
         )
         table.forget(np.array([3]), epoch=1)
@@ -299,29 +267,88 @@ class TestEstimateEntries:
         probe = index.lookup_range(60, 90)
         assert index.estimate_entries(60, 90) == probe.entries_touched
 
-    def test_hash_estimate_matches_probe_narrow_and_wide(self):
-        table = self._table()
-        index = HashIndex(table, "a")
-        for low, high in ((60, 70), (-500, 1000)):
-            probe = index.lookup_range(low, high)
-            assert index.estimate_entries(low, high) == probe.entries_touched
-
-    def test_hash_wide_estimate_is_cheap(self):
-        table = self._table()
-        index = HashIndex(table, "a")
-        # A probe across a huge domain must not iterate per value.
-        import time
-        start = time.perf_counter()
-        estimate = index.estimate_entries(0, 10**12)
-        assert time.perf_counter() - start < 0.1
-        assert estimate == 150 + 10**12  # live entries + one probe per value
-
     def test_dropped_index_estimates_none(self):
         table = self._table()
         for index in (
             SortedIndex(table, "a"),
-            HashIndex(table, "a"),
             BlockRangeIndex(table, "a", block_size=32),
         ):
             index.drop()
             assert index.estimate_entries(0, 10) is None
+
+
+#: One step of an index workload: insert ``n`` rows; forget positions
+#: picked in the sorted run, in the delta buffer or anywhere (so some
+#: are forgotten already); or drop a built index / rebuild a dropped one.
+_STEPS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 40)),
+    st.tuples(
+        st.sampled_from(("forget-run", "forget-delta", "forget-any")),
+        st.lists(st.integers(0, 10**6), max_size=12),
+    ),
+    st.tuples(st.just("toggle"), st.sampled_from(("sorted", "brin"))),
+)
+
+
+@seed(20170108)
+@given(
+    merge_threshold=st.integers(1, 64),
+    block_size=st.integers(1, 16),
+    steps=st.lists(_STEPS, min_size=1, max_size=25),
+    ranges=st.lists(
+        st.tuples(st.integers(-10, 60), st.integers(-5, 70)), min_size=1, max_size=4
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_interleaved_maintenance_matches_active_scan(
+    merge_threshold, block_size, steps, ranges
+):
+    """After every insert, forget, drop or rebuild, each built index's
+    probe equals a brute-force scan of the active rows, and its
+    ``entries_touched`` equals its ``estimate_entries``."""
+    rng = np.random.default_rng(merge_threshold * 100 + block_size)
+    table = Table("t", ["a"])
+    table.insert_batch(0, {"a": rng.integers(0, 50, 30)})
+    indexes = {
+        "sorted": SortedIndex(table, "a", merge_threshold=merge_threshold),
+        "brin": BlockRangeIndex(table, "a", block_size=block_size),
+    }
+    sorted_index = indexes["sorted"]
+    for epoch, (kind, arg) in enumerate(steps, start=1):
+        total = table.total_rows
+        # The delta buffer holds the rows inserted since the last merge
+        # or rebuild: the newest ``delta_size`` positions.
+        delta_start = total - sorted_index.delta_size
+        if kind == "insert":
+            table.insert_batch(epoch, {"a": rng.integers(0, 50, arg)})
+        elif kind == "toggle":
+            if indexes[arg].is_dropped:
+                indexes[arg].rebuild()
+            else:
+                indexes[arg].drop()
+        else:
+            start, stop = {
+                "forget-run": (0, delta_start),
+                "forget-delta": (delta_start, total),
+                "forget-any": (0, total),
+            }[kind]
+            if stop > start:
+                picks = start + np.asarray(arg, dtype=np.int64) % (stop - start)
+                table.forget(picks, epoch=epoch)
+        assert sorted_index.delta_size <= merge_threshold
+        merged = (kind == "insert" and arg > 0) or (kind, arg) == ("toggle", "sorted")
+        if merged and not sorted_index.is_dropped and sorted_index.delta_size == 0:
+            # A merge or rebuild just ran: the run holds the active rows only.
+            assert sorted_index.estimate_entries(-(2**62), 2**62) == table.active_count
+        values = table.values("a")
+        for low, width in ranges:
+            high = low + width
+            hits = (values >= low) & (values < high) & table.active_mask()
+            want = np.flatnonzero(hits)
+            for index in indexes.values():
+                if index.is_dropped:
+                    assert index.estimate_entries(low, high) is None
+                    continue
+                probe = index.lookup_range(low, high)
+                np.testing.assert_array_equal(np.sort(probe.positions), want)
+                assert probe.entries_touched == index.estimate_entries(low, high)

@@ -27,7 +27,7 @@ from repro.amnesia.registry import POLICY_NAMES, make_policy
 from repro.faults import FaultInjected
 from repro.serving import QueryService
 from repro.datagen import UniformDistribution
-from repro.indexes import BlockRangeIndex, HashIndex, SortedIndex
+from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.partitioning import PartitionedAmnesiaDatabase
 from repro.query import (
     AggregateFunction,
@@ -57,7 +57,6 @@ def _all_mode_executors(table):
     """One read-only executor per access path over the same table."""
     zone_map = CohortZoneMap(table)
     sorted_idx = SortedIndex(table, "a", merge_threshold=16)
-    hash_idx = HashIndex(table, "a")
     brin_idx = BlockRangeIndex(table, "a", block_size=8)
     planners = {
         "scan": QueryPlanner(table, mode="scan"),
@@ -66,12 +65,9 @@ def _all_mode_executors(table):
             table,
             mode="auto",
             zone_map=zone_map,
-            indexes=[sorted_idx, hash_idx, brin_idx],
+            indexes=[sorted_idx, brin_idx],
         ),
         "index-sorted": QueryPlanner(table, mode="index", indexes=[sorted_idx]),
-        "index-hash": QueryPlanner(
-            table, mode="index", zone_map=zone_map, indexes=[hash_idx]
-        ),
         "index-brin": QueryPlanner(
             table, mode="index", zone_map=zone_map, indexes=[brin_idx]
         ),
@@ -79,7 +75,7 @@ def _all_mode_executors(table):
             table,
             mode="cost",
             zone_map=zone_map,
-            indexes=[sorted_idx, hash_idx, brin_idx],
+            indexes=[sorted_idx, brin_idx],
         ),
         "cost-bare": QueryPlanner(table, mode="cost"),
     }
@@ -482,7 +478,7 @@ def test_conjunctions_match_scan_in_every_mode(compress, workload):
     zone_map = CohortZoneMap(table)
     indexes = [
         SortedIndex(table, "a", merge_threshold=16),
-        HashIndex(table, "b"),
+        SortedIndex(table, "b"),
     ]
     planners = {
         "scan": QueryPlanner(table, mode="scan"),

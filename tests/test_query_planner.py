@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro._util.errors import ConfigError, QueryError
-from repro.indexes import BlockRangeIndex, HashIndex, SortedIndex
+from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.query import (
     PLAN_MODES,
     AggregateFunction,
@@ -19,7 +19,6 @@ from repro.query import (
     RangeQuery,
     TruePredicate,
 )
-from repro.query.planner import HASH_RANGE_LIMIT
 from repro.stats import TableHistogramStats
 from repro.storage import CohortZoneMap, CompressedCohortStore, Table
 
@@ -221,14 +220,6 @@ class TestPlanSelection:
         assert plan.mode == "zonemap"
         assert "fell back" in plan.reason
 
-    def test_hash_index_only_serves_narrow_ranges(self, loaded_table):
-        index = HashIndex(loaded_table, "a")
-        planner = QueryPlanner(loaded_table, mode="index", indexes=[index])
-        narrow = planner.plan(RangePredicate("a", 0, HASH_RANGE_LIMIT))
-        assert narrow.mode == "index"
-        wide = planner.plan(RangePredicate("a", 0, HASH_RANGE_LIMIT + 1))
-        assert wide.mode == "scan"
-
     def test_dropped_index_is_skipped(self, loaded_table):
         index = SortedIndex(loaded_table, "a")
         planner = QueryPlanner(
@@ -296,14 +287,6 @@ class TestCostMode:
         plan = planner.plan(RangePredicate("a", 0, 10))
         assert plan.mode == "scan"
         assert plan.estimated_rows == loaded_table.total_rows
-
-    def test_cost_skips_wide_hash_ranges(self, loaded_table):
-        index = HashIndex(loaded_table, "a")
-        planner = QueryPlanner(loaded_table, mode="cost", indexes=[index])
-        wide = planner.plan(RangePredicate("a", 0, HASH_RANGE_LIMIT + 1))
-        assert wide.mode == "scan"
-        narrow = planner.plan(RangePredicate("a", 0, 4))
-        assert narrow.mode == "index"
 
     def test_cost_results_match_scan(self, loaded_table):
         zone_map = CohortZoneMap(loaded_table)
