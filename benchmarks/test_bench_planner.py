@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_SEED
-from repro.amnesia import FifoAmnesia, RotAmnesia
+from repro.amnesia import FifoAmnesia, RotAmnesia, make_policy
 from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.partitioning import Partition, PartitionedAmnesiaDatabase
 from repro.query import QueryExecutor, QueryPlanner, RangePredicate, RangeQuery
@@ -156,6 +156,20 @@ PLANNING_CALLS = 500
 PLANNING_REPEATS = 7
 PLANNING_MAX_GROWTH = 3.0
 
+#: Amnesia suite: one forgetting step (select + validate + forget) as
+#: the history grows.  A 25,000-row budget takes 1,000-row batches and
+#: its policy forgets 1,000 rows an epoch until the history holds each
+#: size; the median step over the next 30 epochs lands in the artifact.
+#: The step should follow the budget, not the history: outside
+#: ``--quick``, fifo over a 16x longer history may cost at most 1.3x.
+AMNESIA_BUDGET = 25_000
+AMNESIA_BATCH = 1_000
+AMNESIA_HISTORIES = (100_000, 1_600_000)
+AMNESIA_QUICK_HISTORIES = (50_000, 200_000)
+AMNESIA_EPOCHS = 30
+AMNESIA_POLICIES = ("rot", "uniform", "fifo")
+AMNESIA_MAX_FIFO_GROWTH = 1.3
+
 #: Serving suite: the multi-tenant service driven in process (no
 #: socket noise), one selective shape pool cycled so the second pass
 #: onward hits the result cache.  Cold = empty caches, warm = primed;
@@ -202,6 +216,7 @@ def artifact(quick):
             "streaming": {"modes": {}},
             "compressed": {"modes": {}, "retention": {}},
             "planning": {"modes": {}},
+            "amnesia": {"growth": {}},
             "serve": {"modes": {}},
             "rebalance": {"adaptive_s": {}, "replay_s": {}},
         }
@@ -1129,6 +1144,59 @@ def test_bench_planning_scales_with_answer_not_history():
         f"plan() at {PLANNING_COHORTS[1]} cohorts cost {growth:.2f}x the "
         f"{PLANNING_COHORTS[0]}-cohort time (bound {PLANNING_MAX_GROWTH}x)"
     )
+
+
+def _amnesia_step_us(name: str, history: int) -> float:
+    """Median µs of one select + validate + forget once ``history`` rows
+    have passed through a ``name`` policy's budget."""
+    rng = np.random.default_rng(BENCH_SEED + 19)
+    policy = make_policy(name)
+    table = Table("bench_amnesia", ["a"])
+    epoch, steps = 0, []
+    while len(steps) < AMNESIA_EPOCHS:
+        epoch += 1
+        size = AMNESIA_BUDGET if epoch == 1 else AMNESIA_BATCH
+        positions = table.insert_batch(epoch, {"a": rng.integers(0, 1 << 20, size)})
+        policy.on_insert(table, positions, epoch)
+        excess = table.active_count - AMNESIA_BUDGET
+        start = time.perf_counter()
+        victims = policy.select_victims(table, excess, epoch, rng)
+        table.forget(policy.validate_victims(table, victims, excess), epoch)
+        if table.total_rows > history:
+            steps.append(time.perf_counter() - start)
+    return float(np.median(steps)) * 1e6
+
+
+def test_bench_amnesia_step_follows_the_budget(quick):
+    """Acceptance: forgetting costs what it forgets, not what was stored.
+
+    Records the ``amnesia.growth`` row: per policy, the median step at
+    each history length and the ratio of the longest to the shortest.
+    """
+    histories = AMNESIA_QUICK_HISTORIES if quick else AMNESIA_HISTORIES
+    growth = {}
+    for name in AMNESIA_POLICIES:
+        micros = [_amnesia_step_us(name, history) for history in histories]
+        growth[name] = micros[-1] / micros[0]
+        _ARTIFACT["amnesia"]["growth"][name] = {
+            "us_per_step": {
+                str(h): round(us, 1) for h, us in zip(histories, micros)
+            },
+            "growth": round(growth[name], 2),
+        }
+        print(
+            f"\n{name} forgetting step: {micros[0]:.0f}us at {histories[0]} rows "
+            f"vs {micros[-1]:.0f}us at {histories[-1]} ({growth[name]:.2f}x)"
+        )
+    _ARTIFACT["amnesia"].update(
+        {"budget": AMNESIA_BUDGET, "victims": AMNESIA_BATCH, "epochs": AMNESIA_EPOCHS}
+    )
+    if not quick:
+        assert growth["fifo"] <= AMNESIA_MAX_FIFO_GROWTH, (
+            f"fifo's forgetting step over {histories[-1]} rows cost "
+            f"{growth['fifo']:.2f}x the {histories[0]}-row step "
+            f"(bound {AMNESIA_MAX_FIFO_GROWTH}x)"
+        )
 
 
 def test_bench_serving_cached_vs_uncached(quick):

@@ -26,6 +26,18 @@ from ..storage.table import Table
 __all__ = ["AmnesiaPolicy"]
 
 
+def without(ascending: np.ndarray, exclude: np.ndarray | None) -> np.ndarray:
+    """Sorted, distinct ``ascending`` minus any ``exclude`` entries (found
+    by binary search, so unsorted, repeated or absent ones are fine)."""
+    if exclude is None or len(exclude) == 0 or ascending.size == 0:
+        return ascending
+    exclude = np.asarray(exclude, dtype=np.int64).ravel()
+    at = np.minimum(np.searchsorted(ascending, exclude), ascending.size - 1)
+    keep = np.ones(ascending.size, dtype=bool)
+    keep[at[ascending[at] == exclude]] = False
+    return ascending[keep]
+
+
 class AmnesiaPolicy(ABC):
     """Base class for all forgetting strategies.
 
@@ -81,12 +93,15 @@ class AmnesiaPolicy(ABC):
     def _candidates(
         self, table: Table, exclude: np.ndarray | None
     ) -> np.ndarray:
-        """Active positions minus the exclusion set."""
-        active = table.active_positions()
-        if exclude is None or len(exclude) == 0:
-            return active
-        exclude = np.asarray(exclude, dtype=np.int64)
-        return np.setdiff1d(active, exclude, assume_unique=False)
+        """Active positions minus the exclusion set, ascending."""
+        return without(table.active_positions(), exclude)
+
+    @staticmethod
+    def _inserted_through(table: Table, epoch: int) -> int:
+        """End of the rows inserted at or before ``epoch``: cohorts tile
+        the history in epoch order, so an age cut is a position prefix."""
+        through = table.cohorts.count_through(epoch)
+        return int(table.cohorts.stops()[through - 1]) if through else 0
 
     def _require(self, candidates: np.ndarray, n: int) -> None:
         """Raise unless ``n`` victims can be supplied."""
@@ -103,11 +118,14 @@ class AmnesiaPolicy(ABC):
         The simulator calls this on every selection; policies are
         untrusted in the sense that a buggy strategy should fail loudly
         here rather than silently corrupt the storage-budget invariant.
+        Returns the victims sorted ascending (a copy), which
+        :meth:`Table.forget` takes as they are.
         """
         victims = np.asarray(victims, dtype=np.int64)
         if victims.ndim != 1:
             raise AmnesiaError(f"victims must be 1-D, got shape {victims.shape}")
-        if np.unique(victims).size != victims.size:
+        victims = np.sort(victims)
+        if (victims[1:] == victims[:-1]).any():
             raise AmnesiaError(f"policy {self.name!r} returned duplicate victims")
         if victims.size != n and not (self.allows_overshoot and victims.size > n):
             raise AmnesiaError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._util.errors import ConfigError
-from .base import AmnesiaPolicy
+from .base import AmnesiaPolicy, without
 
 __all__ = ["PrivacyRetentionWrapper"]
 
@@ -52,24 +52,20 @@ class PrivacyRetentionWrapper(AmnesiaPolicy):
         return f"privacy({self.inner.name})"
 
     def expired(self, table, epoch: int) -> np.ndarray:
-        """Active positions whose legal retention has lapsed."""
+        """Active positions whose legal retention has lapsed, ascending."""
         active = table.active_positions()
-        ages = epoch - table.insert_epochs()[active]
-        return active[ages >= self.max_age_epochs]
+        boundary = self._inserted_through(table, epoch - self.max_age_epochs)
+        return active[: np.searchsorted(active, boundary)]
 
     def select_victims(self, table, n, epoch, rng, exclude=None):
-        expired = self.expired(table, epoch)
-        if exclude is not None and len(exclude):
-            expired = np.setdiff1d(expired, np.asarray(exclude, dtype=np.int64))
+        expired = without(self.expired(table, epoch), exclude)
         if expired.size >= n:
             # The law forgets more than the budget asked for.
             return expired
-        remaining = n - expired.size
-        merged_exclude = expired
-        if exclude is not None and len(exclude):
-            merged_exclude = np.union1d(expired, np.asarray(exclude, dtype=np.int64))
+        # Policies read their exclusions as a set: no union needed.
+        extra = np.asarray(() if exclude is None else exclude, dtype=np.int64)
         discretionary = self.inner.select_victims(
-            table, remaining, epoch, rng, exclude=merged_exclude
+            table, n - expired.size, epoch, rng, exclude=np.r_[expired, extra]
         )
         return np.concatenate([expired, np.asarray(discretionary, dtype=np.int64)])
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._util.errors import ConfigError
-from ..storage.table import Table
 from .base import AmnesiaPolicy
 from .sampling import weighted_sample_without_replacement
 
@@ -59,28 +58,16 @@ class RotAmnesia(AmnesiaPolicy):
         self.high_water_mark = int(high_water_mark)
         self.frequency_exponent = float(frequency_exponent)
 
-    def _weights(self, table: Table, candidates: np.ndarray) -> np.ndarray:
-        freq = table.access_counts()[candidates].astype(np.float64)
-        return (1.0 + freq) ** (-self.frequency_exponent)
-
     def select_victims(self, table, n, epoch, rng, exclude=None):
         candidates = self._candidates(table, exclude)
         self._require(candidates, n)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        ages = epoch - table.insert_epochs()[candidates]
-        seasoned = candidates[ages >= self.high_water_mark]
-        if seasoned.size >= n:
-            pool = seasoned
-        else:
-            # Not enough seasoned tuples: take them all and fill the
-            # remainder from the freshest candidates, oldest first.
-            fresh = candidates[ages < self.high_water_mark]
-            fresh_ages = epoch - table.insert_epochs()[fresh]
-            fresh = fresh[np.argsort(-fresh_ages, kind="stable")]
-            needed = n - seasoned.size
-            pool = np.concatenate([seasoned, fresh[:needed]])
-        weights = self._weights(table, pool)
+        # Seasoned candidates are a prefix; if it is short of n, the
+        # pool takes the oldest fresh ones after it.
+        boundary = self._inserted_through(table, epoch - self.high_water_mark)
+        pool = candidates[: max(int(np.searchsorted(candidates, boundary)), n)]
+        weights = (1.0 + table.access_counts()[pool]) ** -self.frequency_exponent
         return weighted_sample_without_replacement(pool, weights, n, rng)
 
     def __repr__(self) -> str:
@@ -115,8 +102,7 @@ class OveruseAmnesia(AmnesiaPolicy):
         self._require(candidates, n)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        freq = table.access_counts()[candidates].astype(np.float64)
-        weights = (1.0 + freq) ** self.overuse_exponent
+        weights = (1.0 + table.access_counts()[candidates]) ** self.overuse_exponent
         return weighted_sample_without_replacement(candidates, weights, n, rng)
 
     def __repr__(self) -> str:

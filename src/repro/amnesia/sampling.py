@@ -80,12 +80,13 @@ def weighted_sample_without_replacement(
         return uniform_sample_without_replacement(candidates, n, rng)
 
     take_weighted = min(n, n_positive)
-    pool = candidates[positive]
-    pool_weights = weights[positive]
+    pool, pool_weights = candidates, weights
+    if n_positive < candidates.size:
+        pool, pool_weights = candidates[positive], weights[positive]
     # Efraimidis–Spirakis: smallest Exp(1)/w keys win.
     keys = rng.exponential(1.0, size=pool.size) / pool_weights
     if take_weighted == pool.size:
-        chosen = pool
+        chosen = pool.copy()
     else:
         idx = np.argpartition(keys, take_weighted - 1)[:take_weighted]
         chosen = pool[idx]

@@ -153,10 +153,12 @@ class ResultCache:
         guard: tuple | None,
     ) -> ResultEntry:
         """Cache ``payload``, recording the cohorts its matches touch."""
+        # One bincount marks every cohort a match falls in (no hashing).
         matches = np.concatenate([active_positions, missed_positions])
-        cohorts = frozenset(
-            int(c) for c in np.unique(table.cohorts.index_of(matches))
+        hits = np.bincount(
+            table.cohorts.index_of(matches), minlength=len(table.cohorts)
         )
+        cohorts = frozenset(np.flatnonzero(hits).tolist())
         entry = ResultEntry(
             payload=dict(payload),
             active_positions=np.array(active_positions, dtype=np.int64),
@@ -213,8 +215,11 @@ class ResultCache:
         """Forget event: invalidate exactly the intersecting cohort sets."""
         if positions.size == 0:
             return
+        # Forgotten positions arrive ascending, so their cohort ordinals
+        # do too: a neighbour mask keeps each one once.
+        ordinals = table.cohorts.index_of(positions)
         touched = frozenset(
-            int(c) for c in np.unique(table.cohorts.index_of(positions))
+            ordinals[np.r_[True, ordinals[1:] != ordinals[:-1]]].tolist()
         )
         with self._lock:
             stale = [

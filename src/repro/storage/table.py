@@ -227,9 +227,12 @@ class Table:
         forgotten position exactly once, ascending.
         """
         positions = self._checked(positions).ravel()
-        # Sorted positions skip np.unique, which hashes even sorted input.
+        # Strictly ascending positions (what validate_victims returns)
+        # are used as they are; anything else is sorted and its repeats
+        # dropped by a neighbour mask (np.unique would hash it).
         if not (positions[1:] > positions[:-1]).all():
-            positions = np.unique(positions)
+            positions = np.sort(positions)
+            positions = positions[np.r_[True, positions[1:] != positions[:-1]]]
         newly = positions[self._active[positions]]
         if newly.size:
             self._active[newly] = False
@@ -314,8 +317,19 @@ class Table:
         return self._view(self._active)
 
     def active_positions(self) -> np.ndarray:
-        """Positions of active rows, ascending."""
-        return np.flatnonzero(self._active[: self._rows])
+        """Positions of active rows, ascending.
+
+        The scan starts at the first cohort the cohort log counts with
+        an active row, so a fully forgotten prefix of the history is
+        skipped rather than read.
+        """
+        if not self._active_rows:
+            return np.empty(0, dtype=np.int64)
+        first = np.argmax(self._cohorts.active_counts() > 0)
+        start = int(self._cohorts.starts()[first])
+        out = np.flatnonzero(self._active[start : self._rows])
+        out += start
+        return out
 
     def forgotten_positions(self) -> np.ndarray:
         """Positions of forgotten rows, ascending."""
