@@ -27,7 +27,6 @@ from .validation import (
     check_non_negative_int,
     check_positive_float,
     check_positive_int,
-    check_probability,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "check_non_negative_int",
     "check_positive_float",
     "check_positive_int",
-    "check_probability",
 ]

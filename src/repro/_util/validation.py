@@ -19,7 +19,6 @@ __all__ = [
     "check_positive_int",
     "check_non_negative_int",
     "check_fraction",
-    "check_probability",
     "check_in",
     "check_positive_float",
     "check_non_negative_float",
@@ -59,11 +58,6 @@ def check_fraction(value: float, name: str, *, inclusive_zero: bool = False) -> 
         bound = "[0, 1]" if inclusive_zero else "(0, 1]"
         raise ConfigError(f"{name} must be in {bound}, got {value}")
     return value
-
-
-def check_probability(value: float, name: str) -> float:
-    """Return ``value`` if it lies in ``[0, 1]``."""
-    return check_fraction(value, name, inclusive_zero=True)
 
 
 def check_positive_float(value: float, name: str) -> float:

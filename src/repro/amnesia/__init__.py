@@ -2,13 +2,11 @@
 
 Temporal: fifo, uniform, retrograde, anterograde.  Query-based: rot,
 overuse.  Spatial: area.  Extensions: pair-preserving, distribution-
-aligned, stratified, cost-based.  Combinators: privacy retention,
-weighted mixtures.
+aligned, stratified, cost-based.  Combinator: privacy retention.
 """
 
 from .area import AreaAmnesia
 from .base import AmnesiaPolicy
-from .composite import CompositeAmnesia
 from .decay import EbbinghausAmnesia
 from .extensions import (
     CostBasedAmnesia,
@@ -38,7 +36,6 @@ from .temporal import (
 __all__ = [
     "AmnesiaPolicy",
     "AreaAmnesia",
-    "CompositeAmnesia",
     "EbbinghausAmnesia",
     "CostBasedAmnesia",
     "DistributionAlignedAmnesia",

@@ -17,19 +17,16 @@ module implements them:
   witnesses (good for range queries at any location).
 * :class:`CostBasedAmnesia` — "giving preference to ditching tuples
   that cause an explosion in either processing time or intermediate
-  storage requirements"; the default cost signal is the tuple's result-
+  storage requirements"; the cost signal is the tuple's result-
   set participation (its access count).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from .._util.errors import ConfigError
 from ..stats.histograms import EquiWidthHistogram
-from ..storage.table import Table
 from .base import AmnesiaPolicy
 from .sampling import (
     uniform_sample_without_replacement,
@@ -238,39 +235,17 @@ class StratifiedAmnesia(AmnesiaPolicy):
 class CostBasedAmnesia(AmnesiaPolicy):
     """Forget the tuples that cost the most to keep processing.
 
-    ``cost_fn(table, candidates)`` must return a non-negative cost per
-    candidate; forgetting probability is proportional to it.  The
-    default uses the access counter: a tuple that participates in many
-    result sets inflates intermediate results everywhere it appears.
+    Forgetting probability is proportional to the tuple's access
+    counter: a tuple that participates in many result sets inflates
+    intermediate results everywhere it appears.
     """
 
     name = "cost"
-
-    def __init__(
-        self,
-        cost_fn: Callable[[Table, np.ndarray], np.ndarray] | None = None,
-    ):
-        self.cost_fn = cost_fn
-
-    def _costs(self, table: Table, candidates: np.ndarray) -> np.ndarray:
-        if self.cost_fn is not None:
-            costs = np.asarray(self.cost_fn(table, candidates), dtype=np.float64)
-            if costs.shape != candidates.shape:
-                raise ConfigError(
-                    "cost_fn must return one cost per candidate"
-                )
-            return costs
-        return table.access_counts()[candidates].astype(np.float64)
 
     def select_victims(self, table, n, epoch, rng, exclude=None):
         candidates = self._candidates(table, exclude)
         self._require(candidates, n)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        costs = self._costs(table, candidates)
-        if (costs < 0).any():
-            raise ConfigError("tuple costs must be non-negative")
+        costs = table.access_counts()[candidates].astype(np.float64)
         return weighted_sample_without_replacement(candidates, costs, n, rng)
-
-    def __repr__(self) -> str:
-        return f"CostBasedAmnesia(cost_fn={self.cost_fn!r})"

@@ -1,4 +1,4 @@
-"""Data generators: the paper's four value distributions + update streams."""
+"""Data generators: the paper's four value distributions."""
 
 from .distributions import (
     DEFAULT_DOMAIN,
@@ -10,7 +10,6 @@ from .distributions import (
     ZipfianDistribution,
     make_distribution,
 )
-from .streams import UpdateStream
 
 __all__ = [
     "DEFAULT_DOMAIN",
@@ -21,5 +20,4 @@ __all__ = [
     "ValueDistribution",
     "ZipfianDistribution",
     "make_distribution",
-    "UpdateStream",
 ]

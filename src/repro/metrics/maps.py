@@ -3,9 +3,9 @@
 Figures 1 and 2 of the paper visualise "the distribution of still active
 tuples after a sequence of 10 update batches": for every insertion
 cohort (x axis, the timeline) the fraction of its tuples still active
-(brightness).  :class:`AmnesiaMap` accumulates those snapshots — one per
-epoch — into a matrix that the plotting layer renders as an ASCII heat
-map and the benchmarks compare across policies.
+(brightness).  :class:`AmnesiaMap` accumulates those snapshots, one per
+epoch, for the plotting layer's ASCII heat map and the benchmarks'
+policy comparisons.
 """
 
 from __future__ import annotations
@@ -76,23 +76,6 @@ class AmnesiaMap:
         if not self._snapshots:
             raise ConfigError("no snapshots recorded")
         return dict(self._snapshots[max(self._snapshots)])
-
-    def matrix(self) -> tuple[list[int], list[int], np.ndarray]:
-        """Dense matrix form: (epochs, cohorts, fractions).
-
-        Rows are snapshot epochs, columns cohort epochs; entries are
-        active fractions, NaN where the cohort did not exist yet.
-        """
-        epochs = self.epochs
-        cohorts = self.cohort_epochs
-        if not epochs:
-            raise ConfigError("no snapshots recorded")
-        out = np.full((len(epochs), len(cohorts)), np.nan)
-        cohort_index = {c: j for j, c in enumerate(cohorts)}
-        for i, epoch in enumerate(epochs):
-            for cohort, fraction in self._snapshots[epoch].items():
-                out[i, cohort_index[cohort]] = fraction
-        return epochs, cohorts, out
 
     def final_fractions(self) -> np.ndarray:
         """Final-row fractions ordered by cohort epoch (dense array)."""

@@ -18,7 +18,6 @@ from .server import (
     QueryService,
     make_server,
     predicate_from_json,
-    run_server,
     serve_in_thread,
 )
 from .sessions import Session, SessionManager, TenantScope
@@ -33,7 +32,6 @@ __all__ = [
     "CatalogServer",
     "make_server",
     "serve_in_thread",
-    "run_server",
     "predicate_from_json",
     "RetryPolicy",
     "ServiceClient",

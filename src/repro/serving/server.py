@@ -105,7 +105,6 @@ __all__ = [
     "CatalogServer",
     "make_server",
     "serve_in_thread",
-    "run_server",
     "predicate_from_json",
 ]
 
@@ -592,12 +591,25 @@ class QueryService:
         }
 
     def _forget(self, session, request: dict) -> dict:
+        """Forget named positions, or the first ``n`` active ones.
+
+        A tenant clamped by ``value_bounds`` may forget only rows whose
+        clamped values it could read: a named position outside the
+        clamp is a :class:`ScopeError` with nothing forgotten, and the
+        ``n`` form counts only in-clamp rows.
+        """
         name = str(request.get("source", ""))
-        session.scope.check_source(session.tenant, name)
+        scope = session.scope
+        scope.check_source(session.tenant, name)
         with self.catalog.source_lock(name):
             table = self.catalog.get(name)
             self.result_cache.watch(name, table)
             epoch = max(table.cohorts.latest_epoch, 0)
+            clamped = [
+                column
+                for column in scope.value_bounds or ()
+                if table.has_column(column)
+            ]
             if "positions" in request:
                 positions = checked_int64(
                     request["positions"], "forget positions"
@@ -608,11 +620,25 @@ class QueryService:
                     raise QueryError(
                         f"forget positions must lie in [0, {table.total_rows})"
                     )
+                for column in clamped:
+                    values = table.values(column)[positions]
+                    if values.size:
+                        scope.check_values(
+                            session.tenant,
+                            column,
+                            int(values.min()),
+                            int(values.max()) + 1,
+                        )
             else:
                 n = _json_int(request.get("n", 0), "forget 'n'")
                 if n < 1:
                     raise QueryError("forget needs 'positions' or a positive 'n'")
-                positions = table.active_positions()[:n]
+                positions = table.active_positions()
+                for column in clamped:
+                    low, high = scope.value_bounds[column]
+                    values = table.values(column)[positions]
+                    positions = positions[(values >= low) & (values < high)]
+                positions = positions[:n]
             forgotten = table.forget(positions, epoch)
         with self._traffic_lock:
             counters = self._tenant_counters(session.tenant)
@@ -968,14 +994,3 @@ def serve_in_thread(
     thread.start()
     return server, thread
 
-
-def run_server(service: QueryService, host: str, port: int) -> None:
-    """Serve until interrupted (the CLI's blocking entry point)."""
-    server = make_server(service, host, port)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()
-        service.close()

@@ -34,8 +34,8 @@ class TenantScope:
         Source names the tenant may address, or ``None`` for all.
     value_bounds:
         Optional ``{column: (low, high)}`` clamps: every predicate
-        bound and every ingested value on ``column`` must lie inside
-        ``[low, high)``.  This is how two tenants share one physical
+        bound, every ingested value and every forgotten row's value on
+        ``column`` must lie inside ``[low, high)``.  This is how two tenants share one physical
         table while each sees only its value slice.
     """
 

@@ -3,9 +3,9 @@
 Used to quantify how far the *active* value distribution has drifted
 from the *oracle* (everything ever inserted) distribution — the
 objective the §4.4 distribution-aligned amnesia policy minimises, and a
-headline metric of experiment A4.
-
-All functions take probability vectors (or count vectors, which are
+headline metric of experiment A4.  The metric is
+:func:`js_divergence`; :func:`kl_divergence` and :func:`normalize` are
+its parts.  Each takes probability vectors (or count vectors, which are
 normalised first) of equal length.
 """
 
@@ -15,13 +15,7 @@ import numpy as np
 
 from .._util.errors import ConfigError
 
-__all__ = [
-    "normalize",
-    "kl_divergence",
-    "js_divergence",
-    "total_variation",
-    "earth_movers_distance",
-]
+__all__ = ["normalize", "kl_divergence", "js_divergence"]
 
 _EPS = 1e-12
 
@@ -78,19 +72,3 @@ def js_divergence(p, q) -> float:
     m = 0.5 * (p + q)
     return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
 
-
-def total_variation(p, q) -> float:
-    """Total variation distance: half the L1 distance, in ``[0, 1]``."""
-    p, q = _paired(p, q)
-    return float(0.5 * np.abs(normalize(p) - normalize(q)).sum())
-
-
-def earth_movers_distance(p, q) -> float:
-    """1-D earth mover's (Wasserstein-1) distance between bin vectors.
-
-    Bins are treated as unit-spaced points, so the result is measured in
-    "bins moved"; divide by the bin count for a normalised value.
-    """
-    p, q = _paired(p, q)
-    diff = normalize(p) - normalize(q)
-    return float(np.abs(np.cumsum(diff)).sum())

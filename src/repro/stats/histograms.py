@@ -1,13 +1,9 @@
 """Histograms over integer value domains.
 
-Two classic shapes:
-
-* :class:`EquiWidthHistogram` — fixed-width bins over ``[lo, hi]``;
-  used by the distribution-aligned amnesia policy (§4.4: "forget tuples
-  that do not change the data distribution for all active records") and
-  by the divergence metrics.
-* :class:`EquiDepthHistogram` — quantile boundaries computed from a
-  sample; used for workload analysis and adaptive partitioning.
+:class:`EquiWidthHistogram` keeps fixed-width bins over ``[lo, hi]``;
+it is used by the distribution-aligned amnesia policy (§4.4: "forget
+tuples that do not change the data distribution for all active
+records") and by the divergence metrics.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import numpy as np
 from .._util.errors import ConfigError
 from .._util.validation import check_positive_int
 
-__all__ = ["EquiWidthHistogram", "EquiDepthHistogram"]
+__all__ = ["EquiWidthHistogram"]
 
 
 class EquiWidthHistogram:
@@ -138,42 +134,3 @@ class EquiWidthHistogram:
             f"bins={self.bins}, total={self._total})"
         )
 
-
-class EquiDepthHistogram:
-    """Quantile (equi-depth) boundaries computed from a sample.
-
-    Unlike :class:`EquiWidthHistogram` this one is immutable: it captures
-    the distribution of the sample given at construction.
-
-    >>> h = EquiDepthHistogram.from_values(np.arange(100), bins=4)
-    >>> h.boundaries.tolist()
-    [0.0, 24.75, 49.5, 74.25, 99.0]
-    """
-
-    def __init__(self, boundaries: np.ndarray):
-        boundaries = np.asarray(boundaries, dtype=np.float64)
-        if boundaries.ndim != 1 or boundaries.size < 2:
-            raise ConfigError("boundaries must be a 1-D array with >= 2 edges")
-        if np.any(np.diff(boundaries) < 0):
-            raise ConfigError("boundaries must be non-decreasing")
-        self.boundaries = boundaries
-        self.bins = boundaries.size - 1
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, bins: int = 16) -> "EquiDepthHistogram":
-        """Compute ``bins`` equi-depth buckets from ``values``."""
-        bins = check_positive_int(bins, "bins")
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            raise ConfigError("cannot build an equi-depth histogram from no values")
-        quantiles = np.linspace(0.0, 1.0, bins + 1)
-        return cls(np.quantile(values, quantiles))
-
-    def bin_of(self, values: np.ndarray) -> np.ndarray:
-        """Bucket index of each value (clamped to the outer buckets)."""
-        values = np.asarray(values, dtype=np.float64)
-        idx = np.searchsorted(self.boundaries, values, side="right") - 1
-        return np.clip(idx, 0, self.bins - 1)
-
-    def __repr__(self) -> str:
-        return f"EquiDepthHistogram(bins={self.bins})"

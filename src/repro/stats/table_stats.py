@@ -36,7 +36,6 @@ from .histograms import EquiWidthHistogram
 __all__ = [
     "STATS_BINS",
     "TableHistogramStats",
-    "traffic_weighted_median",
     "traffic_weighted_quantiles",
 ]
 
@@ -44,33 +43,17 @@ __all__ = [
 STATS_BINS = 64
 
 
-def traffic_weighted_median(values: np.ndarray, weights: np.ndarray) -> int:
-    """The value splitting ``weights`` into two equal halves.
-
-    The equi-depth cut point of a weighted value distribution: sort the
-    values, accumulate their weights, and return the first value whose
-    cumulative weight reaches half the total.  With unit weights this
-    is the plain median; with access-count weights it is the
-    *traffic-weighted* median the adaptive partitioner cuts hot shards
-    at.  Fully deterministic — no sampling, no tie randomness.
-
-    >>> traffic_weighted_median(np.array([1, 2, 3, 100]), np.ones(4))
-    2
-    >>> traffic_weighted_median(np.array([1, 2, 3]), np.array([9, 1, 1]))
-    1
-    """
-    return traffic_weighted_quantiles(values, weights, (0.5,))[0]
-
-
 def traffic_weighted_quantiles(
     values: np.ndarray, weights: np.ndarray, fractions
 ) -> list[int]:
     """The values splitting ``weights`` at the given cumulative fractions.
 
-    Generalizes :func:`traffic_weighted_median` to an arbitrary set of
-    equi-depth cut points: for each fraction ``f`` in ``(0, 1)``,
-    return the first value (in sorted order) whose cumulative weight
-    reaches ``f`` times the total.  The multi-way adaptive split cuts a
+    The equi-depth cut points of a weighted value distribution: for
+    each fraction ``f`` in ``(0, 1)``, return the first value (in sorted
+    order) whose cumulative weight reaches ``f`` times the total.  With
+    unit weights ``[0.5]`` gives the plain median; with access-count
+    weights it gives the *traffic-weighted* median the adaptive
+    partitioner cuts hot shards at.  The multi-way adaptive split cuts a
     hot shard at ``[1/k, ..., (k-1)/k]`` in one adaptation window
     instead of converging one median at a time.  Fully deterministic —
     no sampling, no tie randomness — and, with access-count weights,

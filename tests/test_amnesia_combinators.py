@@ -1,4 +1,4 @@
-"""Tests for privacy retention, composite policies and the registry."""
+"""Tests for privacy retention and the policy registry."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro._util.errors import ConfigError
 from repro.amnesia import (
     POLICY_NAMES,
-    CompositeAmnesia,
     FifoAmnesia,
     PrivacyRetentionWrapper,
     RotAmnesia,
@@ -67,58 +66,6 @@ class TestPrivacyRetention:
         )
         # Excluded expired tuples are not re-selected.
         assert not np.isin(victims, np.arange(10)).any()
-
-
-class TestComposite:
-    def test_exact_count_no_duplicates(self, small_table, rng):
-        mix = CompositeAmnesia(
-            [(0.5, FifoAmnesia()), (0.5, UniformAmnesia())]
-        )
-        victims = mix.select_victims(small_table, 40, 1, rng)
-        assert victims.size == 40
-        assert np.unique(victims).size == 40
-
-    def test_weights_shape_selection(self, small_table, rng):
-        """90% fifo mixture mostly takes the oldest positions."""
-        mix = CompositeAmnesia(
-            [(9.0, FifoAmnesia()), (1.0, UniformAmnesia())]
-        )
-        totals = []
-        for _ in range(30):
-            victims = mix.select_victims(small_table, 20, 1, rng)
-            totals.append((victims < 30).mean())
-        assert np.mean(totals) > 0.7
-
-    def test_name_lists_components(self):
-        mix = CompositeAmnesia([(1.0, FifoAmnesia()), (3.0, RotAmnesia())])
-        assert mix.name == "mix(fifo:0.25,rot:0.75)"
-        assert len(mix.policies) == 2
-
-    def test_rejects_overshooting_members(self):
-        with pytest.raises(ConfigError):
-            CompositeAmnesia(
-                [(1.0, PrivacyRetentionWrapper(FifoAmnesia(), 2))]
-            )
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            CompositeAmnesia([])
-        with pytest.raises(ConfigError):
-            CompositeAmnesia([(0.0, FifoAmnesia())])
-
-    def test_zero_victims(self, small_table, rng):
-        mix = CompositeAmnesia([(1.0, FifoAmnesia())])
-        assert mix.select_victims(small_table, 0, 1, rng).size == 0
-
-    def test_reset_propagates(self, small_table, rng):
-        from repro.amnesia import AreaAmnesia
-
-        area = AreaAmnesia(max_areas=2)
-        mix = CompositeAmnesia([(1.0, area)])
-        mix.select_victims(small_table, 10, 1, rng)
-        assert area.areas
-        mix.reset()
-        assert area.areas == []
 
 
 class TestRegistry:

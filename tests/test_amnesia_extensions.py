@@ -147,21 +147,3 @@ class TestCostBased:
         for _ in range(50):
             hits[policy.select_victims(small_table, 5, 1, rng)] += 1
         assert hits[:10].sum() > 0.9 * hits.sum()
-
-    def test_custom_cost_fn(self, small_table, rng):
-        def expensive_evens(table, candidates):
-            return (candidates % 2 == 0).astype(float)
-
-        policy = CostBasedAmnesia(cost_fn=expensive_evens)
-        victims = policy.select_victims(small_table, 50, 1, rng)
-        assert (victims % 2 == 0).all()
-
-    def test_cost_fn_shape_checked(self, small_table, rng):
-        policy = CostBasedAmnesia(cost_fn=lambda t, c: np.ones(3))
-        with pytest.raises(ConfigError):
-            policy.select_victims(small_table, 5, 1, rng)
-
-    def test_negative_costs_rejected(self, small_table, rng):
-        policy = CostBasedAmnesia(cost_fn=lambda t, c: -np.ones(c.size))
-        with pytest.raises(ConfigError):
-            policy.select_victims(small_table, 5, 1, rng)

@@ -1,4 +1,4 @@
-"""Tests for repro.datagen: distributions and update streams."""
+"""Tests for repro.datagen: the value distributions."""
 
 from __future__ import annotations
 
@@ -11,11 +11,17 @@ from repro.datagen import (
     NormalDistribution,
     SerialDistribution,
     UniformDistribution,
-    UpdateStream,
     ZipfianDistribution,
     make_distribution,
 )
-from repro.stats import top_share
+
+
+def top_share(values, fraction):
+    """Share of the mass held by the top ``fraction`` of distinct values."""
+    counts = np.sort(np.bincount(values))[::-1]
+    counts = counts[counts > 0]
+    k = max(1, int(np.ceil(counts.size * fraction)))
+    return counts[:k].sum() / counts.sum()
 
 
 class TestSerial:
@@ -125,30 +131,3 @@ class TestFactory:
     def test_sample_validates_n(self, rng):
         with pytest.raises(ConfigError):
             make_distribution("uniform").sample(0, rng)
-
-
-class TestUpdateStream:
-    def test_batches(self):
-        stream = UpdateStream(
-            {"k": SerialDistribution(), "v": UniformDistribution(10)}, rng=1
-        )
-        batch = stream.next_batch(4)
-        assert set(batch) == {"k", "v"}
-        assert batch["k"].tolist() == [0, 1, 2, 3]
-        assert stream.batches_produced == 1
-        assert stream.rows_produced == 4
-
-    def test_reset_restores_serial(self):
-        stream = UpdateStream({"k": SerialDistribution()}, rng=1)
-        stream.next_batch(3)
-        stream.reset(rng=1)
-        assert stream.next_batch(1)["k"][0] == 0
-        assert stream.batches_produced == 1
-
-    def test_requires_columns(self):
-        with pytest.raises(ConfigError):
-            UpdateStream({})
-
-    def test_column_names(self):
-        stream = UpdateStream({"a": UniformDistribution(5)}, rng=0)
-        assert stream.column_names == ("a",)

@@ -12,7 +12,6 @@ import pytest
 
 from repro import AmnesiaDatabase, AmnesiaSimulator, SimulationConfig
 from repro.amnesia import (
-    CompositeAmnesia,
     FifoAmnesia,
     POLICY_NAMES,
     PrivacyRetentionWrapper,
@@ -124,11 +123,8 @@ def test_stop_indexing_plan_asymmetry_end_to_end():
 
 
 def test_layered_policy_stack():
-    """Privacy wrapper over a rot/uniform mixture, with summaries."""
-    policy = PrivacyRetentionWrapper(
-        CompositeAmnesia([(0.7, RotAmnesia()), (0.3, UniformAmnesia())]),
-        max_age_epochs=3,
-    )
+    """Privacy wrapper over rot, with summaries."""
+    policy = PrivacyRetentionWrapper(RotAmnesia(), max_age_epochs=3)
     disposition = SummaryDisposition()
     db = AmnesiaDatabase(
         budget=300, policy=policy, disposition=disposition

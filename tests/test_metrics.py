@@ -106,15 +106,6 @@ class TestAmnesiaMap:
         assert amap.final_row() == {0: 0.8, 1: 1.0}
         assert amap.snapshot(0) == {0: 1.0}
 
-    def test_matrix_with_nan_for_future_cohorts(self):
-        amap = AmnesiaMap()
-        amap.add_snapshot(0, {0: 1.0})
-        amap.add_snapshot(1, {0: 0.5, 1: 1.0})
-        epochs, cohorts, matrix = amap.matrix()
-        assert epochs == [0, 1] and cohorts == [0, 1]
-        assert np.isnan(matrix[0, 1])
-        assert matrix[1, 0] == 0.5
-
     def test_final_fractions_ordered(self):
         amap = AmnesiaMap()
         amap.add_snapshot(0, {1: 0.25, 0: 0.75})
@@ -131,8 +122,6 @@ class TestAmnesiaMap:
             amap.add_snapshot(2, {0: 1.5})  # bad fraction
         with pytest.raises(ConfigError):
             AmnesiaMap().final_row()
-        with pytest.raises(ConfigError):
-            AmnesiaMap().matrix()
         with pytest.raises(ConfigError):
             amap.snapshot(99)
 

@@ -11,12 +11,7 @@ from hypothesis.extra.numpy import arrays
 from repro.amnesia import weighted_sample_without_replacement
 from repro.compression import CODEC_NAMES, make_codec
 from repro.query import AggregateFunction
-from repro.stats import (
-    ExactMoments,
-    js_divergence,
-    kl_divergence,
-    total_variation,
-)
+from repro.stats import ExactMoments, js_divergence, kl_divergence
 from repro.summaries import SummaryStore
 from repro.storage import Table
 
@@ -96,8 +91,6 @@ def test_divergence_properties(p, q):
     js = js_divergence(p, q)
     assert -1e-12 <= js <= np.log(2) + 1e-9
     assert js == pytest.approx(js_divergence(q, p), abs=1e-9)
-    tv = total_variation(p, q)
-    assert -1e-12 <= tv <= 1.0 + 1e-12
     assert js_divergence(p, p) == pytest.approx(0.0, abs=1e-9)
 
 

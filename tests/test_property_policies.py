@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from repro.amnesia import (
     POLICY_NAMES,
-    CompositeAmnesia,
-    FifoAmnesia,
     PrivacyRetentionWrapper,
     UniformAmnesia,
     make_policy,
@@ -79,25 +77,6 @@ def test_privacy_wrapper_contract(batch_sizes, seed, max_age):
     assert np.unique(victims).size == victims.size
     expired = policy.expired(table, epoch)
     assert np.isin(expired, victims).all()
-
-
-@given(
-    batch_sizes=table_shapes,
-    seed=st.integers(0, 2**31),
-    weight=st.floats(0.1, 10.0),
-)
-@settings(max_examples=25, deadline=None)
-def test_composite_contract(batch_sizes, seed, weight):
-    table = build_table(batch_sizes, seed)
-    mix = CompositeAmnesia([(weight, FifoAmnesia()), (1.0, UniformAmnesia())])
-    n = table.active_count // 2
-    victims = mix.select_victims(
-        table, n, len(batch_sizes), np.random.default_rng(seed)
-    )
-    assert victims.size == n
-    assert np.unique(victims).size == n
-    if n:
-        assert table.is_active(victims).all()
 
 
 @pytest.mark.parametrize("policy_name", ["fifo", "uniform", "rot", "area"])

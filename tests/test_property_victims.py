@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro._util.errors import AmnesiaError, ReproError
 from repro.amnesia import (
     POLICY_NAMES,
-    CompositeAmnesia,
     FifoAmnesia,
     OveruseAmnesia,
     PrivacyRetentionWrapper,
@@ -166,30 +165,6 @@ def _oracle_privacy_select(self, table, n, epoch, rng, exclude=None):
     return np.concatenate([expired, np.asarray(discretionary, dtype=np.int64)])
 
 
-def _oracle_composite_select(self, table, n, epoch, rng, exclude=None):
-    candidates = self._candidates(table, exclude)
-    self._require(candidates, n)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    quotas = rng.multinomial(n, self._probs)
-    chosen = []
-    running_exclude = (
-        np.asarray(exclude, dtype=np.int64)
-        if exclude is not None and len(exclude)
-        else np.empty(0, dtype=np.int64)
-    )
-    for policy, quota in zip(self._policies, quotas):
-        if quota == 0:
-            continue
-        victims = policy.select_victims(
-            table, int(quota), epoch, rng, exclude=running_exclude
-        )
-        victims = policy.validate_victims(table, victims, int(quota))
-        chosen.append(victims)
-        running_exclude = np.concatenate([running_exclude, victims])
-    return np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-
-
 def oracle():
     """Context in which the engine runs the frozen selection code."""
     stack = ExitStack()
@@ -202,7 +177,6 @@ def oracle():
         (OveruseAmnesia, "select_victims", _oracle_overuse_select),
         (PrivacyRetentionWrapper, "expired", _oracle_expired),
         (PrivacyRetentionWrapper, "select_victims", _oracle_privacy_select),
-        (CompositeAmnesia, "select_victims", _oracle_composite_select),
     ] + [
         (module, "weighted_sample_without_replacement", _oracle_weighted_sample)
         for module in (sampling, rot, temporal, decay, extensions)
@@ -235,12 +209,8 @@ POLICIES.update(
         "privacy_uniform": lambda: PrivacyRetentionWrapper(
             UniformAmnesia(), max_age_epochs=2
         ),
-        "privacy_mix": lambda: PrivacyRetentionWrapper(
-            CompositeAmnesia([(0.5, FifoAmnesia()), (0.5, RotAmnesia())]),
-            max_age_epochs=4,
-        ),
-        "mix": lambda: CompositeAmnesia(
-            [(0.4, UniformAmnesia()), (0.6, RotAmnesia(high_water_mark=1))]
+        "privacy_fifo": lambda: PrivacyRetentionWrapper(
+            FifoAmnesia(), max_age_epochs=4
         ),
     }
 )

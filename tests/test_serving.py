@@ -828,6 +828,87 @@ class TestDuplicateForget:
             _close_all(catalog, service, server, thread)
 
 
+class TestForgetScope:
+    """A tenant clamped by ``value_bounds`` forgets only rows it could
+    read: a named position outside the clamp is a 403 that changes
+    nothing (so the reply tells nothing about that row), and the ``n``
+    form counts only in-clamp rows.  Unclamped tenants are unaffected."""
+
+    def test_named_positions_outside_the_clamp_are_refused(self):
+        catalog, service, server, thread = _serve_alice()
+        port = server.server_address[1]
+        try:
+            bob = _post(port, {"op": "open_session", "tenant": "bob"})[1]["token"]
+            table = catalog.get("obs")
+            for positions in ([150, 151, 152], [50, 150]):
+                for _ in range(2):  # the same answer whether active or not
+                    status, body = _post(
+                        port, _forget_request(bob, positions=positions)
+                    )
+                    assert status == 403, body
+                    assert body["ok"] is False
+            assert table.forgotten_count == 0
+            status, body = _post(port, _forget_request(bob, positions=[50, 99]))
+            assert status == 200 and body["forgotten"] == 2
+            assert table.forgotten_positions().tolist() == [50, 99]
+        finally:
+            _close_all(catalog, service, server, thread)
+
+    def test_n_form_takes_only_in_clamp_rows(self):
+        catalog, service, server, thread = _serve_alice()
+        port = server.server_address[1]
+        try:
+            alice, bob = (
+                _post(port, {"op": "open_session", "tenant": t})[1]["token"]
+                for t in ("alice", "bob")
+            )
+            # Values 150, 10, 160, 20 land at positions 200..203.
+            ingest = {
+                "op": "ingest",
+                "token": alice,
+                "source": "obs",
+                "rows": {"value": [150, 10, 160, 20], "sensor": [0, 0, 0, 0]},
+            }
+            assert _post(port, ingest)[0] == 200
+            assert _post(port, _forget_request(alice, n=98))[1]["forgotten"] == 98
+            table = catalog.get("obs")
+            status, body = _post(port, _forget_request(bob, n=3))
+            assert status == 200 and body["forgotten"] == 3
+            assert table.forgotten_positions().tolist() == (
+                list(range(100)) + [201]
+            )
+            status, body = _post(port, _forget_request(bob, n=5))
+            assert status == 200 and body["forgotten"] == 1
+            assert _post(port, _forget_request(bob, n=1))[1]["forgotten"] == 0
+            active = table.active_positions()
+            assert (table.values("value")[active] >= 100).all()
+            assert active.tolist() == list(range(100, 201)) + [202]
+        finally:
+            _close_all(catalog, service, server, thread)
+
+    def test_unclamped_tenant_forgets_as_before(self):
+        catalog, service, server, thread = _serve_alice()
+        port = server.server_address[1]
+        try:
+            alice = _post(port, {"op": "open_session", "tenant": "alice"})[1][
+                "token"
+            ]
+            table = catalog.get("obs")
+            status, body = _post(
+                port, _forget_request(alice, positions=[150, 151, 152])
+            )
+            assert status == 200 and body["forgotten"] == 3
+            status, body = _post(
+                port, _forget_request(alice, positions=[150, 151, 152])
+            )
+            assert status == 200 and body["forgotten"] == 0
+            status, body = _post(port, _forget_request(alice, n=2))
+            assert status == 200 and body["forgotten"] == 2
+            assert table.forgotten_positions().tolist() == [0, 1, 150, 151, 152]
+        finally:
+            _close_all(catalog, service, server, thread)
+
+
 class TestTornInsert:
     def test_rejected_ingest_leaves_the_table_usable(self):
         """After a 400 ingest, the table answers like a fresh one."""

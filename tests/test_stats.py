@@ -1,4 +1,4 @@
-"""Tests for repro.stats: histograms, moments, divergences, zipf."""
+"""Tests for repro.stats: histograms, moments, divergences."""
 
 from __future__ import annotations
 
@@ -7,19 +7,13 @@ import pytest
 
 from repro._util.errors import ConfigError, QueryError, StorageError
 from repro.stats import (
-    EquiDepthHistogram,
     EquiWidthHistogram,
     ExactMoments,
     TableHistogramStats,
-    earth_movers_distance,
-    fit_zipf_exponent,
-    gini_coefficient,
     js_divergence,
     kl_divergence,
     normalize,
-    top_share,
-    total_variation,
-    traffic_weighted_median,
+    traffic_weighted_quantiles,
 )
 from repro.storage import CohortZoneMap, Table
 
@@ -84,24 +78,6 @@ class TestEquiWidthHistogram:
         assert hist.total == 2
 
 
-class TestEquiDepthHistogram:
-    def test_quartiles(self):
-        hist = EquiDepthHistogram.from_values(np.arange(101), bins=4)
-        assert hist.boundaries.tolist() == [0, 25, 50, 75, 100]
-
-    def test_bin_of_clamps(self):
-        hist = EquiDepthHistogram.from_values(np.arange(101), bins=4)
-        assert hist.bin_of(np.array([-5, 30, 500])).tolist() == [0, 1, 3]
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            EquiDepthHistogram(np.array([1.0]))
-        with pytest.raises(ConfigError):
-            EquiDepthHistogram(np.array([2.0, 1.0]))
-        with pytest.raises(ConfigError):
-            EquiDepthHistogram.from_values(np.empty(0))
-
-
 class TestHistogramContracts:
     """Direct contracts for the planner-facing histogram behaviours
     (previously exercised mostly through the summary layer)."""
@@ -131,35 +107,6 @@ class TestHistogramContracts:
         with pytest.raises(ConfigError):
             hist.remove(np.array([7]))  # bin 7 never held a value
 
-    def test_equidepth_boundaries_on_skewed_data(self, rng):
-        """Quantile boundaries on Zipf-skewed data: monotone, spanning
-        the sample, and splitting the mass into near-equal buckets —
-        narrow hot buckets, wide cold ones."""
-        values = rng.zipf(1.5, 4000).astype(np.float64)
-        hist = EquiDepthHistogram.from_values(values, bins=8)
-        boundaries = hist.boundaries
-        assert boundaries.size == 9
-        assert (np.diff(boundaries) >= 0).all()
-        assert boundaries[0] == values.min()
-        assert boundaries[-1] == values.max()
-        # Equi-depth means each bucket holds ~1/8 of the sample.  Heavy
-        # ties on the hot keys can shift mass between adjacent buckets,
-        # so allow a generous band around the ideal share.
-        counts = np.bincount(hist.bin_of(values), minlength=8)
-        assert counts.sum() == values.size
-        assert counts.max() <= values.size * 0.45
-        # The hot end is far narrower than the cold tail.
-        assert (boundaries[1] - boundaries[0]) < (
-            boundaries[-1] - boundaries[-2]
-        )
-
-    def test_equidepth_uniform_matches_linspace(self):
-        values = np.arange(1000, dtype=np.float64)
-        hist = EquiDepthHistogram.from_values(values, bins=4)
-        np.testing.assert_allclose(
-            hist.boundaries, np.linspace(0, 999, 5), atol=1e-9
-        )
-
     def test_mass_interpolates_bins(self):
         hist = EquiWidthHistogram.from_values(
             np.repeat(np.arange(10), 10), 0, 9, bins=5
@@ -172,33 +119,35 @@ class TestHistogramContracts:
 
 
 class TestTrafficWeightedMedian:
+    """``traffic_weighted_quantiles`` at the single fraction 0.5."""
+
     def test_unit_weights_match_plain_median(self, rng):
         values = rng.integers(0, 1000, 501)
-        got = traffic_weighted_median(values, np.ones(values.size))
-        assert got == int(np.median(values))
+        got = traffic_weighted_quantiles(values, np.ones(values.size), [0.5])
+        assert got == [int(np.median(values))]
 
     def test_heavy_weights_pull_the_cut(self):
         values = np.array([10, 20, 30, 40])
         weights = np.array([100.0, 1.0, 1.0, 1.0])
-        assert traffic_weighted_median(values, weights) == 10
+        assert traffic_weighted_quantiles(values, weights, [0.5]) == [10]
 
     def test_order_independent(self, rng):
         values = rng.integers(0, 100, 200)
         weights = rng.random(200)
         shuffle = rng.permutation(200)
-        assert traffic_weighted_median(values, weights) == (
-            traffic_weighted_median(values[shuffle], weights[shuffle])
+        assert traffic_weighted_quantiles(values, weights, [0.5]) == (
+            traffic_weighted_quantiles(values[shuffle], weights[shuffle], [0.5])
         )
 
     def test_degenerate_inputs(self):
         with pytest.raises(StorageError):
-            traffic_weighted_median(np.empty(0), np.empty(0))
+            traffic_weighted_quantiles(np.empty(0), np.empty(0), [0.5])
         with pytest.raises(StorageError):
-            traffic_weighted_median(np.array([1]), np.array([-1.0]))
+            traffic_weighted_quantiles(np.array([1]), np.array([-1.0]), [0.5])
         # All-zero weights fall back to the unweighted middle value.
-        assert traffic_weighted_median(
-            np.array([5, 7, 9]), np.zeros(3)
-        ) == 7
+        assert traffic_weighted_quantiles(
+            np.array([5, 7, 9]), np.zeros(3), [0.5]
+        ) == [7]
 
 
 class TestTableHistogramStats:
@@ -425,48 +374,6 @@ class TestDivergences:
         assert js == pytest.approx(js_divergence(q, p))
         assert js == pytest.approx(np.log(2), rel=1e-6)
 
-    def test_total_variation(self):
-        assert total_variation([1, 0], [0, 1]) == pytest.approx(1.0)
-        assert total_variation([1, 1], [1, 1]) == 0.0
-
-    def test_emd_counts_distance(self):
-        # Mass must travel 2 bins vs 1 bin.
-        near = earth_movers_distance([1, 0, 0], [0, 1, 0])
-        far = earth_movers_distance([1, 0, 0], [0, 0, 1])
-        assert far == pytest.approx(2 * near)
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigError):
             kl_divergence([1, 2], [1, 2, 3])
-
-
-class TestZipfHelpers:
-    def test_fit_recovers_exponent(self, rng):
-        from repro.datagen import ZipfianDistribution
-
-        values = ZipfianDistribution(domain=5000, theta=1.3).sample(200_000, rng)
-        theta = fit_zipf_exponent(values, max_ranks=100)
-        assert 1.0 < theta < 1.6
-
-    def test_fit_needs_two_values(self):
-        with pytest.raises(ConfigError):
-            fit_zipf_exponent(np.array([7, 7, 7]))
-        with pytest.raises(ConfigError):
-            fit_zipf_exponent(np.empty(0, dtype=np.int64))
-
-    def test_top_share_uniform(self):
-        values = np.repeat(np.arange(10), 10)
-        assert top_share(values, 0.2) == pytest.approx(0.2)
-
-    def test_top_share_bounds(self):
-        with pytest.raises(ConfigError):
-            top_share(np.array([1]), 0.0)
-
-    def test_gini_extremes(self):
-        equal = np.repeat(np.arange(10), 5)
-        assert gini_coefficient(equal) == pytest.approx(0.0, abs=1e-9)
-        skewed = np.concatenate([np.zeros(990, dtype=int), np.arange(1, 11)])
-        assert gini_coefficient(skewed) > 0.8
-
-    def test_gini_single_value(self):
-        assert gini_coefficient(np.array([5, 5])) == 0.0

@@ -23,7 +23,6 @@ from repro._util.validation import (
     check_non_negative_int,
     check_positive_float,
     check_positive_int,
-    check_probability,
 )
 
 
@@ -106,8 +105,8 @@ class TestValidation:
         assert check_fraction(0.0, "f", inclusive_zero=True) == 0.0
 
     def test_probability_is_inclusive(self):
-        assert check_probability(0.0, "p") == 0.0
-        assert check_probability(1.0, "p") == 1.0
+        assert check_fraction(0.0, "p", inclusive_zero=True) == 0.0
+        assert check_fraction(1.0, "p", inclusive_zero=True) == 1.0
 
     def test_positive_float(self):
         assert check_positive_float(0.5, "x") == 0.5
