@@ -605,12 +605,13 @@ class QueryService:
             table = self.catalog.get(name)
             self.result_cache.watch(name, table)
             epoch = max(table.cohorts.latest_epoch, 0)
-            clamped = [
-                column
-                for column in scope.value_bounds or ()
+            clamped = {
+                column: bounds
+                for column, bounds in (scope.value_bounds or {}).items()
                 if table.has_column(column)
-            ]
-            if "positions" in request:
+            }
+            named = "positions" in request
+            if named:
                 positions = checked_int64(
                     request["positions"], "forget positions"
                 )
@@ -620,24 +621,23 @@ class QueryService:
                     raise QueryError(
                         f"forget positions must lie in [0, {table.total_rows})"
                     )
-                for column in clamped:
-                    values = table.values(column)[positions]
-                    if values.size:
-                        scope.check_values(
-                            session.tenant,
-                            column,
-                            int(values.min()),
-                            int(values.max()) + 1,
-                        )
             else:
                 n = _json_int(request.get("n", 0), "forget 'n'")
                 if n < 1:
                     raise QueryError("forget needs 'positions' or a positive 'n'")
                 positions = table.active_positions()
-                for column in clamped:
-                    low, high = scope.value_bounds[column]
+            if clamped:
+                inside = np.ones(positions.size, dtype=bool)
+                for column, (low, high) in clamped.items():
                     values = table.values(column)[positions]
-                    positions = positions[(values >= low) & (values < high)]
+                    inside &= (values >= low) & (values < high)
+                if named and not inside.all():
+                    raise ScopeError(
+                        f"tenant {session.tenant!r} may not forget rows "
+                        f"outside its clamp on {sorted(clamped)}"
+                    )
+                positions = positions[inside]
+            if not named:
                 positions = positions[:n]
             forgotten = table.forget(positions, epoch)
         with self._traffic_lock:

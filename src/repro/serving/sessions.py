@@ -35,8 +35,9 @@ class TenantScope:
     value_bounds:
         Optional ``{column: (low, high)}`` clamps: every predicate
         bound, every ingested value and every forgotten row's value on
-        ``column`` must lie inside ``[low, high)``.  This is how two tenants share one physical
-        table while each sees only its value slice.
+        ``column`` must lie inside ``[low, high)``.  This is how two
+        tenants share one physical table while each sees only its value
+        slice.
     """
 
     tables: frozenset | None = None

@@ -847,6 +847,8 @@ class TestForgetScope:
                     )
                     assert status == 403, body
                     assert body["ok"] is False
+                    # The refusal names the clamp, never a row's value.
+                    assert "150" not in body["detail"], body
             assert table.forgotten_count == 0
             status, body = _post(port, _forget_request(bob, positions=[50, 99]))
             assert status == 200 and body["forgotten"] == 2
