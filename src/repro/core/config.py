@@ -202,11 +202,6 @@ class SimulationConfig:
         """Tuples inserted (and forgotten) per epoch: F = dbsize · upd-perc."""
         return int(round(self.dbsize * self.update_fraction))
 
-    @property
-    def total_insertions(self) -> int:
-        """Tuples ever inserted over a full run."""
-        return self.dbsize + self.epochs * self.batch_size
-
     def with_(self, **changes) -> "SimulationConfig":
         """Return a copy with the given fields replaced.
 

@@ -139,29 +139,6 @@ class AmnesiaDatabase:
         if disposition is not None:
             self.table.add_observer(disposition)
 
-    @classmethod
-    def partitioned(
-        cls,
-        column: str,
-        boundaries,
-        total_budget: int,
-        policy_factory,
-        **kwargs,
-    ):
-        """Build a range-sharded store instead of a single table.
-
-        The facade's entry point to :class:`~repro.partitioning.
-        PartitionedAmnesiaDatabase`: same planner-routed semantics per
-        shard, plus parallel fan-out (``workers=``) and traffic-driven
-        rebalancing (``rebalance=``) — see that class for the keyword
-        arguments, which pass through unchanged.
-        """
-        from ..partitioning.partitioned import PartitionedAmnesiaDatabase
-
-        return PartitionedAmnesiaDatabase(
-            column, boundaries, total_budget, policy_factory, **kwargs
-        )
-
     # -- state ---------------------------------------------------------
 
     @property

@@ -185,11 +185,6 @@ class ZipfianDistribution(ValueDistribution):
         ranks = np.searchsorted(self._cdf, u, side="left")
         return self._perm[ranks]
 
-    def rank_probabilities(self) -> np.ndarray:
-        """Probability of each rank (descending), for analysis/tests."""
-        pmf = np.diff(self._cdf, prepend=0.0)
-        return pmf
-
 
 DISTRIBUTION_NAMES = ("serial", "uniform", "normal", "zipfian")
 

@@ -23,8 +23,6 @@ class AmnesiaMap:
     >>> m = AmnesiaMap()
     >>> m.add_snapshot(0, {0: 1.0})
     >>> m.add_snapshot(1, {0: 0.8, 1: 1.0})
-    >>> m.cohort_epochs
-    [0, 1]
     >>> m.final_row()
     {0: 0.8, 1: 1.0}
     """
@@ -55,14 +53,6 @@ class AmnesiaMap:
     def epochs(self) -> list[int]:
         """Epochs with a recorded snapshot, ascending."""
         return sorted(self._snapshots)
-
-    @property
-    def cohort_epochs(self) -> list[int]:
-        """All cohort (insertion batch) epochs seen, ascending."""
-        cohorts: set[int] = set()
-        for snap in self._snapshots.values():
-            cohorts.update(snap)
-        return sorted(cohorts)
 
     def snapshot(self, epoch: int) -> dict[int, float]:
         """The cohort-activity dict recorded for ``epoch``."""

@@ -47,16 +47,6 @@ class BatchPrecisionSummary:
         """Total queries summarised."""
         return self.n_range + self.n_aggregate
 
-    @property
-    def mean_rf(self) -> float:
-        """avg(RF) over range queries (0 when none)."""
-        return self.total_rf / self.n_range if self.n_range else 0.0
-
-    @property
-    def mean_mf(self) -> float:
-        """avg(MF) over range queries (0 when none)."""
-        return self.total_mf / self.n_range if self.n_range else 0.0
-
 
 class BatchPrecisionCollector:
     """Accumulates query results for one epoch's query batch.

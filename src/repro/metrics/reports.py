@@ -59,14 +59,6 @@ class RunReport:
             if r.precision is not None
         ]
 
-    def macro_precision_series(self) -> list[float]:
-        """Macro-averaged PF per query epoch."""
-        return [
-            r.precision.macro_precision
-            for r in self.epochs
-            if r.precision is not None
-        ]
-
     def aggregate_precision_series(self) -> list[float]:
         """Aggregate value precision per epoch (only aggregate batches)."""
         return [

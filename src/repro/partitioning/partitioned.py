@@ -69,11 +69,14 @@ fair share of traffic is split — multi-way when the skew warrants it,
 at traffic-weighted quantiles under ``hist`` statistics — funded by
 merging the coldest adjacent pair, so the partition layout itself
 tracks the query stream — the paper's adaptive-partitioning endgame.
+A layout change re-routes the rows it moves through the insert router,
+so a row's shard never depends on whether it arrived before the move.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import compress
 
@@ -93,7 +96,7 @@ from ..faults import (
     REBALANCE_ADAPT,
     fault_point,
 )
-from ..query.planner import QueryPlan
+from ..query.planner import PLAN_MODES, QueryPlan
 from ..query.plans import check_scan_bounds, match_rows
 from ..query.predicates import RangePredicate, TruePredicate
 from ..query.queries import AggregateFunction
@@ -372,6 +375,7 @@ class PartitionedAmnesiaDatabase:
         self.rebalance_policy = rebalance
         self.stats_mode = stats
         self.compress_mode = compress
+        self.plan_mode = check_in(plan, PLAN_MODES, "plan")
         self.split_threshold = float(split_threshold)
         self.max_partitions = int(max_partitions)
         self._seed = seed
@@ -390,28 +394,16 @@ class PartitionedAmnesiaDatabase:
         base = total_budget // n_partitions
         remainder = total_budget - base * n_partitions
         partitions = [
-            Partition(
-                index=i,
-                low=lo,
-                high=hi,
-                budget=base + (1 if i < remainder else 0),
-                policy=policy_factory(),
-                column=column,
-                seed=derive_seed(seed, f"partition-{i}"),
-                plan=plan,
-                edge_low=(i == 0),
-                edge_high=(i == n_partitions - 1),
-                stats=stats,
-                compress=compress,
+            self._new_partition(
+                i, bounds, base + (1 if i < remainder else 0), (str(i),)
             )
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            for i in range(n_partitions)
         ]
         # One atomically-swapped tuple holds (partitions, bounds):
         # readers snapshot both with a single attribute read, so a
         # concurrent boundary adaptation can never hand them a
         # partition list from one layout and cut points from another.
         self._layout: tuple[list[Partition], list[int]] = (partitions, bounds)
-        self.plan_mode = partitions[0].db.plan_mode
 
     # -- topology --------------------------------------------------------
 
@@ -642,20 +634,16 @@ class PartitionedAmnesiaDatabase:
     def range_query(self, low: int, high: int) -> MergedRangeResult:
         """Fan a range query out through the shard planners; merge exactly.
 
-        Every shard runs its pipeline under its shard lock; with
-        ``workers > 1`` the shards that have work — those the range
-        covers, or all of them under ``plan="scan"`` — run concurrently
-        when there are two or more, and the rest run inline on the
-        caller.  The per-shard outputs are merged in shard order, so
-        the result (and every policy-visible counter behind it) is
-        bit-identical to sequential execution.  The planner prunes
-        shards whose declared value bounds exclude the range (a
-        ``pruned`` plan — zero rows considered).  Query traffic for
-        :meth:`rebalance` counts shards the range *covers* and the rows
-        it matched there (both plan-independent statistics), never
-        shards a particular plan mode happened to execute — otherwise
-        rebalancing, and with it every downstream budget and forgetting
-        decision, would diverge between ``scan`` and the pruned modes.
+        The shards that have work — those the range covers, or all of
+        them under ``plan="scan"`` — run concurrently when
+        ``workers > 1`` (see :meth:`_read_shards`), and the outputs
+        merge in shard order, so the result (and every policy-visible
+        counter behind it) is bit-identical to sequential execution.
+        The planner prunes shards whose declared value bounds exclude
+        the range (a ``pruned`` plan — zero rows considered).  Query
+        traffic for :meth:`rebalance` counts the shards the range
+        *covers* and the rows it matched there, never the shards a
+        plan mode happened to execute.
         """
         if high < low:
             raise QueryError(f"range [{low}, {high}) is reversed")
@@ -667,26 +655,18 @@ class PartitionedAmnesiaDatabase:
             # rows) and counts no query traffic, like covers().
             return MergedRangeResult(rf=0, mf=0)
 
-        def run_shard(partition: Partition) -> tuple[int, int, int, int]:
-            with partition.lock:
-                covered = partition.covers(low, high)
-                if covered:
-                    partition.query_hits += 1
-                if partition.db.total_rows == 0:
-                    return (0, 0, 0, 0)  # nothing to plan over
-                result = partition.db.range_query(self.column, low, high)
-                if covered:
-                    partition.query_rows += result.rf + result.mf
-                # Classify the fan-out from the same bounds test the
-                # shard planner prunes by (scan mode never prunes) —
-                # not from the planner's mutable last_execution, which
-                # a concurrent query could have overwritten.  Counts
-                # always accumulate; a pruned shard's result is empty
-                # by construction.
-                executed = int(covered or partition.db.plan_mode == "scan")
-                return (result.rf, result.mf, executed, 1 - executed)
+        def read(partition: Partition):
+            result = partition.db.range_query(self.column, low, high)
+            # Classify the fan-out from the same bounds test the shard
+            # planner prunes by (scan mode never prunes) — not from the
+            # planner's mutable last_execution.  A pruned shard's
+            # result is empty by construction.
+            executed = int(
+                partition.covers(low, high) or partition.db.plan_mode == "scan"
+            )
+            return (result.rf, result.mf, executed, 1 - executed), result.rf + result.mf
 
-        outputs = self._read_shards(run_shard, low, high)
+        outputs = self._read_shards(read, low, high, empty=(0, 0, 0, 0))
         rf, mf, executed, pruned = (sum(col) for col in zip(*outputs))
         return MergedRangeResult(
             rf=rf, mf=mf, shards_executed=executed, shards_pruned=pruned
@@ -709,7 +689,8 @@ class PartitionedAmnesiaDatabase:
         merge and the function is finalized once over the merged
         accumulator, so AVG/VAR/STD are the exact global statistics —
         not averages of shard answers, and independent of the shard
-        layout and of which shard finished first.
+        layout and of which shard finished first.  Aggregates are not
+        query traffic: :meth:`rebalance` follows range reads and scans.
         """
         function = AggregateFunction(function)
         if (low is None) != (high is None):
@@ -717,21 +698,16 @@ class PartitionedAmnesiaDatabase:
         if low is not None and high < low:
             raise QueryError(f"range [{low}, {high}) is reversed")
 
-        def run_shard(partition: Partition):
-            with partition.lock:
-                if partition.db.total_rows == 0:
-                    return None
-                return partition.db.aggregate_moments(
-                    function, self.column, low, high
-                )
+        def read(partition: Partition):
+            moments = partition.db.aggregate_moments(function, self.column, low, high)
+            return moments, moments[0].count + moments[1].count
 
-        outputs = self._read_shards(run_shard, low, high)
         active = ExactMoments()
         oracle = ExactMoments()
-        for moments in outputs:
-            if moments is None:
-                continue
-            active_part, missed_part = moments
+        empty = (ExactMoments(), ExactMoments())
+        for active_part, missed_part in self._read_shards(
+            read, low, high, empty=empty, traffic=False
+        ):
             active.merge(active_part)
             oracle.merge(active_part)
             oracle.merge(missed_part)
@@ -772,49 +748,59 @@ class PartitionedAmnesiaDatabase:
         in between.
         """
         low, high = check_scan_bounds(low, high)
+        predicate = (
+            TruePredicate() if low is None else RangePredicate(self.column, low, high)
+        )
 
-        def run_shard(partition: Partition):
-            with partition.lock:
-                covered = True if low is None else partition.covers(low, high)
-                if covered:
-                    partition.query_hits += 1
-                db = partition.db
-                predicate = (
-                    TruePredicate()
-                    if low is None
-                    else RangePredicate(self.column, low, high)
-                )
-                values, epochs, flags = match_rows(
-                    db.planner,
-                    predicate,
-                    self.column,
-                    db.epoch if epoch is None else epoch,
-                    record_access,
-                )
-                if covered:
-                    partition.query_rows += int(values.size)
-                return values, epochs, flags
+        def read(partition: Partition):
+            db = partition.db
+            at = db.epoch if epoch is None else epoch
+            chunk = match_rows(db.planner, predicate, self.column, at, record_access)
+            return chunk, int(chunk[0].size)
 
-        return self._read_shards(run_shard, low, high)
+        nothing = np.empty(0, dtype=np.int64)
+        empty = (nothing, nothing, np.empty(0, dtype=bool))
+        return self._read_shards(read, low, high, empty=empty)
 
-    def _read_shards(self, run_shard, low: int | None, high: int | None) -> list:
-        """``run_shard`` over every shard, outputs in shard order.
+    def _read_shards(
+        self, read, low: int | None, high: int | None, *, empty, traffic=True
+    ) -> list:
+        """``read`` over every shard, outputs in shard order.
+
+        The one place a read takes a shard's lock, charges query
+        traffic and skips an empty shard: ``read(partition)`` returns
+        ``(output, rows matched)`` for a shard with rows, and an empty
+        shard answers ``empty`` without planning.  Unless ``traffic``
+        is false, traffic is coverage-based: a shard the range covers
+        (every shard when ``low`` is None) gains one ``query_hits`` and
+        its matched rows (active + forgotten) in ``query_rows``, never
+        what a plan mode happened to execute, so :meth:`rebalance`
+        evolves identically under ``scan`` and the pruned modes.
 
         Only *busy* shards go through the pool: shards with rows that
         the range covers, or every shard with rows under ``plan="scan"``
-        or a full scan (``low=None``).  The rest still run ``run_shard``
-        inline, so every shard plans and counts its traffic, but a
-        pruned or empty shard answers from its planner in microseconds
-        and a read whose work lands in one shard makes no pool
-        round-trip at all.  Which shards count as busy is a scheduling
-        choice only: ``run_shard`` decides everything under its shard
-        lock, so results are the same either way.
+        or a full scan.  The rest run inline, so a read whose work
+        lands in one shard makes no pool round-trip at all.  Which
+        shards count as busy is a scheduling choice only.
 
         Runs under the read gate's shared side: a concurrent
         :meth:`flush` publishes its batches either entirely before or
         entirely after the read — no shard answers from a half-applied
         ingest wave.
         """
+
+        def run_shard(partition: Partition):
+            with partition.lock:
+                covered = traffic and (low is None or partition.covers(low, high))
+                if covered:
+                    partition.query_hits += 1
+                if partition.db.total_rows == 0:
+                    return empty
+                output, matched = read(partition)
+                if covered:
+                    partition.query_rows += matched
+                return output
+
         with self._gate.reading():
             partitions = self._partitions
             busy = [
@@ -924,51 +910,30 @@ class PartitionedAmnesiaDatabase:
 
     # -- adaptation ----------------------------------------------------------------
 
-    def _spawn_partition(
-        self,
-        low: int,
-        high: int,
-        *,
-        edge_low: bool,
-        edge_high: bool,
-        sources,
-        epoch: int,
-        query_hits: int,
-        query_rows: int,
+    def _new_partition(
+        self, index: int, bounds, budget: int, tag: tuple[str, ...]
     ) -> Partition:
-        """Build a shard for ``[low, high)`` and migrate history into it.
+        """An empty shard for the ``index``-th range of ``bounds``.
 
-        Everything that seeds randomness or names state derives from
-        the bounds and the adaptation generation — both plan-mode
-        independent — so boundary changes replay identically whatever
-        access paths answered the queries that triggered them.
+        The first and last ranges are open-ended.  Seed and table name
+        derive from ``tag`` (the initial index, or the generation and
+        bounds), never from a plan mode, so layouts replay identically.
         """
-        partition = Partition(
-            index=-1,  # assigned when the new layout is installed
-            low=low,
-            high=high,
-            budget=1,  # provisional; rebalance assigns the real budget
+        return Partition(
+            index=index,
+            low=bounds[index],
+            high=bounds[index + 1],
+            budget=budget,
             policy=self._policy_factory(),
             column=self.column,
-            seed=derive_seed(
-                self._seed, f"partition-g{self._generation}-{low}-{high}"
-            ),
+            seed=derive_seed(self._seed, "-".join(("partition", *tag))),
             plan=self.plan_mode,
-            edge_low=edge_low,
-            edge_high=edge_high,
-            table_name=f"partition_g{self._generation}_{low}_{high}",
+            edge_low=index == 0,
+            edge_high=index == len(bounds) - 2,
+            table_name="_".join(("partition", *tag)),
             stats=self.stats_mode,
             compress=self.compress_mode,
         )
-        partition.adopt_history(sources)
-        partition.db.advance_epoch_to(epoch)
-        if partition.db.compressed is not None:
-            # The replayed cohorts keep their original epochs, so the
-            # migrated shard demotes exactly what the sources had cold.
-            partition.db.compressed.demote_cold(epoch)
-        partition.query_hits = query_hits
-        partition.query_rows = query_rows
-        return partition
 
     def _split_points(
         self, hot_part: Partition, ways: int
@@ -1026,7 +991,9 @@ class PartitionedAmnesiaDatabase:
         traffic (hot shard excluded); without an eligible pair the
         count may grow up to ``max_partitions``.  All decisions read
         only coverage-based counters and table state, so the trajectory
-        is identical under every plan mode.
+        is identical under every plan mode.  The chosen cuts and merge
+        become new bounds, and :meth:`_install_bounds` re-routes the
+        moved rows through the insert router.
         """
         partitions = self._partitions
         n = len(partitions)
@@ -1080,46 +1047,8 @@ class PartitionedAmnesiaDatabase:
         if new_count > self.max_partitions or floor * new_count > self.total_budget:
             return
         self._generation += 1
-        edges = [hot_part.low, *cuts, hot_part.high]
-        segments = len(edges) - 1
-        base_hits = hot_part.query_hits // segments
-        base_rows = hot_part.query_rows // segments
-        pieces: list[Partition] = []
-        # Migration reads the source tables (values, activity, access
-        # metadata); holding the source shard's lock keeps an in-flight
-        # query from mutating that state mid-snapshot.
-        with hot_part.lock:
-            values = hot_part.db.table.values(self.column)
-            for k in range(segments):
-                lo, hi = edges[k], edges[k + 1]
-                first, last = k == 0, k == segments - 1
-                # Outer segments are open-ended like the shard they
-                # split: clamped-in out-of-domain rows stay routable.
-                mask = np.ones(values.shape, dtype=bool)
-                if not first:
-                    mask &= values >= lo
-                if not last:
-                    mask &= values < hi
-                pieces.append(
-                    self._spawn_partition(
-                        lo,
-                        hi,
-                        edge_low=first and hot_part.bound_low is None,
-                        edge_high=last and hot_part.bound_high is None,
-                        sources=[(hot_part.db.table, np.flatnonzero(mask))],
-                        epoch=hot_part.db.epoch,
-                        query_hits=(
-                            hot_part.query_hits - base_hits * (segments - 1)
-                            if last
-                            else base_hits
-                        ),
-                        query_rows=(
-                            hot_part.query_rows - base_rows * (segments - 1)
-                            if last
-                            else base_rows
-                        ),
-                    )
-                )
+        bounds = list(self._bounds)
+        bounds[hot + 1 : hot + 1] = cuts
         cut_noun = "midpoint" if cut_kind == "midpoint" else (
             "median" if len(cuts) == 1 else "medians"
         )
@@ -1129,47 +1058,84 @@ class PartitionedAmnesiaDatabase:
             f"{', '.join(str(c) for c in cuts)} "
             f"(traffic share {shares[hot]:.0%} of {n} shards)"
         ]
-        merged = None
         if merge_at is not None:
             cold_a, cold_b = partitions[merge_at], partitions[merge_at + 1]
-            with cold_a.lock, cold_b.lock:
-                merged = self._spawn_partition(
-                    cold_a.low,
-                    cold_b.high,
-                    edge_low=cold_a.bound_low is None,
-                    edge_high=cold_b.bound_high is None,
-                    sources=[
-                        (cold_a.db.table, np.arange(cold_a.db.total_rows)),
-                        (cold_b.db.table, np.arange(cold_b.db.total_rows)),
-                    ],
-                    epoch=max(cold_a.db.epoch, cold_b.db.epoch),
-                    query_hits=cold_a.query_hits + cold_b.query_hits,
-                    query_rows=cold_a.query_rows + cold_b.query_rows,
-                )
+            bounds.remove(cold_b.low)
             pair_share = (traffic[merge_at] + traffic[merge_at + 1]) / total
             events.append(
                 f"gen {self._generation}: merged shards [{cold_a.low}, "
                 f"{cold_a.high}) + [{cold_b.low}, {cold_b.high}) "
                 f"(combined traffic share {pair_share:.0%})"
             )
+        self._install_bounds(bounds)
+        self._adaptations.extend(events)
+
+    def _install_bounds(self, bounds: list[int]) -> None:
+        """Swap in the layout cut at ``bounds``, re-routing moved rows.
+
+        Each range whose bounds changed is rebuilt from the rows that
+        :meth:`_partition_of` (the insert router) sends it, taken from
+        the old shards it overlaps in layout order.  It starts at their
+        largest epoch, and each source's traffic counters split evenly
+        over the ranges it feeds, the remainder to the last of them.
+        """
+        ranges = list(zip(bounds, bounds[1:]))
+        old = {(p.low, p.high): p for p in self._partitions}
+        fresh = [k for k, r in enumerate(ranges) if r not in old]
+        retired = [p for p in self._partitions if (p.low, p.high) not in ranges]
+        # The fresh ranges each retired shard overlaps, in layout order.
+        feeds = [
+            [k for k in fresh if ranges[k][0] < p.high and p.low < ranges[k][1]]
+            for p in retired
+        ]
+
+        def share(counter: int, ks: list[int], k: int) -> int:
+            base = counter // len(ks)
+            return counter - base * (len(ks) - 1) if k == ks[-1] else base
+
         layout: list[Partition] = []
-        for i, partition in enumerate(partitions):
-            if i == hot:
-                layout.extend(pieces)
-            elif merge_at is not None and i == merge_at:
-                layout.append(merged)
-            elif merge_at is not None and i == merge_at + 1:
-                continue
-            else:
+        # Migration reads the source tables (values, activity, access
+        # metadata); holding the source shards' locks keeps an in-flight
+        # query from mutating that state mid-snapshot.
+        with ExitStack() as stack:
+            for p in retired:
+                stack.enter_context(p.lock)
+            owners = [
+                self._partition_of(p.db.table.values(self.column), bounds, len(ranges))
+                for p in retired
+            ]
+            for k, (lo, hi) in enumerate(ranges):
+                if (lo, hi) in old:
+                    layout.append(old[lo, hi])
+                    continue
+                fed = [i for i, ks in enumerate(feeds) if k in ks]
+                # Budget 1 is provisional: rebalance assigns the real one.
+                partition = self._new_partition(
+                    k, bounds, 1, (f"g{self._generation}", str(lo), str(hi))
+                )
+                partition.adopt_history(
+                    [(retired[i].db.table, np.flatnonzero(owners[i] == k)) for i in fed]
+                )
+                epoch = max(retired[i].db.epoch for i in fed)
+                partition.db.advance_epoch_to(epoch)
+                if partition.db.compressed is not None:
+                    # The replayed cohorts keep their original epochs,
+                    # so the shard demotes exactly what its sources had
+                    # cold.
+                    partition.db.compressed.demote_cold(epoch)
+                partition.query_hits = sum(
+                    share(retired[i].query_hits, feeds[i], k) for i in fed
+                )
+                partition.query_rows = sum(
+                    share(retired[i].query_rows, feeds[i], k) for i in fed
+                )
                 layout.append(partition)
-        layout.sort(key=lambda p: (p.low, p.high))
         for index, partition in enumerate(layout):
             partition.index = index
         # Single atomic swap: readers snapshotting self._layout never
         # see a partition list from one generation and cut points from
         # another.
-        self._layout = (layout, [p.low for p in layout] + [layout[-1].high])
-        self._adaptations.extend(events)
+        self._layout = (layout, list(bounds))
 
     def rebalance(self, floor: int = 1, policy: str | None = None) -> dict[int, int]:
         """Reallocate storage proportionally to observed query traffic.
@@ -1180,7 +1146,8 @@ class PartitionedAmnesiaDatabase:
         counters (queries that touched more data pull more budget), and
         ``"adaptive"`` additionally adapts the *boundaries* first —
         splitting a shard whose traffic share exceeds the configured
-        skew threshold and merging the coldest adjacent pair — before
+        skew threshold and merging the coldest adjacent pair, with the
+        moved rows re-routed through the insert router — before
         splitting budget by rows.
 
         Each partition receives at least ``floor`` tuples; the rest of

@@ -315,10 +315,6 @@ class QueryPlanner:
             self._structures_generation += 1
         return index
 
-    def indexes_on(self, column: str) -> tuple[Index, ...]:
-        """Registered indexes for ``column`` (possibly dropped ones too)."""
-        return tuple(self._indexes.get(column, ()))
-
     def ordered_index(self, column: str) -> Index | None:
         """A live value-ordered index on ``column``, or ``None``.
 

@@ -15,7 +15,6 @@ gives us the opportunity to precisely calculate the query precision"
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -207,13 +206,3 @@ class AggregateResult:
         if self.oracle_matches == 0:
             return 1.0
         return self.active_matches / self.oracle_matches
-
-    def is_exact(self, tol: float = 1e-12) -> bool:
-        """True when the amnesiac answer equals the oracle answer."""
-        if self.oracle_value is None:
-            return self.amnesiac_value is None
-        if self.amnesiac_value is None:
-            return False
-        return math.isclose(
-            self.amnesiac_value, self.oracle_value, rel_tol=tol, abs_tol=tol
-        )

@@ -75,10 +75,10 @@ class Catalog:
         Catalog-backed experiments pass their run config's ``plan``
         (the CLI's ``--plan`` flag, via ``base``).
     workers:
-        Fan-out width for :meth:`execute_batch`: how many per-table
-        query streams may run concurrently (tables are independent;
-        each table's queries stay sequential and ordered, so access
-        accounting is bit-identical at any width).  Default 1.
+        Fan-out width for cross-table plans (:meth:`query`): how many
+        leaf scans may run concurrently (leaves are grouped by source,
+        so access accounting is bit-identical at any width).
+        Default 1.
     stats:
         Cardinality-statistics source for every table's planner (one
         of :data:`repro.core.config.STATS_MODES`): ``"hist"`` attaches
@@ -110,7 +110,7 @@ class Catalog:
         # name -> (table, planner, executor, lock), built together at
         # registration.  The lock serializes the table's planner+
         # executor pipeline (the catalog twin of the sharded store's
-        # per-shard locks): concurrent batches or cross-table queries
+        # per-shard locks): concurrent executions or cross-table queries
         # touching one table cannot race its access accounting or
         # planner counters.
         self._tables: dict[
@@ -136,7 +136,7 @@ class Catalog:
 
     @property
     def workers(self) -> int:
-        """The fan-out width batch and cross-table execution use.
+        """The fan-out width cross-table execution uses.
 
         Mutable (like the sharded store's ``workers``) — benchmarks
         flip it between runs; results are bit-identical at any width.
@@ -292,11 +292,11 @@ class Catalog:
         write-preferring :class:`~repro._util.parallel.EpochGate`
         serializes ingest publication against readers, and per-shard
         locks cover each shard's planner+executor pipeline.  Every
-        catalog-routed execution path (``execute``, ``execute_batch``,
-        cross-table plan leaves) acquires this around the
-        planner+executor pipeline, so concurrent callers — two
-        batches, or a batch racing a :meth:`query` — can never race a
-        table's access accounting or planner counters.
+        catalog-routed execution path (``execute`` and the cross-table
+        plan leaves) acquires this around the planner+executor
+        pipeline, so concurrent callers — two threads executing, or
+        one racing a :meth:`query` — can never race a table's access
+        accounting or planner counters.
 
         Raises :class:`~repro._util.errors.SchemaError` for unknown
         names.
@@ -310,36 +310,6 @@ class Catalog:
         _, _, executor, lock = self._entry(name)
         with lock:
             return executor.execute(query, epoch)
-
-    def execute_batch(self, requests, epoch: int) -> list:
-        """Run ``(table_name, query)`` pairs; results in request order.
-
-        Requests fan out across *tables* on a thread pool when
-        ``workers > 1`` — tables are independent, and each table's own
-        queries run sequentially in request order (a name queried
-        twice in one batch keeps its requests in submission order on
-        one worker), so results and access accounting are bit-identical
-        to a sequential loop at any width.  Each execution additionally
-        holds the table's :meth:`source_lock`, so *concurrent* batches
-        sharing a table stay exact too.  Every name is checked before
-        the fan-out, so an unknown one fails before any query runs.
-        """
-        requests = list(requests)
-        by_table: dict[str, list[int]] = {}
-        for i, (name, _) in enumerate(requests):
-            self._entry(name)
-            by_table.setdefault(name, []).append(i)
-        results: list = [None] * len(requests)
-
-        def run_table(indexes: list[int]) -> None:
-            for i in indexes:
-                name, query = requests[i]
-                results[i] = self.execute(name, query, epoch)
-
-        self._fanout.map_ordered(
-            run_table, list(by_table.values()), self.workers
-        )
-        return results
 
     # -- cross-table queries -------------------------------------------------
 

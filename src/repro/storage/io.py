@@ -218,106 +218,111 @@ def _replay_table(
 # -- store payloads -------------------------------------------------------
 
 
-def _compressed_payload(db, prefix: str) -> tuple[list, dict]:
-    """Kind-tagged compressed-block records for one database.
+def _database_state(db, prefix: str) -> tuple[dict, dict]:
+    """One database's durable state, as header fields and arrays.
 
-    One record per demoted (cohort, column) block: scalars (codec name,
-    span, exact value bounds, codec params) live in the JSON header
-    with the payload-array field names recorded under ``"arrays"``; the
-    arrays themselves are written as ``{prefix}cb{k}:{field}`` npz
-    entries.
+    Both the ``database`` kind and each ``sharded`` partition entry save
+    this.  Each demoted (cohort, column) block is one header record of
+    scalars (codec, span, value bounds, params) naming its payload
+    arrays, which are saved as ``{prefix}cb{k}:{field}``.
     """
-    records: list[dict] = []
-    arrays: dict = {}
-    if getattr(db, "compressed", None) is None:
-        return records, arrays
-    for k, record in enumerate(db.compressed.state()):
-        records.append(
-            {**record["scalars"], "arrays": sorted(record["arrays"])}
-        )
+    arrays = _table_arrays(db.table, prefix)
+    blocks = []
+    records = [] if db.compressed is None else db.compressed.state()
+    for k, record in enumerate(records):
+        blocks.append({**record["scalars"], "arrays": sorted(record["arrays"])})
         for field, value in record["arrays"].items():
             arrays[f"{prefix}cb{k}:{field}"] = value
-    return records, arrays
-
-
-def _restore_compressed(db, records, members: dict, prefix: str) -> None:
-    """Rebuild a database's demoted blocks from v3 checkpoint records."""
-    if db.compressed is None or not records:
-        return
-    full = []
-    for k, rec in enumerate(records):
-        scalars = {key: val for key, val in rec.items() if key != "arrays"}
-        payload_arrays = {
-            field: members[f"{prefix}cb{k}:{field}"]
-            for field in rec.get("arrays", ())
-        }
-        full.append({"scalars": scalars, "arrays": payload_arrays})
-    db.compressed.load_state(full)
-
-
-def _database_payload(db, prefix: str) -> tuple[dict, dict]:
-    compressed_records, compressed_arrays = _compressed_payload(db, prefix)
-    header = {
-        "kind": "database",
+    state = {
         "budget": db.budget,
         "epoch": db.epoch,
-        "policy": db.policy.name,
-        "plan": db.plan_mode,
-        "stats": db.stats_mode,
-        "compress": db.compress_mode,
-        "compressed_blocks": compressed_records,
         # The victim-selection stream's position: restoring it lets a
         # randomized policy draw exactly what the live run would have.
         "policy_rng": db._policy_rng.bit_generator.state,
         "table": _table_header(db.table),
+        "compressed_blocks": blocks,
     }
-    arrays = _table_arrays(db.table, prefix)
-    arrays.update(compressed_arrays)
+    return state, arrays
+
+
+def _restore_database(db, state: dict, members: dict, prefix: str) -> None:
+    """Restore :func:`_database_state` into a freshly built, empty ``db``."""
+    db.table.name = state["table"]["name"]
+    _replay_table(
+        db.table, state["table"], members, prefix, on_insert=db.policy.on_insert
+    )
+    db.advance_epoch_to(state["epoch"])
+    # Direct budget restore: the saved state already satisfies it, and
+    # enforcing it would let overshoot-style policies purge rows the
+    # checkpoint still holds.
+    db.budget = int(state["budget"])
+    db._policy_rng.bit_generator.state = state["policy_rng"]
+    if db.compressed is not None and state["compressed_blocks"]:
+        # Demoted blocks restore from their saved payloads — no
+        # re-encode, so codec choices and byte accounting come back
+        # bit-identical.
+        db.compressed.load_state(
+            {
+                "scalars": {key: val for key, val in rec.items() if key != "arrays"},
+                "arrays": {
+                    field: members[f"{prefix}cb{k}:{field}"]
+                    for field in rec["arrays"]
+                },
+            }
+            for k, rec in enumerate(state["compressed_blocks"])
+        )
+
+
+def _database_payload(db, prefix: str) -> tuple[dict, dict]:
+    state, arrays = _database_state(db, prefix)
+    header = {
+        "kind": "database",
+        "policy": db.policy.name,
+        "plan": db.plan_mode,
+        "stats": db.stats_mode,
+        "compress": db.compress_mode,
+        **state,
+    }
     return header, arrays
 
 
 def _sharded_payload(store, prefix: str) -> tuple[dict, dict]:
-    """Caller must hold the store's gate shared (see :func:`save_store`)."""
-    partitions = sorted(store.partitions, key=lambda p: (p.low, p.high))
-    header = {
-        "kind": "sharded",
-        "column": store.column,
-        "total_budget": store.total_budget,
-        "seed": store._seed,
-        "plan": store.plan_mode,
-        "stats": store.stats_mode,
-        "compress": store.compress_mode,
-        "workers": store.workers,
-        "rebalance": store.rebalance_policy,
-        "split_threshold": store.split_threshold,
-        "max_partitions": store.max_partitions,
-        "generation": store._generation,
-        "adaptations": list(store.adaptations),
-        "ingest_epoch": store.ingest_epoch,
-        "partitions": [],
-    }
-    arrays: dict = {}
-    for i, partition in enumerate(partitions):
-        shard_prefix = f"{prefix}p{i}:"
-        compressed_records, compressed_arrays = _compressed_payload(
-            partition.db, shard_prefix
-        )
-        header["partitions"].append(
-            {
-                "low": partition.low,
-                "high": partition.high,
-                "budget": partition.budget,
-                "epoch": partition.db.epoch,
-                "query_hits": partition.query_hits,
-                "query_rows": partition.query_rows,
-                "policy_rng": partition.db._policy_rng.bit_generator.state,
-                "table": _table_header(partition.db.table),
-                "compressed_blocks": compressed_records,
-            }
-        )
-        arrays.update(_table_arrays(partition.db.table, shard_prefix))
-        arrays.update(compressed_arrays)
-    return header, arrays
+    """A published ingest epoch of ``store``: queued batches are flushed,
+    then the shards are read under the gate's shared side."""
+    store.flush()
+    with store.gate.reading():
+        header = {
+            "kind": "sharded",
+            "column": store.column,
+            "total_budget": store.total_budget,
+            "seed": store._seed,
+            "plan": store.plan_mode,
+            "stats": store.stats_mode,
+            "compress": store.compress_mode,
+            "workers": store.workers,
+            "rebalance": store.rebalance_policy,
+            "split_threshold": store.split_threshold,
+            "max_partitions": store.max_partitions,
+            "generation": store._generation,
+            "adaptations": list(store.adaptations),
+            "ingest_epoch": store.ingest_epoch,
+            "partitions": [],
+        }
+        arrays: dict = {}
+        partitions = sorted(store.partitions, key=lambda p: (p.low, p.high))
+        for i, partition in enumerate(partitions):
+            state, shard_arrays = _database_state(partition.db, f"{prefix}p{i}:")
+            header["partitions"].append(
+                {
+                    "low": partition.low,
+                    "high": partition.high,
+                    "query_hits": partition.query_hits,
+                    "query_rows": partition.query_rows,
+                    **state,
+                }
+            )
+            arrays.update(shard_arrays)
+        return header, arrays
 
 
 def _catalog_payload(catalog) -> tuple[dict, dict]:
@@ -334,10 +339,7 @@ def _catalog_payload(catalog) -> tuple[dict, dict]:
     for i, table in enumerate(tables):
         arrays.update(_table_arrays(table, f"t{i}:"))
     for j, name in enumerate(catalog.sharded_names()):
-        store = catalog.sharded(name)
-        store.flush()
-        with store.gate.reading():
-            sub_header, sub_arrays = _sharded_payload(store, f"s{j}:")
+        sub_header, sub_arrays = _sharded_payload(catalog.sharded(name), f"s{j}:")
         header["sharded"][name] = sub_header
         arrays.update(sub_arrays)
     return header, arrays
@@ -455,19 +457,16 @@ def save_store(store, path, rotate: bool = False) -> Path:
         return save_table(store, path, rotate=rotate)
     if isinstance(store, AmnesiaDatabase):
         header, arrays = _database_payload(store, "")
-        return _write_bundle(path, header, arrays, rotate=rotate)
-    if isinstance(store, PartitionedAmnesiaDatabase):
-        store.flush()
-        with store.gate.reading():
-            header, arrays = _sharded_payload(store, "")
-        return _write_bundle(path, header, arrays, rotate=rotate)
-    if isinstance(store, Catalog):
+    elif isinstance(store, PartitionedAmnesiaDatabase):
+        header, arrays = _sharded_payload(store, "")
+    elif isinstance(store, Catalog):
         header, arrays = _catalog_payload(store)
-        return _write_bundle(path, header, arrays, rotate=rotate)
-    raise StorageError(
-        f"cannot checkpoint a {type(store).__name__}; expected a Table, "
-        "AmnesiaDatabase, PartitionedAmnesiaDatabase or Catalog"
-    )
+    else:
+        raise StorageError(
+            f"cannot checkpoint a {type(store).__name__}; expected a Table, "
+            "AmnesiaDatabase, PartitionedAmnesiaDatabase or Catalog"
+        )
+    return _write_bundle(path, header, arrays, rotate=rotate)
 
 
 # -- load ----------------------------------------------------------------
@@ -530,24 +529,15 @@ def _load_database(header: dict, members: dict, prefix: str, policy_factory):
             "restoring a database checkpoint needs policy_factory= "
             "(policies are rebuilt, not serialized)"
         )
-    table_header = header["table"]
     db = AmnesiaDatabase(
         budget=header["budget"],
         policy=policy_factory(),
-        columns=table_header["columns"],
-        table_name=table_header["name"],
+        columns=header["table"]["columns"],
         plan=header["plan"],
         stats=header["stats"],
         compress=header["compress"],
     )
-    _replay_table(
-        db.table, table_header, members, prefix, on_insert=db.policy.on_insert
-    )
-    db.advance_epoch_to(header["epoch"])
-    db._policy_rng.bit_generator.state = header["policy_rng"]
-    # Demoted blocks restore from their saved payloads — no re-encode,
-    # so codec choices and byte accounting come back bit-identical.
-    _restore_compressed(db, header["compressed_blocks"], members, prefix)
+    _restore_database(db, header, members, prefix)
     return db
 
 
@@ -576,19 +566,7 @@ def _load_sharded(header: dict, members: dict, prefix: str, policy_factory):
         compress=header["compress"],
     )
     for i, (partition, saved) in enumerate(zip(store.partitions, parts)):
-        db = partition.db
-        db.table.name = saved["table"]["name"]
-        part = f"{prefix}p{i}:"
-        _replay_table(
-            db.table, saved["table"], members, part, on_insert=db.policy.on_insert
-        )
-        db.advance_epoch_to(saved["epoch"])
-        _restore_compressed(db, saved["compressed_blocks"], members, part)
-        # Direct budget restore: the saved state already satisfies it,
-        # and set_budget's enforcement would let overshoot-style
-        # policies purge rows the checkpoint still holds.
-        db.budget = int(saved["budget"])
-        db._policy_rng.bit_generator.state = saved["policy_rng"]
+        _restore_database(partition.db, saved, members, f"{prefix}p{i}:")
         partition.query_hits = int(saved["query_hits"])
         partition.query_rows = int(saved["query_rows"])
     store._generation = int(header["generation"])

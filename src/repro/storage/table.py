@@ -29,12 +29,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .._util.errors import (
-    InsufficientVictimsError,
-    SchemaError,
-    StorageError,
-    UnknownColumnError,
-)
+from .._util.errors import SchemaError, StorageError, UnknownColumnError
 from .._util.validation import as_int_array
 from .cohorts import CohortLog
 
@@ -242,11 +237,6 @@ class Table:
             for observer in self._observers:
                 observer.on_forget(self, newly)
         return int(newly.size)
-
-    def require_victims(self, n: int) -> None:
-        """Raise unless at least ``n`` active rows exist."""
-        if n > self.active_count:
-            raise InsufficientVictimsError(n, self.active_count)
 
     def replay_history(
         self, cohorts, columns: dict, active, forgotten_epochs,

@@ -87,12 +87,6 @@ class HistogramSummaryStore:
         """
         return self._histogram.mass(low, high)
 
-    def repaired_range_count(self, active_count: int, low: int, high: int) -> float:
-        """Active exact count plus the forgotten estimate."""
-        if active_count < 0:
-            raise ConfigError("active_count must be >= 0")
-        return active_count + self.approx_range_count(low, high)
-
     def __repr__(self) -> str:
         return (
             f"HistogramSummaryStore(domain=[{self.lo}, {self.hi}], "

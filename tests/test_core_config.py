@@ -16,12 +16,10 @@ class TestDefaults:
         assert config.epochs == 10
         assert config.queries_per_epoch == 1000
         assert config.batch_size == 200
-        assert config.total_insertions == 3000
 
     def test_high_volatility(self):
         config = SimulationConfig(update_fraction=0.80)
         assert config.batch_size == 800
-        assert config.total_insertions == 9000
 
 
 class TestValidation:

@@ -53,7 +53,7 @@ class TestCreateIndex:
         db.insert({"a": np.arange(50)})
         with pytest.raises(ConfigError, match=r"\('sorted', 'brin'\)"):
             db.create_index("a", "hash")
-        assert db.planner.indexes_on("a") == ()
+        assert db.planner.stats()["indexes"] == {}
 
     @pytest.mark.parametrize("kind", ["sorted", "brin"])
     def test_known_kinds_serve_index_plans(self, kind):
@@ -110,8 +110,7 @@ class TestQueries:
         db = AmnesiaDatabase(budget=100, policy=FifoAmnesia())
         db.insert({"a": np.arange(100)})
         result = db.aggregate("sum", "a", 0, 10)
-        assert result.amnesiac_value == 45.0
-        assert result.is_exact()
+        assert result.amnesiac_value == result.oracle_value == 45.0
 
     def test_aggregate_window_requires_both_bounds(self):
         db = AmnesiaDatabase(budget=10, policy=FifoAmnesia())

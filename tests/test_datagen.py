@@ -101,12 +101,6 @@ class TestZipfian:
         values = dist.sample(20_000, rng)
         assert np.bincount(values, minlength=1001).argmax() == 0
 
-    def test_rank_probabilities_sum_to_one(self):
-        pmf = ZipfianDistribution(domain=100).rank_probabilities()
-        assert pmf.size == 101
-        assert abs(pmf.sum() - 1.0) < 1e-9
-        assert np.all(np.diff(pmf) <= 0)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             ZipfianDistribution(theta=0.0)

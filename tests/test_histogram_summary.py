@@ -47,13 +47,6 @@ class TestBasics:
             # Two edge bins of ~20 values each hold ~100 tuples apiece.
             assert abs(estimate - truth) < 250
 
-    def test_repaired_count(self):
-        store = HistogramSummaryStore(0, 99, bins=10)
-        store.add(1, np.arange(50))
-        assert store.repaired_range_count(7, 0, 50) == pytest.approx(57.0)
-        with pytest.raises(ConfigError):
-            store.repaired_range_count(-1, 0, 50)
-
     def test_footprint_independent_of_tuples(self):
         store = HistogramSummaryStore(0, 999, bins=32)
         store.add(1, np.arange(1000))

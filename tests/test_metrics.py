@@ -51,8 +51,6 @@ class TestCollector:
         summary = coll.summary()
         assert summary.total_rf == 3
         assert summary.total_mf == 1
-        assert summary.mean_rf == 3.0
-        assert summary.mean_mf == 1.0
         assert summary.n_queries == 1
 
     def test_aggregates_counted(self):
@@ -102,7 +100,6 @@ class TestAmnesiaMap:
         amap.add_snapshot(1, {0: 0.8, 1: 1.0})
         assert len(amap) == 2
         assert amap.epochs == [0, 1]
-        assert amap.cohort_epochs == [0, 1]
         assert amap.final_row() == {0: 0.8, 1: 1.0}
         assert amap.snapshot(0) == {0: 1.0}
 
@@ -162,7 +159,6 @@ class TestReports:
         ]
         run = RunReport("fifo", "uniform", 100, 0.2, epochs)
         assert run.precision_series() == [0.9, 0.7]
-        assert run.macro_precision_series() == [0.9, 0.7]
         assert run.aggregate_precision_series() == []
         assert run.final_epoch().epoch == 2
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import types
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import AmnesiaDatabase
 from repro._util.errors import ConfigError, QueryError
+from repro._util.rng import derive_seed
 from repro.amnesia import FifoAmnesia, UniformAmnesia
 from repro.partitioning import Partition, PartitionedAmnesiaDatabase
 from repro.storage import Table
@@ -569,16 +573,6 @@ class TestParallelFanout:
         with self._build(workers=2) as store:
             store.range_query(0, 500)
         assert store._fanout._pool is None
-
-    def test_facade_entry_point(self):
-        """AmnesiaDatabase.partitioned threads workers/rebalance through."""
-        store = AmnesiaDatabase.partitioned(
-            "a", (0, 500, 1000), 100,
-            policy_factory=FifoAmnesia, workers=3, rebalance="rows",
-        )
-        assert isinstance(store, PartitionedAmnesiaDatabase)
-        assert store.workers == 3
-        assert store.rebalance_policy == "rows"
 
 
 class TestReadDispatch:
@@ -1258,3 +1252,299 @@ class TestIngestFailureSemantics:
             assert sorted(done) == [1, 2, 3]
         finally:
             pool.close()
+
+
+# -- migration identity: the pre-refactor boundary code as an oracle -----
+#
+# Before one routine re-routed every migrated row through the insert
+# router, splits and merges selected the rows they moved with two
+# separate pieces of code (a per-segment mask over the hot shard, and
+# every row of both merged shards).  That code is kept below, verbatim
+# in behaviour, and patched into one of two twin stores.
+
+
+def _oracle_spawn_partition(
+    self,
+    low: int,
+    high: int,
+    *,
+    edge_low: bool,
+    edge_high: bool,
+    sources,
+    epoch: int,
+    query_hits: int,
+    query_rows: int,
+) -> Partition:
+    partition = Partition(
+        index=-1,  # assigned when the new layout is installed
+        low=low,
+        high=high,
+        budget=1,  # provisional; rebalance assigns the real budget
+        policy=self._policy_factory(),
+        column=self.column,
+        seed=derive_seed(
+            self._seed, f"partition-g{self._generation}-{low}-{high}"
+        ),
+        plan=self.plan_mode,
+        edge_low=edge_low,
+        edge_high=edge_high,
+        table_name=f"partition_g{self._generation}_{low}_{high}",
+        stats=self.stats_mode,
+        compress=self.compress_mode,
+    )
+    partition.adopt_history(sources)
+    partition.db.advance_epoch_to(epoch)
+    if partition.db.compressed is not None:
+        # The replayed cohorts keep their original epochs, so the
+        # migrated shard demotes exactly what the sources had cold.
+        partition.db.compressed.demote_cold(epoch)
+    partition.query_hits = query_hits
+    partition.query_rows = query_rows
+    return partition
+
+
+
+def _oracle_adapt_boundaries(self, floor: int) -> None:
+    partitions = self._partitions
+    n = len(partitions)
+    traffic = np.array([p.query_rows for p in partitions], dtype=np.float64)
+    total = float(traffic.sum())
+    if n < 2 or total <= 0.0:
+        return
+    shares = traffic / total
+    # Shard-count ceiling from both caps: the configured maximum
+    # and what the budget floor can fund.
+    headroom = min(self.max_partitions, self.total_budget // floor)
+    # Hottest shard first; when it cannot split (a width-1 range —
+    # a single scorching value, which median cuts isolate quickly)
+    # fall through to the next shard still above the threshold
+    # instead of stalling the adaptation for the whole window.
+    hot = None
+    for candidate in sorted(range(n), key=lambda i: (-shares[i], i)):
+        if shares[candidate] * n < self.split_threshold:
+            break  # descending shares: nothing below is eligible
+        pairs = [j for j in range(n - 1) if candidate not in (j, j + 1)]
+        merge_gain = 1 if pairs else 0
+        # Final count is n - merge_gain + (segments - 1); cap the
+        # fan of the split to what the ceiling can absorb.
+        max_ways = headroom - n + merge_gain + 1
+        if max_ways < 2:
+            return  # no capacity for any split this window
+        ways = 2
+        if self.stats_mode == "hist":
+            hotness = shares[candidate] * n / self.split_threshold
+            ways = min(max_ways, 1 + int(hotness))
+        # The cuts read the shard's values and access counters;
+        # hold its lock (like the migration snapshot below) so an
+        # in-flight query's half-applied access bumps cannot make
+        # the quantiles race-dependent.
+        with partitions[candidate].lock:
+            cuts, kind = self._split_points(
+                partitions[candidate], max(ways, 2)
+            )
+        if cuts:
+            hot, cut_kind, merge_pairs = candidate, kind, pairs
+            break
+    if hot is None:
+        return
+    hot_part = partitions[hot]
+    merge_at = None
+    if merge_pairs:
+        merge_at = min(
+            merge_pairs, key=lambda j: (traffic[j] + traffic[j + 1], j)
+        )
+    new_count = n + len(cuts) - (1 if merge_at is not None else 0)
+    if new_count > self.max_partitions or floor * new_count > self.total_budget:
+        return
+    self._generation += 1
+    edges = [hot_part.low, *cuts, hot_part.high]
+    segments = len(edges) - 1
+    base_hits = hot_part.query_hits // segments
+    base_rows = hot_part.query_rows // segments
+    pieces: list[Partition] = []
+    # Migration reads the source tables (values, activity, access
+    # metadata); holding the source shard's lock keeps an in-flight
+    # query from mutating that state mid-snapshot.
+    with hot_part.lock:
+        values = hot_part.db.table.values(self.column)
+        for k in range(segments):
+            lo, hi = edges[k], edges[k + 1]
+            first, last = k == 0, k == segments - 1
+            # Outer segments are open-ended like the shard they
+            # split: clamped-in out-of-domain rows stay routable.
+            mask = np.ones(values.shape, dtype=bool)
+            if not first:
+                mask &= values >= lo
+            if not last:
+                mask &= values < hi
+            pieces.append(
+                _oracle_spawn_partition(
+                    self,
+                    lo,
+                    hi,
+                    edge_low=first and hot_part.bound_low is None,
+                    edge_high=last and hot_part.bound_high is None,
+                    sources=[(hot_part.db.table, np.flatnonzero(mask))],
+                    epoch=hot_part.db.epoch,
+                    query_hits=(
+                        hot_part.query_hits - base_hits * (segments - 1)
+                        if last
+                        else base_hits
+                    ),
+                    query_rows=(
+                        hot_part.query_rows - base_rows * (segments - 1)
+                        if last
+                        else base_rows
+                    ),
+                )
+            )
+    cut_noun = "midpoint" if cut_kind == "midpoint" else (
+        "median" if len(cuts) == 1 else "medians"
+    )
+    events = [
+        f"gen {self._generation}: split shard [{hot_part.low}, "
+        f"{hot_part.high}) at {cut_noun} "
+        f"{', '.join(str(c) for c in cuts)} "
+        f"(traffic share {shares[hot]:.0%} of {n} shards)"
+    ]
+    merged = None
+    if merge_at is not None:
+        cold_a, cold_b = partitions[merge_at], partitions[merge_at + 1]
+        with cold_a.lock, cold_b.lock:
+            merged = _oracle_spawn_partition(
+                self,
+                cold_a.low,
+                cold_b.high,
+                edge_low=cold_a.bound_low is None,
+                edge_high=cold_b.bound_high is None,
+                sources=[
+                    (cold_a.db.table, np.arange(cold_a.db.total_rows)),
+                    (cold_b.db.table, np.arange(cold_b.db.total_rows)),
+                ],
+                epoch=max(cold_a.db.epoch, cold_b.db.epoch),
+                query_hits=cold_a.query_hits + cold_b.query_hits,
+                query_rows=cold_a.query_rows + cold_b.query_rows,
+            )
+        pair_share = (traffic[merge_at] + traffic[merge_at + 1]) / total
+        events.append(
+            f"gen {self._generation}: merged shards [{cold_a.low}, "
+            f"{cold_a.high}) + [{cold_b.low}, {cold_b.high}) "
+            f"(combined traffic share {pair_share:.0%})"
+        )
+    layout: list[Partition] = []
+    for i, partition in enumerate(partitions):
+        if i == hot:
+            layout.extend(pieces)
+        elif merge_at is not None and i == merge_at:
+            layout.append(merged)
+        elif merge_at is not None and i == merge_at + 1:
+            continue
+        else:
+            layout.append(partition)
+    layout.sort(key=lambda p: (p.low, p.high))
+    for index, partition in enumerate(layout):
+        partition.index = index
+    # Single atomic swap: readers snapshotting self._layout never
+    # see a partition list from one generation and cut points from
+    # another.
+    self._layout = (layout, [p.low for p in layout] + [layout[-1].high])
+    self._adaptations.extend(events)
+
+
+def _shard_state(store):
+    return {
+        "boundaries": store.boundaries,
+        "budgets": [p.budget for p in store.partitions],
+        "counters": [(p.query_hits, p.query_rows) for p in store.partitions],
+        "adaptations": store.adaptations,
+        "edges": [(p.bound_low, p.bound_high) for p in store.partitions],
+        "epochs": [p.db.epoch for p in store.partitions],
+        "tables": [_table_arrays(p.db.table) for p in store.partitions],
+    }
+
+
+#: One step of a twin-store run: insert a batch (values drawn from a
+#: seed, up to ~5% outside the [0, 256) domain), a range query or a
+#: windowed aggregate (low ends skewed toward the bottom shard, so
+#: traffic concentrates and shards split), or an adaptive rebalance.
+migration_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 2**16)),
+        st.tuples(st.just("query"), st.integers(-13, 90), st.integers(0, 60)),
+        st.tuples(
+            st.just("aggregate"), st.integers(-13, 90), st.integers(0, 60)
+        ),
+        st.tuples(st.just("rebalance")),
+    ),
+    min_size=4,
+    max_size=30,
+)
+
+
+class TestMigrationMatchesOracle:
+    """Every layout change re-routes rows exactly as the old split-only
+    and merge-only code moved them: same rows, source order, epochs,
+    edge flags and traffic counters, so budgets and every forgetting
+    decision downstream stay bit-identical."""
+
+    def _store(self, stats):
+        return PartitionedAmnesiaDatabase(
+            "a", (0, 64, 128, 192, 256), 120,
+            policy_factory=UniformAmnesia, seed=11, stats=stats,
+            split_threshold=1.5, max_partitions=7,
+        )
+
+    @pytest.mark.parametrize("stats", ("uniform", "hist"))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(steps=migration_steps)
+    def test_twin_layouts_match(self, stats, steps):
+        store, oracle = self._store(stats), self._store(stats)
+        patch = mock.patch.object(
+            oracle,
+            "_adapt_boundaries",
+            types.MethodType(_oracle_adapt_boundaries, oracle),
+        )
+        with patch:
+            for step in steps:
+                for twin in (store, oracle):
+                    if step[0] == "insert":
+                        rng = np.random.default_rng(step[1])
+                        twin.insert({"a": rng.integers(-13, 269, 40)})
+                    elif step[0] == "query":
+                        twin.range_query(step[1], step[1] + step[2])
+                    elif step[0] == "aggregate":
+                        twin.aggregate("sum", step[1], step[1] + step[2])
+                    else:
+                        twin.rebalance(floor=5, policy="adaptive")
+                assert _shard_state(store) == _shard_state(oracle)
+
+
+class TestReadTraffic:
+    """Every read goes through one step that locks each shard, charges
+    coverage traffic and answers an empty shard without planning."""
+
+    def test_range_and_scan_reads_charge_the_same_traffic(self):
+        counters = []
+        for read in (
+            lambda store: store.range_query(0, 300),
+            lambda store: store.scan_chunks(0, 300),
+        ):
+            store = make_store(total_budget=200)
+            store.insert({"a": np.random.default_rng(3).integers(0, 1000, 300)})
+            read(store)
+            counters.append([(p.query_hits, p.query_rows) for p in store.partitions])
+        assert counters[0] == counters[1]
+        assert counters[0][0][0] == 1 and counters[0][0][1] > 0
+        assert counters[0][1] == (0, 0)
+
+    def test_empty_shard_is_hit_but_matches_nothing(self):
+        store = make_store()
+        store.insert({"a": np.arange(0, 500, 5)})  # the upper shard stays empty
+        store.range_query(0, 1000)
+        store.scan_chunks()
+        chunks = store.scan_chunks(600, 700)
+        assert [(p.query_hits, p.query_rows) for p in store.partitions] == [
+            (2, 200),
+            (3, 0),
+        ]
+        assert [chunk[0].size for chunk in chunks] == [0, 0]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro._util.errors import (
     ConfigError,
-    InsufficientVictimsError,
     SchemaError,
     StorageError,
     UnknownColumnError,
@@ -130,11 +129,6 @@ class TestForget:
 
     def test_forget_empty(self, small_table):
         assert small_table.forget(np.empty(0, dtype=np.int64), epoch=1) == 0
-
-    def test_require_victims(self, small_table):
-        small_table.require_victims(100)
-        with pytest.raises(InsufficientVictimsError):
-            small_table.require_victims(101)
 
     def test_views_after_forget(self, small_table):
         small_table.forget(np.arange(0, 100, 2), epoch=1)
@@ -452,128 +446,17 @@ class TestCatalogPlanning:
                 catalog.workers = workers  # 1.5 is rejected, not truncated
         assert catalog.workers == 2
 
-    def test_execute_batch_parallel_matches_sequential(self):
-        """Batch fan-out across tables: request order, results and
-        access accounting all match a sequential loop exactly."""
-        from repro.query import RangePredicate, RangeQuery
-
-        def build(workers):
-            catalog = Catalog(plan="auto", workers=workers)
-            for name in ("s1", "s2", "s3"):
-                table = catalog.create_table(name, ["a"])
-                table.insert_batch(0, {"a": np.arange(200)})
-                table.forget(np.arange(0, 200, 3), epoch=1)
-            return catalog
-
-        requests = [
-            (name, RangeQuery(RangePredicate("a", low, low + 40)))
-            for low in (0, 50, 120)
-            for name in ("s1", "s2", "s3", "s1")
-        ]
-        sequential = build(workers=1)
-        parallel = build(workers=4)
-        expected = [
-            sequential.execute(name, query, epoch=2)
-            for name, query in requests
-        ]
-        got = parallel.execute_batch(requests, epoch=2)
-        assert [(r.rf, r.mf) for r in got] == [
-            (r.rf, r.mf) for r in expected
-        ]
-        for name in ("s1", "s2", "s3"):
-            assert (
-                parallel.get(name).access_counts().tolist()
-                == sequential.get(name).access_counts().tolist()
-            )
-
-    def test_execute_batch_duplicate_name_order_pinned(self):
-        """Regression: a table name queried several times in one batch
-        keeps its results at their request indices and its queries in
-        submission order, at any worker width.
-
-        The contract is pinned on full result fingerprints (positions
-        and aggregate values, not just counts) plus the per-table
-        planner/access state the submission order determines.
-        """
-        from repro.query import (
-            AggregateFunction,
-            AggregateQuery,
-            RangePredicate,
-            RangeQuery,
-        )
-
-        def build(workers):
-            catalog = Catalog(plan="auto", workers=workers)
-            for name in ("s1", "s2"):
-                table = catalog.create_table(name, ["a"])
-                table.insert_batch(0, {"a": np.arange(300)})
-                table.forget(np.arange(0, 300, 5), epoch=1)
-            return catalog
-
-        def fingerprint(result):
-            if hasattr(result, "active_positions"):
-                return (
-                    result.rf,
-                    result.mf,
-                    result.active_positions.tolist(),
-                    result.missed_positions.tolist(),
-                )
-            return (result.amnesiac_value, result.oracle_value)
-
-        requests = []
-        for low in (0, 40, 150, 220):
-            requests.append(
-                ("s1", RangeQuery(RangePredicate("a", low, low + 50)))
-            )
-            requests.append(
-                (
-                    "s1",
-                    AggregateQuery(
-                        AggregateFunction.SUM,
-                        "a",
-                        RangePredicate("a", low, low + 80),
-                    ),
-                )
-            )
-            requests.append(
-                ("s2", RangeQuery(RangePredicate("a", low, low + 50)))
-            )
-            requests.append(
-                ("s1", RangeQuery(RangePredicate("a", low + 5, low + 30)))
-            )
-        sequential = build(workers=1)
-        expected = [
-            fingerprint(sequential.execute(name, query, epoch=2))
-            for name, query in requests
-        ]
-        for workers in (2, 8):
-            parallel = build(workers=workers)
-            got = [
-                fingerprint(r)
-                for r in parallel.execute_batch(requests, epoch=2)
-            ]
-            assert got == expected
-            for name in ("s1", "s2"):
-                assert (
-                    parallel.get(name).access_counts().tolist()
-                    == sequential.get(name).access_counts().tolist()
-                )
-                assert (
-                    parallel.planner(name).stats()
-                    == sequential.planner(name).stats()
-                )
-
     def test_concurrent_batches_share_tables_exactly(self):
-        """Two caller threads batching over the *same* tables: the
-        per-table source locks keep access accounting exact (each
-        query's bump lands atomically), so the final counters equal the
-        sequential double-run."""
+        """Two caller threads running request lists over the *same*
+        table: the per-table source lock keeps access accounting exact
+        (each query's bump lands atomically), so the final counters
+        equal the sequential double-run."""
         import threading
 
         from repro.query import RangePredicate, RangeQuery
 
-        def build(workers):
-            catalog = Catalog(plan="auto", workers=workers)
+        def build():
+            catalog = Catalog(plan="auto")
             table = catalog.create_table("s1", ["a"])
             table.insert_batch(0, {"a": np.arange(400)})
             return catalog
@@ -582,23 +465,25 @@ class TestCatalogPlanning:
             ("s1", RangeQuery(RangePredicate("a", low, low + 120)))
             for low in (0, 60, 180, 240)
         ] * 5
-        sequential = build(workers=1)
+
+        def run(catalog):
+            for name, query in requests:
+                catalog.execute(name, query, epoch=1)
+
+        sequential = build()
         for _ in range(2):
-            sequential.execute_batch(requests, epoch=1)
+            run(sequential)
         expected = sequential.get("s1").access_counts().tolist()
 
-        parallel = build(workers=4)
+        concurrent = build()
         threads = [
-            threading.Thread(
-                target=parallel.execute_batch, args=(requests, 1)
-            )
-            for _ in range(2)
+            threading.Thread(target=run, args=(concurrent,)) for _ in range(2)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert parallel.get("s1").access_counts().tolist() == expected
+        assert concurrent.get("s1").access_counts().tolist() == expected
 
     def test_source_lock_surface(self):
         """Tables share one lock per name; sharded sources are a null
