@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_SEED
+from repro import AmnesiaDatabase
 from repro.amnesia import FifoAmnesia, RotAmnesia, make_policy
 from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.partitioning import Partition, PartitionedAmnesiaDatabase
@@ -175,6 +176,23 @@ AMNESIA_REPEATS = 3
 AMNESIA_POLICIES = ("rot", "uniform", "fifo")
 AMNESIA_MAX_FIFO_GROWTH = 1.3
 
+#: Unpruned-read suite: one cost-mode read where the zone map cannot
+#: prune, as the history grows.  A compress-on database under rot and a
+#: 25,000-row budget takes 5,000-row inserts uniform over [0, 2**20), so
+#: every cohort spans the domain and the planner reads unpruned; the
+#: median of a 512-wide ``range_query`` over 300 windows is one figure,
+#: the two lengths' reads alternating.  A read should follow its answer,
+#: not the history: outside ``--quick``, 10x the rows may cost at most
+#: 1.5x; a mask over the whole history measured 5.6x (2 cores).
+SCAN_BUDGET = 25_000
+SCAN_BATCH = 5_000
+SCAN_DOMAIN = 1 << 20
+SCAN_WIDTH = 512
+SCAN_WINDOWS = 300
+SCAN_HISTORIES = (100_000, 1_000_000)
+SCAN_QUICK_HISTORIES = (50_000, 200_000)
+SCAN_MAX_GROWTH = 1.5
+
 #: Serving suite: the multi-tenant service driven in process (no
 #: socket noise), one selective shape pool cycled so the second pass
 #: onward hits the result cache.  Cold = empty caches, warm = primed;
@@ -222,6 +240,7 @@ def artifact(quick):
             "compressed": {"modes": {}, "retention": {}},
             "planning": {"modes": {}},
             "amnesia": {"growth": {}},
+            "scan": {"history_growth": {}},
             "serve": {"modes": {}},
             "rebalance": {"adaptive_s": {}, "replay_s": {}},
         }
@@ -1225,6 +1244,58 @@ def test_bench_amnesia_step_follows_the_budget(quick):
             f"fifo's forgetting step over {histories[-1]} rows cost "
             f"{growth['fifo']:.2f}x the {histories[0]}-row step "
             f"(bound {AMNESIA_MAX_FIFO_GROWTH}x)"
+        )
+
+
+def _scan_history_db(rows: int) -> AmnesiaDatabase:
+    """A cost-mode, compress-on rot database fed ``rows`` uniform rows."""
+    rng = np.random.default_rng(BENCH_SEED + 23)
+    db = AmnesiaDatabase(
+        SCAN_BUDGET, RotAmnesia(), seed=BENCH_SEED, plan="cost", compress="on"
+    )
+    while db.table.total_rows < rows:
+        db.insert({"a": rng.integers(0, SCAN_DOMAIN, SCAN_BATCH)})
+    return db
+
+
+def test_bench_unpruned_read_follows_the_answer(quick):
+    """Acceptance: an unpruned read costs its matches, not the history.
+
+    Records the ``scan.history_growth`` row: the median µs of one
+    512-wide read at each history length and the ratio of the longest
+    to the shortest.  Every read must be planned unpruned (``scan``).
+    """
+    histories = SCAN_QUICK_HISTORIES if quick else SCAN_HISTORIES
+    dbs = [_scan_history_db(rows) for rows in histories]
+    rng = np.random.default_rng(BENCH_SEED + 24)
+    lows = rng.integers(0, SCAN_DOMAIN - SCAN_WIDTH, SCAN_WINDOWS).tolist()
+    samples = [[] for _ in dbs]
+    for db in dbs:
+        db.range_query("a", 0, SCAN_WIDTH)  # the first read orders the column
+    for low in lows:
+        for db, reads in zip(dbs, samples):
+            start = time.perf_counter()
+            db.range_query("a", low, low + SCAN_WIDTH)
+            reads.append((time.perf_counter() - start) * 1e6)
+    for db in dbs:
+        assert db.planner.last_execution.plan.mode == "scan"
+    micros = [float(np.median(reads)) for reads in samples]
+    growth = micros[-1] / micros[0]
+    _ARTIFACT["scan"]["history_growth"] = {
+        "us_per_read": {str(h): round(us, 1) for h, us in zip(histories, micros)},
+        "growth": round(growth, 2),
+        "budget": SCAN_BUDGET,
+        "width": SCAN_WIDTH,
+        "windows": SCAN_WINDOWS,
+    }
+    print(
+        f"\nunpruned read: {micros[0]:.0f}us at {histories[0]} rows "
+        f"vs {micros[-1]:.0f}us at {histories[-1]} ({growth:.2f}x)"
+    )
+    if not quick:
+        assert growth <= SCAN_MAX_GROWTH, (
+            f"a read over {histories[-1]} rows cost {growth:.2f}x the "
+            f"{histories[0]}-row read (bound {SCAN_MAX_GROWTH}x)"
         )
 
 

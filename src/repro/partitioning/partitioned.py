@@ -848,15 +848,6 @@ class PartitionedAmnesiaDatabase:
 
     # -- planning introspection ---------------------------------------------
 
-    def _ordered_partitions(self) -> list[Partition]:
-        """Shards sorted by their range bounds — the report order.
-
-        The internal list is maintained in range order, but reports
-        sort explicitly so their layout never depends on how topology
-        changes happened to rebuild the list.
-        """
-        return sorted(self._partitions, key=lambda p: (p.low, p.high))
-
     def explain(self, low: int, high: int) -> list[tuple[int, QueryPlan]]:
         """Preview each shard's plan for ``[low, high)`` (no execution).
 
@@ -867,15 +858,16 @@ class PartitionedAmnesiaDatabase:
         predicate = RangePredicate(self.column, low, high)
         return [
             (partition.index, partition.db.planner.plan(predicate))
-            for partition in self._ordered_partitions()
+            for partition in self._partitions
         ]
 
     def plan_report(self) -> str:
         """Unified EXPLAIN-style report across every shard's planner.
 
-        Shards are listed in explicit range order (by partition bound),
-        so the report is stable across worker interleavings and
-        boundary adaptations; the header carries the fan-out width and
+        Shards are listed in range order (the constructor and every
+        boundary move build the layout list in that order), so the
+        report is stable across worker interleavings and boundary
+        adaptations; the header carries the fan-out width and
         every split/merge decision taken so far.
         """
         totals = {"considered": 0, "pruned_rows": 0, "pruned_shards": 0}
@@ -888,7 +880,7 @@ class PartitionedAmnesiaDatabase:
             f"ingest epoch {self.ingest_epoch} "
             f"({self.pending_batches} queued)"
         ]
-        for partition in self._ordered_partitions():
+        for partition in self._partitions:
             stats = partition.db.planner.stats()
             totals["considered"] += stats["rows_considered"]
             totals["pruned_rows"] += stats["rows_pruned"]
@@ -1075,9 +1067,11 @@ class PartitionedAmnesiaDatabase:
 
         Each range whose bounds changed is rebuilt from the rows that
         :meth:`_partition_of` (the insert router) sends it, taken from
-        the old shards it overlaps in layout order.  It starts at their
-        largest epoch, and each source's traffic counters split evenly
-        over the ranges it feeds, the remainder to the last of them.
+        the old shards it overlaps in layout order; an old shard that
+        overlaps one range only sends it all its rows unrouted.  It
+        starts at their largest epoch, and each source's traffic
+        counters split evenly over the ranges it feeds, the remainder
+        to the last of them.
         """
         ranges = list(zip(bounds, bounds[1:]))
         old = {(p.low, p.high): p for p in self._partitions}
@@ -1100,10 +1094,21 @@ class PartitionedAmnesiaDatabase:
         with ExitStack() as stack:
             for p in retired:
                 stack.enter_context(p.lock)
+            # A shard feeding one range (a merge source) lies wholly
+            # inside it, edge values included, so it hands over every
+            # row; only a split source routes its rows one by one.
             owners = [
-                self._partition_of(p.db.table.values(self.column), bounds, len(ranges))
-                for p in retired
+                None if len(ks) == 1 else self._partition_of(
+                    p.db.table.values(self.column), bounds, len(ranges)
+                )
+                for p, ks in zip(retired, feeds)
             ]
+
+            def moved(i: int, k: int) -> np.ndarray:
+                if owners[i] is None:
+                    return np.arange(retired[i].db.table.total_rows)
+                return np.flatnonzero(owners[i] == k)
+
             for k, (lo, hi) in enumerate(ranges):
                 if (lo, hi) in old:
                     layout.append(old[lo, hi])
@@ -1114,7 +1119,7 @@ class PartitionedAmnesiaDatabase:
                     k, bounds, 1, (f"g{self._generation}", str(lo), str(hi))
                 )
                 partition.adopt_history(
-                    [(retired[i].db.table, np.flatnonzero(owners[i] == k)) for i in fed]
+                    [(retired[i].db.table, moved(i, k)) for i in fed]
                 )
                 epoch = max(retired[i].db.epoch for i in fed)
                 partition.db.advance_epoch_to(epoch)
@@ -1226,7 +1231,7 @@ class PartitionedAmnesiaDatabase:
 
     def stats(self) -> dict:
         """Operational snapshot across shards."""
-        partitions = self._ordered_partitions()
+        partitions = self._partitions
         return {
             "partitions": len(partitions),
             "ingest_epoch": self.ingest_epoch,

@@ -8,8 +8,15 @@ same active/missed position sets, in the same ascending order, hence
 the same ``rf``/``mf``/precision and the same float aggregates):
 
 ``scan``
-    Full oracle scan over every row ever inserted — the ground-truth
-    baseline, always available, kept for exact M_F accounting.
+    No pruning structure applies, so every row ever inserted may
+    match — kept for exact M_F accounting.  A planner configured as
+    ``scan`` masks the whole column: the trust-nothing ground truth.
+    In every other mode a single-column range or point predicate
+    probes the column's :class:`~repro.query.value_order.ValueOrder`
+    instead — positions sorted by value, built lazily at the first
+    such read — so the read costs the matches plus an unsorted tail
+    of at most a few thousand rows, not the history.  Composite
+    predicates still mask the whole table.
 
 ``zonemap``
     Cohort-level pruning through a
@@ -97,6 +104,7 @@ from ..storage.compressed import CompressedCohortStore
 from ..storage.table import Table
 from .predicates import AndPredicate, PointPredicate, Predicate, RangePredicate
 from .queries import AggregateQuery, RangeQuery
+from .value_order import ValueOrder
 
 __all__ = [
     "EXECUTED_MODES",
@@ -295,6 +303,9 @@ class QueryPlanner:
         self._indexes: dict[str, list[Index]] = {}
         for index in indexes:
             self.register_index(index)
+        #: Per-column value orders of the ``scan`` path, built on first
+        #: use (never in ``scan`` mode).
+        self._orders: dict[str, ValueOrder] = {}
         self._executions = 0
         self._mode_counts = {mode_: 0 for mode_ in EXECUTED_MODES}
         self._rows_considered = 0
@@ -651,12 +662,30 @@ class QueryPlanner:
     def _match_scan(
         self, predicate: Predicate, columns: tuple[str, ...]
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        values = {name: self.table.values(name) for name in columns}
-        mask = predicate.mask(values)
-        active_mask = self.table.active_mask()
-        active = np.flatnonzero(mask & active_mask)
-        missed = np.flatnonzero(mask & ~active_mask)
-        return active, missed, self.table.total_rows
+        """Split every match of ``predicate``, unpruned, by activity.
+
+        Outside ``scan`` mode a single-column range or point predicate
+        reads the column's value order: the entries between its cuts
+        plus the unsorted tail.  Anything else (and everything in
+        ``scan`` mode) masks the whole table.  Either way the hits come
+        out ascending and split by the activity array read now, so the
+        result is the full mask scan's, bit for bit.
+        """
+        bounds = _range_bounds(predicate) if self.mode != "scan" else None
+        if bounds is not None:
+            column, low, high = bounds
+            order = self._orders.get(column)
+            if order is None:
+                order = self._orders.setdefault(
+                    column, ValueOrder(self.table, column)
+                )
+            hits, considered = order.probe(low, high)
+        else:
+            values = {name: self.table.values(name) for name in columns}
+            hits = np.flatnonzero(predicate.mask(values))
+            considered = self.table.total_rows
+        live = self.table.active_mask()[hits]
+        return hits[live], hits[~live], considered
 
     def _window_range_mask(
         self,

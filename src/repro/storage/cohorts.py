@@ -407,8 +407,12 @@ class CohortZoneMap:
         if stats is not None and stats.covers(column):
             est_active, est_forgotten = stats.estimate(column, low, high)
         else:
-            overlap = np.minimum(maxs + 1, high) - np.maximum(mins, low)
-            span = maxs - mins + 1
+            # Float arithmetic: a bound may lie past the int64 range, and
+            # a zone spanning most of it would overflow int64.
+            overlap = np.minimum(maxs + 1.0, float(high)) - np.maximum(
+                mins, float(low)
+            )
+            span = maxs - mins.astype(np.float64) + 1.0
             fraction = np.where(
                 intersects, np.clip(overlap / np.maximum(span, 1), 0.0, 1.0), 0.0
             )

@@ -252,8 +252,16 @@ class CompressedCohortStore:
         name = block.codec_name
         if name == "dict":
             dictionary = block.payload["dictionary"]
-            lo_code = int(np.searchsorted(dictionary, low, side="left"))
-            hi_code = int(np.searchsorted(dictionary, high, side="left"))
+            # A bound outside the block takes the dictionary's end: numpy
+            # would compare one past the int64 range as an inexact float.
+            lo_code = (
+                0 if low <= vmin
+                else int(np.searchsorted(dictionary, low, side="left"))
+            )
+            hi_code = (
+                dictionary.size if high > vmax
+                else int(np.searchsorted(dictionary, high, side="left"))
+            )
             codes = unpack_ints(
                 block.payload["packed"],
                 block.payload["bits"],

@@ -309,8 +309,7 @@ def _sharded_payload(store, prefix: str) -> tuple[dict, dict]:
             "partitions": [],
         }
         arrays: dict = {}
-        partitions = sorted(store.partitions, key=lambda p: (p.low, p.high))
-        for i, partition in enumerate(partitions):
+        for i, partition in enumerate(store.partitions):
             state, shard_arrays = _database_state(partition.db, f"{prefix}p{i}:")
             header["partitions"].append(
                 {

@@ -16,7 +16,7 @@ from repro._util.errors import ConfigError, QueryError
 from repro._util.rng import derive_seed
 from repro.amnesia import FifoAmnesia, UniformAmnesia
 from repro.partitioning import Partition, PartitionedAmnesiaDatabase
-from repro.storage import Table
+from repro.storage import Table, io
 
 
 def make_store(total_budget=100, boundaries=(0, 500, 1000)):
@@ -980,26 +980,40 @@ class TestAdaptiveBoundaries:
 
 
 class TestPlanReportOrdering:
-    """Satellite fix: shard reports are ordered by bound, explicitly."""
+    """Shard reports, stats and checkpoints follow bound order."""
 
-    def test_report_order_is_by_bound_not_list_order(self):
-        store = make_store(boundaries=(0, 250, 500, 1000))
-        store.insert({"a": np.arange(0, 1000, 10)})
-        store.range_query(0, 100)
-        # Simulate an interleaving-dependent internal order.
-        store._partitions.reverse()
+    def test_report_order_is_by_bound_not_list_order(self, tmp_path):
+        """A rebuilt layout (a split of the last shard funded by merging
+        the first two) still reports, counts and saves in bound order."""
+        store = PartitionedAmnesiaDatabase(
+            "a", (0, 250, 500, 750, 1000), 400,
+            policy_factory=FifoAmnesia, seed=5,
+            rebalance="adaptive", split_threshold=1.5,
+        )
+        store.insert({"a": np.arange(0, 1000, 2)})
+        for _ in range(10):
+            store.range_query(800, 1000)
+        store.rebalance(floor=10)
+        events = " ".join(store.adaptations)
+        assert "split shard [750, 1000)" in events
+        assert "merged shards [0, 250) + [250, 500)" in events
         report = store.plan_report()
         lows = [
             int(line.split("[")[1].split(",")[0])
             for line in report.splitlines()
             if line.startswith("shard ")
         ]
-        assert lows == sorted(lows) == [0, 250, 500]
-        stats = store.stats()
-        assert stats["budgets"] == [
-            p.budget for p in sorted(store.partitions, key=lambda p: p.low)
-        ]
-        store._partitions.reverse()  # restore
+        assert lows == sorted(lows) == list(store.boundaries[:-1])
+        assert lows == [0, 500, 750, 875]
+        ordered = sorted(store.partitions, key=lambda p: p.low)
+        assert store.stats()["budgets"] == [p.budget for p in ordered]
+        restored = io.load_store(
+            io.save_store(store, tmp_path / "ck.npz"), policy_factory=FifoAmnesia
+        )
+        assert restored.boundaries == store.boundaries
+        assert restored.stats()["budgets"] == store.stats()["budgets"]
+        restored.close()
+        store.close()
 
     def test_report_mentions_workers_and_adaptations(self):
         store = PartitionedAmnesiaDatabase(
