@@ -16,6 +16,10 @@ does).  The index classes here implement both behaviours:
   storage-budget experiments can weigh index bytes against tuple bytes;
 * every probe reports how many entries it touched, the cost signal the
   disposition experiments compare against a full scan.
+
+So an index answers the amnesiac side only.  The forgotten matches the
+simulator still counts (M_F) come from the planner's per-column
+:class:`~repro.query.value_order.ValueOrder`, which keeps every row.
 """
 
 from __future__ import annotations

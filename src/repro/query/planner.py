@@ -29,10 +29,9 @@ the same ``rf``/``mf``/precision and the same float aggregates):
     A registered :class:`~repro.indexes.Index` supplies the *active*
     matches directly (indexes drop forgotten tuples — the paper's
     "stop indexing the forgotten data", §1).  The *missed* side — the
-    forgotten matches the amnesiac DBMS silently loses — is recovered
-    from a zone-map-pruned scan restricted to cohorts that still hold
-    forgotten tuples, or from a scan of the forgotten positions when
-    no zone map is attached.
+    forgotten matches the amnesiac DBMS silently loses — is read off
+    the same value order the ``scan`` path probes: its hits the
+    activity array marks forgotten.
 
 ``auto``
     Prefer ``index`` when a suitable index covers the predicate
@@ -72,16 +71,15 @@ intersection short-circuits to a ``pruned`` plan), a single surviving
 column routes through the ordinary single-column paths, and a genuine
 multi-column conjunction intersects the per-column zone-map candidate
 ranges and scans only the intersection — instead of the historical
-full-scan fallback.  Every pruned path (the single-column zone map,
-that intersection, and the missed side of an index plan) is one walk
-over candidate ranges that ANDs per-column range masks, each read off
-a compressed block when the range is demoted.  Composite predicates
-beyond that shape (``OR``, ``NOT``, non-range children) and
-``TruePredicate`` queries still fall back to ``scan`` regardless of
-the configured mode, and a forced mode degrades gracefully down the
-same chain (``index`` → ``zonemap`` → ``scan``) when its structure is
-missing — the planner never fails a query it can answer, it only
-records *why* it picked a cheaper-or-safer path.
+full-scan fallback.  Both zone-map paths (the single column and that
+intersection) are one walk over candidate ranges that ANDs per-column
+range masks, each read off a compressed block when the range is
+demoted.  Composite predicates beyond that shape (``OR``, ``NOT``,
+non-range children) and ``TruePredicate`` queries still fall back to
+``scan`` regardless of the configured mode, and a forced mode degrades
+gracefully down the same chain (``index`` → ``zonemap`` → ``scan``)
+when its structure is missing — the planner never fails a query it can
+answer, it only records *why* it picked a cheaper-or-safer path.
 
 :meth:`QueryPlanner.plan_report` renders an ``EXPLAIN``-style summary
 of every decision taken so far; :meth:`QueryPlanner.explain` previews
@@ -260,16 +258,15 @@ class QueryPlanner:
         uniformity — estimates sharpen, results stay bit-identical.
     compressed:
         Optional :class:`~repro.storage.compressed.
-        CompressedCohortStore` holding demoted (cold) cohorts.  Pruned
-        access paths (``zonemap``, the AND-intersection path and the
-        index plans' missed side) answer demoted ranges from the
-        compressed blocks — evaluating range predicates directly on
-        dictionary codes / frame-of-reference offsets where the codec
-        allows — and the ``cost`` mode prices a decode term so plans
-        route around expensive decompression.  ``scan`` plans ignore
-        it by design: the trust-nothing baseline reads raw columns
-        only, which is exactly what makes compressed execution
-        checkable in the equivalence harness.
+        CompressedCohortStore` holding demoted (cold) cohorts.  The
+        zone-map paths (single-column and the AND intersection) answer
+        demoted ranges from the compressed blocks — evaluating range
+        predicates directly on dictionary codes / frame-of-reference
+        offsets where the codec allows — and the ``cost`` mode prices a
+        decode term so plans route around expensive decompression.
+        ``scan`` plans ignore it by design: the trust-nothing baseline
+        reads raw columns only, which is exactly what makes compressed
+        execution checkable in the equivalence harness.
     """
 
     def __init__(
@@ -303,8 +300,8 @@ class QueryPlanner:
         self._indexes: dict[str, list[Index]] = {}
         for index in indexes:
             self.register_index(index)
-        #: Per-column value orders of the ``scan`` path, built on first
-        #: use (never in ``scan`` mode).
+        #: Per-column value orders of the ``scan`` path and of index
+        #: plans' missed side, built on first use (never in ``scan`` mode).
         self._orders: dict[str, ValueOrder] = {}
         self._executions = 0
         self._mode_counts = {mode_: 0 for mode_ in EXECUTED_MODES}
@@ -454,17 +451,6 @@ class QueryPlanner:
         """Price every applicable path in rows-considered; cheapest wins."""
         total = self.table.total_rows
         estimate = self.estimate(column, low, high)
-        if estimate is not None:
-            # The missed side of an index plan reads forgotten-holding
-            # cohorts, which may be demoted: charge their decode term too.
-            missed_cost = (
-                float(estimate.forgotten_candidate_rows)
-                + estimate.forgotten_decode_rows
-            )
-        else:
-            # Without a zone map the missed (M_F) side scans every
-            # forgotten position.
-            missed_cost = float(self.table.forgotten_count)
         # Candidates in auto's preference order, so exact cost ties
         # resolve the same way auto would.
         choices: list[tuple[float, str, Index | None, str]] = []
@@ -474,7 +460,14 @@ class QueryPlanner:
             probe = index.estimate_entries(low, high)
             if probe is None:
                 probe = estimate.est_active if estimate is not None else total
-            cost = float(probe) + float(missed_cost)
+            # The missed (M_F) side reads the value order: the matches
+            # plus the unsorted tail the probe masks.
+            missed = (
+                estimate.est_rows + self._order(column).tail_rows
+                if estimate is not None
+                else total
+            )
+            cost = float(probe) + missed
             choices.append(
                 (cost, "index", index, f"{type(index).__name__}≈{cost:.0f}")
             )
@@ -674,18 +667,20 @@ class QueryPlanner:
         bounds = _range_bounds(predicate) if self.mode != "scan" else None
         if bounds is not None:
             column, low, high = bounds
-            order = self._orders.get(column)
-            if order is None:
-                order = self._orders.setdefault(
-                    column, ValueOrder(self.table, column)
-                )
-            hits, considered = order.probe(low, high)
+            hits, considered = self._order(column).probe(low, high)
         else:
             values = {name: self.table.values(name) for name in columns}
             hits = np.flatnonzero(predicate.mask(values))
             considered = self.table.total_rows
         live = self.table.active_mask()[hits]
         return hits[live], hits[~live], considered
+
+    def _order(self, column: str) -> ValueOrder:
+        """The value order of ``column``, made on first use."""
+        order = self._orders.get(column)
+        if order is None:
+            order = self._orders.setdefault(column, ValueOrder(self.table, column))
+        return order
 
     def _window_range_mask(
         self,
@@ -730,16 +725,14 @@ class QueryPlanner:
         return ranges or []
 
     def _match_ranges(
-        self, ranges, bounds: tuple, *, missed_only: bool = False
+        self, ranges, bounds: tuple
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Split the rows of ``ranges`` matching every ``bounds`` conjunct.
 
         ``bounds`` holds same-column-merged ``(column, low, high)``
         triples, so ANDing the per-column range masks is exactly the
         predicate's mask — and each column's mask can come off its
-        compressed block.  ``missed_only`` skips the active side (the
-        index plans' M_F recovery).  Returns (active, missed, rows
-        considered).
+        compressed block.  Returns (active, missed, rows considered).
         """
         values = {column: self.table.values(column) for column, _, _ in bounds}
         active_mask = self.table.active_mask()
@@ -757,10 +750,9 @@ class QueryPlanner:
             if not mask.any():
                 continue
             active_window = active_mask[start:stop]
-            if not missed_only:
-                hits = np.flatnonzero(mask & active_window)
-                if hits.size:
-                    active_chunks.append(hits + start)
+            hits = np.flatnonzero(mask & active_window)
+            if hits.size:
+                active_chunks.append(hits + start)
             hits = np.flatnonzero(mask & ~active_window)
             if hits.size:
                 missed_chunks.append(hits + start)
@@ -770,24 +762,13 @@ class QueryPlanner:
         self, plan: QueryPlan
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Active side from the index; the exact M_F side from the
-        forgotten-holding zone-map candidates, or from the forgotten
-        positions when no zone map covers the column."""
+        column's value order, its hits the activity array marks
+        forgotten."""
         probe = plan.index.lookup_range(plan.low, plan.high)
         active = np.sort(probe.positions.astype(np.int64, copy=False))
-        column, low, high = plan.column, plan.low, plan.high
-        if self.zone_map is not None and self.zone_map.covers(column):
-            ranges = self.zone_map.candidate_ranges(
-                column, low, high, require="forgotten"
-            )
-            _, missed, extra = self._match_ranges(
-                ranges, ((column, low, high),), missed_only=True
-            )
-        else:
-            forgotten = self.table.forgotten_positions()
-            window = self.table.values(column)[forgotten]
-            missed = forgotten[(window >= low) & (window < high)]
-            extra = int(forgotten.size)
-        return active, missed, probe.entries_touched + extra
+        hits, read = self._order(plan.column).probe(plan.low, plan.high)
+        missed = hits[~self.table.active_mask()[hits]]
+        return active, missed, probe.entries_touched + read
 
     # -- accounting -----------------------------------------------------
 

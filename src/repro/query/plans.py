@@ -40,7 +40,7 @@ source so two scans of one table never race its access accounting, and
 merged in tree order — results are bit-identical at any worker count.
 Every node renders into an EXPLAIN-style tree with per-node cost
 estimates via :func:`explain_plan` (estimates only) or
-:func:`render_executed` (estimates plus the actual RF/MF/precision).
+:func:`render_summary` (estimates plus the actual RF/MF/precision).
 
 Above the materializing path sits the **streaming vectorized layer**:
 every node exposes :meth:`PlanNode.batches`, an iterator of fixed-size
@@ -131,7 +131,6 @@ __all__ = [
     "build_plan",
     "execute_plan",
     "explain_plan",
-    "render_executed",
     "render_summary",
     "summarize_result",
 ]
@@ -1551,11 +1550,6 @@ def explain_plan(node: PlanNode, catalog, batch_size: int = 4096) -> str:
     return "\n".join(
         _render_tree(node, lambda n, _: _describe(n, catalog, batch_size))
     )
-
-
-def render_executed(node: PlanNode, result: NodeResult, catalog=None) -> str:
-    """Render the executed tree: estimates plus actual RF/MF/precision."""
-    return render_summary(node, summarize_result(result), catalog)
 
 
 def summarize_result(result) -> tuple:

@@ -74,6 +74,12 @@ class ValueOrder:
         """Resident bytes of the runs' positions and fences."""
         return sum(p.nbytes + f.nbytes for p, f in self._state[0])
 
+    @property
+    def tail_rows(self) -> int:
+        """Unsorted rows the next probe masks (0 when it sorts them)."""
+        tail = self.table.total_rows - self._state[1]
+        return tail if tail <= RUN_THRESHOLD else 0
+
     def probe(self, low: int, high: int) -> tuple[np.ndarray, int]:
         """Ascending int64 positions with ``low <= value < high``.
 

@@ -62,7 +62,7 @@ class CohortLog:
     >>> log = CohortLog()
     >>> _ = log.record(epoch=0, start=0, stop=1000)
     >>> _ = log.record(epoch=1, start=1000, stop=1200)
-    >>> log.epoch_of(np.array([0, 999, 1000])).tolist()
+    >>> log.index_of(np.array([0, 999, 1000])).tolist()
     [0, 0, 1]
     >>> log.forget(np.array([3, 1000, 1001]))
     >>> log.active_counts().tolist()
@@ -145,13 +145,6 @@ class CohortLog:
         """How many cohorts were inserted at or before ``epoch``."""
         return int(np.searchsorted(self._row(_EPOCH), epoch, side="right"))
 
-    def by_epoch(self, epoch: int) -> Cohort:
-        """Return the cohort inserted at ``epoch``."""
-        index = self.count_through(epoch) - 1
-        if index < 0 or self._ledger[_EPOCH, index] != epoch:
-            raise KeyError(f"no cohort recorded for epoch {epoch}")
-        return self[index]
-
     def index_of(self, positions: np.ndarray) -> np.ndarray:
         """Map row positions to cohort ordinals (0-based log indices).
 
@@ -165,10 +158,6 @@ class CohortLog:
             raise IndexError(f"positions out of range [0, {total}) in index_of")
         return np.searchsorted(self.starts(), positions, side="right") - 1
 
-    def epoch_of(self, positions: np.ndarray) -> np.ndarray:
-        """Map row positions to the epoch that inserted them."""
-        return self._ledger[_EPOCH, self.index_of(positions)]
-
     def epochs(self) -> list[int]:
         """All recorded epochs, in order."""
         return self._row(_EPOCH).tolist()
@@ -178,27 +167,24 @@ class CohortLog:
 class CardinalityEstimate:
     """Zone-map-derived cardinality estimate for one range probe.
 
-    ``candidate_rows`` and ``forgotten_candidate_rows`` are *exact*
-    costs of a pruned scan (rows in intersecting cohorts); the
-    ``est_*`` match counts assume values are uniform within each
-    cohort's ``[min, max]`` — the classic System-R uniformity
-    assumption applied per cohort instead of per table.  The
-    ``*decode_rows`` surcharges are the compressed store's extra
-    rows-equivalent for the same two candidate sets (0 without one).
+    ``candidate_rows`` is the *exact* cost of a pruned scan (rows in
+    intersecting cohorts); the ``est_*`` match counts assume values are
+    uniform within each cohort's ``[min, max]`` — the classic System-R
+    uniformity assumption applied per cohort instead of per table.
+    ``decode_rows`` is the compressed store's extra rows-equivalent for
+    the same candidates (0 without one).  The planner prices an index
+    plan's missed side off ``est_rows``: it reads the value order, not
+    the candidates.
     """
 
     #: Rows a zone-map-pruned scan must consider (exact).
     candidate_rows: int
-    #: Rows a forgotten-side pruned scan must consider (exact).
-    forgotten_candidate_rows: int
     #: Estimated active (amnesiac-visible) matches.
     est_active: float
     #: Estimated forgotten matches (the M_F side).
     est_forgotten: float
     #: Decode surcharge of the ``candidate_rows`` cohorts.
     decode_rows: float = 0.0
-    #: Decode surcharge of the ``forgotten_candidate_rows`` cohorts.
-    forgotten_decode_rows: float = 0.0
 
     @property
     def est_rows(self) -> float:
@@ -213,9 +199,8 @@ class CohortZoneMap:
     each tracked column and each insertion cohort, the minimum and
     maximum value ever inserted; the exact active counts are the
     table's :class:`CohortLog`'s.  The query planner prunes cohorts
-    whose ``[min, max]`` cannot intersect a range predicate; the
-    active/forgotten counts let it additionally skip cohorts that
-    cannot contribute to one side of the amnesiac/oracle split.
+    whose ``[min, max]`` cannot intersect a range predicate, and the
+    active/forgotten counts weigh its match estimates.
 
     Min/max are *insert-time* bounds: forgetting never widens a zone,
     so the bounds stay safe (possibly loose) without any rewriting —
@@ -235,14 +220,9 @@ class CohortZoneMap:
     [(0, 3)]
     >>> t.forget(np.array([3, 4]), epoch=2)
     2
-    >>> zm.candidate_ranges("a", 100, 200, require="active")
-    []
-    >>> zm.candidate_ranges("a", 100, 200, require="forgotten")
+    >>> zm.candidate_ranges("a", 100, 200)  # zones outlive forgetting
     [(3, 5)]
     """
-
-    #: Pruning requirements accepted by :meth:`candidate_ranges`.
-    REQUIREMENTS = ("any", "active", "forgotten")
 
     def __init__(self, table, columns=None):
         names = tuple(columns) if columns is not None else table.column_names
@@ -337,27 +317,14 @@ class CohortZoneMap:
         return mins, maxs, (mins < high) & (maxs >= low)
 
     def candidate_ranges(
-        self, column: str, low: int, high: int, *, require: str = "any"
+        self, column: str, low: int, high: int
     ) -> list[tuple[int, int]]:
-        """Position ranges ``[start, stop)`` a probe of ``[low, high)`` must scan.
-
-        ``require`` narrows the candidates further:
-
-        * ``"any"`` — value bounds intersect (safe for both views);
-        * ``"active"`` — at least one active tuple remains;
-        * ``"forgotten"`` — at least one tuple was forgotten.
-        """
+        """Position ranges ``[start, stop)`` a probe of ``[low, high)``
+        must scan: the cohorts whose zone intersects it, safe for both
+        the active and the forgotten side."""
         _, _, intersects = self._intersects(column, low, high)
-        if require not in self.REQUIREMENTS:
-            raise StorageError(
-                f"require must be one of {self.REQUIREMENTS}, got {require!r}"
-            )
         log = self.table.cohorts
         starts, stops = log.starts(), log.stops()
-        if require == "active":
-            intersects &= log.active_counts() > 0
-        elif require == "forgotten":
-            intersects &= stops - starts > log.active_counts()
         idx = np.flatnonzero(intersects)
         return list(zip(starts[idx].tolist(), stops[idx].tolist()))
 
@@ -395,15 +362,13 @@ class CohortZoneMap:
         ``surcharge`` optionally supplies the per-cohort decode
         surcharge (:meth:`~repro.storage.compressed.
         CompressedCohortStore.decode_surcharge`); the estimate then
-        prices both candidate sets' decode terms off the same masks.
+        prices the candidates' decode term off the same mask.
         """
         mins, maxs, intersects = self._intersects(column, low, high)
         if mins.size == 0:
-            return CardinalityEstimate(0, 0, 0.0, 0.0)
+            return CardinalityEstimate(0, 0.0, 0.0)
         log = self.table.cohorts
-        active = log.active_counts()
         sizes = log.stops() - log.starts()
-        forgotten = sizes - active
         if stats is not None and stats.covers(column):
             est_active, est_forgotten = stats.estimate(column, low, high)
         else:
@@ -416,21 +381,17 @@ class CohortZoneMap:
             fraction = np.where(
                 intersects, np.clip(overlap / np.maximum(span, 1), 0.0, 1.0), 0.0
             )
+            active = log.active_counts()
             est_active = float((active * fraction).sum())
-            est_forgotten = float((forgotten * fraction).sum())
-        forgotten_side = intersects & (forgotten > 0)
-        decode_rows = forgotten_decode_rows = 0.0
+            est_forgotten = float(((sizes - active) * fraction).sum())
+        decode_rows = 0.0
         if surcharge is not None:
-            extra = sizes * surcharge
-            decode_rows = float(extra[intersects].sum())
-            forgotten_decode_rows = float(extra[forgotten_side].sum())
+            decode_rows = float((sizes * surcharge)[intersects].sum())
         return CardinalityEstimate(
             candidate_rows=int(sizes[intersects].sum()),
-            forgotten_candidate_rows=int(sizes[forgotten_side].sum()),
             est_active=est_active,
             est_forgotten=est_forgotten,
             decode_rows=decode_rows,
-            forgotten_decode_rows=forgotten_decode_rows,
         )
 
     # -- introspection --------------------------------------------------

@@ -372,18 +372,12 @@ class TestVectorizedSurcharge:
                 low, high = 0, 1
             for column in ("a", "b"):
                 ranges = zone_map.candidate_ranges(column, low, high)
-                missed = zone_map.candidate_ranges(
-                    column, low, high, require="forgotten"
-                )
                 for s in (store, restored):
                     estimate = zone_map.estimate(
                         column, low, high, surcharge=s.decode_surcharge(column)
                     )
                     assert estimate.decode_rows == _per_range_penalty(
                         s, ranges, column
-                    )
-                    assert estimate.forgotten_decode_rows == _per_range_penalty(
-                        s, missed, column
                     )
 
 

@@ -19,6 +19,7 @@ from repro.query import (
     RangeQuery,
     TruePredicate,
 )
+from repro.query.value_order import ValueOrder
 from repro.stats import TableHistogramStats
 from repro.storage import CohortZoneMap, CompressedCohortStore, Table
 
@@ -264,23 +265,43 @@ class TestCostMode:
         assert "cost model" in plan.reason
 
     def test_cost_picks_selective_index(self):
+        """An index plan costs its probe plus the value-order read of
+        the missed side: the estimated matches, plus the unsorted tail
+        while the history is too short to sort."""
         table = Table("t", ["a"])
-        table.insert_batch(0, {"a": np.arange(0, 50)})
-        table.insert_batch(1, {"a": np.arange(100, 150)})
-        table.forget(np.arange(0, 25), epoch=2)  # only cohort 0 rots
+        table.insert_batch(0, {"a": np.arange(0, 5_000)})
+        table.insert_batch(1, {"a": np.arange(10_000, 15_000)})
+        table.forget(np.arange(0, 5_000, 2), epoch=2)  # cohort 0 rots
         zone_map = CohortZoneMap(table)
         index = SortedIndex(table, "a")
         planner = QueryPlanner(
             table, mode="cost", zone_map=zone_map, indexes=[index]
         )
-        # Cohort 1 holds no forgotten rows, so the missed side is free
-        # and the 10-entry probe beats the 50-row pruned scan.
-        plan = planner.plan(RangePredicate("a", 100, 110))
-        assert plan.mode == "index"
-        assert plan.index is index
-        # Back in cohort 0 the missed-side recovery scan makes the
-        # pruned scan cheaper than index + recovery.
-        assert planner.plan(RangePredicate("a", 0, 30)).mode == "zonemap"
+        # Past the run threshold the order sorts its tail, so a probe of
+        # at most 10 entries plus 10 ordered matches beats the 5,000-row
+        # pruned scan — in the rotting cohort too.
+        for low, entries in ((10_000, 10), (1_000, 5)):
+            plan = planner.plan(RangePredicate("a", low, low + 10))
+            assert plan.mode == "index"
+            assert plan.index is index
+            assert plan.estimated_rows == pytest.approx(entries + 10.0)
+        # A wide probe reads more entries and matches than one cohort
+        # holds, so the pruned scan wins.
+        assert planner.plan(RangePredicate("a", 0, 4_000)).mode == "zonemap"
+        # Below the run threshold the next order read masks the whole
+        # history, so an index plan never undercuts the scan.
+        small = Table("s", ["a"])
+        small.insert_batch(0, {"a": np.arange(0, 50)})
+        small.insert_batch(1, {"a": np.arange(100, 150)})
+        small_planner = QueryPlanner(
+            small,
+            mode="cost",
+            zone_map=CohortZoneMap(small),
+            indexes=[SortedIndex(small, "a")],
+        )
+        plan = small_planner.plan(RangePredicate("a", 100, 110))
+        assert plan.mode == "zonemap"
+        assert f"SortedIndex≈{10 + 10 + small.total_rows}" in plan.reason
 
     def test_cost_without_structures_scans(self, loaded_table):
         planner = QueryPlanner(loaded_table, mode="cost")
@@ -318,12 +339,13 @@ class TestCostMode:
             )
 
     def test_pricing_reads_no_ranges_or_blocks(self, monkeypatch):
-        """A cost-mode plan prices the decode term off per-cohort arrays.
+        """A cost-mode plan prices off per-cohort arrays and the order.
 
         On a 500-cohort history with every cohort demoted, planning
-        must neither list candidate ranges nor look a block up (both
-        stay on the execution path); the decode term is still priced
-        for the pruned scan and for an index plan's missed side.
+        must neither list candidate ranges, look a block up nor probe
+        the value order (all stay on the execution path); the decode
+        term is still priced for the pruned scan, and an index plan's
+        missed side is priced as the order read.
         """
         rng = np.random.default_rng(3)
         table = Table("t", ["a"])
@@ -348,16 +370,16 @@ class TestCostMode:
 
         monkeypatch.setattr(CohortZoneMap, "candidate_ranges", forbidden)
         monkeypatch.setattr(CompressedCohortStore, "block_at", forbidden)
+        monkeypatch.setattr(ValueOrder, "probe", forbidden)
         wide = planner.plan(RangePredicate("a", 1_000, 40_000))
         assert "+decode" in wide.reason
         narrow = planner.plan(RangePredicate("a", 100, 102))
         assert narrow.mode == "index"
         estimate = planner.estimate("a", 100, 102)
-        assert estimate.forgotten_decode_rows > 0
+        assert estimate.decode_rows > 0
+        # 10,000 rows: the first read sorts them, so no tail is priced.
         assert narrow.estimated_rows == (
-            index.estimate_entries(100, 102)
-            + estimate.forgotten_candidate_rows
-            + estimate.forgotten_decode_rows
+            index.estimate_entries(100, 102) + estimate.est_rows
         )
 
 
@@ -518,16 +540,27 @@ class TestExplain:
 
 
 class TestPlanReport:
-    def test_report_counts_paths_and_pruning(self, loaded_table):
-        zone_map = CohortZoneMap(loaded_table)
-        index = BlockRangeIndex(loaded_table, "a", block_size=32)
+    def test_report_counts_paths_and_pruning(self):
+        # Past the value order's run threshold, so the index plan's
+        # missed side reads sorted entries instead of the whole tail.
+        table = Table("t", ["a"])
+        for epoch in range(3):
+            table.insert_batch(
+                epoch, {"a": np.arange(epoch * 10_000, epoch * 10_000 + 5_000)}
+            )
+        table.forget(np.arange(0, table.total_rows, 3), epoch=3)
+        zone_map = CohortZoneMap(table)
+        index = BlockRangeIndex(table, "a", block_size=32)
         planner = QueryPlanner(
-            loaded_table, mode="auto", zone_map=zone_map, indexes=[index]
+            table, mode="auto", zone_map=zone_map, indexes=[index]
         )
-        executor = QueryExecutor(
-            loaded_table, record_access=False, planner=planner
-        )
+        executor = QueryExecutor(table, record_access=False, planner=planner)
         executor.execute_range(RangeQuery(RangePredicate("a", 0, 10)), epoch=4)
+        read = planner.last_execution
+        assert read.plan.mode == "index"
+        # One 32-row block probed, ten ordered entries read.
+        assert read.rows_considered == 32 + 10
+        assert read.rows_pruned == table.total_rows - 42
         executor.execute_aggregate(
             AggregateQuery(AggregateFunction.AVG, "a"), epoch=4
         )
@@ -535,7 +568,7 @@ class TestPlanReport:
         assert stats["queries_planned"] == 2
         assert stats["paths"]["index"] == 1
         assert stats["paths"]["scan"] == 1
-        assert stats["rows_pruned"] > 0
+        assert stats["rows_pruned"] == read.rows_pruned
         report = planner.plan_report()
         assert "2 queries planned" in report
         assert "BlockRangeIndex on 'a'" in report

@@ -18,8 +18,8 @@ from repro.query import (
     execute_plan,
     explain_plan,
     parse_query_spec,
-    render_executed,
 )
+from repro.query.plans import render_summary, summarize_result
 from repro.storage import Catalog
 
 
@@ -360,10 +360,10 @@ class TestExplainAndReport:
         assert lines[4].startswith("└─ TableScan('s1' ∈ [0, 4))")
         assert "cost≈" in lines[0]
 
-    def test_render_executed_carries_accounting(self, catalog):
+    def test_render_summary_carries_accounting(self, catalog):
         node = build_plan(catalog, "join:s1,s2:on=value")
         result = execute_plan(node, catalog, epoch=2)
-        rendered = render_executed(node, result, catalog)
+        rendered = render_summary(node, summarize_result(result), catalog)
         assert "rf=2 mf=1 precision=0.667" in rendered.splitlines()[0]
 
     def test_catalog_plan_report_includes_cross_section(self, catalog):

@@ -202,7 +202,9 @@ class TestPlanCache:
     def test_dropped_index_evicts_without_generation_move(self):
         from repro.indexes import SortedIndex
 
-        catalog = _catalog()
+        # Past the value order's run threshold, so the cost model prices
+        # the index plan's missed side as the matches, not the history.
+        catalog = _catalog(rows=10_000)
         index = catalog.create_index("obs", "value", SortedIndex)
         planner = catalog.planner("obs")
         plan = planner.plan(RangePredicate("value", 0, 50))

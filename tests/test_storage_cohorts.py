@@ -31,7 +31,7 @@ class TestCohortLog:
         assert len(log) == 2
         assert log.total_rows == 120
         assert log.latest_epoch == 1
-        assert log.by_epoch(1).size == 20
+        assert log[1] == Cohort(epoch=1, start=100, stop=120)
 
     def test_record_enforces_contiguity(self):
         log = CohortLog()
@@ -56,31 +56,6 @@ class TestCohortLog:
         log.record(0, 0, 0)
         assert log.total_rows == 0
         assert log[0].size == 0
-
-    def test_epoch_of_vectorised(self):
-        log = CohortLog()
-        log.record(0, 0, 100)
-        log.record(3, 100, 150)
-        log.record(7, 150, 160)
-        out = log.epoch_of(np.array([0, 99, 100, 149, 150, 159]))
-        assert out.tolist() == [0, 0, 3, 3, 7, 7]
-
-    def test_epoch_of_empty(self):
-        log = CohortLog()
-        log.record(0, 0, 5)
-        assert log.epoch_of(np.empty(0, dtype=np.int64)).size == 0
-
-    def test_epoch_of_out_of_range(self):
-        log = CohortLog()
-        log.record(0, 0, 5)
-        with pytest.raises(IndexError):
-            log.epoch_of(np.array([5]))
-
-    def test_by_epoch_missing(self):
-        log = CohortLog()
-        log.record(0, 0, 5)
-        with pytest.raises(KeyError):
-            log.by_epoch(9)
 
     def test_iteration_and_epochs(self):
         log = CohortLog()
@@ -136,9 +111,9 @@ class TestCohortZoneMap:
         # Bounds stay as safe insert-time zones.
         mins, _ = zm.bounds("a")
         assert mins.tolist() == [5, 100]
-        assert zm.candidate_ranges("a", 0, 50, require="active") == []
-        assert zm.candidate_ranges("a", 0, 50, require="forgotten") == [(0, 3)]
-        assert zm.candidate_ranges("a", 105, 200, require="forgotten") == []
+        # A wholly forgotten cohort stays a candidate: the forgotten
+        # side of a read still has to see its rows.
+        assert zm.candidate_ranges("a", 0, 50) == [(0, 3)]
 
     def test_late_attachment_backfills_history(self):
         """A zone map attached after inserts AND forgets is immediately exact."""
@@ -168,7 +143,7 @@ class TestCohortZoneMap:
         assert zm_live.bounds("a")[0].tolist() == zm_late.bounds("a")[0].tolist()
         assert zm_live.bounds("a")[1].tolist() == zm_late.bounds("a")[1].tolist()
 
-    def test_unknown_column_and_bad_require(self):
+    def test_unknown_column_rejected(self):
         from repro.storage import CohortZoneMap
 
         table = self._table()
@@ -176,8 +151,6 @@ class TestCohortZoneMap:
         assert not zm.covers("b")
         with pytest.raises(StorageError):
             zm.candidate_ranges("b", 0, 10)
-        with pytest.raises(StorageError):
-            zm.candidate_ranges("a", 0, 10, require="nope")
         with pytest.raises(StorageError):
             CohortZoneMap(table, columns=[])
 
@@ -200,7 +173,7 @@ class TestCohortZoneMap:
         table.remove_observer(zm)
         table.add_observer(zm)  # backfill replays all history
         assert zm.active_counts().tolist() == before == [2, 2]
-        assert zm.candidate_ranges("a", 0, 50, require="forgotten") == [(0, 3)]
+        assert zm.candidate_ranges("a", 0, 50) == [(0, 3)]
 
     @seed(20170108)
     @settings(max_examples=60, deadline=None)
@@ -270,10 +243,9 @@ class TestCardinalityEstimate:
         zm = CohortZoneMap(self._table())
         estimate = zm.estimate("a", 0, 100)
         assert estimate.candidate_rows == 100          # cohort 0 only
-        assert estimate.forgotten_candidate_rows == 100
         estimate = zm.estimate("a", 200, 250)
         assert estimate.candidate_rows == 50           # cohort 1 only
-        assert estimate.forgotten_candidate_rows == 0  # nothing forgotten there
+        assert estimate.est_forgotten == 0.0           # nothing forgotten there
 
     def test_uniform_interpolation_of_matches(self):
         from repro.storage import CohortZoneMap
@@ -344,13 +316,8 @@ class TestCohortLogLedger:
         with pytest.raises(IndexError):
             log[-4]
 
-    def test_by_epoch_and_count_through(self):
+    def test_count_through(self):
         log = self._log()
-        assert log.by_epoch(2) == Cohort(epoch=2, start=4, stop=4)
-        assert log.by_epoch(5).size == 3
-        for missing in (-1, 1, 3, 6):
-            with pytest.raises(KeyError):
-                log.by_epoch(missing)
         assert [log.count_through(e) for e in (-1, 0, 1, 2, 4, 5, 9)] == [
             0, 1, 1, 2, 2, 3, 3,
         ]
@@ -361,7 +328,7 @@ class TestCohortLogLedger:
             log.record(epoch, epoch * 2, epoch * 2 + 2)
         assert len(log) == 100 and log.total_rows == 200
         assert log.epochs() == list(range(100))
-        assert log.epoch_of(np.array([0, 199])).tolist() == [0, 99]
+        assert log.index_of(np.array([0, 199])).tolist() == [0, 99]
 
 
 def _reduceat_activity(table):
@@ -466,8 +433,7 @@ class TestLedgerProperty:
         assert table.cohort_activity() == _reduceat_activity(table)
         fresh = CohortZoneMap(table)
         for low, high in _PROBES:
-            for require in CohortZoneMap.REQUIREMENTS:
-                assert zm.candidate_ranges(
-                    "a", low, high, require=require
-                ) == fresh.candidate_ranges("a", low, high, require=require)
+            assert zm.candidate_ranges("a", low, high) == fresh.candidate_ranges(
+                "a", low, high
+            )
             assert zm.estimate("a", low, high) == fresh.estimate("a", low, high)

@@ -3,24 +3,28 @@
 Outside ``scan`` mode a single-column range or point read that the
 planner answers unpruned probes a :class:`~repro.query.value_order.
 ValueOrder`: sorted position runs, an unsorted tail and per-run value
-fences.  For random interleavings of inserts (batch sizes on both sides
-of the run threshold, duplicate-heavy and int64-extreme values),
+fences.  An index plan reads its missed side off the same order.  For
+random interleavings of inserts (batch sizes on both sides of the run
+threshold, duplicate-heavy, int64-extreme and value-sorted batches),
 forgets and probes (points, empty ranges, bounds of +-2**62 and past
 the int64 range), every pruned plan mode, with compression off and on,
-must return the ``(active, missed)`` positions of a ``scan``-mode
-planner bit for bit, whether the planner picks its own path or is
-handed a scan plan.
+with and without a zone map, and with a ``SortedIndex`` and a
+``BlockRangeIndex`` registered, must return the ``(active, missed)``
+positions of a ``scan``-mode planner bit for bit, whether the planner
+picks its own path or is handed a scan plan.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.query import PointPredicate, QueryPlan, QueryPlanner, RangePredicate
 from repro.query.planner import table_planner
 from repro.query.value_order import RUN_THRESHOLD, ValueOrder
@@ -35,11 +39,14 @@ BOUNDS = st.one_of(
     ),
 )
 OPS = st.one_of(
-    # (kind, rows, value domain width): width 16 makes duplicates.
+    # (kind, rows, value domain width, sorted): width 16 makes
+    # duplicates; a sorted batch gives the block-range index narrow
+    # blocks to prune.
     st.tuples(
         st.just("insert"),
         st.sampled_from([1, 4095, RUN_THRESHOLD, 4097, 9_000]),
         st.sampled_from([16, 1_000]),
+        st.booleans(),
     ),
     st.tuples(st.just("forget"), st.floats(0.1, 0.9)),
     st.tuples(st.just("range"), BOUNDS, BOUNDS),
@@ -48,10 +55,10 @@ OPS = st.one_of(
 #: Forgets before and after a merge: the second 4097-row run merges
 #: into the first, and reads land between.
 MERGE_ACROSS_FORGETS = [
-    ("insert", 4097, 1_000),
+    ("insert", 4097, 1_000, False),
     ("range", 100, 600),
     ("forget", 0.5),
-    ("insert", 4097, 1_000),
+    ("insert", 4097, 1_000, False),
     ("range", 100, 600),
     ("forget", 0.5),
     ("point", 16),
@@ -66,22 +73,63 @@ def _predicate(op):
     return RangePredicate("a", low, high)
 
 
-def _run(ops, seed: int) -> None:
+#: Cost plans pick each index kind: the first read finds the sorted
+#: index merged and probes it; after a 4095-row sorted batch waits in
+#: its write buffer, the block-range index prunes to a few blocks and
+#: wins.  Every cohort spans the domain, so the zone map prunes nothing.
+INDEX_PICKS = [
+    ("insert", 9_000, 1_000, True),
+    ("forget", 0.5),
+    ("range", 100, 110),
+    ("insert", 4095, 1_000, True),
+    ("forget", 0.3),
+    ("range", 500, 510),
+    ("point", 16),
+]
+
+
+def _planners(table: Table) -> list[QueryPlanner]:
+    """Every pruned mode over a zone map with compression off and on,
+    index plans through each index kind, and index and cost plans with
+    no zone map."""
+    by_rank = SortedIndex(table, "a")
+    by_block = BlockRangeIndex(table, "a")
+    planners = []
+    for compress in ("off", "on"):
+        for mode in MODES:
+            planners.append(
+                table_planner(table, mode, stats="uniform", compress=compress)
+            )
+        for mode, indexes in (
+            ("index", [by_rank]),
+            ("index", [by_block]),
+            ("cost", [by_rank, by_block]),
+        ):
+            planner = table_planner(table, mode, stats="uniform", compress=compress)
+            for index in indexes:
+                planner.register_index(index)
+            planners.append(planner)
+    planners.append(QueryPlanner(table, mode="index", indexes=[by_rank]))
+    planners.append(QueryPlanner(table, mode="cost", indexes=[by_rank, by_block]))
+    return planners
+
+
+def _run(ops, seed: int) -> Counter:
+    """Replay ``ops``; count each index kind's executed index plans."""
     rng = np.random.default_rng(seed)
     table = Table("t", ["a"])
     baseline = QueryPlanner(table, mode="scan")
-    planners = [
-        table_planner(table, mode, stats="uniform", compress=compress)
-        for mode in MODES
-        for compress in ("off", "on")
-    ]
+    planners = _planners(table)
+    picks: Counter = Counter()
     epoch = 0
     for op in ops:
         if op[0] == "insert":
             epoch += 1
-            _, rows, width = op
+            _, rows, width, ordered = op
             values = rng.integers(0, width, rows)
             values[rng.random(rows) < 0.01] = rng.choice(EXTREMES)
+            if ordered:
+                values.sort()
             table.insert_batch(epoch, {"a": values})
             for planner in planners:
                 if planner.compressed is not None:
@@ -102,9 +150,17 @@ def _run(ops, seed: int) -> None:
                 assert active.dtype == missed.dtype == np.int64
                 assert np.array_equal(active, want_active), (planner.mode, op)
                 assert np.array_equal(missed, want_missed), (planner.mode, op)
-                assert execution.rows_considered <= table.total_rows
+                chosen = execution.plan
+                if plan is None and planner.mode == "index" and planner._indexes:
+                    assert chosen.mode == "index"
+                # An index plan reads its probe, then the order.
+                reads = 2 if chosen.mode == "index" else 1
+                assert execution.rows_considered <= reads * table.total_rows
+                if chosen.mode == "index":
+                    picks[planner.mode, type(chosen.index).__name__] += 1
             _check_shape(planner._orders["a"], table.total_rows)
     assert not baseline._orders  # scan mode builds nothing
+    return picks
 
 
 def _check_shape(order: ValueOrder, total: int) -> None:
@@ -121,6 +177,15 @@ def _check_shape(order: ValueOrder, total: int) -> None:
 @example(ops=MERGE_ACROSS_FORGETS, seed=0)
 def test_value_order_matches_mask_scan(ops, seed):
     _run(ops, seed)
+
+
+def test_cost_plans_pick_each_index():
+    """The property runs real index plans: forced ones through either
+    index kind, and cost plans that pick each kind by its price."""
+    picks = _run(INDEX_PICKS, seed=0)
+    for kind in ("SortedIndex", "BlockRangeIndex"):
+        assert picks["index", kind] > 0
+        assert picks["cost", kind] > 0
 
 
 def test_tail_threshold_and_merges():
