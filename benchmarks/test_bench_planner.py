@@ -5,10 +5,12 @@ localised value window, like sensor timestamps), forgets a slice, and
 fires selective (≤1% selectivity) range queries under ``plan="auto"``
 and ``plan="scan"``.  Asserts both that the results are identical and
 that the pruned path is at least 5× faster — the tentpole claim of the
-planner PR.  The cost-model benchmark adds a coarse BRIN "trap": auto's
-fixed index>zonemap preference walks into it, the cost model prices the
-probe and sidesteps it, so ``cost`` must be at least as fast as
-``auto``.  A sharded benchmark runs the same style of workload through
+planner PR.  The cost-model benchmark adds a coarse BRIN "trap": a
+planner forced to ``index`` mode walks into it, while ``auto`` and
+``cost`` price only the value order and the zone-map walk, pick alike
+and sidestep it.  The pricing suite checks that those prices pick the
+faster read and cost little next to it.  A sharded benchmark runs the
+same style of workload through
 ``PartitionedAmnesiaDatabase`` under several plan modes, and a fan-out
 benchmark runs it with ``workers in {1, 4}`` — shards execute their
 planner pipelines concurrently, numpy releases the GIL inside the
@@ -42,7 +44,13 @@ from repro import AmnesiaDatabase
 from repro.amnesia import FifoAmnesia, RotAmnesia, make_policy
 from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.partitioning import Partition, PartitionedAmnesiaDatabase
-from repro.query import QueryExecutor, QueryPlanner, RangePredicate, RangeQuery
+from repro.query import (
+    QueryExecutor,
+    QueryPlan,
+    QueryPlanner,
+    RangePredicate,
+    RangeQuery,
+)
 from repro.stats import ExactMoments, TableHistogramStats
 from repro.storage import (
     Catalog,
@@ -95,9 +103,12 @@ MIXED_QUERIES_PER_ROUND = 6
 
 #: Skewed (Zipf) suite: histogram vs uniform statistics.  The sharded
 #: run measures adaptive rebalancing with median vs midpoint splits on
-#: a Zipf-hot stream (cost plan mode, single-threaded, so its floor
-#: gates unconditionally — no CPU-count gate needed); the q-error run
-#: measures estimate accuracy on the same kind of stream.
+#: a Zipf-hot stream (single-threaded, so its floor gates
+#: unconditionally — no CPU-count gate needed); the q-error run
+#: measures estimate accuracy on the same kind of stream.  The sharded
+#: run forces zone-map walks: a priced plan reads a width-1 probe off
+#: the value order, whose cost follows the answer and not the rows of
+#: the shard it covers, so the split policy would not show.
 ZIPF_FULL_ROWS = 1_000_000
 ZIPF_QUICK_ROWS = 125_000
 ZIPF_EXPONENT = 1.3
@@ -176,6 +187,30 @@ AMNESIA_REPEATS = 3
 AMNESIA_POLICIES = ("rot", "uniform", "fifo")
 AMNESIA_MAX_FIFO_GROWTH = 1.3
 
+#: Pricing suite: the planner never loses to the read it picks.  Three
+#: rows: (1) on the unpruned-read suite's uniform history with
+#: compression off, a cost-mode 512-wide read (planning included) may
+#: cost at most 2x the same read handed the value-order plan (a walk of
+#: every cohort measured 139x); (2) on the insert-clustered history,
+#: cost mode must walk the zone map for 100k- and 500k-wide reads; (3)
+#: on a shard shaped like ``ingest_forget``'s largest (196,485 rows in
+#: two runs of 148,343 and 45,289 entries plus a 2,853-row tail; rot,
+#: 25,000-row budget, histograms and compression on; 524-wide reads),
+#: planning may add at most 0.5x the read it picks.  Pricing shares its
+#: cuts with the probe, so the added cost is a planned read minus the
+#: same read handed its plan, not ``plan()`` alone, which also does the
+#: read's cutting; both land in the artifact.  Timed rows take the
+#: median over the windows, the smallest of ``SCAN_REPEATS`` passes,
+#: and gate outside ``--quick``.
+PRICING_MAX_ORDER_RATIO = 2.0
+PRICING_WIDE = (100_000, 500_000)
+PRICING_SHARD_WIDTH = 1 << 17
+PRICING_SHARD_RUNS = (148_343, 45_289)
+PRICING_SHARD_TAIL = 2_853
+PRICING_SHARD_BATCH = 1_100
+PRICING_READ_WIDTH = (1 << 20) // 2_000
+PRICING_MAX_PLAN_SHARE = 0.5
+
 #: Unpruned-read suite: one read where the zone map cannot prune, as the
 #: history grows.  A compress-on database under rot and a 25,000-row
 #: budget takes 5,000-row inserts uniform over [0, 2**20), so every
@@ -248,6 +283,7 @@ def artifact(quick):
             "planning": {"modes": {}},
             "amnesia": {"growth": {}},
             "scan": {"history_growth": {}},
+            "pricing": {},
             "index": {"history_growth": {}},
             "serve": {"modes": {}},
             "rebalance": {"adaptive_s": {}, "replay_s": {}},
@@ -339,60 +375,67 @@ def test_auto_plan_at_least_5x_faster_than_scan(history):
         assert ratio >= 5.0, (
             f"expected >=5x speedup on {rows} rows, got {ratio:.1f}x"
         )
+    # Every read is pruned: a zone-map walk where it prices below the
+    # value order, the order otherwise (no index is registered).
     stats = auto.planner.stats()
-    assert stats["paths"]["zonemap"] == len(queries) * (REPEATS + 1)
+    paths = stats["paths"]
+    assert paths["zonemap"] > 0
+    assert paths["zonemap"] + paths["scan"] == len(queries) * (REPEATS + 1)
     assert stats["pruned_fraction"] > 0.9
 
 
 def test_cost_mode_at_least_matches_auto(history):
-    """Acceptance: cost ≥ auto on the 1M-row suite.
+    """Acceptance: cost ≥ auto on the 1M-row suite, and neither walks
+    into a coarse index.
 
-    Both planners see the same structures: the zone map plus a coarse
-    BRIN whose blocks span several cohorts.  ``auto`` prefers the index
-    unconditionally and pays the oversized probe; ``cost`` prices the
-    probe against the pruned scan and routes around it.
+    All three planners see the same structures: the zone map plus a
+    coarse BRIN whose blocks span several cohorts.  An index plan reads
+    its probe plus the value order, so ``auto`` and ``cost`` price only
+    the order and the zone-map walk and pick alike for every query;
+    only a planner forced to ``index`` mode pays the oversized probe.
     """
     rows, table, zone_map, queries = history
     # Blocks span ~25 cohorts: the probe considers an order of magnitude
-    # more rows than the pruned scan, so the pricing decision dominates
-    # the (per-query) estimation overhead.
+    # more rows than the pruned scan.
     coarse = BlockRangeIndex(table, "a", block_size=max(rows // 10, 1))
-    auto = QueryExecutor(
-        table,
-        record_access=False,
-        planner=QueryPlanner(
-            table, mode="auto", zone_map=zone_map, indexes=[coarse]
-        ),
+    executors = {
+        mode: QueryExecutor(
+            table,
+            record_access=False,
+            planner=QueryPlanner(
+                table, mode=mode, zone_map=zone_map, indexes=[coarse]
+            ),
+        )
+        for mode in ("index", "auto", "cost")
+    }
+    answers = [_run_all(executor, queries) for executor in executors.values()]
+    assert answers[0] == answers[1] == answers[2]
+    paths = {mode: e.planner.stats()["paths"] for mode, e in executors.items()}
+    assert paths["index"]["index"] == len(queries)
+    assert paths["auto"] == paths["cost"]
+    assert paths["cost"]["index"] == 0
+    times = {
+        mode: _time_best_of(lambda e=executor: _run_all(e, queries))
+        for mode, executor in executors.items()
+    }
+    _record("single_table", "index_with_coarse_index", times["index"], len(queries))
+    _record("single_table", "cost", times["cost"], len(queries))
+    _ARTIFACT["single_table"]["cost_speedup_over_auto"] = round(
+        times["auto"] / times["cost"], 2
     )
-    cost = QueryExecutor(
-        table,
-        record_access=False,
-        planner=QueryPlanner(
-            table, mode="cost", zone_map=zone_map, indexes=[coarse]
-        ),
-    )
-    assert _run_all(auto, queries) == _run_all(cost, queries)
-    # Auto walks into the trap on every query; the cost model routes
-    # most probes around it (it may still pick the BRIN where the probe
-    # genuinely is cheaper, e.g. against fully forgotten regions).
-    cost_paths = cost.planner.stats()["paths"]
-    assert cost_paths["zonemap"] >= len(queries) * 0.75
-    assert auto.planner.stats()["paths"]["index"] == len(queries)
-    auto_time = _time_best_of(lambda: _run_all(auto, queries))
-    cost_time = _time_best_of(lambda: _run_all(cost, queries))
-    ratio = auto_time / cost_time
-    _record("single_table", "auto_with_coarse_index", auto_time, len(queries))
-    _record("single_table", "cost", cost_time, len(queries))
-    _ARTIFACT["single_table"]["cost_speedup_over_auto"] = round(ratio, 2)
+    ratio = times["index"] / times["cost"]
+    _ARTIFACT["single_table"]["cost_speedup_over_forced_index"] = round(ratio, 2)
     print(
-        f"\ncost-model gain on {rows} rows: auto {auto_time * 1e3:.1f}ms "
-        f"vs cost {cost_time * 1e3:.1f}ms ({ratio:.1f}x)"
+        f"\ncost-model gain on {rows} rows: forced index "
+        f"{times['index'] * 1e3:.1f}ms vs auto {times['auto'] * 1e3:.1f}ms "
+        f"vs cost {times['cost'] * 1e3:.1f}ms ({ratio:.1f}x)"
     )
     if rows >= FULL_ROWS:
         # Quick (CI smoke) runs assert plan shapes only; full runs hold
-        # the acceptance line that cost never loses to the heuristic.
+        # the acceptance line that cost never loses to the trap.
         assert ratio >= 1.0, (
-            f"cost mode slower than auto on {rows} rows ({ratio:.2f}x)"
+            f"cost mode slower than a forced index plan on {rows} rows "
+            f"({ratio:.2f}x)"
         )
 
 
@@ -753,7 +796,7 @@ def _build_zipf_sharded(rows: int, stats: str) -> PartitionedAmnesiaDatabase:
         total_budget=rows // 2,
         policy_factory=FifoAmnesia,
         seed=BENCH_SEED,
-        plan="cost",
+        plan="zonemap",
         rebalance="adaptive",
         split_threshold=1.5,
         max_partitions=10,
@@ -767,7 +810,7 @@ def _build_zipf_sharded(rows: int, stats: str) -> PartitionedAmnesiaDatabase:
 
 def test_bench_skewed_hist_splits_beat_midpoint(quick):
     """Acceptance: histogram-cost ≥ uniform-cost ops/s on the Zipf
-    sharded suite.
+    sharded suite, its reads forced to walk the zone map.
 
     Same Zipf stream, same adaptive rebalancing cadence, same hot
     point queries — the only knob is ``stats``: ``uniform`` cuts hot
@@ -1137,16 +1180,19 @@ def test_bench_planning_scales_with_answer_not_history():
     One selective probe is planned ``PLANNING_CALLS`` times under
     ``plan="cost"`` at each history length, the lengths interleaved so
     machine noise hits both alike; best-of-``PLANNING_REPEATS`` µs per
-    call lands in the artifact.  The decode term must really be priced
-    (every cohort is a demoted candidate), and the largest history may
-    cost at most ``PLANNING_MAX_GROWTH`` times the smallest.
+    call lands in the artifact.  Both the value order and the zone-map
+    walk must really be priced, and the largest history may cost at most
+    ``PLANNING_MAX_GROWTH`` times the smallest.
     """
     probes = {}
     for cohorts in PLANNING_COHORTS:
         planner = _build_planning(cohorts)
         domain = cohorts * PLANNING_COHORT_ROWS
         predicate = RangePredicate("a", domain // 3, domain // 3 + domain // 200)
-        assert "+decode" in planner.plan(predicate).reason
+        # Both reads are priced; the walk's decode and range terms are
+        # skipped once its candidate rows alone cost more than the order.
+        reason = planner.plan(predicate).reason
+        assert "order=" in reason and "zonemap=" in reason
         probes[cohorts] = (planner, predicate)
     best = dict.fromkeys(PLANNING_COHORTS, float("inf"))
     for _ in range(PLANNING_REPEATS):
@@ -1255,12 +1301,12 @@ def test_bench_amnesia_step_follows_the_budget(quick):
         )
 
 
-def _scan_history_db(rows: int, plan: str) -> AmnesiaDatabase:
-    """A compress-on rot database fed ``rows`` uniform rows; an
-    ``index`` database reads through a ``SortedIndex``."""
+def _scan_history_db(rows: int, plan: str, compress: str = "on") -> AmnesiaDatabase:
+    """A rot database fed ``rows`` uniform rows; an ``index`` database
+    reads through a ``SortedIndex``."""
     rng = np.random.default_rng(BENCH_SEED + 23)
     db = AmnesiaDatabase(
-        SCAN_BUDGET, RotAmnesia(), seed=BENCH_SEED, plan=plan, compress="on"
+        SCAN_BUDGET, RotAmnesia(), seed=BENCH_SEED, plan=plan, compress=compress
     )
     while db.table.total_rows < rows:
         db.insert({"a": rng.integers(0, SCAN_DOMAIN, SCAN_BATCH)})
@@ -1324,6 +1370,149 @@ def test_bench_unpruned_read_follows_the_answer(quick):
                 f"{ratio:.2f}x the {histories[0]}-row read "
                 f"(bound {SCAN_MAX_GROWTH}x)"
             )
+
+
+def _paired_us(planner, predicates, plans) -> tuple[float, float]:
+    """Median µs of a planned read and of a read handed its plan from
+    ``plans``, on alternating windows: the two kinds share the machine's
+    state, and each read finds another range's cuts kept."""
+    planned, handed = [], []
+    for k, (predicate, plan) in enumerate(zip(predicates, plans)):
+        start = time.perf_counter()
+        planner.match(predicate, ("a",), plan=None if k % 2 else plan)
+        (planned if k % 2 else handed).append((time.perf_counter() - start) * 1e6)
+    return float(np.median(planned)), float(np.median(handed))
+
+
+def _smallest_paired_us(planner, predicates, plans) -> tuple[float, float]:
+    runs = [_paired_us(planner, predicates, plans) for _ in range(SCAN_REPEATS)]
+    return min(planned for planned, _ in runs), min(handed for _, handed in runs)
+
+
+def _smallest_us(call, items) -> float:
+    """The smallest of ``SCAN_REPEATS`` medians of ``call(item)``'s µs."""
+    medians = []
+    for _ in range(SCAN_REPEATS):
+        samples = []
+        for item in items:
+            start = time.perf_counter()
+            call(item)
+            samples.append((time.perf_counter() - start) * 1e6)
+        medians.append(float(np.median(samples)))
+    return min(medians)
+
+
+def _pricing_shard() -> AmnesiaDatabase:
+    """A shard shaped like ``ingest_forget``'s largest: two runs and a
+    short tail, every cohort spanning the shard's value range."""
+    rng = np.random.default_rng(BENCH_SEED + 29)
+    db = AmnesiaDatabase(
+        SCAN_BUDGET, RotAmnesia(), seed=BENCH_SEED, plan="cost",
+        stats="hist", compress="on",
+    )
+    for rows in (*PRICING_SHARD_RUNS, PRICING_SHARD_TAIL):
+        target = db.table.total_rows + rows
+        while db.table.total_rows < target:
+            size = min(PRICING_SHARD_BATCH, target - db.table.total_rows)
+            db.insert({"a": rng.integers(0, PRICING_SHARD_WIDTH, size)})
+        db.range_query("a", 0, PRICING_READ_WIDTH)  # sorts the tail into a run
+    order = db.planner._orders["a"]
+    assert order.run_sizes == list(PRICING_SHARD_RUNS)
+    assert order.tail_rows == PRICING_SHARD_TAIL
+    return db
+
+
+def test_bench_pricing_picks_the_faster_read(quick, history):
+    """Acceptance: the planner never loses to the read it picks.
+
+    Records the ``pricing`` section (see the suite's constants): the
+    compress-off uniform read against its value-order read, the plans
+    and both reads' µs on insert-clustered data at each wide width, and
+    what planning adds to a read on the ``ingest_forget`` shard shape.
+    """
+    rng = np.random.default_rng(BENCH_SEED + 28)
+    section = _ARTIFACT["pricing"]
+    lows = rng.integers(0, SCAN_DOMAIN - SCAN_WIDTH, SCAN_WINDOWS).tolist()
+    scan_plan = QueryPlan("scan", "cost", "the value order, unpriced")
+
+    # (1) Uniform history, compression off: every cohort spans the domain.
+    rows = (SCAN_QUICK_HISTORIES if quick else SCAN_HISTORIES)[-1]
+    planner = _scan_history_db(rows, "cost", compress="off").planner
+    predicates = [RangePredicate("a", low, low + SCAN_WIDTH) for low in lows]
+    assert {planner.plan(p).mode for p in predicates} == {"scan"}
+    cost_us, unpriced_us = _smallest_paired_us(
+        planner, predicates, [scan_plan] * len(lows)
+    )
+    uniform = cost_us / unpriced_us
+    section["uniform_512"] = {
+        "rows": rows,
+        "cost_us": round(cost_us, 1),
+        "order_us": round(unpriced_us, 1),
+        "ratio": round(uniform, 2),
+    }
+
+    # (2) Insert-clustered history: wide reads walk the zone map.
+    rows, table, zone_map, _ = history
+    planner = QueryPlanner(table, mode="cost", zone_map=zone_map)
+    clustered = {}
+    for width in (SCAN_WIDTH, *PRICING_WIDE):
+        starts = rng.integers(0, rows - width, 20).tolist()
+        predicates = [RangePredicate("a", low, low + width) for low in starts]
+        modes = {planner.plan(p).mode for p in predicates}
+        walk = [
+            QueryPlan("zonemap", "cost", "walk", "a", p.low, p.high)
+            for p in predicates
+        ]
+        walk_us, order_us = (
+            _smallest_us(
+                lambda pair: planner.match(pair[0], ("a",), plan=pair[1]),
+                list(zip(predicates, plans)),
+            )
+            for plans in (walk, [scan_plan] * len(predicates))
+        )
+        clustered[str(width)] = {
+            "modes": sorted(modes),
+            "walk_us": round(walk_us, 1),
+            "order_us": round(order_us, 1),
+        }
+        if width in PRICING_WIDE:
+            assert modes == {"zonemap"}, (width, modes)
+    section["clustered"] = clustered
+
+    # (3) The ingest_forget shard shape: what planning adds to the read.
+    planner = _pricing_shard().planner
+    starts = rng.integers(0, PRICING_SHARD_WIDTH - PRICING_READ_WIDTH, SCAN_WINDOWS)
+    predicates = [
+        RangePredicate("a", low, low + PRICING_READ_WIDTH) for low in starts.tolist()
+    ]
+    plans = [planner.plan(p) for p in predicates]
+    assert {plan.mode for plan in plans} == {"scan"}
+    planned_us, read_us = _smallest_paired_us(planner, predicates, plans)
+    plan_us = _smallest_us(planner.plan, predicates)
+    share = max(planned_us - read_us, 0.0) / read_us
+    section["shard_plan"] = {
+        "plan_us": round(plan_us, 1),
+        "read_us": round(read_us, 1),
+        "planned_read_us": round(planned_us, 1),
+        "added_share": round(share, 2),
+        "plan_over_read": round(plan_us / read_us, 2),
+    }
+    print(
+        f"\npricing: uniform 512-wide cost read {cost_us:.0f}us vs order "
+        f"{unpriced_us:.0f}us ({uniform:.2f}x); clustered "
+        + ", ".join(f"{w}: {v['modes']}" for w, v in clustered.items())
+        + f"; shard plan() {plan_us:.0f}us, read {read_us:.0f}us, planning "
+        f"adds {share:.2f}x"
+    )
+    if not quick:
+        assert uniform <= PRICING_MAX_ORDER_RATIO, (
+            f"a cost-mode 512-wide read cost {uniform:.2f}x its value-order "
+            f"read (bound {PRICING_MAX_ORDER_RATIO}x)"
+        )
+        assert share <= PRICING_MAX_PLAN_SHARE, (
+            f"planning added {share:.2f}x the read it picks "
+            f"(bound {PRICING_MAX_PLAN_SHARE}x)"
+        )
 
 
 def test_bench_serving_cached_vs_uncached(quick):

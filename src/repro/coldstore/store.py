@@ -101,11 +101,6 @@ class ColdStore:
         return len(self._epochs)
 
     @property
-    def segment_epochs(self) -> list[int]:
-        """Forget epoch of each archived segment, oldest first."""
-        return list(self._epochs)
-
-    @property
     def tuple_count(self) -> int:
         """Number of archived tuples."""
         return int(self._positions.size)

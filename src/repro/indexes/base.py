@@ -149,19 +149,6 @@ class Index(ABC):
         """Visible positions with ``value == column`` (range of width 1)."""
         return self.lookup_range(value, value + 1)
 
-    # -- cost estimation ----------------------------------------------------
-
-    def estimate_entries(self, low: int, high: int) -> int | None:
-        """Entries a ``lookup_range(low, high)`` probe would touch.
-
-        The planner's cost model compares this against zone-map scan
-        costs, so subclasses should make it cheap (no materialised
-        probe) and faithful to what ``entries_touched`` would report.
-        ``None`` means the index cannot predict its probe cost; the
-        planner then falls back to table-statistics estimates.
-        """
-        return None
-
     def __repr__(self) -> str:
         state = "dropped" if self._dropped else "built"
         return f"{type(self).__name__}(column={self.column!r}, {state})"

@@ -130,18 +130,6 @@ class BlockRangeIndex(Index):
         )
         return ProbeResult(positions=positions, entries_touched=touched)
 
-    def estimate_entries(self, low: int, high: int) -> int | None:
-        """Exact probe cost: rows in the blocks the probe cannot prune."""
-        if self._dropped:
-            return None
-        blocks = self.candidate_blocks(low, high)
-        if blocks.size == 0:
-            return 0
-        total = self.table.total_rows
-        starts = blocks * self.block_size
-        stops = np.minimum(starts + self.block_size, total)
-        return int((stops - starts).sum())
-
     def nbytes(self) -> int:
         if self._dropped:
             return 0

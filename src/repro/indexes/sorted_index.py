@@ -86,20 +86,8 @@ class SortedIndex(Index):
             entries_touched=hi - lo + delta.size,
         )
 
-    def estimate_entries(self, low: int, high: int) -> int | None:
-        """Exact probe cost: sorted-run hits plus the full delta buffer."""
-        if self._dropped:
-            return None
-        lo, hi = self._run_bounds(low, high)
-        return hi - lo + self._delta_values.size
-
     def nbytes(self) -> int:
         if self._dropped:
             return 0
         run = self._values.nbytes + self._positions.nbytes
         return int(run + self._delta_values.nbytes + self._delta_positions.nbytes)
-
-    @property
-    def delta_size(self) -> int:
-        """Entries waiting in the unsorted write buffer."""
-        return int(self._delta_positions.size)

@@ -11,10 +11,11 @@ range partitions, each backed by its own
 policy and — crucially — its own :class:`~repro.query.planner.
 QueryPlanner`.  Every read executes *through* the per-shard planners:
 each shard declares its partition bounds as first-class planner value
-bounds, so "does this query touch this shard?" is a planner decision
-(a ``pruned`` plan answered from statistics) rather than topology code
-around the query stack, and within a shard the planner picks
-scan/zonemap/index/cost paths exactly as it does for a single table.
+bounds, and within a shard the planner picks scan/zonemap/index/cost
+paths exactly as it does for a single table.  A shard whose declared
+bounds exclude the range is answered by the store without entering
+its planner (the planner would answer it with an empty ``pruned``
+plan), and the store counts that prune per shard.
 
 Shards are mutually independent, so a read fans the shards it has
 work for out over a thread pool (``workers=``): those per-shard
@@ -178,6 +179,11 @@ class Partition:
             compress=compress,
         )
         self.lock = threading.Lock()
+        #: Reads answered without planning because the declared bounds
+        #: exclude their range, and the rows those reads skipped: the
+        #: ``pruned`` plans the shard planner would have recorded.
+        self.prunes = 0
+        self.pruned_rows = 0
         self.query_hits = 0
         #: Coverage-based row traffic: oracle matches (RF + MF) of every
         #: covering query — a plan-mode-independent rows signal.
@@ -203,11 +209,18 @@ class Partition:
         a query outside ``[b0, bP)`` still covers the edge shard — the
         symmetric counterpart of insert-side clamping.
         """
-        if high <= low:
-            return False
+        return high > low and not self.excludes(low, high)
+
+    def excludes(self, low: int, high: int) -> bool:
+        """Do the declared bounds exclude ``[low, high)``?
+
+        The shard planner's own bounds test: outside ``scan`` mode it
+        answers exactly these reads with a ``pruned`` plan.  An empty
+        range inside the bounds is neither covered nor excluded.
+        """
         below = self.bound_high is not None and low >= self.bound_high
         above = self.bound_low is not None and high <= self.bound_low
-        return not (below or above)
+        return below or above
 
     def set_budget(self, budget: int) -> None:
         """Adjust the budget; shrinking forgets down immediately."""
@@ -639,8 +652,8 @@ class PartitionedAmnesiaDatabase:
         ``workers > 1`` (see :meth:`_read_shards`), and the outputs
         merge in shard order, so the result (and every policy-visible
         counter behind it) is bit-identical to sequential execution.
-        The planner prunes shards whose declared value bounds exclude
-        the range (a ``pruned`` plan — zero rows considered).  Query
+        Shards whose declared value bounds exclude the range are pruned
+        without planning (zero rows considered).  Query
         traffic for :meth:`rebalance` counts the shards the range
         *covers* and the rows it matched there, never the shards a
         plan mode happened to execute.
@@ -650,23 +663,18 @@ class PartitionedAmnesiaDatabase:
         if high == low:
             # An empty range matches nothing under any mode; answering
             # here keeps the executed/pruned classification below in
-            # lock-step with the planners' own bounds test (which does
-            # not prune empty ranges — it would execute them for 0
-            # rows) and counts no query traffic, like covers().
+            # lock-step with the bounds test (which does not prune an
+            # empty range inside the bounds — the planner would execute
+            # it for 0 rows) and counts no query traffic, like covers().
             return MergedRangeResult(rf=0, mf=0)
 
         def read(partition: Partition):
             result = partition.db.range_query(self.column, low, high)
-            # Classify the fan-out from the same bounds test the shard
-            # planner prunes by (scan mode never prunes) — not from the
-            # planner's mutable last_execution.  A pruned shard's
-            # result is empty by construction.
-            executed = int(
-                partition.covers(low, high) or partition.db.plan_mode == "scan"
-            )
-            return (result.rf, result.mf, executed, 1 - executed), result.rf + result.mf
+            return (result.rf, result.mf, 1, 0), result.rf + result.mf
 
-        outputs = self._read_shards(read, low, high, empty=(0, 0, 0, 0))
+        outputs = self._read_shards(
+            read, low, high, empty=(0, 0, 0, 0), pruned=(0, 0, 0, 1)
+        )
         rf, mf, executed, pruned = (sum(col) for col in zip(*outputs))
         return MergedRangeResult(
             rf=rf, mf=mf, shards_executed=executed, shards_pruned=pruned
@@ -763,14 +771,25 @@ class PartitionedAmnesiaDatabase:
         return self._read_shards(read, low, high, empty=empty)
 
     def _read_shards(
-        self, read, low: int | None, high: int | None, *, empty, traffic=True
+        self,
+        read,
+        low: int | None,
+        high: int | None,
+        *,
+        empty,
+        pruned=None,
+        traffic=True,
     ) -> list:
         """``read`` over every shard, outputs in shard order.
 
         The one place a read takes a shard's lock, charges query
-        traffic and skips an empty shard: ``read(partition)`` returns
+        traffic and skips a shard: ``read(partition)`` returns
         ``(output, rows matched)`` for a shard with rows, and an empty
-        shard answers ``empty`` without planning.  Unless ``traffic``
+        shard answers ``empty`` without planning.  Outside ``scan``
+        mode a shard whose declared bounds exclude the range answers
+        ``pruned`` (default ``empty``) without entering its planner,
+        and counts the prune the planner would have recorded in
+        :attr:`Partition.prunes`.  Unless ``traffic``
         is false, traffic is coverage-based: a shard the range covers
         (every shard when ``low`` is None) gains one ``query_hits`` and
         its matched rows (active + forgotten) in ``query_rows``, never
@@ -796,6 +815,14 @@ class PartitionedAmnesiaDatabase:
                     partition.query_hits += 1
                 if partition.db.total_rows == 0:
                     return empty
+                if (
+                    low is not None
+                    and partition.db.plan_mode != "scan"
+                    and partition.excludes(low, high)
+                ):
+                    partition.prunes += 1
+                    partition.pruned_rows += partition.db.total_rows
+                    return empty if pruned is None else pruned
                 output, matched = read(partition)
                 if covered:
                     partition.query_rows += matched
@@ -883,8 +910,8 @@ class PartitionedAmnesiaDatabase:
         for partition in self._partitions:
             stats = partition.db.planner.stats()
             totals["considered"] += stats["rows_considered"]
-            totals["pruned_rows"] += stats["rows_pruned"]
-            totals["pruned_shards"] += stats["paths"]["pruned"]
+            totals["pruned_rows"] += stats["rows_pruned"] + partition.pruned_rows
+            totals["pruned_shards"] += partition.prunes
             lines.append(f"shard {partition.index} [{partition.low}, {partition.high}):")
             lines.extend(
                 "  " + line
@@ -1248,10 +1275,7 @@ class PartitionedAmnesiaDatabase:
             "workers": self.workers,
             "rebalance": self.rebalance_policy,
             "adaptations": list(self._adaptations),
-            "shard_prunes": [
-                p.db.planner.stats()["paths"]["pruned"]
-                for p in partitions
-            ],
+            "shard_prunes": [p.prunes for p in partitions],
         }
 
     def __repr__(self) -> str:

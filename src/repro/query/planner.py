@@ -11,12 +11,14 @@ the same ``rf``/``mf``/precision and the same float aggregates):
     No pruning structure applies, so every row ever inserted may
     match — kept for exact M_F accounting.  A planner configured as
     ``scan`` masks the whole column: the trust-nothing ground truth.
-    In every other mode a single-column range or point predicate
-    probes the column's :class:`~repro.query.value_order.ValueOrder`
-    instead — positions sorted by value, built lazily at the first
-    such read — so the read costs the matches plus an unsorted tail
-    of at most a few thousand rows, not the history.  Composite
-    predicates still mask the whole table.
+    In every other mode a single-column range or point predicate on a
+    table of more than :data:`MASK_ROWS` rows probes the column's
+    :class:`~repro.query.value_order.ValueOrder` instead — positions
+    sorted by value, built lazily at the first such read — so the read
+    costs the matches plus an unsorted tail of at most a few thousand
+    rows, not the history.  ``auto`` and ``cost`` plan a smaller
+    table's read as this mask, unpriced.  Composite predicates still
+    mask the whole table.
 
 ``zonemap``
     Cohort-level pruning through a
@@ -31,36 +33,47 @@ the same ``rf``/``mf``/precision and the same float aggregates):
     "stop indexing the forgotten data", §1).  The *missed* side — the
     forgotten matches the amnesiac DBMS silently loses — is read off
     the same value order the ``scan`` path probes: its hits the
-    activity array marks forgotten.
+    activity array marks forgotten.  An index plan therefore reads
+    its probe *and* the whole order read, so only a planner forced to
+    ``index`` mode runs one; ``auto`` and ``cost`` read the order
+    alone.
 
 ``auto``
-    Prefer ``index`` when a suitable index covers the predicate
-    column, else ``zonemap`` when a zone map covers it, else ``scan``.
+    Read the value order, unpriced, when the zone map prunes no cohort
+    of the range: that walk reads every row plus a constant per cohort,
+    and only a read matching a large share of the table could be
+    cheaper through it.  When the zone map prunes, pick the cheaper of
+    the order and the walk by the ``cost`` mode's prices, without
+    recording them.  With no zone map over the column, read the order.
 
 ``cost``
-    Cardinality-based selection: every applicable path is priced in
-    rows-considered — the zone map's :meth:`~repro.storage.cohorts.
-    CohortZoneMap.estimate` supplies pruned-scan costs and per-cohort
-    selectivity estimates, each index prices its own probe via
-    :meth:`~repro.indexes.Index.estimate_entries` — and the cheapest
-    plan wins.  Unlike ``auto``'s fixed index>zonemap>scan preference,
-    ``cost`` will scan past an index whose probe would touch more rows
-    than a pruned scan (e.g. a coarse BRIN, or a sorted index dragging
-    a large unmerged delta buffer).
+    Price both reads in zone-map candidate rows and take the cheaper
+    one (a tie goes to the order).  The order is priced first, off the
+    exact rows its probe reads
+    (:meth:`~repro.query.value_order.ValueOrder.count`: the probe's own
+    cuts, O(runs · log n), kept for the probe that follows): each sorted
+    entry at :data:`ORDER_ROW_COST`, each unsorted tail row it masks at
+    one.  The walk is priced off one cohort mask
+    (:meth:`~repro.storage.cohorts.CohortZoneMap.walk_cost`) as its
+    candidate rows, plus their decode surcharge and :data:`RANGE_COST`
+    per candidate range when the candidate rows alone cost less than
+    the order.  Neither price reads a cardinality estimate or a
+    histogram.  The winning price is the plan's ``estimated_rows``.
 
 A planner may also carry *value bounds* — declared invariants on the
 values a column can hold, e.g. a range shard's partition bounds.  A
 probe provably outside the bounds short-circuits to a ``pruned`` plan
-that answers the query without touching any data, which is how shard
-pruning becomes a planner decision rather than topology code around
-it.  ``scan`` mode ignores value bounds on purpose: it stays the
+that answers the query without touching any data.  A range shard
+declares its partition bounds this way, and the sharded store answers
+a shard whose bounds exclude a read by the same test without entering
+the shard's planner at all.  ``scan`` mode ignores value bounds on purpose: it stays the
 trust-nothing ground truth the equivalence harness compares against.
 
 A planner may also carry *histogram statistics*
 (:class:`~repro.stats.table_stats.TableHistogramStats`): per-column
 active/forgotten value histograms maintained through the same observer
 protocol as the zone map.  When present, :meth:`QueryPlanner.estimate`
-(and with it the ``cost`` mode and every explain tree) reads match
+(and with it every explain tree's row estimates) reads match
 cardinalities from the histograms instead of the zone map's per-cohort
 uniformity assumption — sharp on skewed streams, and estimate-only:
 plan *results* stay bit-identical under either statistics source.
@@ -102,7 +115,7 @@ from ..storage.compressed import CompressedCohortStore
 from ..storage.table import Table
 from .predicates import AndPredicate, PointPredicate, Predicate, RangePredicate
 from .queries import AggregateQuery, RangeQuery
-from .value_order import ValueOrder
+from .value_order import RUN_THRESHOLD, ValueOrder
 
 __all__ = [
     "EXECUTED_MODES",
@@ -120,6 +133,30 @@ PLAN_MODES = ("auto", "scan", "zonemap", "index", "cost")
 #: alone and touches no data).
 EXECUTED_MODES = ("scan", "zonemap", "index", "pruned")
 
+#: Price of one value-order entry read, in zone-map candidate rows: the
+#: order gathers its hits, sorts them back into position order and
+#: splits them by activity, where a walk masks a contiguous window.
+#: Fitted with :data:`RANGE_COST` on 180 reads (200k and 1M rows,
+#: uniform, insert-clustered and drifting values, compression off and
+#: on, 512 to 500k wide; 2-core x86 VM): picking by these prices cost
+#: 1.2% more time than always picking the faster read.
+ORDER_ROW_COST = 3.0
+
+#: Price of one candidate range of a zone-map walk, in candidate rows:
+#: the walk runs about ten numpy calls per range (the window mask, its
+#: activity split and two ``flatnonzero``), about 4.4 µs against
+#: 2.9 ns per candidate row on the same VM.
+RANGE_COST = 1500.0
+
+#: Tables of at most this many rows are read by masking the whole
+#: column, unpriced, outside ``scan`` mode too: the order's unsorted
+#: tail alone can be half of such a table, and its cuts, concatenation
+#: and sort cost more than the rest of the mask.  On 9,000 rows (one
+#: run, no tail) a 2%-wide order read took 15–19 µs against 20–24 µs
+#: for the mask, and pricing the two took 10–16 µs more (same VM).
+MASK_ROWS = 2 * RUN_THRESHOLD
+
+
 @dataclass(frozen=True)
 class QueryPlan:
     """One access-path decision (an EXPLAIN row).
@@ -135,8 +172,8 @@ class QueryPlan:
     low: int | None = None
     high: int | None = None
     index: Index | None = None
-    #: Cost-model prediction of rows the chosen path considers (only
-    #: set by ``cost`` plans and ``pruned`` short-circuits).
+    #: Cost-model price of the chosen path in zone-map candidate rows
+    #: (only set by ``cost`` plans and ``pruned`` short-circuits).
     estimated_rows: float | None = None
     #: Per-column bounds of an AND-composed multi-column plan:
     #: ``((column, low, high), ...)``.  Execution intersects each
@@ -253,9 +290,10 @@ class QueryPlanner:
     stats:
         Optional :class:`~repro.stats.table_stats.TableHistogramStats`
         already observing ``table``.  When it covers a probed column,
-        :meth:`estimate` (and the ``cost`` mode behind it) reads match
+        :meth:`estimate` (and the explain trees behind it) reads match
         cardinalities from the value histograms instead of per-cohort
         uniformity — estimates sharpen, results stay bit-identical.
+        Plan choice never reads them.
     compressed:
         Optional :class:`~repro.storage.compressed.
         CompressedCohortStore` holding demoted (cold) cohorts.  The
@@ -300,8 +338,9 @@ class QueryPlanner:
         self._indexes: dict[str, list[Index]] = {}
         for index in indexes:
             self.register_index(index)
-        #: Per-column value orders of the ``scan`` path and of index
-        #: plans' missed side, built on first use (never in ``scan`` mode).
+        #: Per-column value orders of the ``scan`` path, of index plans'
+        #: missed side and of pricing, built on first use (never in
+        #: ``scan`` mode).
         self._orders: dict[str, ValueOrder] = {}
         self._executions = 0
         self._mode_counts = {mode_: 0 for mode_ in EXECUTED_MODES}
@@ -437,66 +476,47 @@ class QueryPlanner:
         with.
         """
         if self.zone_map is not None and self.zone_map.covers(column):
-            surcharge = None
-            if self.compressed is not None:
-                surcharge = self.compressed.decode_surcharge(column)
-            return self.zone_map.estimate(
-                column, low, high, stats=self.table_stats, surcharge=surcharge
-            )
+            return self.zone_map.estimate(column, low, high, stats=self.table_stats)
         return None
 
-    def _plan_cost(
-        self, column: str, low: int, high: int
-    ) -> QueryPlan:
-        """Price every applicable path in rows-considered; cheapest wins."""
-        total = self.table.total_rows
-        estimate = self.estimate(column, low, high)
-        # Candidates in auto's preference order, so exact cost ties
-        # resolve the same way auto would.
-        choices: list[tuple[float, str, Index | None, str]] = []
-        for index in self._indexes.get(column, ()):
-            if index.is_dropped:
-                continue
-            probe = index.estimate_entries(low, high)
-            if probe is None:
-                probe = estimate.est_active if estimate is not None else total
-            # The missed (M_F) side reads the value order: the matches
-            # plus the unsorted tail the probe masks.
-            missed = (
-                estimate.est_rows + self._order(column).tail_rows
-                if estimate is not None
-                else total
-            )
-            cost = float(probe) + missed
-            choices.append(
-                (cost, "index", index, f"{type(index).__name__}≈{cost:.0f}")
-            )
-        if estimate is not None:
-            zonemap_cost = (
-                float(estimate.candidate_rows) + estimate.decode_rows
-            )
-            zonemap_detail = f"zonemap={estimate.candidate_rows}"
-            if zonemap_cost > estimate.candidate_rows:
-                zonemap_detail = (
-                    f"zonemap={estimate.candidate_rows}+decode"
-                    f"{zonemap_cost - estimate.candidate_rows:.0f}"
-                )
-            choices.append(
-                (zonemap_cost, "zonemap", None, zonemap_detail)
-            )
-        choices.append((float(total), "scan", None, f"scan={total}"))
-        cost, mode, index, _ = min(choices, key=lambda choice: choice[0])
-        detail = ", ".join(choice[3] for choice in choices)
-        return QueryPlan(
-            mode,
-            "cost",
-            f"cost model picked {mode} ({detail} rows)",
-            column,
-            low,
-            high,
-            index,
-            cost,
+    def _price(
+        self, column: str, low: int, high: int, walkable: bool
+    ) -> tuple[str, float, str]:
+        """``(mode, cost, detail)`` of the cheaper unpruned-or-walked read.
+
+        The value order is priced first: the sorted entries its probe
+        reads times :data:`ORDER_ROW_COST`, plus the unsorted tail it
+        masks at one candidate row each.  The zone-map walk (only when
+        ``walkable``) is priced as its candidate rows, their decode
+        surcharge and :data:`RANGE_COST` per candidate range, all off
+        one cohort mask; the last two terms are only added when the
+        candidate rows alone cost less than the order.  No cardinality
+        estimate and no histogram is read.  A tie goes to the order.
+        """
+        values_order = self._order(column)
+        read = values_order.count(low, high)
+        # The count sorted a long tail first, so the tail left is the
+        # one the probe masks, like a walk masks its candidates.
+        tail = values_order.tail_rows
+        order = ORDER_ROW_COST * (read - tail) + tail
+        detail = f"order={order:.0f}"
+        if not walkable:
+            return "scan", order, detail
+        surcharge = None
+        if self.compressed is not None:
+            surcharge = self.compressed.decode_surcharge(column)
+        rows, ranges, decode = self.zone_map.walk_cost(
+            column, low, high, surcharge=surcharge, limit=order
         )
+        walk = rows + decode + RANGE_COST * ranges
+        detail += f", zonemap={rows}"
+        if decode:
+            detail += f"+decode{decode:.0f}"
+        if ranges:
+            detail += f"+ranges{RANGE_COST * ranges:.0f}"
+        if walk < order:
+            return "zonemap", walk, detail
+        return "scan", order, detail
 
     def plan(self, predicate: Predicate) -> QueryPlan:
         """Decide the access path for ``predicate`` (no execution)."""
@@ -576,17 +596,34 @@ class QueryPlanner:
         pruned = self._prune_by_bounds(column, low, high)
         if pruned is not None:
             return pruned
-        if requested == "cost":
-            return self._plan_cost(column, low, high)
-        if requested in ("auto", "index"):
+        if requested == "index":
             index = self._usable_index(column)
             if index is not None:
                 why = f"{type(index).__name__} covers {column!r}"
                 return QueryPlan("index", requested, why, column, low, high, index)
-        if self.zone_map is not None and self.zone_map.covers(column):
+        walkable = self.zone_map is not None and self.zone_map.covers(column)
+        total = self.table.total_rows
+        priced = requested == "cost" or (requested == "auto" and walkable)
+        if priced and total <= MASK_ROWS:
+            reason = f"{total} rows: mask the whole column"
+            price = float(total) if requested == "cost" else None
+            return QueryPlan("scan", requested, reason, column, low, high, None, price)
+        if requested == "auto" and walkable:
+            if self.zone_map.walk_cost(column, low, high, limit=total)[0] >= total:
+                reason = "the zone map prunes no cohort; read the value order"
+                return QueryPlan("scan", requested, reason, column, low, high)
+            mode, _, detail = self._price(column, low, high, walkable)
+            cheaper = "zone-map walk" if mode == "zonemap" else "value order"
+            reason = f"the {cheaper} prices lower ({detail} rows)"
+            return QueryPlan(mode, requested, reason, column, low, high)
+        if requested == "cost":
+            mode, cost, detail = self._price(column, low, high, walkable)
+            reason = f"cost model picked {mode} ({detail} rows)"
+            return QueryPlan(mode, requested, reason, column, low, high, None, cost)
+        if walkable:
             reason = (
                 "zone map covers the predicate column"
-                if requested in ("auto", "zonemap")
+                if requested == "zonemap"
                 else "no usable index; fell back to zone map"
             )
             return QueryPlan("zonemap", requested, reason, column, low, high)
@@ -658,13 +695,16 @@ class QueryPlanner:
         """Split every match of ``predicate``, unpruned, by activity.
 
         Outside ``scan`` mode a single-column range or point predicate
-        reads the column's value order: the entries between its cuts
-        plus the unsorted tail.  Anything else (and everything in
-        ``scan`` mode) masks the whole table.  Either way the hits come
+        on a table of more than :data:`MASK_ROWS` rows reads the
+        column's value order: the entries between its cuts plus the
+        unsorted tail.  Anything else (and everything in ``scan`` mode)
+        masks the whole table.  Either way the hits come
         out ascending and split by the activity array read now, so the
         result is the full mask scan's, bit for bit.
         """
-        bounds = _range_bounds(predicate) if self.mode != "scan" else None
+        bounds = None
+        if self.mode != "scan" and self.table.total_rows > MASK_ROWS:
+            bounds = _range_bounds(predicate)
         if bounds is not None:
             column, low, high = bounds
             hits, considered = self._order(column).probe(low, high)

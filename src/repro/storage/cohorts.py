@@ -141,6 +141,11 @@ class CohortLog:
         """Read-only per-cohort count of still-active rows."""
         return self._row(_ACTIVE)
 
+    def sizes(self) -> np.ndarray:
+        """Per-cohort row count (a fresh array)."""
+        n = self._count
+        return self._ledger[_STOP, :n] - self._ledger[_START, :n]
+
     def count_through(self, epoch: int) -> int:
         """How many cohorts were inserted at or before ``epoch``."""
         return int(np.searchsorted(self._row(_EPOCH), epoch, side="right"))
@@ -171,10 +176,10 @@ class CardinalityEstimate:
     intersecting cohorts); the ``est_*`` match counts assume values are
     uniform within each cohort's ``[min, max]`` — the classic System-R
     uniformity assumption applied per cohort instead of per table.
-    ``decode_rows`` is the compressed store's extra rows-equivalent for
-    the same candidates (0 without one).  The planner prices an index
-    plan's missed side off ``est_rows``: it reads the value order, not
-    the candidates.
+    The planner does not price plans off this estimate: it prices the
+    value order by the rows its probe reads and the walk by
+    :meth:`CohortZoneMap.walk_cost`.  The estimate feeds the explain
+    trees' row counts and the sharded store's scan estimates.
     """
 
     #: Rows a zone-map-pruned scan must consider (exact).
@@ -183,8 +188,6 @@ class CardinalityEstimate:
     est_active: float
     #: Estimated forgotten matches (the M_F side).
     est_forgotten: float
-    #: Decode surcharge of the ``candidate_rows`` cohorts.
-    decode_rows: float = 0.0
 
     @property
     def est_rows(self) -> float:
@@ -237,6 +240,10 @@ class CohortZoneMap:
         self._mins = {name: np.full(16, _INT64_MAX, dtype=np.int64) for name in names}
         self._maxs = {name: np.full(16, _INT64_MIN, dtype=np.int64) for name in names}
         self._generation = 0
+        #: Per column ``((generation, cohorts), largest min, smallest
+        #: max)``: a range above the one and reaching the other meets
+        #: every zone, so pricing its walk needs no mask.
+        self._spans: dict[str, tuple] = {}
         table.add_observer(self)  # backfill replays existing history
 
     # -- schema ---------------------------------------------------------
@@ -328,20 +335,54 @@ class CohortZoneMap:
         idx = np.flatnonzero(intersects)
         return list(zip(starts[idx].tolist(), stops[idx].tolist()))
 
+    def walk_cost(
+        self, column: str, low: int, high: int, *, surcharge=None, limit=None
+    ) -> tuple[int, int, float]:
+        """``(candidate rows, candidate ranges, decode rows)`` of a walk.
+
+        The exact work of a pruned scan of ``[low, high)``: the rows and
+        ranges of the intersecting cohorts, and their decode term when
+        ``surcharge`` (:meth:`~repro.storage.compressed.
+        CompressedCohortStore.decode_surcharge`) is given.  No match count
+        is estimated.  A range that meets every zone is priced without
+        a mask.  When the candidate rows alone reach ``limit``, the walk
+        cannot cost less than ``limit`` and the other two terms are
+        skipped (0).
+        """
+        mins, maxs = self._zones(column)
+        key = (self._generation, self._count)
+        span = self._spans.get(column)
+        if span is None or span[0] != key:
+            span = (key, mins.max(initial=_INT64_MIN), maxs.min(initial=_INT64_MAX))
+            self._spans[column] = span
+        log = self.table.cohorts
+        if high > span[1] and low <= span[2]:
+            rows, intersects = log.total_rows, None
+        else:
+            intersects = (mins < high) & (maxs >= low)
+            rows = int(np.dot(log.sizes(), intersects))
+        if limit is not None and rows >= limit:
+            return rows, 0, 0.0
+        if intersects is None:
+            intersects = np.ones(self._count, dtype=bool)
+        decode = 0.0
+        if surcharge is not None:
+            decode = float(np.dot(log.sizes() * surcharge, intersects))
+        return rows, int(np.count_nonzero(intersects)), decode
+
     def pruned_fraction(self, column: str, low: int, high: int) -> float:
         """Fraction of rows a probe of ``[low, high)`` skips."""
         total = self.table.total_rows
         if total == 0:
             return 0.0
         _, _, intersects = self._intersects(column, low, high)
-        log = self.table.cohorts
-        scanned = int((log.stops() - log.starts())[intersects].sum())
+        scanned = int(self.table.cohorts.sizes()[intersects].sum())
         return 1.0 - scanned / total
 
     # -- cardinality estimation -----------------------------------------
 
     def estimate(
-        self, column: str, low: int, high: int, *, stats=None, surcharge=None
+        self, column: str, low: int, high: int, *, stats=None
     ) -> CardinalityEstimate:
         """Estimate how many rows a probe of ``[low, high)`` matches.
 
@@ -349,8 +390,7 @@ class CohortZoneMap:
         the match-count estimates interpolate each intersecting
         cohort's active/forgotten population by the fraction of its
         value span ``[min, max]`` the probe covers (uniformity
-        assumption).  This is the statistic the planner's ``cost`` mode
-        feeds on.
+        assumption).
 
         ``stats`` optionally supplies a
         :class:`~repro.stats.table_stats.TableHistogramStats` covering
@@ -358,17 +398,12 @@ class CohortZoneMap:
         value histograms (sharp on skewed streams) while the pruned-scan
         costs stay zone-map exact.  A ``stats`` object that does not
         cover the column falls back to per-cohort uniformity.
-
-        ``surcharge`` optionally supplies the per-cohort decode
-        surcharge (:meth:`~repro.storage.compressed.
-        CompressedCohortStore.decode_surcharge`); the estimate then
-        prices the candidates' decode term off the same mask.
         """
         mins, maxs, intersects = self._intersects(column, low, high)
         if mins.size == 0:
             return CardinalityEstimate(0, 0.0, 0.0)
         log = self.table.cohorts
-        sizes = log.stops() - log.starts()
+        sizes = log.sizes()
         if stats is not None and stats.covers(column):
             est_active, est_forgotten = stats.estimate(column, low, high)
         else:
@@ -384,14 +419,10 @@ class CohortZoneMap:
             active = log.active_counts()
             est_active = float((active * fraction).sum())
             est_forgotten = float(((sizes - active) * fraction).sum())
-        decode_rows = 0.0
-        if surcharge is not None:
-            decode_rows = float((sizes * surcharge)[intersects].sum())
         return CardinalityEstimate(
             candidate_rows=int(sizes[intersects].sum()),
             est_active=est_active,
             est_forgotten=est_forgotten,
-            decode_rows=decode_rows,
         )
 
     # -- introspection --------------------------------------------------

@@ -132,7 +132,7 @@ class TestColdStoreLookup:
         assert out["b"].tolist() == [reference[p][1] for p in request.tolist()]
         assert store.segment_count == 40
         assert store.tuple_count == len(reference)
-        assert store.segment_epochs == list(range(40))
+        assert store._epochs == list(range(40))
 
     def test_contains_matches_reference(self, archived, rng):
         store, reference = archived

@@ -373,12 +373,12 @@ class TestVectorizedSurcharge:
             for column in ("a", "b"):
                 ranges = zone_map.candidate_ranges(column, low, high)
                 for s in (store, restored):
-                    estimate = zone_map.estimate(
+                    rows, count, decode = zone_map.walk_cost(
                         column, low, high, surcharge=s.decode_surcharge(column)
                     )
-                    assert estimate.decode_rows == _per_range_penalty(
-                        s, ranges, column
-                    )
+                    assert decode == _per_range_penalty(s, ranges, column)
+                    assert rows == sum(stop - start for start, stop in ranges)
+                    assert count == len(ranges)
 
 
 class TestAccounting:

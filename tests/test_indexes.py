@@ -110,7 +110,7 @@ class TestSortedIndexSpecifics:
         for epoch in range(1, 6):
             table.insert_batch(epoch, {"a": rng.integers(0, 100, 10)})
         # 50 delta rows exceed the threshold: a merge must have fired.
-        assert index.delta_size < 50
+        assert index._delta_positions.size < 50
         probe = index.lookup_range(0, 100)
         assert probe.count == table.active_count
 
@@ -211,7 +211,7 @@ class TestForgettingStopsIndexHits:
         index = SortedIndex(table, "a", merge_threshold=1000)  # never merge
         table.insert_batch(1, {"a": np.arange(100, 110)})  # lands in delta
         table.forget(np.array([12, 14]), epoch=2)  # forget delta rows
-        assert index.delta_size > 0  # still buffered, not merged
+        assert index._delta_positions.size > 0  # still buffered, not merged
         hits = index.lookup_range(100, 110).positions
         assert sorted(hits.tolist()) == [10, 11, 13, 15, 16, 17, 18, 19]
 
@@ -220,7 +220,7 @@ class TestForgettingStopsIndexHits:
         index = SortedIndex(table, "a", merge_threshold=4)
         table.forget(np.array([2, 3]), epoch=1)
         table.insert_batch(1, {"a": np.arange(100, 108)})  # exceeds threshold
-        assert index.delta_size == 0  # merged
+        assert index._delta_positions.size == 0  # merged
         assert index.lookup_range(0, 10).positions.tolist() == [0, 1] + list(
             range(4, 10)
         )
@@ -246,35 +246,6 @@ class TestForgettingStopsIndexHits:
         table.insert_batch(1, {"a": [3]})  # position 5, value 3
         for index in indexes:
             assert index.lookup_value(3).positions.tolist() == [5]
-
-
-class TestEstimateEntries:
-    def _table(self):
-        table = Table("t", ["a"])
-        table.insert_batch(0, {"a": np.arange(0, 200)})
-        table.forget(np.arange(0, 50), epoch=1)
-        return table
-
-    def test_sorted_estimate_matches_probe(self):
-        table = self._table()
-        index = SortedIndex(table, "a")
-        probe = index.lookup_range(60, 90)
-        assert index.estimate_entries(60, 90) == probe.entries_touched
-
-    def test_brin_estimate_matches_probe(self):
-        table = self._table()
-        index = BlockRangeIndex(table, "a", block_size=32)
-        probe = index.lookup_range(60, 90)
-        assert index.estimate_entries(60, 90) == probe.entries_touched
-
-    def test_dropped_index_estimates_none(self):
-        table = self._table()
-        for index in (
-            SortedIndex(table, "a"),
-            BlockRangeIndex(table, "a", block_size=32),
-        ):
-            index.drop()
-            assert index.estimate_entries(0, 10) is None
 
 
 #: One step of an index workload: insert ``n`` rows; forget positions
@@ -304,8 +275,7 @@ def test_interleaved_maintenance_matches_active_scan(
     merge_threshold, block_size, steps, ranges
 ):
     """After every insert, forget, drop or rebuild, each built index's
-    probe equals a brute-force scan of the active rows, and its
-    ``entries_touched`` equals its ``estimate_entries``."""
+    probe equals a brute-force scan of the active rows."""
     rng = np.random.default_rng(merge_threshold * 100 + block_size)
     table = Table("t", ["a"])
     table.insert_batch(0, {"a": rng.integers(0, 50, 30)})
@@ -317,8 +287,8 @@ def test_interleaved_maintenance_matches_active_scan(
     for epoch, (kind, arg) in enumerate(steps, start=1):
         total = table.total_rows
         # The delta buffer holds the rows inserted since the last merge
-        # or rebuild: the newest ``delta_size`` positions.
-        delta_start = total - sorted_index.delta_size
+        # or rebuild: the newest ``_delta_positions.size`` positions.
+        delta_start = total - sorted_index._delta_positions.size
         if kind == "insert":
             table.insert_batch(epoch, {"a": rng.integers(0, 50, arg)})
         elif kind == "toggle":
@@ -335,11 +305,13 @@ def test_interleaved_maintenance_matches_active_scan(
             if stop > start:
                 picks = start + np.asarray(arg, dtype=np.int64) % (stop - start)
                 table.forget(picks, epoch=epoch)
-        assert sorted_index.delta_size <= merge_threshold
+        delta = sorted_index._delta_positions.size
+        assert delta <= merge_threshold
         merged = (kind == "insert" and arg > 0) or (kind, arg) == ("toggle", "sorted")
-        if merged and not sorted_index.is_dropped and sorted_index.delta_size == 0:
+        if merged and not sorted_index.is_dropped and delta == 0:
             # A merge or rebuild just ran: the run holds the active rows only.
-            assert sorted_index.estimate_entries(-(2**62), 2**62) == table.active_count
+            probe = sorted_index.lookup_range(-(2**62), 2**62)
+            assert probe.entries_touched == table.active_count
         values = table.values("a")
         for low, width in ranges:
             high = low + width
@@ -347,8 +319,6 @@ def test_interleaved_maintenance_matches_active_scan(
             want = np.flatnonzero(hits)
             for index in indexes.values():
                 if index.is_dropped:
-                    assert index.estimate_entries(low, high) is None
                     continue
                 probe = index.lookup_range(low, high)
                 np.testing.assert_array_equal(np.sort(probe.positions), want)
-                assert probe.entries_touched == index.estimate_entries(low, high)

@@ -103,7 +103,7 @@ class TestForgetEpochRecorded:
         two_cohorts.add_observer(cold)
         two_cohorts.add_observer(summary)
         two_cohorts.forget(np.array([3, 12]), epoch=7)
-        assert cold.store.segment_epochs == [7]
+        assert cold.store._epochs == [7]
         assert [e.epoch for e in summary.store.events()] == [7]
         assert cold.recover(np.array([12, 3]))["b"].tolist() == [24, 6]
 
@@ -113,7 +113,7 @@ class TestForgetEpochRecorded:
         cold, summary = ColdStorageDisposition(), SummaryDisposition()
         two_cohorts.add_observer(cold)
         two_cohorts.add_observer(summary)
-        assert cold.store.segment_epochs == [9]
+        assert cold.store._epochs == [9]
         assert [e.epoch for e in summary.store.events()] == [9]
 
 

@@ -241,11 +241,19 @@ class TestPlannerRouting:
     def test_shard_pruning_is_a_planner_decision(self):
         store = make_store()
         store.insert({"a": np.arange(0, 1000, 10)})
+        # The shard planner's bounds test decides the prune ...
+        assert dict(store.explain(0, 100))[1].mode == "pruned"
         result = store.range_query(0, 100)
         assert result.shards_executed == 1
         assert result.shards_pruned == 1
-        # The pruned shard's planner recorded the decision itself.
-        assert store.partitions[1].db.planner.stats()["paths"]["pruned"] == 1
+        # ... and the store answers the uncovered shard without entering
+        # its planner, counting the prune itself.
+        pruned, executed = store.partitions[1], store.partitions[0]
+        assert pruned.db.planner.stats()["queries_planned"] == 0
+        assert pruned.prunes == 1
+        assert pruned.pruned_rows == pruned.db.total_rows
+        assert executed.db.planner.stats()["queries_planned"] == 1
+        assert executed.prunes == 0
 
     def test_scan_mode_never_prunes_shards(self):
         store = PartitionedAmnesiaDatabase(
@@ -285,6 +293,12 @@ class TestPlannerRouting:
         assert "shard 0 [0, 500)" in report
         assert "shard 1 [500, 1000)" in report
         assert "shard-level prunes 1" in report
+        # The uncovered shard's planner planned nothing; the totals
+        # still count its 50 rows as pruned.
+        assert store.partitions[1].db.planner.stats()["queries_planned"] == 0
+        shard_1 = report.split("shard 1 [500, 1000):")[1]
+        assert "0 queries planned" in shard_1
+        assert "pruned 50; shard-level prunes 1" in report
 
     def test_reversed_range_raises(self):
         store = make_store()
@@ -315,9 +329,16 @@ class TestPlannerRouting:
         store = make_store()
         store.insert({"a": np.arange(0, 1000, 10)})
         store.range_query(0, 100)
+        store.aggregate("count", 600, 700)
+        store.scan_chunks(0, 100)
         stats = store.stats()
         assert stats["plan"] == store.plan_mode
-        assert stats["shard_prunes"] == [0, 1]
+        # Every read type counts its prunes at the store level, and no
+        # uncovered shard's planner ran.
+        assert stats["shard_prunes"] == [1, 2]
+        assert [
+            p.db.planner.stats()["queries_planned"] for p in store.partitions
+        ] == [2, 1]
 
 
 def _empty_partition():

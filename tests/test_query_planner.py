@@ -19,6 +19,7 @@ from repro.query import (
     RangeQuery,
     TruePredicate,
 )
+from repro.query.planner import ORDER_ROW_COST, RANGE_COST
 from repro.query.value_order import ValueOrder
 from repro.stats import TableHistogramStats
 from repro.storage import CohortZoneMap, CompressedCohortStore, Table
@@ -33,6 +34,18 @@ def loaded_table():
             epoch, {"a": np.arange(epoch * 100, epoch * 100 + 50)}
         )
     table.forget(np.arange(0, 150, 3), epoch=3)
+    return table
+
+
+def _clustered_table():
+    """Three 5,000-row cohorts of localised values: past the value
+    order's run threshold, so a probe reads sorted entries only."""
+    table = Table("t", ["a"])
+    for epoch in range(3):
+        table.insert_batch(
+            epoch, {"a": np.arange(epoch * 10_000, epoch * 10_000 + 5_000)}
+        )
+    table.forget(np.arange(0, table.total_rows, 3), epoch=3)
     return table
 
 
@@ -52,21 +65,49 @@ class TestPlanSelection:
         assert plan.mode == "scan"
         assert plan.requested == "scan"
 
-    def test_auto_prefers_index_over_zonemap(self, loaded_table):
-        zone_map = CohortZoneMap(loaded_table)
-        index = SortedIndex(loaded_table, "a")
-        planner = QueryPlanner(
-            loaded_table, mode="auto", zone_map=zone_map, indexes=[index]
+    def test_auto_reads_the_order_past_an_index(self, loaded_table):
+        """An index plan reads its probe and the value order, so auto
+        reads the order alone; only forced index mode takes the index."""
+        table = _clustered_table()
+        zone_map = CohortZoneMap(table)
+        index = SortedIndex(table, "a")
+        predicate = RangePredicate("a", 0, 10)
+        auto = QueryPlanner(table, mode="auto", zone_map=zone_map, indexes=[index])
+        plan = auto.plan(predicate)
+        assert plan.mode == "scan"
+        assert plan.index is None
+        assert "value order prices lower" in plan.reason
+        # Auto records no price; cost mode would.
+        assert plan.estimated_rows is None
+        forced = QueryPlanner(
+            table, mode="index", zone_map=zone_map, indexes=[index]
         )
-        plan = planner.plan(RangePredicate("a", 0, 10))
+        plan = forced.plan(predicate)
         assert plan.mode == "index"
         assert plan.index is index
-
-    def test_auto_uses_zonemap_without_index(self, loaded_table):
-        planner = QueryPlanner(
-            loaded_table, mode="auto", zone_map=CohortZoneMap(loaded_table)
+        # A table of at most MASK_ROWS rows is masked whole, unpriced.
+        small = QueryPlanner(
+            loaded_table,
+            mode="auto",
+            zone_map=CohortZoneMap(loaded_table),
+            indexes=[SortedIndex(loaded_table, "a")],
         )
-        assert planner.plan(RangePredicate("a", 0, 10)).mode == "zonemap"
+        plan = small.plan(predicate)
+        assert (plan.mode, plan.reason) == ("scan", "150 rows: mask the whole column")
+        assert small.match(predicate, ("a",))[2].rows_considered == 150
+        assert not small._orders
+
+    def test_auto_uses_zonemap_without_index(self):
+        """Auto walks the zone map when the walk prices below the order
+        (a wide read over clustered cohorts), and reads the order when
+        the read is narrow."""
+        table = _clustered_table()
+        planner = QueryPlanner(table, mode="auto", zone_map=CohortZoneMap(table))
+        wide = planner.plan(RangePredicate("a", 0, 5_000))
+        assert wide.mode == "zonemap"
+        assert f"order={ORDER_ROW_COST * 5_000:.0f}" in wide.reason
+        assert f"zonemap=5000+ranges{RANGE_COST:.0f}" in wide.reason
+        assert planner.plan(RangePredicate("a", 0, 10)).mode == "scan"
 
     def test_auto_falls_back_to_scan_bare(self, loaded_table):
         planner = QueryPlanner(loaded_table, mode="auto")
@@ -76,7 +117,7 @@ class TestPlanSelection:
 
     def test_point_predicate_gets_bounds(self, loaded_table):
         planner = QueryPlanner(
-            loaded_table, mode="auto", zone_map=CohortZoneMap(loaded_table)
+            loaded_table, mode="zonemap", zone_map=CohortZoneMap(loaded_table)
         )
         plan = planner.plan(PointPredicate("a", 42))
         assert plan.mode == "zonemap"
@@ -225,12 +266,14 @@ class TestPlanSelection:
         index = SortedIndex(loaded_table, "a")
         planner = QueryPlanner(
             loaded_table,
-            mode="auto",
+            mode="index",
             zone_map=CohortZoneMap(loaded_table),
             indexes=[index],
         )
         index.drop()
-        assert planner.plan(RangePredicate("a", 0, 10)).mode == "zonemap"
+        plan = planner.plan(RangePredicate("a", 0, 10))
+        assert plan.mode == "zonemap"
+        assert "no usable index" in plan.reason
         index.rebuild()
         assert planner.plan(RangePredicate("a", 0, 10)).mode == "index"
 
@@ -244,52 +287,62 @@ class TestPlanSelection:
 
 
 class TestCostMode:
-    def test_cost_prefers_zonemap_over_coarse_brin(self, loaded_table):
-        """The headline cost-model win: auto's index>zonemap preference
-        is wrong when the index's probe touches more rows than a pruned
-        scan — cost mode prices both and flips the choice."""
-        zone_map = CohortZoneMap(loaded_table)
-        coarse = BlockRangeIndex(loaded_table, "a", block_size=150)
-        auto = QueryPlanner(
-            loaded_table, mode="auto", zone_map=zone_map, indexes=[coarse]
+    def test_cost_prefers_zonemap_over_coarse_brin(self):
+        """Forced index mode takes a coarse BRIN whatever its probe
+        costs; cost mode prices only the order and the zone-map walk,
+        and on a wide read over clustered cohorts the walk wins."""
+        table = _clustered_table()
+        zone_map = CohortZoneMap(table)
+        coarse = BlockRangeIndex(table, "a", block_size=15_000)
+        forced = QueryPlanner(
+            table, mode="index", zone_map=zone_map, indexes=[coarse]
         )
         cost = QueryPlanner(
-            loaded_table, mode="cost", zone_map=zone_map, indexes=[coarse]
+            table, mode="cost", zone_map=zone_map, indexes=[coarse]
         )
-        predicate = RangePredicate("a", 0, 10)
-        assert auto.plan(predicate).mode == "index"
+        predicate = RangePredicate("a", 0, 5_000)
+        assert forced.plan(predicate).mode == "index"
         plan = cost.plan(predicate)
         assert plan.mode == "zonemap"
         assert plan.requested == "cost"
-        assert plan.estimated_rows == 50  # one 50-row cohort
+        # One 5,000-row cohort plus one range's constant.
+        assert plan.estimated_rows == 5_000 + RANGE_COST
         assert "cost model" in plan.reason
+        assert "BlockRangeIndex" not in plan.reason
 
-    def test_cost_picks_selective_index(self):
-        """An index plan costs its probe plus the value-order read of
-        the missed side: the estimated matches, plus the unsorted tail
-        while the history is too short to sort."""
+    def test_selective_index_runs_only_when_forced(self):
+        """An index plan reads its probe plus the same value order the
+        order read reads, so cost mode reads the order alone, priced as
+        the entries it reads; forced index mode still runs the index."""
         table = Table("t", ["a"])
         table.insert_batch(0, {"a": np.arange(0, 5_000)})
         table.insert_batch(1, {"a": np.arange(10_000, 15_000)})
         table.forget(np.arange(0, 5_000, 2), epoch=2)  # cohort 0 rots
         zone_map = CohortZoneMap(table)
         index = SortedIndex(table, "a")
-        planner = QueryPlanner(
-            table, mode="cost", zone_map=zone_map, indexes=[index]
+        cost = QueryPlanner(table, mode="cost", zone_map=zone_map, indexes=[index])
+        forced = QueryPlanner(
+            table, mode="index", zone_map=zone_map, indexes=[index]
         )
-        # Past the run threshold the order sorts its tail, so a probe of
-        # at most 10 entries plus 10 ordered matches beats the 5,000-row
-        # pruned scan — in the rotting cohort too.
-        for low, entries in ((10_000, 10), (1_000, 5)):
-            plan = planner.plan(RangePredicate("a", low, low + 10))
+        # Past the run threshold the order sorts its tail, so a narrow
+        # read costs its ten matches — in the rotting cohort too.
+        for low in (10_000, 1_000):
+            predicate = RangePredicate("a", low, low + 10)
+            plan = cost.plan(predicate)
+            assert plan.mode == "scan"
+            assert plan.index is None
+            assert plan.estimated_rows == ORDER_ROW_COST * 10
+            plan = forced.plan(predicate)
             assert plan.mode == "index"
             assert plan.index is index
-            assert plan.estimated_rows == pytest.approx(entries + 10.0)
-        # A wide probe reads more entries and matches than one cohort
-        # holds, so the pruned scan wins.
-        assert planner.plan(RangePredicate("a", 0, 4_000)).mode == "zonemap"
-        # Below the run threshold the next order read masks the whole
-        # history, so an index plan never undercuts the scan.
+            # The forced plan reads strictly more than the order read.
+            forced_read = forced.match(predicate, ("a",), plan=plan)[2]
+            order_read = cost.match(predicate, ("a",))[2]
+            assert forced_read.rows_considered > order_read.rows_considered
+        # A wide read costs more ordered entries than one cohort's walk.
+        assert cost.plan(RangePredicate("a", 0, 4_000)).mode == "zonemap"
+        # A table of at most MASK_ROWS rows is masked whole, priced at
+        # one candidate row per row.
         small = Table("s", ["a"])
         small.insert_batch(0, {"a": np.arange(0, 50)})
         small.insert_batch(1, {"a": np.arange(100, 150)})
@@ -300,13 +353,15 @@ class TestCostMode:
             indexes=[SortedIndex(small, "a")],
         )
         plan = small_planner.plan(RangePredicate("a", 100, 110))
-        assert plan.mode == "zonemap"
-        assert f"SortedIndex≈{10 + 10 + small.total_rows}" in plan.reason
+        assert plan.mode == "scan"
+        assert plan.estimated_rows == small.total_rows
+        assert "mask the whole column" in plan.reason
 
     def test_cost_without_structures_scans(self, loaded_table):
         planner = QueryPlanner(loaded_table, mode="cost")
         plan = planner.plan(RangePredicate("a", 0, 10))
         assert plan.mode == "scan"
+        # Below the run threshold the order read masks every row.
         assert plan.estimated_rows == loaded_table.total_rows
 
     def test_cost_results_match_scan(self, loaded_table):
@@ -344,8 +399,8 @@ class TestCostMode:
         On a 500-cohort history with every cohort demoted, planning
         must neither list candidate ranges, look a block up nor probe
         the value order (all stay on the execution path); the decode
-        term is still priced for the pruned scan, and an index plan's
-        missed side is priced as the order read.
+        term is still priced for the pruned scan, and the order read is
+        priced as the entries it reads.
         """
         rng = np.random.default_rng(3)
         table = Table("t", ["a"])
@@ -374,14 +429,40 @@ class TestCostMode:
         wide = planner.plan(RangePredicate("a", 1_000, 40_000))
         assert "+decode" in wide.reason
         narrow = planner.plan(RangePredicate("a", 100, 102))
-        assert narrow.mode == "index"
-        estimate = planner.estimate("a", 100, 102)
-        assert estimate.decode_rows > 0
+        assert narrow.mode == "scan"
+        decode = zone_map.walk_cost(
+            "a", 100, 102, surcharge=store.decode_surcharge("a")
+        )[2]
+        assert decode > 0
         # 10,000 rows: the first read sorts them, so no tail is priced.
-        assert narrow.estimated_rows == (
-            index.estimate_entries(100, 102) + estimate.est_rows
-        )
+        values = table.values("a")
+        matches = np.count_nonzero((values >= 100) & (values < 102))
+        assert narrow.estimated_rows == ORDER_ROW_COST * matches
 
+    def test_pricing_reads_no_estimates(self, monkeypatch):
+        """Neither cost nor auto planning reads a cardinality estimate
+        or a histogram: the order's count and one cohort mask price
+        both reads."""
+        rng = np.random.default_rng(5)
+        table = Table("t", ["a"])
+        zone_map = CohortZoneMap(table)
+        stats = TableHistogramStats(table)
+        for epoch in range(10):
+            low = epoch * 10_000
+            table.insert_batch(epoch, {"a": rng.integers(low, low + 12_000, 5_000)})
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("planning read an estimate")
+
+        monkeypatch.setattr(CohortZoneMap, "estimate", forbidden)
+        monkeypatch.setattr(TableHistogramStats, "estimate", forbidden)
+        for mode in ("auto", "cost"):
+            planner = QueryPlanner(table, mode=mode, zone_map=zone_map, stats=stats)
+            modes = {
+                planner.plan(RangePredicate("a", low, low + width)).mode
+                for low, width in ((50_000, 10), (0, 50_000))
+            }
+            assert modes == {"scan", "zonemap"}
 
 class TestHistogramStatistics:
     def test_estimate_is_histogram_sharpened(self):
@@ -462,7 +543,7 @@ class TestValueBounds:
     def test_out_of_bounds_probe_is_pruned(self, loaded_table):
         planner = QueryPlanner(
             loaded_table,
-            mode="auto",
+            mode="zonemap",
             zone_map=CohortZoneMap(loaded_table),
             value_bounds={"a": (0, 300)},
         )
@@ -519,7 +600,7 @@ class TestValueBounds:
 class TestExplain:
     def test_explain_accepts_queries_and_predicates(self, loaded_table):
         planner = QueryPlanner(
-            loaded_table, mode="auto", zone_map=CohortZoneMap(loaded_table)
+            loaded_table, mode="zonemap", zone_map=CohortZoneMap(loaded_table)
         )
         predicate = RangePredicate("a", 0, 10)
         assert planner.explain(predicate).mode == "zonemap"
@@ -533,7 +614,7 @@ class TestExplain:
 
     def test_describe_mentions_path_and_reason(self, loaded_table):
         planner = QueryPlanner(
-            loaded_table, mode="auto", zone_map=CohortZoneMap(loaded_table)
+            loaded_table, mode="zonemap", zone_map=CohortZoneMap(loaded_table)
         )
         text = planner.explain(RangePredicate("a", 0, 10)).describe()
         assert "zonemap" in text and "[0, 10)" in text
@@ -543,16 +624,11 @@ class TestPlanReport:
     def test_report_counts_paths_and_pruning(self):
         # Past the value order's run threshold, so the index plan's
         # missed side reads sorted entries instead of the whole tail.
-        table = Table("t", ["a"])
-        for epoch in range(3):
-            table.insert_batch(
-                epoch, {"a": np.arange(epoch * 10_000, epoch * 10_000 + 5_000)}
-            )
-        table.forget(np.arange(0, table.total_rows, 3), epoch=3)
+        table = _clustered_table()
         zone_map = CohortZoneMap(table)
         index = BlockRangeIndex(table, "a", block_size=32)
         planner = QueryPlanner(
-            table, mode="auto", zone_map=zone_map, indexes=[index]
+            table, mode="index", zone_map=zone_map, indexes=[index]
         )
         executor = QueryExecutor(table, record_access=False, planner=planner)
         executor.execute_range(RangeQuery(RangePredicate("a", 0, 10)), epoch=4)

@@ -202,9 +202,9 @@ class TestPlanCache:
     def test_dropped_index_evicts_without_generation_move(self):
         from repro.indexes import SortedIndex
 
-        # Past the value order's run threshold, so the cost model prices
-        # the index plan's missed side as the matches, not the history.
-        catalog = _catalog(rows=10_000)
+        # Only forced index mode plans an index read: auto and cost read
+        # the value order, which an index plan reads on top of its probe.
+        catalog = _catalog(plan="index")
         index = catalog.create_index("obs", "value", SortedIndex)
         planner = catalog.planner("obs")
         plan = planner.plan(RangePredicate("value", 0, 50))

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.indexes import BlockRangeIndex, SortedIndex
 from repro.query import PointPredicate, QueryPlan, QueryPlanner, RangePredicate
-from repro.query.planner import table_planner
+from repro.query.planner import MASK_ROWS, table_planner
 from repro.query.value_order import RUN_THRESHOLD, ValueOrder
 from repro.storage import Table
 
@@ -73,10 +73,10 @@ def _predicate(op):
     return RangePredicate("a", low, high)
 
 
-#: Cost plans pick each index kind: the first read finds the sorted
-#: index merged and probes it; after a 4095-row sorted batch waits in
-#: its write buffer, the block-range index prunes to a few blocks and
-#: wins.  Every cohort spans the domain, so the zone map prunes nothing.
+#: Forced index plans run through each index kind: the first read finds
+#: the sorted index merged; after a 4095-row sorted batch waits in its
+#: write buffer, the block-range index prunes to a few blocks.  Cost
+#: plans would pick neither: an index plan reads the order too.
 INDEX_PICKS = [
     ("insert", 9_000, 1_000, True),
     ("forget", 0.5),
@@ -158,7 +158,8 @@ def _run(ops, seed: int) -> Counter:
                 assert execution.rows_considered <= reads * table.total_rows
                 if chosen.mode == "index":
                     picks[planner.mode, type(chosen.index).__name__] += 1
-            _check_shape(planner._orders["a"], table.total_rows)
+            if table.total_rows > MASK_ROWS:
+                _check_shape(planner._orders["a"], table.total_rows)
     assert not baseline._orders  # scan mode builds nothing
     return picks
 
@@ -179,13 +180,76 @@ def test_value_order_matches_mask_scan(ops, seed):
     _run(ops, seed)
 
 
-def test_cost_plans_pick_each_index():
-    """The property runs real index plans: forced ones through either
-    index kind, and cost plans that pick each kind by its price."""
+#: Inserts on both sides of the run threshold and reads with bounds in
+#: either order (so reversed and empty ranges occur).
+COUNT_OPS = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.sampled_from([1, 100, RUN_THRESHOLD, RUN_THRESHOLD + 1, 9_000]),
+        st.sampled_from([16, 1_000]),
+    ),
+    st.tuples(st.just("read"), BOUNDS, BOUNDS),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(ops=st.lists(COUNT_OPS, min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+@example(
+    ops=[
+        ("read", 0, 10),
+        ("insert", 9_000, 1_000),
+        ("read", 100, 600),
+        ("insert", RUN_THRESHOLD + 1, 16),
+        ("read", 2**70, -(2**70)),
+        ("read", 16, 16),
+        ("insert", 100, 1_000),
+        ("read", -(2**62), 2**62),
+        ("read", -(2**63) - 1, 2**63),
+    ],
+    seed=0,
+)
+def test_count_is_the_probe_read(ops, seed):
+    """``count`` prices exactly the rows the next ``probe`` reads, with
+    the unsorted tail at or under the run threshold and over it (where
+    both must sort the tail into a run first)."""
+    rng = np.random.default_rng(seed)
+    table = Table("t", ["a"])
+    # Twin orders extended at the same reads, so the count's cuts are
+    # not the ones the probe reuses.
+    priced, probed = ValueOrder(table, "a"), ValueOrder(table, "a")
+    for op in ops:
+        if op[0] == "insert":
+            _, rows, width = op
+            values = rng.integers(0, width, rows)
+            values[rng.random(rows) < 0.01] = rng.choice(EXTREMES)
+            table.insert_batch(table.total_rows, {"a": values})
+            continue
+        _, low, high = op
+        counted = priced.count(low, high)
+        hits, read = probed.probe(low, high)
+        assert counted == read, (op, priced.run_sizes, table.total_rows)
+        assert priced.run_sizes == probed.run_sizes
+        # Every ordered match is read, and nothing else but the tail.
+        values = table.values("a")
+        ordered = sum(priced.run_sizes)
+        ordered_values = values[:ordered]
+        matched = np.count_nonzero((ordered_values >= low) & (ordered_values < high))
+        assert counted == matched + table.total_rows - ordered
+        # The planner masks tables of at most MASK_ROWS rows, so the
+        # probe's hits on those are checked here.
+        assert np.array_equal(hits, np.flatnonzero((values >= low) & (values < high)))
+        # A probe after the count reads what the count priced.
+        assert priced.probe(low, high)[1] == counted
+
+
+def test_forced_index_plans_run_each_index():
+    """The property runs real index plans through either index kind in
+    forced index mode; cost plans, which price an index plan as its
+    probe plus the order read, never pick one."""
     picks = _run(INDEX_PICKS, seed=0)
     for kind in ("SortedIndex", "BlockRangeIndex"):
         assert picks["index", kind] > 0
-        assert picks["cost", kind] > 0
+        assert picks["cost", kind] == 0
 
 
 def test_tail_threshold_and_merges():
