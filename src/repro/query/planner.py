@@ -17,8 +17,9 @@ the same ``rf``/``mf``/precision and the same float aggregates):
     sorted by value, built lazily at the first such read — so the read
     costs the matches plus an unsorted tail of at most a few thousand
     rows, not the history.  ``auto`` and ``cost`` plan a smaller
-    table's read as this mask, unpriced.  Composite predicates still
-    mask the whole table.
+    table's read as this mask and price it at the table's rows without
+    pricing either read.  Composite predicates still mask the whole
+    table.
 
 ``zonemap``
     Cohort-level pruning through a
@@ -39,12 +40,10 @@ the same ``rf``/``mf``/precision and the same float aggregates):
     alone.
 
 ``auto``
-    Read the value order, unpriced, when the zone map prunes no cohort
-    of the range: that walk reads every row plus a constant per cohort,
-    and only a read matching a large share of the table could be
-    cheaper through it.  When the zone map prunes, pick the cheaper of
-    the order and the walk by the ``cost`` mode's prices, without
-    recording them.  With no zone map over the column, read the order.
+    Plan a single-column read exactly as ``cost`` does when a zone map
+    covers the column, price included; with no zone map over the
+    column, read the order unpriced.  A multi-column ``AND`` walks its
+    intersected candidates without pricing them.
 
 ``cost``
     Price both reads in zone-map candidate rows and take the cheaper
@@ -173,7 +172,8 @@ class QueryPlan:
     high: int | None = None
     index: Index | None = None
     #: Cost-model price of the chosen path in zone-map candidate rows
-    #: (only set by ``cost`` plans and ``pruned`` short-circuits).
+    #: (set by priced ``cost`` and ``auto`` plans and by ``pruned``
+    #: short-circuits).
     estimated_rows: float | None = None
     #: Per-column bounds of an AND-composed multi-column plan:
     #: ``((column, low, high), ...)``.  Execution intersects each
@@ -488,10 +488,11 @@ class QueryPlanner:
         reads times :data:`ORDER_ROW_COST`, plus the unsorted tail it
         masks at one candidate row each.  The zone-map walk (only when
         ``walkable``) is priced as its candidate rows, their decode
-        surcharge and :data:`RANGE_COST` per candidate range, all off
-        one cohort mask; the last two terms are only added when the
-        candidate rows alone cost less than the order.  No cardinality
-        estimate and no histogram is read.  A tie goes to the order.
+        surcharge and :data:`RANGE_COST` per candidate range
+        (:meth:`~repro.storage.cohorts.CohortZoneMap.walk_cost`); the
+        last two terms are only added when the candidate rows alone cost
+        less than the order.  No cardinality estimate and no histogram
+        is read.  A tie goes to the order.
         """
         values_order = self._order(column)
         read = values_order.count(low, high)
@@ -502,11 +503,8 @@ class QueryPlanner:
         detail = f"order={order:.0f}"
         if not walkable:
             return "scan", order, detail
-        surcharge = None
-        if self.compressed is not None:
-            surcharge = self.compressed.decode_surcharge(column)
         rows, ranges, decode = self.zone_map.walk_cost(
-            column, low, high, surcharge=surcharge, limit=order
+            column, low, high, compressed=self.compressed, limit=order
         )
         walk = rows + decode + RANGE_COST * ranges
         detail += f", zonemap={rows}"
@@ -603,22 +601,13 @@ class QueryPlanner:
                 return QueryPlan("index", requested, why, column, low, high, index)
         walkable = self.zone_map is not None and self.zone_map.covers(column)
         total = self.table.total_rows
-        priced = requested == "cost" or (requested == "auto" and walkable)
-        if priced and total <= MASK_ROWS:
-            reason = f"{total} rows: mask the whole column"
-            price = float(total) if requested == "cost" else None
-            return QueryPlan("scan", requested, reason, column, low, high, None, price)
-        if requested == "auto" and walkable:
-            if self.zone_map.walk_cost(column, low, high, limit=total)[0] >= total:
-                reason = "the zone map prunes no cohort; read the value order"
-                return QueryPlan("scan", requested, reason, column, low, high)
-            mode, _, detail = self._price(column, low, high, walkable)
-            cheaper = "zone-map walk" if mode == "zonemap" else "value order"
-            reason = f"the {cheaper} prices lower ({detail} rows)"
-            return QueryPlan(mode, requested, reason, column, low, high)
-        if requested == "cost":
-            mode, cost, detail = self._price(column, low, high, walkable)
-            reason = f"cost model picked {mode} ({detail} rows)"
+        if requested == "cost" or (requested == "auto" and walkable):
+            if total <= MASK_ROWS:
+                mode, cost = "scan", float(total)
+                reason = f"{total} rows: mask the whole column"
+            else:
+                mode, cost, detail = self._price(column, low, high, walkable)
+                reason = f"cost model picked {mode} ({detail} rows)"
             return QueryPlan(mode, requested, reason, column, low, high, None, cost)
         if walkable:
             reason = (

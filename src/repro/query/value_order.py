@@ -17,11 +17,11 @@ run's entries, so the run count stays logarithmic in the history.
 
 Each run stores positions only (int32 while the table has fewer than
 ``2**31`` rows) plus one sorted-value *fence* every
-:data:`FENCE_STRIDE` entries: binary search over the fences narrows a
-bound to one block, and a gather of that block's values finds the exact
-cut.  That is about 4.1 resident bytes per ordered row.  Activity is
-not recorded here; callers split the hits by the table's activity array
-at probe time.
+:data:`FENCE_STRIDE` entries: bisection of the fences narrows a bound
+to one block, and a bisection of that block keyed by value finds the
+exact cut, reading about twenty values in all.  That is about 4.1
+resident bytes per ordered row.  Activity is not recorded here;
+callers split the hits by the table's activity array at probe time.
 
 The planner prices the order before it reads it: :meth:`ValueOrder.
 count` runs the probe's own extension and cuts and adds the tail, so
@@ -34,6 +34,7 @@ range does not cut again.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 import numpy as np
 
@@ -45,9 +46,6 @@ RUN_THRESHOLD = 4096
 
 #: Sorted entries per fence value.
 FENCE_STRIDE = 64
-
-_INT64_MIN = int(np.iinfo(np.int64).min)
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ValueOrder:
@@ -66,9 +64,10 @@ class ValueOrder:
         self.table = table
         self.column = column
         self._lock = threading.Lock()
-        #: ``(runs, through)``: each run a ``(positions, fences)`` pair,
-        #: together ordering ``[0, through)``.  Published as one tuple so
-        #: a concurrent reader never pairs runs with another ``through``.
+        #: ``(runs, through)``: each run a ``(positions, view, fences)``
+        #: triple (see :func:`_run`), together ordering ``[0, through)``.
+        #: Published as one tuple so a concurrent reader never pairs
+        #: runs with another ``through``.
         self._state: tuple[tuple, int] = ((), 0)
         #: ``(state, low, high, cuts)`` of the last range cut.
         self._last_cuts: tuple = (None, None, None, None)
@@ -76,12 +75,12 @@ class ValueOrder:
     @property
     def run_sizes(self) -> list[int]:
         """Entries per sorted run, oldest first; later rows form the tail."""
-        return [positions.size for positions, _ in self._state[0]]
+        return [run[0].size for run in self._state[0]]
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the runs' positions and fences."""
-        return sum(p.nbytes + f.nbytes for p, f in self._state[0])
+        return sum(p.nbytes + f.nbytes for p, _, f in self._state[0])
 
     @property
     def tail_rows(self) -> int:
@@ -92,10 +91,10 @@ class ValueOrder:
     def count(self, low: int, high: int) -> int:
         """Rows :meth:`probe` of ``[low, high)`` would read, exactly.
 
-        The probe's own cuts (two fence searches and two 64-value
-        gathers per run) plus the tail, after the same extension, so it
-        costs O(runs · log n) and slices, sorts and masks nothing.  The
-        cuts are kept for a probe of the same range that follows.
+        The probe's own cuts (two bisections per bound and run) plus
+        the tail, after the same extension, so it costs O(runs · log n)
+        and slices, sorts and masks nothing.  The cuts are kept for a
+        probe of the same range that follows.
         """
         state = self._extend()
         read = self.table.total_rows - state[1]
@@ -113,7 +112,7 @@ class ValueOrder:
         runs, through = state
         pieces = []
         read = 0
-        for (positions, _), (start, stop) in zip(
+        for (positions, _, _), (start, stop) in zip(
             runs, self._cuts(state, low, high)
         ):
             if stop > start:
@@ -124,7 +123,11 @@ class ValueOrder:
         fresh = np.flatnonzero((tail >= low) & (tail < high)) + through
         # The int64 tail hits promote the int32 run slices.
         hits = np.concatenate([*pieces, fresh])
-        hits.sort()
+        # Runs cover consecutive position spans, oldest first, and sort
+        # stably, so a point read's slices (one value each) and its
+        # tail hits already come out ascending.
+        if high - low != 1:
+            hits.sort()
         return hits, read + tail.size
 
     def _cuts(self, state: tuple, low: int, high: int) -> list:
@@ -137,13 +140,16 @@ class ValueOrder:
         last = self._last_cuts
         if last[0] is state and last[1] == low and last[2] == high:
             return last[3]
-        values = self.table.values(self.column)
+        # Memoryviews index to Python ints, so each bisection step
+        # compares exact integers (bounds past int64 included) without
+        # a numpy call.
+        value_of = memoryview(self.table.values(self.column)).__getitem__
         cuts = [
             (
-                _cut(values, positions, fences, low),
-                _cut(values, positions, fences, high),
+                _cut(value_of, positions, fences, low),
+                _cut(value_of, positions, fences, high),
             )
-            for positions, fences in state[0]
+            for _, positions, fences in state[0]
         ]
         self._last_cuts = (state, low, high, cuts)
         return cuts
@@ -171,21 +177,22 @@ class ValueOrder:
 
 
 def _run(positions: np.ndarray, values: np.ndarray) -> tuple:
-    """A value-sorted run of ``positions`` with its fences."""
-    return positions, values[positions[::FENCE_STRIDE]]
+    """A value-sorted run: ``positions``, a memoryview of them and one
+    fence value every :data:`FENCE_STRIDE` entries (a memoryview too,
+    so bisections read Python ints)."""
+    fences = values[positions[::FENCE_STRIDE]]
+    return positions, memoryview(positions), memoryview(fences)
 
 
-def _cut(
-    values: np.ndarray, positions: np.ndarray, fences: np.ndarray, bound: int
-) -> int:
-    """Entries of one run whose value lies below ``bound``."""
-    if bound > _INT64_MAX:
-        return positions.size
-    if bound <= _INT64_MIN:
+def _cut(value_of, positions: memoryview, fences: memoryview, bound: int) -> int:
+    """Entries of one run whose value lies below ``bound``.
+
+    A bisection of the fences narrows the bound to one block, and a
+    bisection of that block, keyed by value, finds the cut.
+    """
+    block = bisect_left(fences, bound)
+    if block == 0:
         return 0
-    block = int(fences.searchsorted(bound)) - 1
-    if block < 0:
-        return 0
-    start = block * FENCE_STRIDE
-    window = values.take(positions[start : start + FENCE_STRIDE])
-    return start + int(window.searchsorted(bound))
+    start = (block - 1) * FENCE_STRIDE
+    stop = min(start + FENCE_STRIDE, len(positions))
+    return bisect_left(positions, bound, start, stop, key=value_of)

@@ -240,10 +240,10 @@ class CohortZoneMap:
         self._mins = {name: np.full(16, _INT64_MAX, dtype=np.int64) for name in names}
         self._maxs = {name: np.full(16, _INT64_MIN, dtype=np.int64) for name in names}
         self._generation = 0
-        #: Per column ``((generation, cohorts), largest min, smallest
-        #: max)``: a range above the one and reaching the other meets
-        #: every zone, so pricing its walk needs no mask.
-        self._spans: dict[str, tuple] = {}
+        #: Per column ``(cohorts, largest min, smallest max)`` of the
+        #: zones after the last insert: a range above the one and
+        #: reaching the other meets every zone.
+        self._spans: dict[str, tuple[int, int, int]] = {}
         table.add_observer(self)  # backfill replays existing history
 
     # -- schema ---------------------------------------------------------
@@ -307,10 +307,15 @@ class CohortZoneMap:
         if positions.size == 0:
             return
         idx = table.cohorts.index_of(positions)
+        count = self._count
         for name in self._mins:
             values = table.values(name)[positions]
-            np.minimum.at(self._mins[name], idx, values)
-            np.maximum.at(self._maxs[name], idx, values)
+            mins, maxs = self._mins[name], self._maxs[name]
+            np.minimum.at(mins, idx, values)
+            np.maximum.at(maxs, idx, values)
+            self._spans[name] = (
+                count, int(mins[:count].max()), int(maxs[:count].min())
+            )
 
     def on_forget(self, table, positions: np.ndarray) -> None:
         """Table hook: bump the generation (the log keeps the counts)."""
@@ -336,39 +341,35 @@ class CohortZoneMap:
         return list(zip(starts[idx].tolist(), stops[idx].tolist()))
 
     def walk_cost(
-        self, column: str, low: int, high: int, *, surcharge=None, limit=None
+        self, column: str, low: int, high: int, *, compressed=None, limit=None
     ) -> tuple[int, int, float]:
         """``(candidate rows, candidate ranges, decode rows)`` of a walk.
 
         The exact work of a pruned scan of ``[low, high)``: the rows and
-        ranges of the intersecting cohorts, and their decode term when
-        ``surcharge`` (:meth:`~repro.storage.compressed.
-        CompressedCohortStore.decode_surcharge`) is given.  No match count
-        is estimated.  A range that meets every zone is priced without
-        a mask.  When the candidate rows alone reach ``limit``, the walk
-        cannot cost less than ``limit`` and the other two terms are
-        skipped (0).
+        ranges of the intersecting cohorts, and their decode term when a
+        ``compressed`` store (:class:`~repro.storage.compressed.
+        CompressedCohortStore`) may answer them from its blocks.  No
+        match count is estimated.  A range that meets every zone is
+        priced off the column's spans, without a mask.  When the
+        candidate rows alone reach ``limit``, the walk cannot cost less
+        than ``limit`` and the other two terms are skipped (0).
         """
-        mins, maxs = self._zones(column)
-        key = (self._generation, self._count)
-        span = self._spans.get(column)
-        if span is None or span[0] != key:
-            span = (key, mins.max(initial=_INT64_MIN), maxs.min(initial=_INT64_MAX))
-            self._spans[column] = span
         log = self.table.cohorts
-        if high > span[1] and low <= span[2]:
-            rows, intersects = log.total_rows, None
+        span = self._spans.get(column)
+        if span and span[0] == len(log) and span[1] < high and low <= span[2]:
+            rows, intersects = log.total_rows, slice(None)
         else:
-            intersects = (mins < high) & (maxs >= low)
-            rows = int(np.dot(log.sizes(), intersects))
+            _, _, intersects = self._intersects(column, low, high)
+            rows = int(log.sizes()[intersects].sum())
         if limit is not None and rows >= limit:
             return rows, 0, 0.0
-        if intersects is None:
-            intersects = np.ones(self._count, dtype=bool)
-        decode = 0.0
-        if surcharge is not None:
-            decode = float(np.dot(log.sizes() * surcharge, intersects))
-        return rows, int(np.count_nonzero(intersects)), decode
+        sizes = log.sizes()[intersects]
+        surcharge = None
+        if compressed is not None:
+            surcharge = compressed.decode_surcharge(column)
+        if surcharge is None:
+            return rows, sizes.size, 0.0
+        return rows, sizes.size, float((sizes * surcharge[intersects]).sum())
 
     def pruned_fraction(self, column: str, low: int, high: int) -> float:
         """Fraction of rows a probe of ``[low, high)`` skips."""

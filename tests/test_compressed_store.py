@@ -374,7 +374,7 @@ class TestVectorizedSurcharge:
                 ranges = zone_map.candidate_ranges(column, low, high)
                 for s in (store, restored):
                     rows, count, decode = zone_map.walk_cost(
-                        column, low, high, surcharge=s.decode_surcharge(column)
+                        column, low, high, compressed=s
                     )
                     assert decode == _per_range_penalty(s, ranges, column)
                     assert rows == sum(stop - start for start, stop in ranges)

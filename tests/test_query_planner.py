@@ -76,16 +76,17 @@ class TestPlanSelection:
         plan = auto.plan(predicate)
         assert plan.mode == "scan"
         assert plan.index is None
-        assert "value order prices lower" in plan.reason
-        # Auto records no price; cost mode would.
-        assert plan.estimated_rows is None
+        assert "cost model picked scan" in plan.reason
+        # Auto records the order's price, as cost mode does.
+        assert plan.estimated_rows == ORDER_ROW_COST * 10
         forced = QueryPlanner(
             table, mode="index", zone_map=zone_map, indexes=[index]
         )
         plan = forced.plan(predicate)
         assert plan.mode == "index"
         assert plan.index is index
-        # A table of at most MASK_ROWS rows is masked whole, unpriced.
+        # A table of at most MASK_ROWS rows is masked whole, priced at
+        # its rows.
         small = QueryPlanner(
             loaded_table,
             mode="auto",
@@ -94,6 +95,7 @@ class TestPlanSelection:
         )
         plan = small.plan(predicate)
         assert (plan.mode, plan.reason) == ("scan", "150 rows: mask the whole column")
+        assert plan.estimated_rows == 150
         assert small.match(predicate, ("a",))[2].rows_considered == 150
         assert not small._orders
 
@@ -107,7 +109,9 @@ class TestPlanSelection:
         assert wide.mode == "zonemap"
         assert f"order={ORDER_ROW_COST * 5_000:.0f}" in wide.reason
         assert f"zonemap=5000+ranges{RANGE_COST:.0f}" in wide.reason
-        assert planner.plan(RangePredicate("a", 0, 10)).mode == "scan"
+        assert wide.estimated_rows == 5_000 + RANGE_COST
+        narrow = planner.plan(RangePredicate("a", 0, 10))
+        assert (narrow.mode, narrow.estimated_rows) == ("scan", ORDER_ROW_COST * 10)
 
     def test_auto_falls_back_to_scan_bare(self, loaded_table):
         planner = QueryPlanner(loaded_table, mode="auto")
@@ -431,7 +435,7 @@ class TestCostMode:
         narrow = planner.plan(RangePredicate("a", 100, 102))
         assert narrow.mode == "scan"
         decode = zone_map.walk_cost(
-            "a", 100, 102, surcharge=store.decode_surcharge("a")
+            "a", 100, 102, compressed=store
         )[2]
         assert decode > 0
         # 10,000 rows: the first read sorts them, so no tail is priced.

@@ -212,6 +212,57 @@ class TestCohortZoneMap:
         assert zm.active_counts().tolist() == expected
 
 
+    def test_walk_cost_meets_every_zone_without_a_mask(self, monkeypatch):
+        from repro.storage import CohortZoneMap, Table
+
+        table = Table("t", ["a"])
+        zm = CohortZoneMap(table)
+        table.insert_batch(0, {"a": np.arange(10)})
+        table.insert_batch(1, {"a": np.arange(5, 15)})
+
+        def forbidden(*_args):
+            raise AssertionError("walk_cost masked the cohorts")
+
+        # [9, 10) lies above the largest cohort min and reaches the
+        # smallest cohort max, so it meets both zones.
+        monkeypatch.setattr(CohortZoneMap, "_intersects", forbidden)
+        assert zm.walk_cost("a", 9, 10) == (20, 2, 0.0)
+        monkeypatch.undo()
+        assert zm.walk_cost("a", 10, 20) == (10, 1, 0.0)
+        # An insert refreshes the spans: the new zone [0, 1] misses 9.
+        table.insert_batch(2, {"a": np.arange(2)})
+        assert zm.walk_cost("a", 9, 10) == (20, 2, 0.0)
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.integers(-50, 50), max_size=20), min_size=1, max_size=10
+        ),
+        bounds=st.lists(
+            st.tuples(st.integers(-60, 60), st.integers(-60, 60)), max_size=8
+        ),
+        late=st.booleans(),
+    )
+    def test_walk_cost_prices_the_candidate_ranges(self, batches, bounds, late):
+        """Off the column's spans or a cohort mask, ``walk_cost`` counts
+        exactly the rows and ranges a walk visits, with empty cohorts,
+        ranges that meet every zone and a zone map attached late."""
+        from repro.storage import CohortZoneMap, Table
+
+        table = Table("t", ["a"])
+        zm = None if late else CohortZoneMap(table)
+        for epoch, values in enumerate(batches):
+            table.insert_batch(epoch, {"a": np.array(values, dtype=np.int64)})
+        if late:
+            zm = CohortZoneMap(table)
+        for low, high in [*bounds, (-(2**70), 2**70), (2**63, 2**64)]:
+            ranges = zm.candidate_ranges("a", low, high)
+            rows = sum(stop - start for start, stop in ranges)
+            assert zm.walk_cost("a", low, high) == (rows, len(ranges), 0.0)
+            assert zm.walk_cost("a", low, high, limit=rows) == (rows, 0, 0.0)
+
+
 class TestCohortLogIndexOf:
     def test_index_of_vectorised(self):
         log = CohortLog()

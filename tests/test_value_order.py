@@ -272,6 +272,27 @@ def test_tail_threshold_and_merges():
     assert read == hits.size  # no tail: every entry read is a match
 
 
+def test_point_reads_come_out_ascending_unsorted():
+    """A point read skips the sort: each run holds its equal values in
+    position order and runs cover consecutive spans, so two runs that
+    do not merge plus a tail, all full of duplicates, still give the
+    mask's ascending hits.  A two-value read must still sort."""
+    table = Table("t", ["a"])
+    order = ValueOrder(table, "a")
+    rng = np.random.default_rng(11)
+    for epoch, rows in enumerate((3 * RUN_THRESHOLD, RUN_THRESHOLD + 1, 100)):
+        table.insert_batch(epoch, {"a": rng.integers(0, 8, rows)})
+        order.probe(0, 1)
+    assert order.run_sizes == [3 * RUN_THRESHOLD, RUN_THRESHOLD + 1]
+    assert order.tail_rows == 100
+    values = table.values("a")
+    for value in range(-1, 9):
+        for width in (1, 2):
+            hits, _ = order.probe(value, value + width)
+            mask = (values >= value) & (values < value + width)
+            assert np.array_equal(hits, np.flatnonzero(mask))
+
+
 def test_concurrent_readers_probe_one_planner():
     """Readers racing to extend and merge the order get exact answers.
 
