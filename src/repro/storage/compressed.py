@@ -44,6 +44,11 @@ the raw column (the trust-nothing scan baseline still reads it); the
 win is that pruned access paths answer from the compressed form, and
 the byte accounting (:meth:`CompressedCohortStore.byte_report`) shows
 how much history a fixed byte budget now retains.
+
+The raw column stays resident in memory, but a checkpoint (format 6,
+:mod:`repro.storage.io`) saves a demoted cohort's values only as its
+block: the saved column holds just the rows no block covers, and a
+load decodes the blocks back into place before the table replays.
 """
 
 from __future__ import annotations
@@ -68,6 +73,23 @@ _UINT64_SPAN = 1 << 64
 #: multiple of 1/4, so rows x surcharge sums are exact in float64 in
 #: any order.
 DECODE_FACTORS = {"raw": 1.0, "dict": 1.25, "for": 1.25, "rle": 2.5}
+
+
+def record_block(record) -> CompressedBlock:
+    """The block one :meth:`CompressedCohortStore.state` record holds."""
+    scalars = record["scalars"]
+    payload: dict = {
+        key[len("param_") :]: int(value)
+        for key, value in scalars.items()
+        if key.startswith("param_")
+    }
+    payload.update(record["arrays"])
+    return CompressedBlock(
+        codec_name=scalars["codec"],
+        n_values=int(scalars["n_values"]),
+        payload=payload,
+        nbytes=int(scalars["nbytes"]),
+    )
 
 
 class CompressedCohortStore:
@@ -382,7 +404,7 @@ class CompressedCohortStore:
     # -- persistence ------------------------------------------------------
 
     def state(self) -> list[dict]:
-        """Serializable block records for checkpointing (io format v3).
+        """Serializable block records for checkpointing (io format v3 on).
 
         One record per (cohort, column) block: scalars suitable for a
         JSON header plus the numpy payload arrays, keyed by field name.
@@ -418,7 +440,7 @@ class CompressedCohortStore:
         that does not match its cohort of the table raises StorageError."""
         log = self.table.cohorts
         for record in records:
-            scalars = dict(record["scalars"])
+            scalars = record["scalars"]
             ordinal = int(scalars["ordinal"])
             column = scalars["column"]
             saved = tuple(int(scalars[k]) for k in ("start", "stop", "n_values"))
@@ -428,20 +450,9 @@ class CompressedCohortStore:
                     f"compressed block (start, stop, n_values) {saved} does not "
                     f"match cohort {ordinal} of the table: {cohort or 'none'}"
                 )
-            payload: dict = {}
-            for key, value in scalars.items():
-                if key.startswith("param_"):
-                    payload[key[len("param_") :]] = int(value)
-            payload.update(record["arrays"])
-            block = CompressedBlock(
-                codec_name=scalars["codec"],
-                n_values=int(scalars["n_values"]),
-                payload=payload,
-                nbytes=int(scalars["nbytes"]),
-            )
             self._install(
                 ordinal,
-                {column: block},
+                {column: record_block(record)},
                 {column: (int(scalars["vmin"]), int(scalars["vmax"]))},
             )
         self._generation += 1

@@ -65,11 +65,11 @@ The write path exposes named fault-injection points
 (``checkpoint.tmp`` / ``checkpoint.rotate`` / ``checkpoint.done`` —
 see :mod:`repro.faults`) at each durability boundary.
 
-Checkpoint cost (format 5)
---------------------------
+Checkpoint cost (formats 5 and 6)
+---------------------------------
 
 A checkpoint is on the write path of every epoch loop that saves, so
-format 5 makes one cost what it stores:
+formats 5 and 6 make one cost what it stores:
 
 * **Narrowed table arrays.**  Every int64 table array (values, access
   counts, last-access and forgotten stamps) is saved in the smallest
@@ -83,6 +83,17 @@ format 5 makes one cost what it stores:
   once; the manifest check and the replay both use that copy, and
   forgotten stamps restore with one stable sort by epoch, so a load
   is linear in the rows it restores.
+* **Each cold value once (format 6).**  A demoted cohort's values are
+  saved only as its codec block.  A column that a database's
+  compressed store covers saves in ``{prefix}column:{name}`` just the
+  rows no block covers, in position order, and the header records the
+  CRC-32 of the full int64 column (``column_crc32``).  Before a
+  database's table replays a row, the load decodes every block into
+  its cohort's span — after checking the record against the header's
+  cohort log — scatters the saved rows into the gaps, and refuses the
+  file unless the rebuilt column matches its CRC.  Per-row stamps,
+  activity and every other column are still saved for every row, and
+  no block is re-encoded on load.
 """
 
 from __future__ import annotations
@@ -96,13 +107,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .._util.errors import ReproError, StorageError
+from .._util.errors import CompressionError, ReproError, StorageError
+from ..compression.codecs import make_codec
 from ..faults import (
     CHECKPOINT_DONE,
     CHECKPOINT_ROTATE,
     CHECKPOINT_TMP,
     fault_point,
 )
+from .compressed import record_block
 from .table import Table
 
 __all__ = [
@@ -124,9 +137,11 @@ __all__ = [
 #: before any replay); version 5 narrows the int64 table arrays to the
 #: smallest signed dtype that holds them, drops the per-row
 #: ``insert_epoch`` array (replay re-derives it from the cohorts) and
-#: stores codec payloads undeflated.  Version 1–4 files must be
-#: re-created.
-FORMAT_VERSION = 5
+#: stores codec payloads undeflated; version 6 saves a demoted cohort's
+#: values only as its codec block (a covered column keeps just its
+#: uncovered rows plus a CRC-32 of the whole column).  Version 1–5
+#: files must be re-created.
+FORMAT_VERSION = 6
 
 #: Signed dtypes a table array may narrow to on save, smallest first.
 _NARROW_DTYPES = (np.int8, np.int16, np.int32, np.int64)
@@ -175,7 +190,10 @@ def _widened(members: dict, name: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def _table_arrays(table: Table, prefix: str) -> dict:
+def _table_arrays(table: Table, prefix: str, gaps=None) -> dict:
+    """A table's per-row arrays; a column named in ``gaps`` (column ->
+    mask of the rows no codec block covers) saves only those rows."""
+    gaps = gaps or {}
     # Every entry is a copy, so the snapshot holds once the caller
     # releases the store's gate.
     arrays = {
@@ -185,12 +203,16 @@ def _table_arrays(table: Table, prefix: str) -> dict:
         f"{prefix}forgotten_epoch": _narrowed(table.forgotten_epochs()),
     }
     for name in table.column_names:
-        arrays[f"{prefix}column:{name}"] = _narrowed(table.values(name))
+        values = table.values(name)
+        if name in gaps:
+            values = values[gaps[name]]
+        arrays[f"{prefix}column:{name}"] = _narrowed(values)
     return arrays
 
 
 def _replay_table(
-    table: Table, header: dict, members: dict, prefix: str, on_insert=None
+    table: Table, header: dict, members: dict, prefix: str,
+    on_insert=None, columns=None,
 ) -> Table:
     """Replay a saved table payload into (empty) ``table``.
 
@@ -198,12 +220,16 @@ def _replay_table(
     replay_history`) drives the live observer stream, so zone maps,
     histogram statistics and indexes attached to ``table`` rebuild
     exactly; ``on_insert(table, positions, epoch)`` lets a database
-    restore additionally feed its policy.
+    restore additionally feed its policy.  ``columns`` holds columns
+    already rebuilt from codec blocks; the rest are read as saved.
     """
+    columns = columns or {}
     table.replay_history(
         [(c["epoch"], c["start"], c["stop"]) for c in header["cohorts"]],
         {
-            name: _widened(members, f"{prefix}column:{name}")
+            name: columns[name]
+            if name in columns
+            else _widened(members, f"{prefix}column:{name}")
             for name in header["columns"]
         },
         members[f"{prefix}active"],
@@ -224,11 +250,18 @@ def _database_state(db, prefix: str) -> tuple[dict, dict]:
     Both the ``database`` kind and each ``sharded`` partition entry save
     this.  Each demoted (cohort, column) block is one header record of
     scalars (codec, span, value bounds, params) naming its payload
-    arrays, which are saved as ``{prefix}cb{k}:{field}``.
+    arrays, which are saved as ``{prefix}cb{k}:{field}``.  A column the
+    compressed store covers saves only the rows no block covers, plus
+    the CRC-32 of its full int64 values (``column_crc32``).
     """
-    arrays = _table_arrays(db.table, prefix)
-    blocks = []
     records = [] if db.compressed is None else db.compressed.state()
+    covered = () if db.compressed is None else db.compressed.columns
+    gaps = {name: np.ones(db.table.total_rows, dtype=bool) for name in covered}
+    for record in records:
+        scalars = record["scalars"]
+        gaps[scalars["column"]][scalars["start"] : scalars["stop"]] = False
+    arrays = _table_arrays(db.table, prefix, gaps)
+    blocks = []
     for k, record in enumerate(records):
         blocks.append({**record["scalars"], "arrays": sorted(record["arrays"])})
         for field, value in record["arrays"].items():
@@ -241,15 +274,94 @@ def _database_state(db, prefix: str) -> tuple[dict, dict]:
         "policy_rng": db._policy_rng.bit_generator.state,
         "table": _table_header(db.table),
         "compressed_blocks": blocks,
+        "column_crc32": {
+            name: _array_crc(db.table.values(name)) for name in covered
+        },
     }
     return state, arrays
 
 
+def _block_records(state: dict, members: dict, prefix: str) -> list[dict]:
+    """The saved block records, in :meth:`~repro.storage.compressed.
+    CompressedCohortStore.state` form."""
+    return [
+        {
+            "scalars": {key: val for key, val in rec.items() if key != "arrays"},
+            "arrays": {
+                field: members[f"{prefix}cb{k}:{field}"] for field in rec["arrays"]
+            },
+        }
+        for k, rec in enumerate(state["compressed_blocks"])
+    ]
+
+
+def _rebuilt_columns(
+    state: dict, records: list[dict], members: dict, prefix: str
+) -> dict:
+    """Every ``column_crc32`` column at int64, rebuilt before any replay.
+
+    Each block decodes into its cohort's span, once its record matches
+    the header's cohort log (exact span, ``n_values``, no overlap); the
+    saved rows then fill the rows no block covers, in position order,
+    and the result must match the column's CRC-32.  Anything else
+    raises :class:`~repro._util.errors.StorageError`.
+    """
+    cohorts = state["table"]["cohorts"]
+    rows = cohorts[-1]["stop"] if cohorts else 0
+    crcs = state["column_crc32"]
+    columns = {name: np.empty(rows, dtype=np.int64) for name in crcs}
+    gaps = {name: np.ones(rows, dtype=bool) for name in crcs}
+    for record in records:
+        scalars = record["scalars"]
+        name, ordinal = scalars["column"], scalars["ordinal"]
+        start, stop = scalars["start"], scalars["stop"]
+        cohort = cohorts[ordinal] if 0 <= ordinal < len(cohorts) else {}
+        if (
+            name not in columns
+            or (start, stop) != (cohort.get("start"), cohort.get("stop"))
+            or scalars["n_values"] != stop - start
+            or not gaps[name][start:stop].all()
+        ):
+            raise StorageError(
+                f"compressed block ({name!r}, cohort {ordinal}, rows "
+                f"{start}:{stop}, n_values {scalars['n_values']}) does not "
+                "match the saved cohort log"
+            )
+        block = record_block(record)
+        try:
+            values = make_codec(block.codec_name).decode(block)
+        except CompressionError as exc:
+            raise StorageError(
+                f"compressed block ({name!r}, cohort {ordinal}) does not "
+                f"decode: {exc}"
+            ) from exc
+        columns[name][start:stop] = values
+        gaps[name][start:stop] = False
+    for name, crc in crcs.items():
+        saved = _widened(members, f"{prefix}column:{name}")
+        uncovered = gaps[name]
+        if saved.size != np.count_nonzero(uncovered):
+            raise StorageError(
+                f"checkpoint array {prefix}column:{name} holds {saved.size} "
+                f"rows; the blocks leave {np.count_nonzero(uncovered)} uncovered"
+            )
+        columns[name][uncovered] = saved
+        if _array_crc(columns[name]) != crc:
+            raise StorageError(
+                f"column {name!r} rebuilt from its blocks does not match "
+                "its saved checksum"
+            )
+    return columns
+
+
 def _restore_database(db, state: dict, members: dict, prefix: str) -> None:
     """Restore :func:`_database_state` into a freshly built, empty ``db``."""
+    records = _block_records(state, members, prefix)
+    columns = _rebuilt_columns(state, records, members, prefix)
     db.table.name = state["table"]["name"]
     _replay_table(
-        db.table, state["table"], members, prefix, on_insert=db.policy.on_insert
+        db.table, state["table"], members, prefix,
+        on_insert=db.policy.on_insert, columns=columns,
     )
     db.advance_epoch_to(state["epoch"])
     # Direct budget restore: the saved state already satisfies it, and
@@ -257,20 +369,11 @@ def _restore_database(db, state: dict, members: dict, prefix: str) -> None:
     # checkpoint still holds.
     db.budget = int(state["budget"])
     db._policy_rng.bit_generator.state = state["policy_rng"]
-    if db.compressed is not None and state["compressed_blocks"]:
+    if db.compressed is not None and records:
         # Demoted blocks restore from their saved payloads — no
         # re-encode, so codec choices and byte accounting come back
         # bit-identical.
-        db.compressed.load_state(
-            {
-                "scalars": {key: val for key, val in rec.items() if key != "arrays"},
-                "arrays": {
-                    field: members[f"{prefix}cb{k}:{field}"]
-                    for field in rec["arrays"]
-                },
-            }
-            for k, rec in enumerate(state["compressed_blocks"])
-        )
+        db.compressed.load_state(records)
 
 
 def _database_payload(db, prefix: str) -> tuple[dict, dict]:
@@ -483,8 +586,10 @@ def _read_header(bundle, path: Path) -> dict:
             f"{FORMAT_VERSION}; format 1 files predate store/catalog "
             "checkpoints, format 2 files predate compressed-block "
             "payloads, format 3 files predate the checksummed "
-            "durability manifest and format 4 files predate narrowed "
-            "table arrays — re-create them with save_table/save_store)"
+            "durability manifest, format 4 files predate narrowed "
+            "table arrays and format 5 files save demoted cohorts twice, "
+            "as codec blocks and as raw columns — re-create them with "
+            "save_table/save_store)"
         )
     return header
 

@@ -822,3 +822,23 @@ class TestNestedJoinReport:
         assert "Aggregate(on='l.value')" in report
         assert "[streamed-hash(batch=3):" in report
         assert "peak_pairs=" in report
+
+
+class TestLeafCostEstimate:
+    def test_auto_prices_a_narrow_order_read_like_cost(self):
+        """Under ``auto`` a narrow leaf over a large table costs the rows
+        its value-order read considers, exactly as under ``cost``, not
+        the table's whole history."""
+        rows, width = 200_000, 512
+        estimates = {}
+        for mode in ("auto", "cost"):
+            cat = Catalog(plan=mode)
+            table = cat.create_table("u", ["a"])
+            rng = np.random.default_rng(0)
+            for epoch in range(20):
+                table.insert_batch(epoch, {"a": rng.integers(0, 1 << 20, rows // 20)})
+            node = TableScanNode("u", 1_000, 1_000 + width)
+            assert cat.planner("u").plan(node._predicate("a")).mode == "scan"
+            estimates[mode] = node.estimate_cost(cat)
+        assert estimates["auto"] == estimates["cost"]
+        assert 0 < estimates["auto"] < rows / 100

@@ -844,7 +844,7 @@ class TestDurability:
         with np.load(path) as bundle:
             header = json.loads(bytes(bundle["header"].tobytes()).decode())
             members = set(bundle.files) - {"header"}
-        assert header["format_version"] == 5
+        assert header["format_version"] == 6
         assert set(header["manifest"]) == members
 
     def test_no_tmp_file_left_behind_on_success(self, tmp_path):
@@ -1057,3 +1057,281 @@ class TestFormat5:
             path, policy_factory=lambda: _make_policy("fifo")
         )
         assert recovered.compressed.byte_report() in (before, after)
+
+
+@st.composite
+def compressed_histories(draw):
+    """A compress-on history: cohort sizes from 1 to a few hundred rows,
+    a demotion age, reads and explicit forgets after each insert, and
+    whether to demote one warm cohort out of the cold prefix."""
+    return {
+        "sizes": draw(
+            st.lists(
+                st.one_of(st.integers(1, 4), st.integers(60, 400)),
+                min_size=1,
+                max_size=7,
+            )
+        ),
+        "min_age": draw(st.integers(1, 4)),
+        "budget": draw(st.integers(30, 900)),
+        "reads": draw(st.integers(0, 3)),
+        "forget_fraction": draw(st.sampled_from([0.0, 0.1, 0.4])),
+        "demote_warm": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _drive_compressed(dbs, insert, read, history):
+    """Run ``history``: one ``insert`` per size, each followed by its
+    ``read(low, high)`` calls and explicit forgets on every database of
+    ``dbs()``, the compress-on databases behind the target."""
+    rng = np.random.default_rng(history["seed"])
+    for db in dbs():
+        db.compressed.min_age = history["min_age"]
+    for size in history["sizes"]:
+        insert(rng, size)
+        for _ in range(history["reads"]):
+            low = int(rng.integers(-50, 1_000))
+            read(low, low + int(rng.integers(1, 400)))
+        for db in dbs():
+            active = db.table.active_positions()
+            victims = active[rng.random(active.size) < history["forget_fraction"]]
+            db.table.forget(victims, epoch=db.epoch)
+    if history["demote_warm"]:
+        for db in dbs():
+            log, store = db.table.cohorts, db.compressed
+            warm = [
+                k for k in range(len(log))
+                if log[k].size and store.block_at(log[k].start, log[k].stop, "k") is None
+            ]
+            if warm:
+                assert store.demote(warm[-1])
+
+
+def _block_state(store):
+    """A compressed store's blocks, as comparable scalars and bytes."""
+    return [
+        (
+            record["scalars"],
+            {f: (a.dtype.str, a.tobytes()) for f, a in record["arrays"].items()},
+        )
+        for record in store.state()
+    ]
+
+
+def _database_fingerprint(db):
+    return {
+        "table": _table_fingerprint(db.table),
+        "arrays": {
+            name: array.tobytes() for name, array in _table_arrays_of(db.table).items()
+        },
+        "blocks": _block_state(db.compressed),
+        "bytes": db.compressed.byte_report(),
+        "rng": db._policy_rng.bit_generator.state,
+        "epoch": db.epoch,
+    }
+
+
+def _rewrite_header(path, change):
+    """Rewrite a checkpoint's JSON header as ``change(header)``; the
+    manifest covers arrays only, so nothing else needs fixing up."""
+    with np.load(path) as bundle:
+        members = {member: bundle[member] for member in bundle.files}
+    header = json.loads(bytes(members["header"].tobytes()).decode())
+    change(header)
+    members["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **members)
+
+
+def _flip_packed(packed):
+    flipped = packed.copy()
+    flipped[len(flipped) // 2] ^= 0x5A
+    return flipped
+
+
+def _lies(kind):
+    """Header edits that each make one block record lie; ``kind`` picks
+    the database's state inside the header."""
+    def state_of(header):
+        return header if kind == "database" else header["partitions"][0]
+
+    def first_block(header, key="param_bits"):
+        return next(b for b in state_of(header)["compressed_blocks"] if key in b)
+
+    def bits(header):
+        first_block(header)["param_bits"] += 1
+
+    def reference(header):
+        first_block(header, "param_reference")["param_reference"] += 1
+
+    def span(header):
+        block = first_block(header)
+        block["start"] += 1
+        block["stop"] += 1
+
+    def duplicate(header):
+        blocks = state_of(header)["compressed_blocks"]
+        blocks[1] = {**blocks[0], "arrays": blocks[1]["arrays"]}
+
+    return {"bits": bits, "reference": reference, "span": span, "duplicate": duplicate}
+
+
+class TestFormat6:
+    """Format 6: a demoted cohort's values are saved only as its codec
+    block; a load rebuilds each covered column from the blocks and the
+    saved uncovered rows, checked against the column's CRC-32, before
+    the table replays a row."""
+
+    @given(compressed_histories())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_database_round_trips_bit_for_bit(self, tmp_path, history):
+        db = AmnesiaDatabase(
+            budget=history["budget"],
+            policy=_make_policy("uniform"),
+            columns=("k", "v"),
+            seed=history["seed"],
+            plan="cost",
+            compress="on",
+        )
+
+        def insert(rng, size):
+            db.insert(
+                {
+                    "k": rng.integers(-(2**40), 2**40, size),
+                    "v": np.sort(rng.integers(0, 4, size)),
+                }
+            )
+
+        _drive_compressed(
+            lambda: [db], insert, lambda low, high: db.range_query("k", low, high),
+            history,
+        )
+        path = save_store(db, tmp_path / "db.npz")
+        restored = load_store(path, policy_factory=lambda: _make_policy("uniform"))
+        assert _database_fingerprint(restored) == _database_fingerprint(db)
+        uncovered = db.table.total_rows - db.compressed.demoted_rows
+        with np.load(path) as bundle:
+            for name in ("k", "v"):
+                assert bundle[f"column:{name}"].size == uncovered
+        path.unlink()  # hypothesis reuses tmp_path across examples
+
+    @given(compressed_histories())
+    @settings(
+        max_examples=15,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_sharded_store_round_trips_bit_for_bit(self, tmp_path, history):
+        store = PartitionedAmnesiaDatabase(
+            "k",
+            (-50, 300, 600, 1_000),
+            total_budget=history["budget"],
+            policy_factory=lambda: _make_policy("rot"),
+            seed=history["seed"],
+            plan="cost",
+            compress="on",
+        )
+        dbs = lambda: [p.db for p in store.partitions]
+        _drive_compressed(
+            dbs, lambda rng, size: store.insert({"k": rng.integers(-50, 1_000, size)}),
+            store.range_query, history,
+        )
+        path = save_store(store, tmp_path / "sharded.npz")
+        restored = load_store(path, policy_factory=lambda: _make_policy("rot"))
+        assert [_database_fingerprint(p.db) for p in restored.partitions] == [
+            _database_fingerprint(db) for db in dbs()
+        ]
+        with np.load(path) as bundle:
+            for i, db in enumerate(dbs()):
+                assert bundle[f"p{i}:column:k"].size == (
+                    db.table.total_rows - db.compressed.demoted_rows
+                )
+        store.close()
+        restored.close()
+        path.unlink()
+
+    def test_fully_demoted_column_saves_no_rows(self, tmp_path):
+        db = _compressed_db()
+        for k in range(len(db.table.cohorts)):
+            db.compressed.demote(k)
+        path = save_store(db, tmp_path / "all.npz")
+        with np.load(path) as bundle:
+            assert bundle["column:k"].size == 0
+        restored = load_store(path, policy_factory=lambda: _make_policy("fifo"))
+        assert _database_fingerprint(restored) == _database_fingerprint(db)
+
+    @pytest.mark.parametrize("kind", ["database", "sharded"])
+    @pytest.mark.parametrize("lie", ["packed", "bits", "reference", "span", "duplicate"])
+    def test_a_lying_block_is_refused_before_replay(
+        self, tmp_path, monkeypatch, kind, lie
+    ):
+        """A corrupt codec payload (its manifest CRC fixed up, so only
+        the column checksum can tell) or a header record that lies about
+        its codec parameters or its span raises StorageError before the
+        database it belongs to replays a row, and recovery falls back
+        to the previous checkpoint."""
+        from repro.storage import recover_store
+
+        build = {"database": _compressed_db, "sharded": _compressed_sharded_store}[kind]
+        store = build()
+        path = save_store(store, tmp_path / "c.npz", rotate=True)
+        want = save_store(store, tmp_path / "want.npz")
+        store.insert({"k": np.arange(0, 500, 7)})
+        save_store(store, path, rotate=True)
+        prefix = "" if kind == "database" else "p0:"
+        if lie == "packed":
+            _rewrite_member(path, f"{prefix}cb0:packed", _flip_packed)
+        else:
+            _rewrite_header(path, _lies(kind)[lie])
+
+        replays = []
+        replay = Table.replay_history
+        monkeypatch.setattr(
+            Table, "replay_history",
+            lambda table, *args: replays.append(table) or replay(table, *args),
+        )
+        factory = lambda: _make_policy("fifo")
+        with pytest.raises(StorageError):
+            load_store(path, policy_factory=factory)
+        assert replays == []
+        recovered, used = recover_store(path, policy_factory=factory)
+        assert used == Path(str(path) + ".prev")
+        monkeypatch.undo()
+        assert self._members(save_store(recovered, tmp_path / "got.npz")) == (
+            self._members(want)
+        )
+        for target in (store, recovered):
+            if hasattr(target, "close"):
+                target.close()
+
+    @staticmethod
+    def _members(path):
+        with np.load(path) as bundle:
+            return {name: bundle[name].tobytes() for name in bundle.files}
+
+    def test_short_saved_rows_are_refused(self, tmp_path):
+        """A saved tail that does not fill exactly the uncovered rows is
+        refused even when its own manifest CRC matches."""
+        db = _compressed_db()
+        path = save_store(db, tmp_path / "short.npz")
+        _rewrite_member(path, "column:k", lambda tail: tail[:-1])
+        with pytest.raises(StorageError, match="uncovered"):
+            load_store(path, policy_factory=lambda: _make_policy("fifo"))
+
+    def test_format_5_is_refused_clearly(self, tmp_path):
+        """v5 files save demoted cohorts twice and must be refused with
+        a re-create hint, not half-restored."""
+        header = json.dumps({"format_version": 5, "kind": "database"})
+        path = tmp_path / "v5.npz"
+        np.savez(
+            path, header=np.frombuffer(header.encode(), dtype=np.uint8)
+        )
+        with pytest.raises(StorageError, match="format 5"):
+            load_store(path)
