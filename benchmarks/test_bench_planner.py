@@ -22,7 +22,9 @@ count, plus the host's CPU count) uploaded by CI so future PRs have a
 perf baseline to diff against.  The ``streaming`` suite compares the
 same aggregate-over-join executed materialized, streamed-hash and
 sort-merge: identical exact moments, with the streamed peak working
-set bounded by batch × build rows and ≥10× under the full pair set.  With ``--quick`` the history shrinks
+set bounded by batch × build rows and ≥10× under the full pair set.
+The ``join_probe`` suite times the join kernel's dense build-side
+lookup against the binary search it replaced.  With ``--quick`` the history shrinks
 for CI smoke runs and the wall-clock floors relax (shape and
 equivalence assertions still run).  Fan-out speed floors additionally
 gate on the visible CPU count: threads cannot beat sequential on a
@@ -140,6 +142,21 @@ STREAM_FULL_ROWS = 500_000
 STREAM_QUICK_ROWS = 50_000
 STREAM_BATCH = 2_048
 STREAM_HOT_FRACTION = 0.002
+
+#: Join-probe suite (``join_probe``): one equi-join kernel call — build
+#: the right side once, probe it with the left keys — on the
+#: ``history_analytics`` sensor join's shape (12,000 × 12,000 keys over
+#: a 15,000-value span, which gets the dense prefix-count table) and a
+#: sparse shape (a 2⁴⁰ span, which keeps binary search; half its probe
+#: keys are build keys), each against a frozen copy of the
+#: ``searchsorted`` kernel the dense table replaced.  Each figure is
+#: the best per-call µs over alternating passes; outside ``--quick``
+#: the dense lookup must cost at most half the reference.
+JOIN_PROBE_ROWS = 12_000
+JOIN_PROBE_SPANS = {"dense": 15_000, "sparse": 1 << 40}
+JOIN_PROBE_PASSES = 7
+JOIN_PROBE_CALLS = 20
+JOIN_PROBE_MAX_DENSE_RATIO = 0.5
 
 #: Compressed-execution suite: cold cohorts demoted into best-codec
 #: blocks, range predicates answered on the encoded form.  The
@@ -305,6 +322,7 @@ def artifact(quick):
             "ingest": {"shards": SHARDS, "workers": {}, "mixed": {}},
             "skewed": {"modes": {}, "qerror": {}},
             "streaming": {"modes": {}},
+            "join_probe": {},
             "compressed": {"modes": {}, "retention": {}},
             "planning": {"modes": {}},
             "amnesia": {"growth": {}},
@@ -1060,6 +1078,75 @@ def test_bench_streaming_aggregate_over_join(quick):
         assert merge_cost <= 2.0, (
             f"sort-merge cost more than 2x streamed-hash on {rows} rows "
             f"with {CPUS} cpus ({merge_cost:.2f}x)"
+        )
+
+
+def _searchsorted_join(probe_keys: np.ndarray, keys: np.ndarray):
+    """The equi-join kernel before the dense lookup, frozen as the
+    reference: a stable int64 argsort of the build keys and two binary
+    searches per probe key."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
+    counts = np.searchsorted(sorted_keys, probe_keys, side="right") - lo
+    probe_idx = np.repeat(np.arange(probe_keys.size, dtype=np.int64), counts)
+    within = np.arange(probe_idx.size, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return probe_idx, order[np.repeat(lo, counts) + within]
+
+
+def test_bench_join_probe(quick):
+    """Acceptance: the ``join_probe`` section (see the suite's constants).
+
+    Both lookups return the reference's pairs exactly; the dense shape
+    must build the prefix-count table and the sparse one must not.
+    """
+    from repro.query.plans import _probe, _sort_build
+
+    def kernel(probe_keys, keys):
+        return _probe(probe_keys, _sort_build(keys))
+
+    rng = np.random.default_rng(BENCH_SEED + 38)
+    section = _ARTIFACT["join_probe"]
+    for shape, span in JOIN_PROBE_SPANS.items():
+        keys = rng.integers(0, span, JOIN_PROBE_ROWS)
+        probe_keys = rng.integers(0, span, JOIN_PROBE_ROWS)
+        if shape == "sparse":  # random 2⁴⁰ keys would never meet
+            probe_keys[::2] = rng.choice(keys, JOIN_PROBE_ROWS // 2)
+        assert (_sort_build(keys).prefix is not None) == (shape == "dense")
+        got, want = kernel(probe_keys, keys), _searchsorted_join(probe_keys, keys)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        best = {kernel: float("inf"), _searchsorted_join: float("inf")}
+        for n in range(JOIN_PROBE_PASSES):
+            for fn in (kernel, _searchsorted_join)[:: 1 if n % 2 else -1]:
+                start = time.perf_counter()
+                for _ in range(JOIN_PROBE_CALLS):
+                    fn(probe_keys, keys)
+                seconds = (time.perf_counter() - start) / JOIN_PROBE_CALLS
+                best[fn] = min(best[fn], seconds * 1e6)
+        section[shape] = {
+            "rows": JOIN_PROBE_ROWS,
+            "span": span,
+            "pairs": int(want[0].size),
+            "us": round(best[kernel], 1),
+            "reference_us": round(best[_searchsorted_join], 1),
+            "ratio": round(best[kernel] / best[_searchsorted_join], 3),
+        }
+    print(
+        "\njoin probe, build+probe of 2x{:,} keys: ".format(JOIN_PROBE_ROWS)
+        + "; ".join(
+            f"{shape} {v['us']:.0f}us vs searchsorted {v['reference_us']:.0f}us "
+            f"({v['ratio']:.2f}x)"
+            for shape, v in section.items()
+        )
+    )
+    if not quick:
+        ratio = section["dense"]["ratio"]
+        assert ratio <= JOIN_PROBE_MAX_DENSE_RATIO, (
+            f"the dense join lookup cost {ratio:.2f}x the searchsorted "
+            f"kernel (bound {JOIN_PROBE_MAX_DENSE_RATIO}x)"
         )
 
 

@@ -27,9 +27,10 @@ compose the existing per-table planners into multi-table queries:
 
 :class:`JoinNode`
     Equi-join on ``value`` or ``epoch``.  The left input probes the
-    right one, whose keys are sorted once, so pairs come out in
-    canonical order — lexicographic by (left row, right row) — by
-    construction.  A join output row is *forgotten* iff any
+    right one, whose keys are indexed once (a dense prefix-count table
+    when they are narrow enough, a sorted copy otherwise), so pairs
+    come out in canonical order — lexicographic by (left row, right
+    row) — by construction.  A join output row is *forgotten* iff any
     contributing input row was: the amnesiac DBMS would only have
     produced the pairs where both sides are still active.
 
@@ -325,7 +326,7 @@ class _KeyDistribution:
 
     Wraps a scan's (active, forgotten) histograms and restricts their
     mass to the scan's bounds, exposing just what the join estimator
-    needs: bin edges and the oracle mass of a value interval.
+    needs: bin edges and the oracle mass of value intervals.
     """
 
     def __init__(self, active, forgotten, low, high):
@@ -337,13 +338,14 @@ class _KeyDistribution:
     def edges(self) -> np.ndarray:
         return self._active.bin_edges()
 
-    def mass(self, low: float, high: float) -> float:
+    def masses(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """Oracle mass of each interval ``[lows[i], highs[i])``."""
         if self._low is not None:
-            low = max(low, self._low)
-            high = min(high, self._high)
-        if high <= low:
-            return 0.0
-        return self._active.mass(low, high) + self._forgotten.mass(low, high)
+            lows = np.maximum(lows, float(self._low))
+            highs = np.minimum(highs, float(self._high))
+        return self._active.masses(lows, highs) + self._forgotten.masses(
+            lows, highs
+        )
 
 
 def _estimate_equijoin(left: "_KeyDistribution", right: "_KeyDistribution") -> float:
@@ -354,18 +356,21 @@ def _estimate_equijoin(left: "_KeyDistribution", right: "_KeyDistribution") -> f
     ``l * r / w`` matching pairs — the per-bin refinement of the
     classic ``|L|·|R| / ndv`` estimate, which is what lets skewed key
     histograms price a Zipf join correctly where the FK-ish
-    max-of-inputs heuristic collapses.
+    max-of-inputs heuristic collapses.  Both sides' per-bin masses come
+    from one broadcast each; the kept terms are summed in bin order.
     """
     edges = left.edges()
+    lows, highs = edges[:-1], edges[1:]
+    l_mass = left.masses(lows, highs)
+    r_mass = right.masses(lows, highs)
+    keep = (l_mass > 0.0) & (r_mass > 0.0)
+    terms = l_mass[keep] * r_mass[keep] / np.maximum(highs - lows, 1.0)[keep]
+    # Added one by one, in bin order: ``np.sum`` adds pairwise and the
+    # builtin ``sum`` compensates from Python 3.12 on, and either could
+    # move the estimate.
     total = 0.0
-    for e0, e1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        l_mass = left.mass(e0, e1)
-        if l_mass <= 0.0:
-            continue
-        r_mass = right.mass(e0, e1)
-        if r_mass <= 0.0:
-            continue
-        total += l_mass * r_mass / max(e1 - e0, 1.0)
+    for term in terms.tolist():
+        total += term
     return total
 
 
@@ -850,36 +855,122 @@ class UnionNode(PlanNode):
         return f"Union({len(self.children)} inputs){est}"
 
 
-def _sort_build(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted keys, stable sort order) of a join's build-side keys."""
-    order = np.argsort(keys, kind="stable")
-    return keys[order], order
+#: A build side whose keys span at most ``DENSE_ROWS × rows +
+#: DENSE_SLACK`` values gets a dense prefix-count table (at most
+#: 8 B × (4·rows + 65)); wider keys are found by binary search.
+DENSE_ROWS = 4
+DENSE_SLACK = 64
+
+#: Keys spanning fewer values than this sort as uint16 offsets, which
+#: numpy radix-sorts.
+NARROW_SPAN = 1 << 16
+
+
+def _key_range(keys: np.ndarray) -> tuple[int, int]:
+    """(lowest key, number of values the keys span) as Python ints, so
+    a span across the whole int64 range cannot wrap."""
+    low = int(keys.min())
+    return low, int(keys.max()) - low + 1
+
+
+def _stable_order(keys: np.ndarray, low: int, span: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, radix-sorted when it can be.
+
+    ``low, span`` is the keys' :func:`_key_range`.  A stable sort's
+    permutation is unique, so sorting the keys' uint16 offsets from
+    their minimum gives the same order whenever the keys span fewer
+    than :data:`NARROW_SPAN` values.
+    """
+    if span < NARROW_SPAN:
+        return np.argsort((keys - low).astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
+
+
+class _Build:
+    """A join's build side, indexed once by :func:`_sort_build`.
+
+    ``order`` is the build rows' stable sort by key.  A dense build
+    carries ``prefix``, ``span + 1`` counts of which ``prefix[k - low]``
+    build keys lie below ``k``; a sparse one carries ``sorted_keys``
+    for binary search instead.
+    """
+
+    __slots__ = ("order", "low", "high", "prefix", "sorted_keys")
+
+    def __init__(self, order, low=0, high=0, prefix=None, sorted_keys=None):
+        self.order = order
+        self.low = low
+        self.high = high
+        self.prefix = prefix
+        self.sorted_keys = sorted_keys
+
+    def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(start, length) of each key's run in :attr:`order`.
+
+        The lengths are what ``searchsorted(sorted_keys, keys, "right")
+        - searchsorted(sorted_keys, keys, "left")`` gives, and so are
+        the starts of every key that has a run.
+        """
+        if self.prefix is None:
+            lo = np.searchsorted(self.sorted_keys, keys, side="left")
+            return lo, np.searchsorted(self.sorted_keys, keys, side="right") - lo
+        # Clip before subtracting ``low`` so keys far outside the build
+        # range cannot wrap; their lengths are zeroed below.
+        at = np.clip(keys, self.low, self.high) - self.low
+        lo = self.prefix[at]
+        counts = self.prefix[at + 1] - lo
+        counts[(keys < self.low) | (keys > self.high)] = 0
+        return lo, counts
+
+
+def _sort_build(keys: np.ndarray) -> _Build:
+    """Index a join's build-side keys once, for every probe batch.
+
+    Keys spanning at most ``DENSE_ROWS × rows + DENSE_SLACK`` values
+    get a dense prefix-count table, so a probe finds a key's run in
+    O(1); wider keys keep their sorted copy for binary search.  Both
+    find the same runs, so the pairs are identical either way.
+    """
+    if keys.size == 0:
+        return _Build(np.empty(0, dtype=np.intp), sorted_keys=keys)
+    low, span = _key_range(keys)
+    order = _stable_order(keys, low, span)
+    if span > DENSE_ROWS * keys.size + DENSE_SLACK:
+        return _Build(order, sorted_keys=keys[order])
+    # The span check bounds every offset, so ``keys - low`` cannot wrap.
+    prefix = np.zeros(span + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys - low, minlength=span), out=prefix[1:])
+    return _Build(order, low, low + span - 1, prefix=prefix)
 
 
 def _probe(
-    probe_keys: np.ndarray, sorted_keys: np.ndarray, order: np.ndarray
+    probe_keys: np.ndarray, build: _Build
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equi-join pairs ``(probe_idx, build_idx)`` in probe-major order.
 
-    ``sorted_keys``/``order`` come from :func:`_sort_build`.  Probe
-    indexes ascend, and within one probe row the build indexes ascend
-    too (the stable sort keeps equal keys in original order), so the
-    pairs arrive in lexicographic (probe row, build row) order with no
-    sort of their own.
+    ``build`` comes from :func:`_sort_build`; each probe key reads its
+    run off the dense table in O(1), or by binary search when the build
+    keys are too sparse for one.  Probe indexes ascend, and within one
+    probe row the build indexes ascend too (the stable sort keeps equal
+    keys in original order), so the pairs arrive in lexicographic
+    (probe row, build row) order with no sort of their own.
     """
-    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-    counts = np.searchsorted(sorted_keys, probe_keys, side="right") - lo
+    lo, counts = build.runs(probe_keys)
     probe_idx = np.repeat(np.arange(probe_keys.size, dtype=np.int64), counts)
-    within = np.arange(probe_idx.size, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return probe_idx, order[np.repeat(lo, counts) + within]
+    # Pair n of probe row i sits at order[lo[i] + n - first pair of i].
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return probe_idx, build.order[shift + np.arange(probe_idx.size, dtype=np.int64)]
 
 
 class JoinNode(PlanNode):
     """Hash equi-join of two child streams on ``value`` or ``epoch``.
 
-    The left child probes the right child, whose keys are sorted once;
+    The right child is the build side.  Its keys are indexed once per
+    execution by :func:`_sort_build` — a stable key order plus a dense
+    prefix-count table when the keys span at most ``DENSE_ROWS × rows +
+    DENSE_SLACK`` values, a sorted copy for binary search otherwise —
+    and :meth:`combine`, :meth:`_stream` and :meth:`_stream_merge` all
+    read key runs off that one structure.  The left child probes it;
     output rows concatenate the left and right columns (prefixed
     ``l.`` / ``r.``) and come out in canonical nested-loop order —
     ascending (left row, right row) — by construction, so the result
@@ -970,7 +1061,7 @@ class JoinNode(PlanNode):
     def combine(self, inputs: tuple[NodeResult, ...]) -> NodeResult:
         left, right = inputs
         li, ri = _probe(
-            left.column(self.left_on), *_sort_build(right.column(self.right_on))
+            left.column(self.left_on), _sort_build(right.column(self.right_on))
         )
         self._record_peak(int(li.size), "materialized-hash")
         rows = np.hstack([left.rows[li], right.rows[ri]])
@@ -985,12 +1076,12 @@ class JoinNode(PlanNode):
         """Canonical-order pair stream with a bounded working set.
 
         The same left probe as :meth:`combine`, batch by batch: the
-        right child is drained and its keys sorted once, and the left
-        child probes in ``batch_size`` batches, so at most
-        ``batch_size × build rows`` pairs ever materialize at once — the
-        full pair set never exists.  Probe indexes ascend across
-        batches, so the stream stays in canonical (left row, right row)
-        order with no global sort.
+        right child is drained and its keys indexed once (never per
+        probe batch), and the left child probes in ``batch_size``
+        batches, so at most ``batch_size × build rows`` pairs ever
+        materialize at once — the full pair set never exists.  Probe
+        indexes ascend across batches, so the stream stays in canonical
+        (left row, right row) order with no global sort.
         """
         ctx.counts.setdefault(id(self), [0, 0])
         left, right = self.children
@@ -1004,7 +1095,7 @@ class JoinNode(PlanNode):
         lkey_idx = self._key_index(0)
         peak = 0
         for lrows, lflags in _batched(left._stream(ctx), ctx.batch_size):
-            li, ri = _probe(lrows[:, lkey_idx], *build)
+            li, ri = _probe(lrows[:, lkey_idx], build)
             peak = max(peak, int(li.size))
             if li.size == 0:
                 continue
@@ -1017,11 +1108,12 @@ class JoinNode(PlanNode):
     def _stream_merge(self, ctx: _StreamContext):
         """Sort-merge pair stream: key order, working set ≤ batch size.
 
-        Both children drain and both key columns sort stably (near-
-        linear on the banded/ordered inputs that make this path
-        eligible).  One vectorized pass then finds, for every sorted
-        left row, the run of its key among the sorted right rows, and a
-        cumulative sum numbers the key-ordered, left-major pair space.
+        Both children drain and both key columns sort stably (radix-
+        sorted when the keys span fewer than 2¹⁶ values).  The right
+        side is indexed by :func:`_sort_build`, so one vectorized
+        lookup finds, for every sorted left row, the run of its key
+        among the sorted right rows, and a cumulative sum numbers the
+        key-ordered, left-major pair space.
         That space is emitted in slabs of exactly ``batch_size`` pairs
         (the last may be short) that may span key groups, so Python
         iterations scale with pairs / batch rather than with the number
@@ -1044,18 +1136,16 @@ class JoinNode(PlanNode):
             self._record_peak(0, strategy)
             return
         lkeys = lrows[:, self._key_index(0)]
-        rkeys = rrows[:, self._key_index(1)]
-        lorder = np.argsort(lkeys, kind="stable")
-        rorder = np.argsort(rkeys, kind="stable")
-        slk, srk = lkeys[lorder], rkeys[rorder]
+        lorder = _stable_order(lkeys, *_key_range(lkeys))
+        build = _sort_build(rrows[:, self._key_index(1)])
+        rorder = build.order
         # Each sorted left row meets the sorted right run [rlo, rlo +
         # width) of its key (width 0 when the key has no right run).
         # Numbering pairs left-row-major over the sorted left rows gives
         # key order, then left row, then right row — both sorts are
         # stable — and pair n of left row k sits at sorted right
         # position n + shift[k].
-        rlo = np.searchsorted(srk, slk, side="left")
-        width = np.searchsorted(srk, slk, side="right") - rlo
+        rlo, width = build.runs(lkeys[lorder])
         ends = np.cumsum(width)
         shift = rlo - (ends - width)
         total = int(ends[-1])
@@ -1086,10 +1176,13 @@ class JoinNode(PlanNode):
         leaves carry histograms).  The hash path pays a build over the
         smaller input; the merge path pays ``n·log₂n`` sort terms
         unless an input arrives ordered (sharded bands, sorted-index
-        leaves), in which case its sort term drops out.  Merge
-        therefore wins exactly when both inputs arrive ordered —
-        decided by the numbers, not a flag.  Strategy never changes
-        results, only the work and working set.
+        leaves), in which case its sort term drops out, so merge is
+        picked when both inputs arrive ordered.  That is a price, not a
+        measurement: ``_stream_merge`` still sorts both drained key
+        columns itself, and on the ``streaming`` bench shape (2 × 500k
+        ordered rows) the streamed-hash path, whose build side gets a
+        dense table, runs faster than the merge picked over it.
+        Strategy never changes results, only the work and working set.
         """
         import math
 

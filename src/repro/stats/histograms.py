@@ -108,6 +108,21 @@ class EquiWidthHistogram:
         fraction = np.clip(overlap / self._width, 0.0, 1.0)
         return float((self._counts * fraction).sum())
 
+    def masses(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """:meth:`mass` of each float interval ``[lows[i], highs[i])``.
+
+        One (intervals × bins) broadcast.  Each row sums the same
+        products in the same order as :meth:`mass`, so every entry is
+        bit-identical to that call's; an empty interval overlaps no bin
+        and reads 0.0.
+        """
+        edges = self.bin_edges()
+        overlap = np.minimum(edges[1:], highs[:, None]) - np.maximum(
+            edges[:-1], lows[:, None]
+        )
+        fraction = np.clip(overlap / self._width, 0.0, 1.0)
+        return (self._counts * fraction).sum(axis=1)
+
     def bin_edges(self) -> np.ndarray:
         """Bin boundaries: ``bins + 1`` float edges from lo to hi+1."""
         return self.lo + np.arange(self.bins + 1) * self._width

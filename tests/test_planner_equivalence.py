@@ -11,9 +11,11 @@ regardless of the access path.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from repro.query import (
     RangePredicate,
     RangeQuery,
 )
+from repro.query import plans
 from repro.query.plans import build_plan, parse_query_spec
 from repro.stats import ExactMoments
 from repro.storage import (
@@ -868,6 +871,29 @@ CROSS_SPECS = (
 
 def _run_cross_table_scenario(
     policy_name: str, plan: str, workers: int = 1, stats: str = "uniform"
+):
+    """:func:`_cross_table_observations`, counting the joins' builds.
+
+    Equality with the oracle proves nothing about a lookup no join
+    reaches, so the scenario must build at least one dense prefix-count
+    table and one sparse (binary-search) build side.
+    """
+    builds: collections.Counter = collections.Counter()
+    sort_build = plans._sort_build
+
+    def counted(keys):
+        build = sort_build(keys)
+        builds["sparse" if build.prefix is None else "dense"] += 1
+        return build
+
+    with mock.patch.object(plans, "_sort_build", counted):
+        observed = _cross_table_observations(policy_name, plan, workers, stats)
+    assert builds["dense"] and builds["sparse"], dict(builds)
+    return observed
+
+
+def _cross_table_observations(
+    policy_name: str, plan: str, workers: int, stats: str
 ):
     """Drive unions/joins over two tables + one sharded store.
 

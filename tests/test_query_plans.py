@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro._util.errors import QueryError, SchemaError
 from repro.amnesia import FifoAmnesia
@@ -19,7 +21,19 @@ from repro.query import (
     explain_plan,
     parse_query_spec,
 )
-from repro.query.plans import render_summary, summarize_result
+from repro.query.plans import (
+    DENSE_ROWS,
+    DENSE_SLACK,
+    NARROW_SPAN,
+    PlanNode,
+    _estimate_equijoin,
+    _KeyDistribution,
+    _sort_build,
+    _StreamContext,
+    render_summary,
+    summarize_result,
+)
+from repro.stats import EquiWidthHistogram
 from repro.storage import Catalog
 
 
@@ -842,3 +856,222 @@ class TestLeafCostEstimate:
             estimates[mode] = node.estimate_cost(cat)
         assert estimates["auto"] == estimates["cost"]
         assert 0 < estimates["auto"] < rows / 100
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+class _KeyRows(PlanNode):
+    """A leaf streaming ``(key, row number)`` rows in pieces of five.
+
+    Row ``i`` is forgotten when ``i % period == 0``, so both sides'
+    flags reach the join output.
+    """
+
+    def __init__(self, keys, period: int):
+        keys = np.asarray(keys, dtype=np.int64)
+        self.rows = np.column_stack([keys, np.arange(keys.size, dtype=np.int64)])
+        self.flags = np.arange(keys.size) % period == 0
+
+    def result(self) -> NodeResult:
+        return NodeResult(self.output_columns(), self.rows, self.flags)
+
+    def _stream(self, ctx):
+        for start in range(0, self.rows.shape[0], 5):
+            yield self.rows[start : start + 5], self.flags[start : start + 5]
+
+    def output_columns(self):
+        return ("value", "epoch")
+
+    def estimate_rows(self, catalog):
+        return float(self.rows.shape[0])
+
+    def estimate_cost(self, catalog):
+        return float(self.rows.shape[0])
+
+    def describe(self, catalog=None):
+        return "KeyRows"
+
+
+def _nested_loop_pairs(left: _KeyRows, right: _KeyRows):
+    """Every (left row, right row) pair with equal keys, left-major.
+
+    The inner loop is one vectorized equality per left row, so a large
+    build side stays cheap; an equality test cannot overflow.
+    """
+    rows, flags = [], []
+    for i, key in enumerate(left.rows[:, 0].tolist()):
+        for j in np.flatnonzero(right.rows[:, 0] == key).tolist():
+            rows.append(left.rows[i].tolist() + right.rows[j].tolist())
+            flags.append(bool(left.flags[i] or right.flags[j]))
+    return rows, flags
+
+
+def _check_join_kernels(lkeys, rkeys) -> None:
+    """``combine``, ``_stream`` and ``_stream_merge`` against the oracle."""
+    left, right = _KeyRows(lkeys, 3), _KeyRows(rkeys, 2)
+    rows, flags = _nested_loop_pairs(left, right)
+    node = JoinNode(left, right, on="value")
+    got = node.combine((left.result(), right.result()))
+    assert (got.rows.tolist(), got.forgotten.tolist()) == (rows, flags)
+    for batch in (1, 7, 4096):
+        pieces = list(node._stream(_StreamContext({}, batch)))
+        assert all(r.shape[0] <= batch * max(len(rkeys), 1) for r, _ in pieces)
+        assert [row for r, _ in pieces for row in r.tolist()] == rows
+        assert [f for _, fs in pieces for f in fs.tolist()] == flags
+    # The merge emits key order, then left row, then right row.
+    by_key = sorted(
+        range(len(rows)), key=lambda n: (rows[n][0], rows[n][1], rows[n][3])
+    )
+    pieces = list(node._stream_merge(_StreamContext({}, 7)))
+    assert [row for r, _ in pieces for row in r.tolist()] == [rows[n] for n in by_key]
+    assert [f for _, fs in pieces for f in fs.tolist()] == [flags[n] for n in by_key]
+
+
+@st.composite
+def join_keys(draw):
+    """A build side of ``n`` keys spanning exactly ``span`` values from
+    ``low``, and probe keys mixing build keys, their neighbours and
+    arbitrary int64s (far outside the build range, INT64_MIN/MAX)."""
+    n = draw(st.integers(0, 30))
+    span = draw(
+        st.one_of(
+            st.integers(1, 200),
+            st.sampled_from(
+                [
+                    1,  # a single repeated key
+                    DENSE_ROWS * n + DENSE_SLACK,  # the dense limit
+                    DENSE_ROWS * n + DENSE_SLACK + 1,  # one past it
+                    NARROW_SPAN - 1,
+                    NARROW_SPAN,
+                    NARROW_SPAN + 1,
+                    2**40,
+                    2**63,
+                    2**64,  # every int64
+                ]
+            ),
+        )
+    )
+    low = draw(
+        st.sampled_from([0, -1_000, -(2**62), 2**62, INT64_MIN, INT64_MAX])
+    )
+    low = max(INT64_MIN, min(low, INT64_MAX - span + 1))
+    high = low + span - 1
+    inner = st.integers(low, high)
+    if n == 0:
+        build = []
+    elif n == 1:
+        build = [draw(inner) if span == 1 else low]
+    else:
+        rest = draw(
+            st.lists(
+                st.one_of(inner, st.sampled_from([low, high])),
+                min_size=n - 2,
+                max_size=n - 2,
+            )
+        )
+        build = draw(st.permutations([low, high] + rest))
+    edges = [low - 1, low, high, high + 1, INT64_MIN, INT64_MAX, 0, -1, 2**62]
+    probe = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(build) if build else st.nothing(),
+                st.sampled_from([k for k in edges if INT64_MIN <= k <= INT64_MAX]),
+                st.integers(INT64_MIN, INT64_MAX),
+                inner,
+            ),
+            max_size=30,
+        )
+    )
+    return probe, build
+
+
+class TestJoinKernels:
+    """The build-side lookup — dense prefix table or binary search —
+    against a nested-loop oracle, through every join path."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(join_keys())
+    @example(([], []))
+    @example(([1, 2], []))
+    @example(([], [1, 2]))
+    @example(([5, 5, 4], [5, 5, 5]))
+    @example(([INT64_MIN, INT64_MAX, 0], [INT64_MIN, INT64_MAX, INT64_MAX]))
+    @example(([INT64_MIN, INT64_MAX, -1], [-1, -1, 0, 1]))
+    def test_kernels_match_nested_loop(self, keys):
+        _check_join_kernels(*keys)
+
+    @pytest.mark.parametrize(
+        "span", [NARROW_SPAN - 1, NARROW_SPAN, NARROW_SPAN + 1]
+    )
+    def test_dense_build_across_the_radix_limit(self, span):
+        """A build side of 16,368 keys reaches the dense limit at
+        exactly 2¹⁶ values: below it the order is radix-sorted, at it
+        the order is an int64 sort, one past it the lookup is sparse."""
+        rows = (NARROW_SPAN - DENSE_SLACK) // DENSE_ROWS
+        rng = np.random.default_rng(span)
+        low = -(2**62)
+        build = rng.integers(low, low + span, rows)
+        build[:2] = (low, low + span - 1)
+        probe = np.concatenate(
+            [rng.choice(build, 150), rng.integers(low - 5, low + span + 5, 50)]
+        )
+        assert (_sort_build(build).prefix is not None) == (
+            span <= DENSE_ROWS * rows + DENSE_SLACK
+        )
+        _check_join_kernels(probe, build)
+        # And with the sides swapped: a narrow probe-side stable order.
+        _check_join_kernels(build[:200], probe)
+
+
+def _loop_mass(dist, low, high):
+    """The per-interval mass ``_KeyDistribution`` computed before its
+    broadcast: the oracle for :meth:`_KeyDistribution.masses`."""
+    if dist._low is not None:
+        low = max(low, dist._low)
+        high = min(high, dist._high)
+    if high <= low:
+        return 0.0
+    return dist._active.mass(low, high) + dist._forgotten.mass(low, high)
+
+
+def _loop_estimate(left, right):
+    """The bin-by-bin join estimate the broadcast replaced."""
+    edges = left.edges()
+    total = 0.0
+    for e0, e1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        l_mass = _loop_mass(left, e0, e1)
+        if l_mass <= 0.0:
+            continue
+        r_mass = _loop_mass(right, e0, e1)
+        if r_mass <= 0.0:
+            continue
+        total += l_mass * r_mass / max(e1 - e0, 1.0)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_broadcast_join_estimate_equals_the_bin_loop(seed):
+    """The broadcast estimate is bit-identical to the loop over bins,
+    across bin counts on both sides of numpy's 8- and 128-wide
+    summation blocks, clipped and unclipped scans and empty sides."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        sides = []
+        for _ in range(2):
+            lo = int(rng.integers(-(10**6), 10**6))
+            hi = lo + int(rng.integers(0, 10 ** int(rng.integers(1, 8))))
+            bins = int(rng.choice([1, 7, 8, 9, 64, 127, 128, 129, 200]))
+            rows = int(rng.integers(0, 3_000))
+            active = EquiWidthHistogram.from_values(
+                rng.integers(lo, hi + 1, rows), lo, hi, bins
+            )
+            forgotten = EquiWidthHistogram.from_values(
+                rng.integers(lo, hi + 1, rows // 3), lo, hi, bins
+            )
+            low = high = None
+            if rng.random() < 0.5:
+                low = int(rng.integers(lo - 100, hi + 100))
+                high = low + int(rng.integers(-10, hi - lo + 200))
+            sides.append(_KeyDistribution(active, forgotten, low, high))
+        assert _estimate_equijoin(*sides) == _loop_estimate(*sides)
